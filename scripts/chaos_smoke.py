@@ -22,10 +22,13 @@ The drill (run from the repo root with ``PYTHONPATH=src``):
    ``<cache-dir>/trajectories`` by the CLI) is truncated too — the
    checksum-on-read must log the corruption, discard the entry, and
    rebuild it from simulation rather than fork from bogus state.
-5. The campaign is re-run with ``--resume``.  It must exit cleanly,
-   report the trajectory corruption on stderr, leave a valid rebuilt
-   trajectory entry behind, and its coverage reports must be
-   byte-identical to the reference.
+5. The checkpoint's last record is cut mid-line — the torn tail a
+   crash during an append can leave in the append-only record log.
+6. The campaign is re-run with ``--resume``.  It must drop the torn
+   record, replay exactly the complete ones, exit cleanly, report the
+   trajectory corruption on stderr, leave a valid rebuilt trajectory
+   entry behind, and its coverage reports must be byte-identical to
+   the reference.
 
 A second drill covers the soak mode:
 
@@ -63,6 +66,7 @@ import tempfile
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 SCHEME = "timber-ff"
 FAULTS = 1000
@@ -109,7 +113,6 @@ def _assert_batched_runner() -> None:
     fails the drill loudly instead of green-lighting a crash/resume
     test that never touched batched state.
     """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
     os.environ.pop("REPRO_CAMPAIGN_BATCH", None)
     os.environ.pop("REPRO_CAMPAIGN_FULL_RUNS", None)
     from repro.campaign import CampaignConfig, fault_runner
@@ -169,11 +172,11 @@ def _worker_pids(pid: int) -> list[int]:
 
 
 def _completed_records(checkpoint: pathlib.Path) -> int:
-    try:
-        return len(json.loads(
-            checkpoint.read_text(encoding="utf-8"))["completed"])
-    except (OSError, ValueError, KeyError):
-        return 0
+    """Distinct completed tasks in the checkpoint log (torn tail
+    ignored, as ``--resume`` would)."""
+    from repro.exec import read_checkpoint
+
+    return len(read_checkpoint(checkpoint))
 
 
 def _journal_rounds(journal: pathlib.Path) -> int:
@@ -334,16 +337,16 @@ def main() -> int:
     ref_out = workdir / "reference.json"
     resumed_out = workdir / "resumed.json"
     try:
-        print("[0/5] preflight: config resolves to the batched runner")
+        print("[0/6] preflight: config resolves to the batched runner")
         _assert_batched_runner()
 
-        print("[1/5] reference campaign (uninterrupted)")
+        print("[1/6] reference campaign (uninterrupted)")
         subprocess.run(
             _cli(workdir, "--no-cache", "--out", str(ref_out)),
             cwd=REPO_ROOT, env=env, check=True,
             stdout=subprocess.DEVNULL)
 
-        print("[2/5] chaos campaign: SIGKILL a worker, then the run")
+        print("[2/6] chaos campaign: SIGKILL a worker, then the run")
         # Devnull stderr too: pool workers orphaned by the SIGKILL
         # below inherit it, and an inherited pipe end would wedge any
         # harness waiting for this script's output to hit EOF.
@@ -395,14 +398,14 @@ def main() -> int:
         assert _completed_records(checkpoint) >= MIN_CHECKPOINTED, \
             "no checkpointed progress survived the crash"
 
-        print("[3/5] corrupting one result-cache entry")
+        print("[3/6] corrupting one result-cache entry")
         entries = sorted(cache_dir.glob("*.json"))
         assert entries, "crashed run left no cache entries"
         entries[0].write_bytes(
             entries[0].read_bytes()[:20])
         print(f"      truncated {entries[0].name}")
 
-        print("[4/5] corrupting one cached trajectory entry")
+        print("[4/6] corrupting one cached trajectory entry")
         # The CLI points REPRO_TRAJECTORY_CACHE_DIR here whenever
         # --cache-dir is given; the crashed run's workers persisted the
         # background snapshots before the kill landed.
@@ -415,7 +418,15 @@ def main() -> int:
             trajectory_entry.read_bytes()[:40])
         print(f"      truncated {trajectory_entry.name}")
 
-        print("[5/5] resume and verify")
+        print("[5/6] cutting the checkpoint's last record mid-line")
+        raw = checkpoint.read_bytes()
+        last_start = raw.rstrip(b"\n").rfind(b"\n") + 1
+        checkpoint.write_bytes(
+            raw[:last_start + (len(raw) - last_start) // 2])
+        kept = _completed_records(checkpoint)
+        print(f"      {kept} complete record(s) left before the torn one")
+
+        print("[6/6] resume and verify")
         resume = subprocess.run(
             _cli(workdir, "--cache-dir", str(cache_dir),
                  "--checkpoint", str(checkpoint_base), "--resume",
@@ -438,8 +449,8 @@ def main() -> int:
                 f"reference: {reference['reports']}\n"
                 f"resumed:   {resumed['reports']}")
         if interrupted:
-            assert resumed["telemetry"]["resumed_tasks"] > 0, \
-                resumed["telemetry"]
+            assert resumed["telemetry"]["resumed_tasks"] == kept > 0, \
+                (kept, resumed["telemetry"])
             print(f"      {resumed['telemetry']['resumed_tasks']} "
                   "task(s) replayed from the checkpoint")
             # The replayed tasks needed the trajectory we corrupted:

@@ -880,8 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_exec_flags(
         cmd: argparse.ArgumentParser, *,
-        checkpoint_help: str = ("periodically persist completed tasks "
-                                "to this file"),
+        checkpoint_help: str = ("append completed tasks to this "
+                                "file (fsync'd JSONL log)"),
         resume_help: str = ("replay completed tasks from the "
                             "checkpoint file instead of re-running"),
     ) -> None:

@@ -2,7 +2,7 @@
 
 Every paper artefact is a sweep over an embarrassingly parallel grid of
 (technique x stress x configuration) points; this package is the
-substrate those sweeps run on.  Five layers:
+substrate those sweeps run on.  Six layers:
 
 * :mod:`repro.exec.runner` — grid expansion, deterministic per-task
   seeding, and batched dispatch across one persistent warm process pool
@@ -19,9 +19,12 @@ substrate those sweeps run on.  Five layers:
   content hash of the task configuration plus the code version; entries
   carry a checksum, so truncated or corrupted files are detected,
   logged, deleted, and rebuilt instead of served.
-* :mod:`repro.exec.checkpoint` — periodic persistence of completed
-  outcomes, so a sweep killed mid-run resumes where it left off with
-  byte-identical results.
+* :mod:`repro.exec.recordlog` — the append-only JSONL record log
+  (fsync per append, torn-tail truncation on resume) shared by sweep
+  checkpoints and the soak journal.
+* :mod:`repro.exec.checkpoint` — append-only persistence of completed
+  outcomes on that log, so a sweep killed mid-run resumes where it left
+  off with byte-identical results.
 * :mod:`repro.exec.telemetry` — per-task wall time, events processed,
   cache hit/miss counts, batch sizes, warm-cache hit rates,
   retries/backoff, crashes, and worker utilization, emitted as
@@ -39,7 +42,9 @@ from repro.exec.checkpoint import (
     SweepCheckpoint,
     atomic_write_json,
     compute_run_key,
+    read_checkpoint,
 )
+from repro.exec.recordlog import RecordLog, RecordLogCorrupt
 from repro.exec.runner import (
     DispatchSizer,
     SweepDrained,
@@ -57,6 +62,8 @@ from repro.exec.worker import WARM, WarmCache
 
 __all__ = [
     "DispatchSizer",
+    "RecordLog",
+    "RecordLogCorrupt",
     "ResultCache",
     "RunTelemetry",
     "SweepCheckpoint",
@@ -75,6 +82,7 @@ __all__ = [
     "encode_result",
     "exec_mp_context",
     "expand_grid",
+    "read_checkpoint",
     "result_checksum",
     "stable_key",
 ]

@@ -215,7 +215,7 @@ class ResultCache:
                                         suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
+                handle.write(json.dumps(entry))  # one write, not per chunk
             os.replace(tmp_name, self._path(key))
         except BaseException:
             try:

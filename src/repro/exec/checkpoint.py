@@ -1,24 +1,20 @@
-"""Periodic sweep checkpointing for crash-tolerant, resumable runs.
+"""Append-only sweep checkpointing for crash-tolerant, resumable runs.
 
-A :class:`SweepCheckpoint` persists completed task outcomes to one JSON
-file as a sweep progresses, so a run killed mid-sweep — worker crash,
-OOM, operator ^C, pre-empted node — can be re-launched with ``--resume``
-and only re-execute what is missing.  The file is bound to the exact
-run it came from by a *run key*: a SHA-256 over every task's
-(experiment, params, seed, index) plus the cache code-version, so a
-checkpoint from a different grid, seed, or library version is detected
-and ignored (logged, never silently mixed in).
-
-Resumed values round-trip through the same tagged JSON encoding as the
-result cache (:func:`repro.exec.cache.encode_result`), which
-reconstructs exact dataclasses — a resumed sweep is byte-identical to
-an uninterrupted one.  Writes go through :func:`atomic_write_json`
-(temp file in the target directory, ``fsync``, atomic rename, directory
-``fsync`` — a SIGKILL at any instant leaves either the old or the new
-complete document, never a torn one) and are throttled to every
-``every`` completions plus one final flush, keeping checkpoint overhead
-negligible for sweeps of thousands of tasks.  The soak driver's
-checkpoints (:mod:`repro.soak.driver`) reuse the same helper.
+A :class:`SweepCheckpoint` logs completed task outcomes as a sweep
+progresses, so a run killed mid-sweep can be re-launched with
+``--resume`` and only re-execute what is missing.  The file (schema 2)
+is a :class:`~repro.exec.recordlog.RecordLog`: a header line
+``{schema_version, run_key}``, then one line per completed outcome
+carrying its task ``index`` (the last line for an index wins).  The
+*run key* hashes every task's (experiment, params, seed, index) and the
+code version, so a checkpoint of another run is logged and ignored.
+Values use the result cache's tagged encoding
+(:func:`repro.exec.cache.encode_result`), so a resumed sweep is
+byte-identical to an uninterrupted one.  ``record`` encodes only the new
+outcome; every ``every`` completions (and at the end) the buffered lines
+are appended and ``fsync``\\ ed — O(1) I/O per outcome, never a rewrite.
+:func:`atomic_write_json` serves whole-document state such as the soak
+driver's checkpoints.
 """
 
 from __future__ import annotations
@@ -32,32 +28,30 @@ import tempfile
 import typing
 
 from repro.exec.cache import decode_result, encode_result
+from repro.exec.recordlog import RecordLog, RecordLogCorrupt, fsync_dir
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.exec.runner import SweepTask, TaskOutcome
 
 logger = logging.getLogger("repro.exec.checkpoint")
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 def atomic_write_json(path: pathlib.Path, data: typing.Any) -> None:
     """Durably replace ``path`` with the JSON encoding of ``data``.
 
-    The sequence a kill must never be able to corrupt: write to a
-    temporary file in the *same directory*, flush and ``fsync`` it (the
-    bytes are on disk before the name exists), atomically ``rename``
-    over the target, then ``fsync`` the directory so the rename itself
-    is durable.  At every instant the target path holds either the old
-    complete document or the new complete document — a SIGKILL mid-write
-    leaves the temp file behind, never a torn target.
+    Temp file in the same directory, ``fsync``, atomic ``rename`` over
+    the target, directory ``fsync``: at every instant the target holds
+    the old or the new complete document — a SIGKILL mid-write leaves
+    the temp file behind, never a torn target.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
+            handle.write(json.dumps(data))  # one write, not per chunk
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -67,40 +61,32 @@ def atomic_write_json(path: pathlib.Path, data: typing.Any) -> None:
         except OSError:
             pass
         raise
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover - directories not fsync-able
-        pass
-    finally:
-        os.close(dir_fd)
+    fsync_dir(path.parent)
 
 
 def compute_run_key(tasks: "typing.Sequence[SweepTask]",
                     code_version: str) -> str:
     """Stable identity of one sweep: its exact task list + code version."""
     payload = json.dumps(
-        {
-            "version": code_version,
-            "tasks": [
-                [task.index, task.experiment, task.params, task.seed]
-                for task in tasks
-            ],
-        },
-        sort_keys=True, separators=(",", ":"), default=str,
-    )
+        {"version": code_version,
+         "tasks": [[task.index, task.experiment, task.params, task.seed]
+                   for task in tasks]},
+        sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def read_checkpoint(path: str | os.PathLike) -> dict[int, dict]:
+    """Completed records by task index, read-only (torn tail ignored)."""
+    return {int(record["index"]): record
+            for record in RecordLog.read(path)[1]}
+
+
 class SweepCheckpoint:
-    """Append-style checkpoint of completed task outcomes.
+    """Append-only log of completed task outcomes.
 
     Args:
         path: Checkpoint file location.
-        every: Flush to disk after this many newly recorded outcomes
+        every: Append to disk after this many newly recorded outcomes
             (the runner always flushes once more at the end of the run).
         resume: When False (the default), an existing file is ignored
             and overwritten — explicit opt-in keeps accidental reuse of
@@ -112,12 +98,12 @@ class SweepCheckpoint:
         self.path = pathlib.Path(path)
         self.every = max(1, every)
         self.resume = resume
+        self._log = RecordLog(self.path)
         self._run_key: str | None = None
-        self._completed: dict[str, dict] = {}
-        self._pending_writes = 0
-        #: Called after every durable flush with the number of
-        #: completed records now on disk — the obs event stream's
-        #: ``checkpoint`` events hang off this.
+        self._indices: set[int] = set()
+        self._pending: list[bytes] = []
+        #: Called after every durable append with the number of completed
+        #: indices on disk — the obs stream's ``checkpoint`` events.
         self.on_flush: typing.Callable[[int], None] | None = None
 
     # -- load --------------------------------------------------------------
@@ -125,50 +111,54 @@ class SweepCheckpoint:
              code_version: str) -> dict[int, dict]:
         """Bind to this run and return resumable records by task index.
 
-        Always computes and stores the run key (needed for writing);
-        returns ``{}`` unless ``resume`` is set and the file on disk
-        matches this exact run.
+        Returns ``{}`` — and replaces the file with a fresh header —
+        unless ``resume`` is set and the file matches this exact run.
         """
         self._run_key = compute_run_key(tasks, code_version)
-        self._completed = {}
-        if not self.resume:
+        self._pending = []
+        completed = self._resume() if self.resume else {}
+        self._indices = set(completed)
+        if not completed:
+            self._log.open_fresh({
+                "schema_version": CHECKPOINT_SCHEMA_VERSION,
+                "run_key": self._run_key})
+        return completed
+
+    def _resume(self) -> dict[int, dict]:
+        if not self.path.exists():
             return {}
         try:
-            raw = self.path.read_text(encoding="utf-8")
-        except OSError:
+            # The header line is parsed on its own so that a schema-1
+            # file (one unterminated JSON document) is named as such.
+            with open(self.path, "rb") as handle:
+                header = json.loads(handle.readline())
+            if header["schema_version"] != CHECKPOINT_SCHEMA_VERSION:
+                logger.warning(
+                    "checkpoint %s has schema %r (expected %r); ignoring",
+                    self.path, header["schema_version"],
+                    CHECKPOINT_SCHEMA_VERSION)
+                return {}
+            if header["run_key"] != self._run_key:
+                logger.warning(
+                    "checkpoint %s belongs to a different run (task grid,"
+                    " seed, or code version changed); ignoring", self.path)
+                return {}
+            completed = {int(record["index"]): record
+                         for record in self._log.open_resume()[1]}
+        except (OSError, RecordLogCorrupt, LookupError, TypeError,
+                ValueError) as error:
+            logger.warning("checkpoint %s is unreadable (%s); starting "
+                           "fresh", self.path, error)
             return {}
-        try:
-            data = json.loads(raw)
-            if not isinstance(data, dict):
-                raise ValueError("checkpoint is not a JSON object")
-            schema = data["schema_version"]
-            run_key = data["run_key"]
-            completed = data["completed"]
-        except (ValueError, KeyError, TypeError) as error:
-            logger.warning(
-                "checkpoint %s is unreadable (%s); starting fresh",
-                self.path, error)
-            return {}
-        if schema != CHECKPOINT_SCHEMA_VERSION:
-            logger.warning(
-                "checkpoint %s has schema %r (expected %r); ignoring",
-                self.path, schema, CHECKPOINT_SCHEMA_VERSION)
-            return {}
-        if run_key != self._run_key:
-            logger.warning(
-                "checkpoint %s belongs to a different run (task grid, "
-                "seed, or code version changed); ignoring", self.path)
-            return {}
-        self._completed = dict(completed)
         logger.info("resuming %d completed task(s) from %s",
-                    len(self._completed), self.path)
-        return {int(index): record
-                for index, record in self._completed.items()}
+                    len(completed), self.path)
+        return completed
 
     # -- record ------------------------------------------------------------
     def record(self, outcome: "TaskOutcome") -> None:
-        """Add one completed outcome; flush when the batch is full."""
-        self._completed[str(outcome.task.index)] = {
+        """Encode one completed outcome; append when the batch is full."""
+        self._pending.append(self._log.encode({
+            "index": outcome.task.index,
             "key": outcome.task.key,
             "status": outcome.status,
             "value": encode_result(outcome.value),
@@ -176,24 +166,24 @@ class SweepCheckpoint:
             "events_processed": outcome.events_processed,
             "attempts": outcome.attempts,
             "worker_pid": outcome.worker_pid,
-        }
-        self._pending_writes += 1
-        if self._pending_writes >= self.every:
-            self.flush()
+        }))
+        self._indices.add(outcome.task.index)
+        if len(self._pending) >= self.every:
+            self._append()
 
     def flush(self) -> None:
-        """Durably write the current completion set (atomic + fsync)."""
+        """Durably append every buffered outcome (write + fsync)."""
         if self._run_key is None:
             raise RuntimeError("checkpoint used before load()")
-        self._pending_writes = 0
-        atomic_write_json(self.path, {
-            "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "run_key": self._run_key,
-            "completed": self._completed,
-        })
+        self._append()
+
+    def _append(self) -> None:
+        if self._pending:
+            self._log.write(b"".join(self._pending))
+            self._pending = []
         if self.on_flush is not None:
             try:
-                self.on_flush(len(self._completed))
+                self.on_flush(len(self._indices))
             except Exception:  # pragma: no cover - defensive
                 logger.warning("checkpoint on_flush hook failed",
                                exc_info=True)

@@ -6,34 +6,26 @@ round holding everything needed to regenerate and re-verify that round
 counter start, count)``, the per-stratum outcome-class counts, and a
 SHA-256 digest of the classified outcomes (chained to the previous
 record's digest, so any prefix has a single summarizing hash).  Records
-carry **no wall-clock data**: the journal of a run is a pure function
-of its configuration and length, so an interrupted run's journal is a
+carry **no wall-clock data**: an interrupted run's journal is a
 byte-exact prefix of the uninterrupted run's — the property the chaos
-drill pins.
-
-Durability protocol: every ``append`` writes one complete line, flushes
-and ``fsync``s before returning, so a record either exists entirely or
-is the file's final, possibly-torn line.  ``open_resume`` detects a
-torn tail (missing newline or unparseable last line) and truncates it
-in place; corruption anywhere *before* the tail cannot be caused by a
-crash under this protocol and raises :class:`JournalCorrupt` instead of
-being silently dropped.
+drill pins.  The file mechanics (``fsync`` per ``append``, torn-tail
+truncation on ``open_resume``, :class:`JournalCorrupt` on damage before
+the tail) are the shared :class:`repro.exec.recordlog.RecordLog`; this
+module adds the header schema, sorted-key lines and the digest chain.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pathlib
 import typing
 
-from repro.errors import ReproError
+from repro.exec.recordlog import RecordLog, RecordLogCorrupt
 
 JOURNAL_SCHEMA_VERSION = 1
 
 
-class JournalCorrupt(ReproError):
+class JournalCorrupt(RecordLogCorrupt):
     """The journal is damaged in a way a crash cannot explain."""
 
 
@@ -45,148 +37,25 @@ def record_digest(prev_digest: str, payload: typing.Any) -> str:
                           + encoded).hexdigest()
 
 
-class SoakJournal:
+class SoakJournal(RecordLog):
     """One soak run's append-only JSONL record stream."""
 
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = pathlib.Path(path)
-        self._handle: typing.IO[bytes] | None = None
+    corrupt = JournalCorrupt
+    sort_keys = True
 
-    # -- opening -----------------------------------------------------------
     def open_fresh(self, header: dict) -> None:
         """Start a new journal, replacing any existing file."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(self.path, "wb")
-        try:
-            self._write_line(handle, {"type": "header",
-                                      "schema": JOURNAL_SCHEMA_VERSION,
-                                      **header})
-        except BaseException:
-            handle.close()
-            raise
-        self._handle = handle
-        self._fsync_dir()
+        super().open_fresh({"type": "header",
+                            "schema": JOURNAL_SCHEMA_VERSION, **header})
 
-    def open_resume(self) -> tuple[dict | None, list[dict]]:
-        """Reopen for appending; return (header, complete records).
+    def check_header(self, header: dict) -> None:
+        if header.get("type") != "header":
+            raise JournalCorrupt(f"{self.path}: first record is not a header")
+        if header.get("schema") != JOURNAL_SCHEMA_VERSION:
+            raise JournalCorrupt(
+                f"{self.path}: schema {header.get('schema')!r} "
+                f"(expected {JOURNAL_SCHEMA_VERSION})")
 
-        A missing or empty file yields ``(None, [])`` — the caller
-        starts fresh.  A torn final line is truncated in place before
-        the file is reopened for appending.
-        """
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            raw = b""
-        header: dict | None = None
-        records: list[dict] = []
-        good_end = 0
-        if raw:
-            header, records, good_end = self._scan(raw)
-            if good_end < len(raw):
-                with open(self.path, "rb+") as handle:
-                    handle.truncate(good_end)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        if header is None:
-            return None, []
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "ab")
-        return header, records
-
-    @classmethod
-    def read(cls, path: str | os.PathLike
-             ) -> tuple[dict | None, list[dict]]:
-        """Parse a journal without opening it for writing.
-
-        Tolerates a torn tail (ignored, not truncated); raises
-        :class:`JournalCorrupt` on mid-file damage, like resume.
-        """
-        try:
-            raw = pathlib.Path(path).read_bytes()
-        except OSError:
-            return None, []
-        if not raw:
-            return None, []
-        header, records, _ = cls(path)._scan(raw)
-        return header, records
-
-    def _scan(self, raw: bytes) -> tuple[dict | None, list[dict], int]:
-        """Parse ``raw`` into (header, records, last good byte offset).
-
-        Only the final line may fail to parse (torn append); an
-        unparseable line with complete lines after it is corruption.
-        """
-        header: dict | None = None
-        records: list[dict] = []
-        offset = 0
-        # Splitting on newline leaves the unterminated tail (if any) as
-        # the final segment; ``lines[:-1]`` is therefore exactly the
-        # newline-terminated lines — an unterminated tail is torn by
-        # definition (a record and its newline are one write).
-        segments = raw.split(b"\n")[:-1]
-        for index, line in enumerate(segments):
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError("journal line is not an object")
-            except (ValueError, UnicodeDecodeError) as error:
-                if index == len(segments) - 1:
-                    # Torn terminated line (the crash landed after a
-                    # byte that happens to be a newline) — drop it.
-                    return header, records, offset
-                raise JournalCorrupt(
-                    f"{self.path}: unreadable record "
-                    f"{index} ({error}) with records after it"
-                ) from error
-            offset += len(line) + 1
-            if index == 0:
-                if record.get("type") != "header":
-                    raise JournalCorrupt(
-                        f"{self.path}: first record is not a header")
-                if record.get("schema") != JOURNAL_SCHEMA_VERSION:
-                    raise JournalCorrupt(
-                        f"{self.path}: schema {record.get('schema')!r} "
-                        f"(expected {JOURNAL_SCHEMA_VERSION})")
-                header = record
-            else:
-                records.append(record)
-        return header, records, offset
-
-    # -- appending ---------------------------------------------------------
     def append(self, record: dict) -> None:
         """Durably append one record (write + flush + fsync)."""
-        if self._handle is None:
-            raise ReproError("journal used before open")
-        self._write_line(self._handle, record)
-
-    @staticmethod
-    def _write_line(handle: typing.IO[bytes], record: dict) -> None:
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        handle.write(line + b"\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(dir_fd)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "SoakJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.write(self.encode(record))

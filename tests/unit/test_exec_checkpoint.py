@@ -7,12 +7,14 @@ import os
 import pytest
 
 from repro.exec import (
+    RecordLog,
     SweepCheckpoint,
     SweepRunner,
     SweepTask,
     atomic_write_json,
     compute_run_key,
     expand_grid,
+    read_checkpoint,
 )
 from repro.exec.cache import _code_version
 
@@ -43,10 +45,12 @@ class TestCheckpointFile:
         runner = SweepRunner(checkpoint=SweepCheckpoint(path, every=2))
         run = runner.run(tasks)
         assert path.exists()
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["run_key"] == compute_run_key(tasks,
-                                                  _code_version())
-        assert len(data["completed"]) == 4
+        header, records = RecordLog.read(path)
+        assert header == {"schema_version": 2,
+                          "run_key": compute_run_key(tasks,
+                                                     _code_version())}
+        assert [record["index"] for record in records] == [0, 1, 2, 3]
+        assert sorted(read_checkpoint(path)) == [0, 1, 2, 3]
         # Resume replays every task without executing anything.
         resumed = SweepRunner(
             checkpoint=SweepCheckpoint(path, resume=True)).run(tasks)
@@ -59,17 +63,17 @@ class TestCheckpointFile:
         tasks = _tasks()
         reference = SweepRunner(
             checkpoint=SweepCheckpoint(path)).run(tasks)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        del data["completed"]["1"]
-        del data["completed"]["3"]
-        path.write_text(json.dumps(data), encoding="utf-8")
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(
+            line for line in lines
+            if json.loads(line).get("index") not in (1, 3)))
+        assert sorted(read_checkpoint(path)) == [0, 2]
         resumed = SweepRunner(
             checkpoint=SweepCheckpoint(path, resume=True)).run(tasks)
         assert resumed.values == reference.values
         assert resumed.summary["resumed_tasks"] == 2
         # The checkpoint is healed: all four tasks recorded again.
-        final = json.loads(path.read_text(encoding="utf-8"))
-        assert len(final["completed"]) == 4
+        assert sorted(read_checkpoint(path)) == [0, 1, 2, 3]
 
     def test_without_resume_flag_file_is_ignored(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -176,23 +180,108 @@ class TestAtomicWriteJson:
         assert json.loads(path.read_text(encoding="utf-8"))[
             "generation"] == 1
 
-    def test_flush_goes_through_atomic_write(self, tmp_path,
-                                             monkeypatch):
-        """SweepCheckpoint.flush persists via the atomic helper."""
+
+class TestAppendLog:
+    def test_flush_appends_through_the_record_log(self, tmp_path,
+                                                  monkeypatch):
+        """Flushes append through the record log; nothing rewrites."""
         calls = []
-        import repro.exec.checkpoint as checkpoint_module
+        real = RecordLog.write
 
-        real = checkpoint_module.atomic_write_json
+        def spy(log, data):
+            calls.append((log.path, data))
+            real(log, data)
 
-        def spy(path, data):
-            calls.append(path)
-            real(path, data)
-
-        monkeypatch.setattr(checkpoint_module, "atomic_write_json",
-                            spy)
+        monkeypatch.setattr(RecordLog, "write", spy)
         path = tmp_path / "cp.json"
-        SweepRunner(checkpoint=SweepCheckpoint(path)).run(_tasks())
-        assert calls and all(p == path for p in calls)
+        SweepRunner(checkpoint=SweepCheckpoint(path, every=3)).run(
+            _tasks(range(1, 8)))
+        assert [p for p, _ in calls] == [path, path, path]
+        header_line = path.read_bytes().splitlines(keepends=True)[0]
+        assert path.read_bytes() == \
+            header_line + b"".join(data for _, data in calls)
+
+    def test_file_only_grows_and_is_never_rewritten(self, tmp_path):
+        path = tmp_path / "cp.json"
+        checkpoint = SweepCheckpoint(path, every=3)
+        snapshots = []
+        checkpoint.on_flush = lambda count: snapshots.append(
+            (count, path.read_bytes()))
+        SweepRunner(checkpoint=checkpoint).run(_tasks(range(10)))
+        assert [count for count, _ in snapshots] == [3, 6, 9, 10]
+        for (_, before), (_, after) in zip(snapshots, snapshots[1:]):
+            assert len(after) >= len(before)
+            assert after.startswith(before)  # appended, never rewritten
+
+    def test_bytes_are_linear_in_outcomes(self, tmp_path):
+        path = tmp_path / "cp.json"
+        tasks = _tasks(range(2000))
+        sizes = []
+        checkpoint = SweepCheckpoint(path)
+        checkpoint.on_flush = lambda count: sizes.append(
+            path.stat().st_size)
+        SweepRunner(checkpoint=checkpoint).run(tasks)
+        assert sizes == sorted(sizes)
+        lines = path.read_bytes().splitlines(keepends=True)
+        header, records = lines[0], lines[1:]
+        assert len(records) == len(tasks)
+        assert path.stat().st_size <= \
+            len(header) + len(tasks) * max(map(len, records))
+
+    def test_last_record_for_an_index_wins(self, tmp_path):
+        path = tmp_path / "cp.json"
+        tasks = _tasks()
+        SweepRunner(checkpoint=SweepCheckpoint(path)).run(tasks)
+        lines = path.read_bytes().splitlines(keepends=True)
+        stale = json.loads(lines[1])
+        stale["value"] = -1
+        with open(path, "ab") as handle:
+            handle.write(lines[1])  # a duplicate first, then the winner
+            handle.write(json.dumps(stale).encode("utf-8") + b"\n")
+        resumed = SweepRunner(
+            checkpoint=SweepCheckpoint(path, resume=True)).run(tasks)
+        assert resumed.values == [-1, 4, 9, 16]
+
+    def test_mid_file_damage_starts_fresh(self, tmp_path, caplog):
+        path = tmp_path / "cp.json"
+        tasks = _tasks()
+        SweepRunner(checkpoint=SweepCheckpoint(path)).run(tasks)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b'{"broken\n'
+        path.write_bytes(b"".join(lines))
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.exec.checkpoint"):
+            run = SweepRunner(
+                checkpoint=SweepCheckpoint(path, resume=True)).run(tasks)
+        assert run.summary["resumed_tasks"] == 0
+        assert run.values == [1, 4, 9, 16]
+        assert any("unreadable" in record.message
+                   for record in caplog.records)
+        assert sorted(read_checkpoint(path)) == [0, 1, 2, 3]
+
+    def test_schema_1_checkpoint_starts_fresh(self, tmp_path, caplog):
+        """A whole-document checkpoint of the old format is not resumed."""
+        path = tmp_path / "cp.json"
+        tasks = _tasks()
+        reference = SweepRunner().run(tasks)
+        atomic_write_json(path, {
+            "schema_version": 1,
+            "run_key": compute_run_key(tasks, _code_version()),
+            "completed": {"0": {"key": tasks[0].key, "status": "done",
+                                "value": 1, "wall_time_s": 0.0,
+                                "events_processed": 1, "attempts": 1,
+                                "worker_pid": 1}},
+        })
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.exec.checkpoint"):
+            run = SweepRunner(
+                checkpoint=SweepCheckpoint(path, resume=True)).run(tasks)
+        assert run.summary["resumed_tasks"] == 0
+        assert run.values == reference.values
+        assert any("schema 1" in record.message
+                   for record in caplog.records)
+        header, records = RecordLog.read(path)
+        assert header["schema_version"] == 2 and len(records) == 4
 
 
 class TestPoisonedResume:

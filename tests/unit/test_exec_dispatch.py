@@ -13,6 +13,7 @@ from repro.exec import (
     SweepRunner,
     SweepTask,
     expand_grid,
+    read_checkpoint,
 )
 from repro.exec.runner import execute_batch
 from repro.exec.worker import WarmCache
@@ -265,10 +266,7 @@ class TestBatchBoundaries:
                          ) as runner:
             with pytest.raises(ExecutionError):
                 runner.run(tasks)
-        import json
-
-        completed = {int(index) for index in
-                     json.loads(path.read_text())["completed"]}
+        completed = set(read_checkpoint(path))
         assert completed  # the failure didn't wipe finished work
         assert 8 not in completed
         with SweepRunner(workers=2, retries=0, batch_target_s=5.0,
