@@ -6,10 +6,8 @@ The drill (run from the repo root with ``PYTHONPATH=src``):
 1. A reference campaign runs uninterrupted and writes its coverage
    artefact.
 2. The same campaign runs again with a checkpoint and a result cache.
-   Both runs take the default lane-batched fault evaluator — a
-   preflight asserts the config resolves to it, and the drill scrubs
-   ``REPRO_CAMPAIGN_BATCH``/``REPRO_CAMPAIGN_FULL_RUNS`` from the
-   environment — so the crash and the resume both land on batched
+   A preflight asserts the campaign evaluator for this config has a
+   lane machine, so the crash and the resume both land on batched
    state.  Mid-sweep — and, since the dispatch layer chunks the ~31 ms
    chunk tasks into multi-task batches, mid-*batch* — one worker
    process is SIGKILLed (the runner must absorb the broken pool with the whole
@@ -96,35 +94,27 @@ def _env() -> dict:
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (f"{src}{os.pathsep}{existing}"
                          if existing else src)
-    # The drill must exercise the default lane-batched evaluator: an
-    # escape hatch inherited from the caller's shell would silently
-    # demote every run to the forked or full-run path and the crash
-    # would never land on batched state.
-    env.pop("REPRO_CAMPAIGN_BATCH", None)
-    env.pop("REPRO_CAMPAIGN_FULL_RUNS", None)
     return env
 
 
 def _assert_batched_runner() -> None:
     """Preflight: the drill's config must take the lane-batched path.
 
-    Checked in-process before any subprocess runs so a quietly demoted
-    evaluator (scalar kernels, missing numpy, a future selection bug)
-    fails the drill loudly instead of green-lighting a crash/resume
-    test that never touched batched state.
+    Checked in-process before any subprocess runs so an evaluator
+    without a lane machine (scalar kernels, missing numpy, a policy
+    the batch cannot model) fails the drill loudly instead of
+    green-lighting a crash/resume test that never touched batched
+    state.
     """
-    os.environ.pop("REPRO_CAMPAIGN_BATCH", None)
-    os.environ.pop("REPRO_CAMPAIGN_FULL_RUNS", None)
     from repro.campaign import CampaignConfig, fault_runner
-    from repro.campaign.engine import _BatchedEvaluator
 
     config = CampaignConfig(
         target="pipeline", scheme=SCHEME, num_faults=FAULTS,
         num_cycles=CYCLES, faults_per_task=CHUNK, seed=SEED)
     runner = fault_runner(config)
-    assert isinstance(runner, _BatchedEvaluator), (
-        f"chaos drill config resolved to {type(runner).__name__}, "
-        "not the lane-batched evaluator")
+    assert runner.machine is not None, (
+        "chaos drill config resolved to an evaluator without a lane "
+        "machine")
 
 
 #: Soak drill geometry: the reference runs SOAK_ROUNDS rounds; the
@@ -337,7 +327,7 @@ def main() -> int:
     ref_out = workdir / "reference.json"
     resumed_out = workdir / "resumed.json"
     try:
-        print("[0/6] preflight: config resolves to the batched runner")
+        print("[0/6] preflight: campaign evaluator has a lane machine")
         _assert_batched_runner()
 
         print("[1/6] reference campaign (uninterrupted)")

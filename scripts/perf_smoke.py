@@ -337,9 +337,8 @@ def _campaign_fork_bench(now: str) -> tuple[dict | None, str | None]:
     the payload is merged into ``BENCH_x12_campaign_perf.json``
     alongside the campaign-shootout trajectory.
     """
-    from repro.campaign import CampaignConfig
-    from repro.campaign.engine import (FULL_RUN_TARGETS,
-                                       _ForkedEvaluator)
+    from repro.campaign import CampaignConfig, fault_runner
+    from repro.campaign.reference import FULL_RUN_TARGETS
     from repro.exec.cache import encode_result
     from repro.exec.worker import WARM
     from repro.kernels import SCALAR_ENV
@@ -370,16 +369,18 @@ def _campaign_fork_bench(now: str) -> tuple[dict | None, str | None]:
     full = [reference(config, spec)[0] for spec in population]
     full_wall = time.perf_counter() - start
 
+    # The evaluator also builds the lane machine; load its module
+    # first so a one-time import does not count as fork time.
+    import repro.kernels.fault_batch  # noqa: F401
+
     before = WARM.counters()
     start = time.perf_counter()
-    # Pinned to the per-fault forked evaluator: this gate measures the
+    # Pinned to the per-fault fork (``replay``): this gate measures the
     # fork itself; the batch gate below measures lane batching on top.
-    runner = _ForkedEvaluator(config)
-    forked: list = [None] * len(population)
-    for index in runner.evaluation_order(population):
-        forked[index] = runner.evaluate(population[index])[0]
+    runner = fault_runner(config)
+    forked = [runner.replay(spec)[0] for spec in population]
     forked_wall = time.perf_counter() - start
-    _ForkedEvaluator(config)  # same config: must hit the warm cache
+    fault_runner(config)  # same config: must hit the warm cache
     delta = WARM.stats_delta(before)
 
     if encoded(scalar) != encoded(full[:CAMPAIGN_SCALAR_FAULTS]):
@@ -429,19 +430,17 @@ def _campaign_fork_bench(now: str) -> tuple[dict | None, str | None]:
 def _campaign_batch_bench(now: str) -> tuple[dict | None, str | None]:
     """Fault-lane batching gate on the same X12-scale campaign.
 
-    Times one chunk of the seeded population through the per-fault
-    forked evaluator and through the lane-batched default
-    (``fault_runner``), asserts the encoded outcome streams are
+    Times one chunk of the seeded population through per-fault forked
+    replays (``runner.replay``) and through the evaluator's
+    ``evaluate_chunk``, asserts the encoded outcome streams are
     byte-identical, and gates batched against forked faults/s.  The
-    batched runner must actually be the batched evaluator, must batch
-    (not replay) the overwhelming share of its lanes, and a second
+    evaluator must have a lane machine, must batch (not replay) the
+    overwhelming share of its lanes, and a second
     ``fault_runner`` call must be served from the warm trajectory
     cache.  The payload lands next to the fork gate in
     ``BENCH_x12_campaign_perf.json``.
     """
     from repro.campaign import CampaignConfig, fault_runner
-    from repro.campaign.engine import (_BatchedEvaluator,
-                                       _ForkedEvaluator)
     from repro.exec.cache import encode_result
     from repro.exec.worker import WARM
 
@@ -454,16 +453,14 @@ def _campaign_batch_bench(now: str) -> tuple[dict | None, str | None]:
         return json.dumps(encode_result(outcomes), sort_keys=True)
 
     start = time.perf_counter()
-    forked_outcomes, _work = (
-        _ForkedEvaluator(config).evaluate_chunk(population))
+    reference = fault_runner(config)
+    forked_outcomes = [reference.replay(spec)[0] for spec in population]
     forked_wall = time.perf_counter() - start
 
     before = WARM.counters()
     runner = fault_runner(config)
-    if not isinstance(runner, _BatchedEvaluator):
-        return None, (
-            "fault_runner did not return the batched evaluator "
-            f"(got {type(runner).__name__})")
+    if runner.machine is None:
+        return None, "fault_runner built no lane machine"
     start = time.perf_counter()
     batched_outcomes, _work = runner.evaluate_chunk(population)
     batched_wall = time.perf_counter() - start

@@ -9,18 +9,19 @@ the event-driven netlist simulator, runs the population through the
 exec layer, and classifies every outcome into the TB/ED taxonomy of
 :mod:`repro.campaign.outcomes`, producing per-scheme coverage reports
 keyed to the recovered timing margin ``c/k``.
+
+Every campaign and soak outcome comes out of one evaluator per target
+(:func:`fault_runner`, entry point ``evaluate_chunk``).  The full-run
+oracle it is pinned against lives in :mod:`repro.campaign.reference`,
+which only tests and benchmarks import.
 """
 
 from repro.campaign.engine import (
     CAMPAIGN_TASK,
-    FULL_RUN_TARGETS,
     CampaignConfig,
     CampaignResult,
-    batching_disabled,
     campaign_chunk_task,
-    evaluate_fault,
     fault_runner,
-    full_runs_forced,
     run_campaign,
 )
 from repro.campaign.faults import (
@@ -59,14 +60,10 @@ from repro.campaign.report import (
 
 __all__ = [
     "CAMPAIGN_TASK",
-    "FULL_RUN_TARGETS",
     "CampaignConfig",
     "CampaignResult",
-    "batching_disabled",
     "campaign_chunk_task",
-    "evaluate_fault",
     "fault_runner",
-    "full_runs_forced",
     "run_campaign",
     "FAULT_KINDS",
     "FaultOverlay",

@@ -33,18 +33,20 @@ fault-free background trajectory is simulated once per configuration
 and each fault restores the nearest stride snapshot at or before its
 injection cycle and simulates only ``[snapshot, window_end]`` instead
 of the whole prefix from cycle 0 — O(window) per fault instead of
-O(num_cycles).  The full-run evaluators are preserved as an executable
-spec (``full_run_pipeline_fault`` / ``full_run_graph_fault``), pinned
-against the forked path by hypothesis properties and a golden campaign
-capture; ``REPRO_CAMPAIGN_FULL_RUNS=1`` forces them everywhere.  The
-netlist target has no cycle-level carried-state snapshot and always
-takes the full-run path (its stimulus is rebuilt per fault anyway).
+O(num_cycles).  One evaluator serves both cycle-level targets: it
+batches every lane it can prove equivalent through the lane machine
+(:mod:`repro.kernels.fault_batch`) and replays the rest one fork at a
+time.  The full-run evaluators live in :mod:`repro.campaign.reference`
+as the executable spec both paths are pinned against (hypothesis
+properties and a golden campaign capture); no runtime path imports
+them.  The netlist target has no cycle-level carried-state snapshot
+and simulates every fault from time 0 (its stimulus is rebuilt per
+fault anyway).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 import typing
 
@@ -54,6 +56,7 @@ from repro.campaign.faults import (
     FAULT_KINDS,
     FaultOverlay,
     FaultSpec,
+    check_population,
     iter_population,
 )
 from repro.campaign.trajectory import (
@@ -85,28 +88,6 @@ _TARGETS = ("pipeline", "graph", "netlist")
 
 #: Kinds with an event-driven (pulse/transition) realisation.
 _NETLIST_KINDS = ("seu", "delay")
-
-#: Environment variable forcing the full-run reference evaluators
-#: (fresh simulation from cycle 0 per fault) instead of snapshot
-#: forking — the executable spec the forked path is pinned against.
-FULL_RUNS_ENV = "REPRO_CAMPAIGN_FULL_RUNS"
-
-
-def full_runs_forced() -> bool:
-    """Is the full-run reference path forced via the environment?"""
-    return os.environ.get(FULL_RUNS_ENV, "") not in ("", "0")
-
-
-#: Environment variable disabling fault-lane batching
-#: (``REPRO_CAMPAIGN_BATCH=0``): campaigns evaluate per fault through
-#: the forked path the batch is pinned against.  ``FULL_RUNS_ENV``
-#: disables batching too — the full-run reference stays the spec.
-BATCH_ENV = "REPRO_CAMPAIGN_BATCH"
-
-
-def batching_disabled() -> bool:
-    """Is fault-lane batching disabled via the environment?"""
-    return os.environ.get(BATCH_ENV, "1") == "0"
 
 # Per-fault observability.  The outcome counter is semantic (classes
 # are a pure function of the seeded population and the simulators);
@@ -165,8 +146,6 @@ class CampaignConfig:
         if self.target not in _TARGETS:
             raise ConfigurationError(
                 f"target must be one of {_TARGETS}, got {self.target!r}")
-        if self.num_faults < 1:
-            raise ConfigurationError("need at least one fault")
         if self.faults_per_task < 1:
             raise ConfigurationError("faults_per_task must be >= 1")
         if self.num_stages < 2:
@@ -189,6 +168,13 @@ class CampaignConfig:
             raise ConfigurationError(
                 f"netlist campaigns support plain/timber-ff, "
                 f"got {self.scheme!r}")
+        # Everything a worker would otherwise trip over mid-run: the
+        # population's draw parameters and the checking period.
+        check_population(
+            num_faults=self.num_faults, sites=self.sites(),
+            num_cycles=self.num_cycles, kinds=self.effective_kinds(),
+            magnitude_range_ps=self.magnitude_range_ps)
+        self.checking_period
 
     # -- derived ---------------------------------------------------------
     @property
@@ -371,38 +357,9 @@ _SIM_BUILDERS = {
 }
 
 
-def full_run_pipeline_fault(config: CampaignConfig,
-                            spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Full-run reference: fresh simulation from cycle 0 (spec)."""
-    sites = config.sites()
-    events: list[CaptureEvent] = []
-    simulation = _build_pipeline_sim(
-        config,
-        faults=FaultOverlay([spec], sites),
-        capture_observer=_collecting_observer(config, spec, events,
-                                              sites),
-    )
-    result = simulation.run(_window_end(config, spec) + 1)
-    return outcome_from_events(spec, events), result.captures
-
-
-def full_run_graph_fault(config: CampaignConfig,
-                         spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Full-run reference: fresh simulation from cycle 0 (spec)."""
-    events: list[CaptureEvent] = []
-    simulation = _build_graph_sim(
-        config,
-        faults=FaultOverlay([spec], config.sites()),
-        capture_observer=_collecting_observer(config, spec, events,
-                                              None),
-    )
-    result = simulation.run(_window_end(config, spec) + 1)
-    return (outcome_from_events(spec, events),
-            result.cycles * result.num_ffs)
-
-
 def full_run_netlist_fault(config: CampaignConfig,
                            spec: FaultSpec) -> tuple[FaultOutcome, int]:
+    """One netlist fault, event-driven from time 0 with its stimulus."""
     from repro.circuit.logic import Logic
     from repro.sequential.flipflop import DFlipFlop
     from repro.sequential.timber_ff import TimberFlipFlop
@@ -476,74 +433,69 @@ def full_run_netlist_fault(config: CampaignConfig,
     return outcome_from_events(spec, events), sim.events_processed
 
 
-#: The preserved full-run evaluators — the executable spec the
-#: snapshot-forked path is pinned against (hypothesis properties and a
-#: golden campaign capture compare the two streams byte-for-byte).
-FULL_RUN_TARGETS = {
-    "pipeline": full_run_pipeline_fault,
-    "graph": full_run_graph_fault,
-    "netlist": full_run_netlist_fault,
-}
+def _finish_chunk(
+        config: CampaignConfig,
+        results: "typing.Sequence[tuple[FaultOutcome, int]]",
+        started: float,
+) -> "tuple[list[FaultOutcome], int]":
+    """Per-fault obs for one classified chunk; (outcomes, work).
 
-
-class _EvaluatorBase:
-    """Shared chunk walk: visit, classify, scatter back.
-
-    ``evaluate_chunk`` is the one entry point chunk-shaped callers
-    (campaign tasks, soak rounds) use, so every evaluator — including
-    the group-batched one, which overrides it — produces outcomes in
-    population order with identical per-fault obs accounting.
+    The chunk shares one wall clock, so the per-fault latency is the
+    amortized share; the outcome counter increments once per fault.
     """
+    if obs.REGISTRY.enabled and results:
+        elapsed = (time.perf_counter() - started) / len(results)
+        for outcome, _ in results:
+            _OBS_FAULT_SECONDS.observe(elapsed)
+            _OBS_OUTCOMES.labels(
+                target=config.target, scheme=config.scheme,
+                classification=outcome.classification,
+            ).inc()
+    return ([outcome for outcome, _ in results],
+            sum(units for _, units in results))
 
-    forked = False
-    batched = False
-    config: "CampaignConfig"
 
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        raise NotImplementedError
+class _NetlistEvaluator:
+    """Netlist faults: one event-driven full run each."""
 
-    def evaluation_order(
-            self, specs: typing.Sequence[FaultSpec],
-    ) -> "typing.Sequence[int]":
-        return range(len(specs))
+    def __init__(self, config: CampaignConfig) -> None:
+        self.config = config
 
     def evaluate_chunk(
             self, specs: typing.Sequence[FaultSpec],
     ) -> "tuple[list[FaultOutcome], int]":
         """Classify ``specs``; outcomes in population order + work."""
-        outcomes: list[FaultOutcome | None] = [None] * len(specs)
-        work = 0
-        for index in self.evaluation_order(specs):
-            outcome, units = _classify(self.config, self, specs[index])
-            outcomes[index] = outcome
-            work += units
-        return typing.cast("list[FaultOutcome]", outcomes), work
+        started = time.perf_counter()
+        return _finish_chunk(self.config, [
+            full_run_netlist_fault(self.config, spec) for spec in specs],
+            started)
 
 
-class _FullRunEvaluator(_EvaluatorBase):
-    """Per-fault evaluation through the full-run reference functions."""
+class _CycleEvaluator:
+    """Snapshot-forked, fault-lane batched evaluation (cycle targets).
 
-    def __init__(self, config: CampaignConfig) -> None:
-        self.config = config
-        self._fn = FULL_RUN_TARGETS[config.target]
+    One long-lived simulation forks every fault from the shared
+    fault-free background trajectory, and :meth:`evaluate_chunk` — the
+    production entry point — runs every lane it can prove equivalent
+    to a fork as one numpy batch.  Faults sharing a fork snapshot are
+    near-identical perturbations of one background, so faults are
+    grouped by snapshot (:func:`fork_window_groups`), *eligibility* is
+    decided per group (idle fork state, quiet prefix), and every lane
+    that qualifies — across all of a chunk's groups — runs in one call of
+    the lane machine (:mod:`repro.kernels.fault_batch`): per-lane
+    disturbance deltas on the shared background rows, a vectorized
+    borrow/select/relay machine, per-lane folds feeding
+    :class:`FaultOutcome` directly.  Lanes carry absolute cycle indices
+    into the one background, so merging groups changes arithmetic
+    batch shape only, never lane semantics.
 
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        return self._fn(self.config, spec)
-
-
-class _ForkedEvaluator(_EvaluatorBase):
-    """Per-fault evaluation forked from the background trajectory.
-
-    One long-lived simulation per evaluator: each fault swaps in its
-    own overlay and observer (plain attributes on the simulators),
-    restores the nearest snapshot at or before ``spec.cycle``, and
-    simulates only ``[snapshot, window_end]``.  The overlay adds zero
-    delay before ``spec.cycle`` and every draw is addressed by
-    absolute cycle, so the captured event stream is byte-identical to
-    the full-run reference's.
+    Everything else — a lane with a noisy prefix or an oversized
+    window, and every lane when there is no machine (scalar kernels
+    leave the background rows ``None``; some policies have no array
+    semantics) — goes through :meth:`replay`, the per-fault fork the
+    batch is pinned against.  ``lanes_batched``/``lanes_replayed``
+    mirror the obs lane counters for in-process callers.
     """
-
-    forked = True
 
     def __init__(self, config: CampaignConfig) -> None:
         self.config = config
@@ -561,82 +513,22 @@ class _ForkedEvaluator(_EvaluatorBase):
             ),
         )
         # Shared fault-free background rows (delay/sensitization plus
-        # the screen's verdicts) so forks index precomputed arrays
-        # instead of re-running the block kernel per fault.  Scalar
-        # mode skips them: the reference path stays row-free.
+        # the screen's verdicts): forks index precomputed arrays and
+        # the lane machine perturbs them.  Scalar mode skips both, so
+        # every lane replays through the row-free scalar path.
         from repro import kernels
         self.rows = (trajectory_rows_for(
             config.background_params(),
             lambda: self.sim.background_rows(config.num_cycles))
             if kernels.vectorized_enabled() else None)
+        self.machine = None
+        if self.rows is not None:
+            from repro.kernels import fault_batch
 
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        config = self.config
-        end = _window_end(config, spec)
-        start, state = self.trajectory.fork_point(spec.cycle)
-        events: list[CaptureEvent] = []
-        sim = self.sim
-        sim.faults = FaultOverlay([spec], self.sites)
-        sim.capture_observer = _collecting_observer(
-            config, spec, events, self.site_names)
-        sim.restore(state)
-        result = sim.run(end + 1, start_cycle=start, rows=self.rows)
-        if obs.REGISTRY.enabled:
-            _OBS_PREFIX_SAVED.inc(start)
-            _OBS_FORK_WINDOW.observe(end + 1 - start)
-        units = (result.captures if config.target == "pipeline"
-                 else result.cycles * result.num_ffs)
-        return outcome_from_events(spec, events), units
-
-    def evaluation_order(
-            self, specs: typing.Sequence[FaultSpec]) -> list[int]:
-        """Visit faults grouped by fork snapshot (chunk-local).
-
-        Faults sharing a snapshot stride run back to back so restores
-        stay cache-warm; ties keep population order.  The caller
-        scatters results back to population positions, so the visible
-        outcome stream is order-independent.
-        """
-        stride = self.trajectory.stride
-        return sorted(range(len(specs)),
-                      key=lambda i: (specs[i].cycle // stride, i))
-
-
-class _BatchedEvaluator(_ForkedEvaluator):
-    """Fault-lane batched evaluation over shared fork windows.
-
-    Faults sharing a fork snapshot are near-identical perturbations of
-    one background, so :func:`fork_window_groups` decides *eligibility*
-    per shared snapshot (idle fork state, quiet prefix) and every lane
-    that qualifies — across all of a chunk's groups — runs as one numpy
-    batch: per-lane disturbance deltas on the shared background rows, a
-    vectorized borrow/select/relay machine advancing every lane per
-    cycle (:mod:`repro.kernels.fault_batch`), per-lane outcome folds
-    feeding :class:`FaultOutcome` directly.  Lanes carry absolute cycle
-    indices into the one background, so merging groups into a single
-    machine call changes arithmetic batch shape only, never lane
-    semantics — and amortizes the per-call setup that dominates at
-    realistic stride/window sizes.
-
-    A lane batches only when equivalence to the forked path is provable
-    — idle fork snapshot, background quiet up to the injection cycle,
-    window within the lane cap, and a capture policy with pure array
-    semantics.  Everything else (and every lane, when the machine
-    cannot be built at all) drops to :meth:`_ForkedEvaluator.evaluate`,
-    the preserved executable spec.  ``lanes_batched``/``lanes_replayed``
-    mirror the obs lane counters for in-process callers.
-    """
-
-    batched = True
-
-    def __init__(self, config: CampaignConfig) -> None:
-        super().__init__(config)
-        from repro.kernels import fault_batch
-
-        self._fault_batch = fault_batch
-        self.machine = (fault_batch.pipeline_machine(self.sim)
-                        if config.target == "pipeline"
-                        else fault_batch.graph_machine(self.sim))
+            self._fault_batch = fault_batch
+            self.machine = (fault_batch.pipeline_machine(self.sim)
+                            if config.target == "pipeline"
+                            else fault_batch.graph_machine(self.sim))
         self._units_per_cycle = (len(self.sim.stages)
                                  if config.target == "pipeline"
                                  else self.sim.graph.num_ffs)
@@ -656,52 +548,54 @@ class _BatchedEvaluator(_ForkedEvaluator):
                 spec.sites_affected(self.sites))
         return cols
 
-    def evaluate(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
-        return self._evaluate_merged([spec], [[0]])[0]
+    def replay(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
+        """Evaluate one fault by forking the background simulation.
+
+        Swaps in the fault's own overlay and observer (plain attributes
+        on the simulators), restores the nearest snapshot at or before
+        ``spec.cycle``, and simulates only ``[snapshot, window_end]``.
+        The overlay adds zero delay before ``spec.cycle`` and every draw
+        is addressed by absolute cycle, so the captured event stream is
+        byte-identical to the full-run reference's.
+        """
+        config = self.config
+        end = _window_end(config, spec)
+        start, state = self.trajectory.fork_point(spec.cycle)
+        events: list[CaptureEvent] = []
+        sim = self.sim
+        sim.faults = FaultOverlay([spec], self.sites)
+        sim.capture_observer = _collecting_observer(
+            config, spec, events, self.site_names)
+        sim.restore(state)
+        result = sim.run(end + 1, start_cycle=start, rows=self.rows)
+        if obs.REGISTRY.enabled:
+            _OBS_PREFIX_SAVED.inc(start)
+            _OBS_FORK_WINDOW.observe(end + 1 - start)
+        units = (result.captures if config.target == "pipeline"
+                 else result.cycles * result.num_ffs)
+        return outcome_from_events(spec, events), units
 
     def evaluate_chunk(
             self, specs: typing.Sequence[FaultSpec],
     ) -> "tuple[list[FaultOutcome], int]":
-        started = time.perf_counter()
-        results = self._evaluate_merged(
-            specs, fork_window_groups(
-                self.trajectory, [spec.cycle for spec in specs]))
-        if obs.REGISTRY.enabled and specs:
-            # The chunk shares one wall clock; per-fault latency is the
-            # amortized share.  The outcome counter increments exactly
-            # as the per-fault walk would have.
-            elapsed = (time.perf_counter() - started) / len(specs)
-            for outcome, _ in results:
-                _OBS_FAULT_SECONDS.observe(elapsed)
-                _OBS_OUTCOMES.labels(
-                    target=self.config.target,
-                    scheme=self.config.scheme,
-                    classification=outcome.classification,
-                ).inc()
-        return [outcome for outcome, _ in results], sum(
-            units for _, units in results)
+        """Classify ``specs``; outcomes in population order + work.
 
-    def _evaluate_merged(
-            self, specs: typing.Sequence[FaultSpec],
-            groups: "typing.Iterable[typing.Sequence[int]]",
-    ) -> "list[tuple[FaultOutcome, int]]":
-        """Batch every eligible lane across ``groups`` in one machine call.
-
-        Eligibility is judged per group (shared fork snapshot, quiet
-        prefix) but evaluation merges all eligible lanes into a single
-        :meth:`evaluate` on the lane machine: each lane addresses the
-        one shared background by absolute cycle, so group identity
-        affects only which lanes qualify, never what a lane computes —
-        and one big batch amortizes per-call setup that per-group
-        batches pay once per snapshot.
+        Eligibility is judged per fork-window group, but all eligible
+        lanes merge into a single :meth:`evaluate` on the lane machine:
+        group identity affects only which lanes qualify, never what a
+        lane computes, and one big batch amortizes the per-call setup.
+        Replays run in ascending snapshot order so restores stay
+        cache-warm; results scatter back to population positions.
         """
+        started = time.perf_counter()
         machine = self.machine
         results: list[tuple[FaultOutcome, int] | None] = (
             [None] * len(specs))
         lanes: list = []
         lane_meta: list[tuple[int, int, int]] = []
         replay: list[int] = []
-        for group in groups:
+        for group in fork_window_groups(
+                self.trajectory, [spec.cycle for spec in specs]):
             self._plan_group(specs, group, lanes, lane_meta, replay)
         if lanes:
             lane_outcomes = machine.evaluate(lanes, self.rows)
@@ -732,21 +626,26 @@ class _BatchedEvaluator(_ForkedEvaluator):
                 machine.note_replayed(len(replay))
             self.lanes_replayed += len(replay)
             for index in replay:
-                results[index] = super().evaluate(specs[index])
-        return typing.cast("list[tuple[FaultOutcome, int]]", results)
+                results[index] = self.replay(specs[index])
+        return _finish_chunk(
+            self.config,
+            typing.cast("list[tuple[FaultOutcome, int]]", results),
+            started)
 
     def _plan_group(self, specs: typing.Sequence[FaultSpec],
                     group: typing.Sequence[int], lanes: list,
                     lane_meta: "list[tuple[int, int, int]]",
                     replay: "list[int]") -> None:
         """Sort one shared-fork-window group into lanes vs. replays."""
+        machine = self.machine
+        if machine is None:
+            replay.extend(group)
+            return
         import numpy as np
 
         fault_batch = self._fault_batch
-        machine = self.machine
         start, state = self.trajectory.fork_point(specs[group[0]].cycle)
-        if (machine is None or self.rows is None
-                or not machine.state_is_idle(state)):
+        if not machine.state_is_idle(state):
             replay.extend(group)
             return
         # A lane is provably equivalent to its forked replay when the
@@ -779,58 +678,18 @@ class _BatchedEvaluator(_ForkedEvaluator):
                 replay.append(index)
 
 
-def fault_runner(config: CampaignConfig) -> "_EvaluatorBase":
-    """The per-fault evaluator for ``config``.
+def fault_runner(
+        config: CampaignConfig) -> "_CycleEvaluator | _NetlistEvaluator":
+    """The campaign evaluator for ``config``.
 
-    Cycle-level targets fork from the shared background trajectory —
-    lane-batched over shared fork windows when the vector kernels are
-    on and ``REPRO_CAMPAIGN_BATCH`` is not ``0``.  The netlist target —
-    and everything when ``REPRO_CAMPAIGN_FULL_RUNS`` is set — takes
-    the preserved full-run reference path behind the same interface
-    (full runs also disable batching: the reference stays the spec).
+    Cycle-level targets get the forking, lane-batching evaluator (its
+    lane machine exists only with the vector kernels on); the netlist
+    target simulates each fault in full.  Both classify a chunk through
+    ``evaluate_chunk``.
     """
-    if config.target == "netlist" or full_runs_forced():
-        return _FullRunEvaluator(config)
-    from repro import kernels
-    if kernels.vectorized_enabled() and not batching_disabled():
-        return _BatchedEvaluator(config)
-    return _ForkedEvaluator(config)
-
-
-def _classify(config: CampaignConfig,
-              runner: "_FullRunEvaluator | _ForkedEvaluator",
-              spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Evaluate one fault through ``runner`` with obs accounting."""
-    if not obs.REGISTRY.enabled:
-        return runner.evaluate(spec)
-    started = time.perf_counter()
-    outcome, units = runner.evaluate(spec)
-    _OBS_FAULT_SECONDS.observe(time.perf_counter() - started)
-    _OBS_OUTCOMES.labels(
-        target=config.target, scheme=config.scheme,
-        classification=outcome.classification,
-    ).inc()
-    return outcome, units
-
-
-def evaluate_fault(config: CampaignConfig,
-                   runner: "_FullRunEvaluator | _ForkedEvaluator",
-                   spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Classify one fault through an existing evaluator (obs included).
-
-    The public face of :func:`_classify` for callers that keep one
-    evaluator alive across many faults — the soak driver's chunk task
-    evaluates stratified draws through exactly this path, so a soak
-    outcome is bit-identical to a batch campaign outcome for the same
-    spec and configuration.
-    """
-    return _classify(config, runner, spec)
-
-
-def run_one_fault(config: CampaignConfig,
-                  spec: FaultSpec) -> tuple[FaultOutcome, int]:
-    """Simulate one fault; returns (outcome, simulated-work units)."""
-    return _classify(config, fault_runner(config), spec)
+    if config.target == "netlist":
+        return _NetlistEvaluator(config)
+    return _CycleEvaluator(config)
 
 
 # ---------------------------------------------------------------------------
@@ -866,10 +725,9 @@ def _warm_population_slice(config: CampaignConfig, start: int,
 def campaign_chunk_task(params: dict) -> TaskPayload:
     """Sweep task: classify one contiguous chunk of the population.
 
-    Forked evaluators visit the chunk grouped by snapshot stride (see
-    :meth:`_ForkedEvaluator.evaluation_order`) and scatter results
-    back, so the payload's outcome order always matches the population
-    order regardless of evaluation path.
+    The evaluator visits the chunk grouped by fork snapshot and
+    scatters results back, so the payload's outcome order always
+    matches the population order regardless of evaluation path.
     """
     config = CampaignConfig.from_params(params["config"])
     specs = _warm_population_slice(config, params["start"],

@@ -102,6 +102,45 @@ def _draw(seed_lanes: tuple[int, int], fault_id: int, field: int) -> int:
     return mix32(_POPULATION_SALT, lo, hi, fault_id, field)
 
 
+def check_population(
+    *,
+    num_faults: int,
+    sites: typing.Sequence[str],
+    num_cycles: int,
+    kinds: typing.Sequence[str],
+    magnitude_range_ps: tuple[int, int],
+    max_duration_cycles: int = 3,
+    start: int = 0,
+) -> int:
+    """Validate population arguments; returns the last injection start.
+
+    The one set of checks behind both :func:`iter_population` and
+    :class:`~repro.campaign.engine.CampaignConfig`, so a configuration
+    that could not draw its population is rejected when it is built.
+    """
+    if num_faults < 1:
+        raise ConfigurationError("need at least one fault")
+    if not 0 <= start <= num_faults:
+        raise ConfigurationError(
+            f"start {start} outside [0, {num_faults}]")
+    if not sites:
+        raise ConfigurationError("need at least one injection site")
+    if not kinds:
+        raise ConfigurationError("need at least one fault kind")
+    for kind in kinds:
+        if kind not in FAULT_KINDS:
+            raise ConfigurationError(f"unknown fault kind {kind!r}")
+    lo_ps, hi_ps = magnitude_range_ps
+    if not 0 < lo_ps <= hi_ps:
+        raise ConfigurationError("bad magnitude range")
+    last_start = num_cycles - max_duration_cycles
+    if last_start < 2:
+        raise ConfigurationError(
+            f"{num_cycles} cycles leave no room for a "
+            f"{max_duration_cycles}-cycle fault window")
+    return last_start
+
+
 def iter_population(
     *,
     num_faults: int,
@@ -125,27 +164,15 @@ def iter_population(
     soak-scale populations out of memory: workers materialize only the
     chunk they are classifying.
 
-    Arguments are validated eagerly (this is a plain function returning
-    a generator), so a bad configuration raises at call time.
+    Arguments are validated eagerly (:func:`check_population`; this is
+    a plain function returning a generator), so a bad configuration
+    raises at call time.
     """
-    if num_faults < 1:
-        raise ConfigurationError("need at least one fault")
-    if not 0 <= start <= num_faults:
-        raise ConfigurationError(
-            f"start {start} outside [0, {num_faults}]")
-    if not sites:
-        raise ConfigurationError("need at least one injection site")
-    for kind in kinds:
-        if kind not in FAULT_KINDS:
-            raise ConfigurationError(f"unknown fault kind {kind!r}")
+    last_start = check_population(
+        num_faults=num_faults, sites=sites, num_cycles=num_cycles,
+        kinds=kinds, magnitude_range_ps=magnitude_range_ps,
+        max_duration_cycles=max_duration_cycles, start=start)
     lo_ps, hi_ps = magnitude_range_ps
-    if not 0 < lo_ps <= hi_ps:
-        raise ConfigurationError("bad magnitude range")
-    last_start = num_cycles - max_duration_cycles
-    if last_start < 2:
-        raise ConfigurationError(
-            f"{num_cycles} cycles leave no room for a "
-            f"{max_duration_cycles}-cycle fault window")
     lanes = split64(seed)
 
     def generate() -> typing.Iterator[FaultSpec]:

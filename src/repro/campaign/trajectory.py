@@ -83,9 +83,8 @@ def fork_window_groups(trajectory: BackgroundTrajectory,
     last-snapshot clamp included), so the group's faults can be
     evaluated as one lane batch over one restored background.  Groups
     come back in ascending snapshot order with indices ascending inside
-    each group — the exact visit order ``evaluation_order`` produces,
-    so batched and per-fault evaluation touch faults in the same
-    sequence.
+    each group, so forked replays walk the trajectory forward and
+    restores stay cache-warm.
     """
     last = trajectory.num_snapshots - 1
     groups: dict[int, list[int]] = {}

@@ -479,6 +479,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not schemes:
         print("error: no schemes given", file=sys.stderr)
         return 2
+    # Every scheme's config is validated before anything starts, so a
+    # bad argument is one error line, not a failed worker task.
+    try:
+        configs = [CampaignConfig(
+            target=args.target, scheme=scheme,
+            num_faults=args.faults, num_cycles=args.cycles,
+            checking_percent=args.checking,
+            num_stages=args.stages, seed=args.seed,
+            faults_per_task=args.chunk,
+            snapshot_stride=args.snapshot_stride,
+        ) for scheme in schemes]
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     observing = _obs_begin(args)
     reports = []
     config = None
@@ -509,19 +523,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     drained_exit: int | None = None
     try:
         with _graceful_drain(runner, publisher) as drain:
-            for scheme in schemes:
-                try:
-                    config = CampaignConfig(
-                        target=args.target, scheme=scheme,
-                        num_faults=args.faults, num_cycles=args.cycles,
-                        checking_percent=args.checking,
-                        num_stages=args.stages, seed=args.seed,
-                        faults_per_task=args.chunk,
-                        snapshot_stride=args.snapshot_stride,
-                    )
-                except ConfigurationError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    return 2
+            for config in configs:
+                scheme = config.scheme
                 runner.checkpoint = None
                 if args.checkpoint:
                     from repro.exec import SweepCheckpoint

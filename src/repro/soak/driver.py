@@ -41,11 +41,7 @@ import time
 import typing
 
 from repro import obs
-from repro.campaign.engine import (
-    CampaignConfig,
-    evaluate_fault,
-    fault_runner,
-)
+from repro.campaign.engine import CampaignConfig, fault_runner
 from repro.campaign.outcomes import FaultOutcome
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec.cache import _code_version
@@ -398,26 +394,26 @@ def replay_round(soak: SoakConfig, record: dict,
     """Re-derive one journal record's outcomes in-process.
 
     Regenerates every draw from the record's descriptors, classifies
-    each through the batch-campaign evaluator path, and recomputes the
-    per-stratum counts and the chained digest.  Used by the property
-    tests and the chaos drill to pin the replay contract:
+    them as one chunk through the batch-campaign evaluator path, and
+    recomputes the per-stratum counts and the chained digest.  Used by
+    the property tests and the chaos drill to pin the replay contract:
     ``replay_round(...)["digest"] == record["digest"]`` for every
     record of a valid journal.
     """
     config = soak.campaign
     strata = {stratum.key: stratum for stratum in soak.strata()}
-    runner = fault_runner(config)
-    counts: dict[str, dict[str, int]] = {}
-    payloads = []
-    outcomes: list[FaultOutcome] = []
+    seq = int(record["seq_start"])
+    keys: list[str] = []
+    specs = []
     for key, counter_start, count in record["draws"]:
         for offset in range(int(count)):
-            payloads.append((key, int(counter_start) + offset))
-    seq = int(record["seq_start"])
-    for index, (key, counter) in enumerate(payloads):
-        spec = spec_for_draw(config, strata[key], counter, seq + index)
-        outcome, _units = evaluate_fault(config, runner, spec)
-        outcomes.append(outcome)
+            specs.append(spec_for_draw(config, strata[key],
+                                       int(counter_start) + offset,
+                                       seq + len(specs)))
+            keys.append(key)
+    outcomes, _work = fault_runner(config).evaluate_chunk(specs)
+    counts: dict[str, dict[str, int]] = {}
+    for key, outcome in zip(keys, outcomes):
         row = counts.setdefault(key, {})
         row[outcome.classification] = row.get(
             outcome.classification, 0) + 1

@@ -128,13 +128,10 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
     This is the single spec-producing function on both sides of the
     exec boundary: the driver uses it when replaying or verifying a
     journal, the chunk task uses it to materialize its draws, so there
-    is no second implementation to drift.
+    is no second implementation to drift.  ``config`` already passed
+    the population checks (:func:`~repro.campaign.faults.
+    check_population`), so the fault window always fits.
     """
-    last_start = config.num_cycles - MAX_DURATION_CYCLES
-    if last_start < 2:
-        raise ConfigurationError(
-            f"{config.num_cycles} cycles leave no room for a "
-            f"{MAX_DURATION_CYCLES}-cycle fault window")
     return draw_spec(
         stratum_lanes(config, stratum.key),
         counter,
@@ -142,7 +139,7 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
         kinds=(stratum.kind,),
         lo_ps=stratum.lo_ps,
         hi_ps=stratum.hi_ps,
-        last_start=last_start,
+        last_start=config.num_cycles - MAX_DURATION_CYCLES,
         max_duration_cycles=MAX_DURATION_CYCLES,
         max_span=MAX_SPAN,
         fault_id=fault_id,

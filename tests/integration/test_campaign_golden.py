@@ -1,12 +1,12 @@
 """Golden test: snapshot forking must not change campaign output.
 
-``tests/golden/campaign_outcomes.json`` was captured with
-``REPRO_CAMPAIGN_FULL_RUNS=1`` — every fault simulated from cycle 0
-through the full-run reference functions, the executable spec the
-snapshot-forked evaluators must reproduce.  Both derived paths — the
-lane-batched default and the per-fault forked fallback
-(``REPRO_CAMPAIGN_BATCH=0``) — must match the capture byte for byte:
-same outcomes, same capture events, same coverage report.
+``tests/golden/campaign_outcomes.json`` was captured with every fault
+simulated from cycle 0 through the full-run reference functions
+(:mod:`repro.campaign.reference`), the executable spec the campaign
+evaluator must reproduce.  Both of the evaluator's paths — the chunk
+path a campaign takes (lanes batched where provable) and the per-fault
+forked ``replay`` it falls back to — must match the capture byte for
+byte: same outcomes, same capture events, same coverage report.
 """
 
 import json
@@ -14,11 +14,11 @@ import pathlib
 
 import pytest
 
-from repro.campaign import CampaignConfig, fault_runner, run_campaign
-from repro.campaign.engine import (
-    BATCH_ENV,
-    FULL_RUNS_ENV,
-    _BatchedEvaluator,
+from repro.campaign import (
+    CampaignConfig,
+    build_report,
+    fault_runner,
+    run_campaign,
 )
 from repro.exec.cache import encode_result
 from repro.kernels import HAVE_NUMPY
@@ -39,23 +39,22 @@ def _ids(capture):
 
 
 @pytest.mark.parametrize("capture", _captures(), ids=_ids)
-def test_batched_campaign_matches_full_run_golden(capture, monkeypatch):
-    monkeypatch.delenv(FULL_RUNS_ENV, raising=False)
-    monkeypatch.delenv(BATCH_ENV, raising=False)
+def test_batched_campaign_matches_full_run_golden(capture):
     config = CampaignConfig(**capture["config"])
-    # The default evaluator is the lane-batched one: this golden pins
-    # the batched path, not just "whatever fault_runner returns".
-    if config.target != "netlist":
-        assert isinstance(fault_runner(config), _BatchedEvaluator)
+    # The golden pins the batched path, not just "whatever
+    # fault_runner returns": the evaluator must have a lane machine.
+    assert fault_runner(config).machine is not None
     result = run_campaign(config)
     assert encode_result(result.outcomes) == capture["outcomes"]
     assert encode_result(result.report) == capture["report"]
 
 
 @pytest.mark.parametrize("capture", _captures(), ids=_ids)
-def test_forked_campaign_matches_full_run_golden(capture, monkeypatch):
-    monkeypatch.delenv(FULL_RUNS_ENV, raising=False)
-    monkeypatch.setenv(BATCH_ENV, "0")
-    result = run_campaign(CampaignConfig(**capture["config"]))
-    assert encode_result(result.outcomes) == capture["outcomes"]
-    assert encode_result(result.report) == capture["report"]
+def test_forked_campaign_matches_full_run_golden(capture):
+    config = CampaignConfig(**capture["config"])
+    runner = fault_runner(config)
+    outcomes = [runner.replay(spec)[0]
+                for spec in config.iter_population()]
+    assert encode_result(outcomes) == capture["outcomes"]
+    assert (encode_result(build_report(config, outcomes))
+            == capture["report"])

@@ -1,12 +1,12 @@
 """Property: lane-batched evaluation is byte-identical to forking.
 
-The batched evaluator groups a chunk's faults by shared fork window and
-advances whole groups through a vectorized borrow/select/relay machine;
-lanes it cannot prove equivalent (non-idle fork state, noisy background
-prefix, oversized window, no array semantics for the policy) drop to
-the per-fault forked path.  Whatever mix of paths a chunk takes, the
-encoded :class:`FaultOutcome` stream must match both the forked
-evaluator and the full-run reference byte for byte — across targets,
+The campaign evaluator groups a chunk's faults by shared fork window
+and advances whole groups through a vectorized borrow/select/relay
+machine; lanes it cannot prove equivalent (non-idle fork state, noisy
+background prefix, oversized window, no array semantics for the
+policy) drop to the per-fault forked ``replay``.  Whatever mix of paths
+a chunk takes, the encoded :class:`FaultOutcome` stream must match both
+the forked replays and the full-run reference byte for byte — across targets,
 schemes, snapshot strides, and relay horizons, including forced
 all-replay fallbacks and faults on stride boundaries.
 """
@@ -16,13 +16,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign import CampaignConfig, FaultSpec
-from repro.campaign.engine import (
-    FULL_RUN_TARGETS,
-    _BatchedEvaluator,
-    _ForkedEvaluator,
-    _window_end,
-)
+from repro.campaign import CampaignConfig, FaultSpec, fault_runner
+from repro.campaign.engine import _window_end
+from repro.campaign.reference import FULL_RUN_TARGETS
 from repro.exec.cache import encode_result
 from repro.kernels import HAVE_NUMPY
 from repro.kernels.fault_batch import MAX_LANE_WINDOW
@@ -62,11 +58,12 @@ def test_batched_chunk_matches_forked_and_full_runs(
         seed=seed, snapshot_stride=stride, relay_horizon=relay_horizon,
     )
     specs = config.population()
-    batched = _BatchedEvaluator(config)
-    assert batched.batched and batched.forked
+    batched = fault_runner(config)
+    assert batched.machine is not None
     batched_outcomes, batched_work = batched.evaluate_chunk(specs)
-    forked_outcomes, forked_work = (
-        _ForkedEvaluator(config).evaluate_chunk(specs))
+    forked = [batched.replay(spec) for spec in specs]
+    forked_outcomes = [outcome for outcome, _ in forked]
+    forked_work = sum(units for _, units in forked)
     assert _encoded(batched_outcomes) == _encoded(forked_outcomes)
     assert batched_work == forked_work
     reference = FULL_RUN_TARGETS[target]
@@ -95,11 +92,11 @@ def test_stride_boundary_fault_matches(configuration, seed, stride,
     )
     spec = FaultSpec(fault_id=0, kind=kind, site=config.sites()[0],
                      cycle=stride, duration_cycles=2, magnitude_ps=180)
-    batched = _BatchedEvaluator(config)
+    batched = fault_runner(config)
     start, _ = batched.trajectory.fork_point(spec.cycle)
     assert start == stride
     full_outcome, _ = FULL_RUN_TARGETS[target](config, spec)
-    batched_outcome, _ = batched.evaluate(spec)
+    (batched_outcome,), _ = batched.evaluate_chunk([spec])
     assert _encoded(batched_outcome) == _encoded(full_outcome)
 
 
@@ -124,7 +121,7 @@ def test_oversized_windows_fall_back_and_still_match(configuration,
         relay_horizon=MAX_LANE_WINDOW + 40,
     )
     specs = config.population()
-    batched = _BatchedEvaluator(config)
+    batched = fault_runner(config)
     batched_outcomes, _ = batched.evaluate_chunk(specs)
     # Late faults clamp their window at num_cycles and may still fit
     # the lane cap; everything with an oversized window must replay.
@@ -134,7 +131,7 @@ def test_oversized_windows_fall_back_and_still_match(configuration,
     assert oversized > 0
     assert batched.lanes_replayed >= oversized
     assert batched.lanes_batched <= len(specs) - oversized
-    forked_outcomes, _ = _ForkedEvaluator(config).evaluate_chunk(specs)
+    forked_outcomes = [batched.replay(spec)[0] for spec in specs]
     assert _encoded(batched_outcomes) == _encoded(forked_outcomes)
 
 
@@ -146,15 +143,15 @@ def test_oversized_windows_fall_back_and_still_match(configuration,
 )
 def test_chunk_walk_equals_per_fault_evaluation(configuration, seed,
                                                 stride):
-    # evaluate_chunk groups lanes; evaluate() runs one-spec groups.
-    # Group size must never leak into an outcome.
+    # evaluate_chunk groups lanes; one-spec chunks run one-spec
+    # groups.  Group size must never leak into an outcome.
     target, scheme = configuration
     config = CampaignConfig(
         target=target, scheme=scheme, num_faults=10, num_cycles=200,
         seed=seed, snapshot_stride=stride,
     )
     specs = config.population()
-    chunked, _ = _BatchedEvaluator(config).evaluate_chunk(specs)
-    single = _BatchedEvaluator(config)
-    singles = [single.evaluate(spec)[0] for spec in specs]
+    chunked, _ = fault_runner(config).evaluate_chunk(specs)
+    single = fault_runner(config)
+    singles = [single.evaluate_chunk([spec])[0][0] for spec in specs]
     assert _encoded(chunked) == _encoded(singles)

@@ -1,17 +1,16 @@
 """Property: forked evaluation is byte-identical to full runs.
 
-The snapshot-forked evaluator restores the fault-free state at the
-nearest stride boundary at or before each fault's cycle and simulates
-only the fault's influence window.  Because every sensitization and
-variability draw is addressed by absolute cycle and the overlay adds
-zero delay before ``spec.cycle``, the encoded :class:`FaultOutcome`
-stream must match the full-run reference byte for byte — across
-targets, schemes, relay horizons, and snapshot strides, including a
-fault landing exactly on a stride boundary.
+The campaign evaluator's forked ``replay`` restores the fault-free
+state at the nearest stride boundary at or before each fault's cycle
+and simulates only the fault's influence window.  Because every
+sensitization and variability draw is addressed by absolute cycle and
+the overlay adds zero delay before ``spec.cycle``, the encoded
+:class:`FaultOutcome` stream must match the full-run reference byte
+for byte — across targets, schemes, relay horizons, and snapshot
+strides, including a fault landing exactly on a stride boundary.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign import (
     CampaignConfig,
     FaultSpec,
+    build_report,
     fault_runner,
     iter_population,
     run_campaign,
 )
-from repro.campaign.engine import FULL_RUNS_ENV, FULL_RUN_TARGETS
+from repro.campaign.engine import _CycleEvaluator
+from repro.campaign.reference import FULL_RUN_TARGETS
 from repro.exec.cache import encode_result
 from repro.kernels import HAVE_NUMPY
 
@@ -60,11 +61,11 @@ def test_forked_outcomes_match_full_runs(configuration, seed, stride,
         seed=seed, snapshot_stride=stride, relay_horizon=relay_horizon,
     )
     runner = fault_runner(config)
-    assert runner.forked
+    assert isinstance(runner, _CycleEvaluator)
     reference = FULL_RUN_TARGETS[target]
     for spec in config.iter_population():
         full_outcome, _ = reference(config, spec)
-        forked_outcome, _ = runner.evaluate(spec)
+        forked_outcome, _ = runner.replay(spec)
         assert _encoded(forked_outcome) == _encoded(full_outcome), spec
 
 
@@ -91,7 +92,7 @@ def test_fault_on_stride_boundary_matches(configuration, seed, stride,
     start, _ = runner.trajectory.fork_point(spec.cycle)
     assert start == stride
     full_outcome, _ = FULL_RUN_TARGETS[target](config, spec)
-    forked_outcome, _ = runner.evaluate(spec)
+    forked_outcome, _ = runner.replay(spec)
     assert _encoded(forked_outcome) == _encoded(full_outcome)
 
 
@@ -114,18 +115,13 @@ def test_campaign_reports_independent_of_fork_path(configuration, seed,
         faults_per_task=faults_per_task, seed=seed,
         snapshot_stride=stride,
     )
-    saved = os.environ.get(FULL_RUNS_ENV)
-    os.environ[FULL_RUNS_ENV] = "1"
-    try:
-        reference = run_campaign(config)
-    finally:
-        if saved is None:
-            os.environ.pop(FULL_RUNS_ENV, None)
-        else:
-            os.environ[FULL_RUNS_ENV] = saved
+    full_run = FULL_RUN_TARGETS[target]
+    reference = [full_run(config, spec)[0]
+                 for spec in config.iter_population()]
     forked = run_campaign(config)
-    assert _encoded(forked.outcomes) == _encoded(reference.outcomes)
-    assert _encoded(forked.report) == _encoded(reference.report)
+    assert _encoded(forked.outcomes) == _encoded(reference)
+    assert _encoded(forked.report) == _encoded(
+        build_report(config, reference))
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,7 +1,7 @@
-"""Unit tests for the fault-lane batched evaluator's wiring.
+"""Unit tests for the campaign evaluator's wiring.
 
-Covers the evaluator-selection matrix (``REPRO_CAMPAIGN_BATCH``,
-``REPRO_CAMPAIGN_FULL_RUNS``, ``REPRO_SCALAR_KERNELS``), the
+Covers evaluator selection (one cycle-level evaluator in both kernel
+modes, the netlist evaluator for netlist campaigns), the
 batched/replayed lane accounting, and the per-lane fallback rules —
 the byte-identity of the outcomes themselves is pinned by
 ``tests/property/test_batch_props.py`` and the campaign golden.
@@ -12,14 +12,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignConfig, fault_runner
-from repro.campaign.engine import (
-    BATCH_ENV,
-    FULL_RUNS_ENV,
-    _BatchedEvaluator,
-    _ForkedEvaluator,
-    _FullRunEvaluator,
-    batching_disabled,
-)
+from repro.campaign.engine import _CycleEvaluator, _NetlistEvaluator
 from repro.exec.cache import encode_result
 from repro.kernels import HAVE_NUMPY, SCALAR_ENV
 
@@ -40,56 +33,46 @@ def _encoded(value) -> str:
 
 class TestRunnerSelectionMatrix:
     def test_default_vector_runner_is_batched(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        monkeypatch.delenv(FULL_RUNS_ENV, raising=False)
         monkeypatch.delenv(SCALAR_ENV, raising=False)
-        runner = fault_runner(_config())
-        assert isinstance(runner, _BatchedEvaluator)
-        assert runner.batched and runner.forked
-
-    def test_batch_env_zero_falls_back_to_forked(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "0")
-        monkeypatch.delenv(FULL_RUNS_ENV, raising=False)
-        assert batching_disabled()
-        runner = fault_runner(_config())
-        assert isinstance(runner, _ForkedEvaluator)
-        assert not isinstance(runner, _BatchedEvaluator)
-        assert not runner.batched
-
-    def test_full_runs_env_disables_batching_too(self, monkeypatch):
-        # The full-run reference stays the executable spec: forcing it
-        # must win over batching even when batching is explicitly on.
-        monkeypatch.setenv(FULL_RUNS_ENV, "1")
-        monkeypatch.setenv(BATCH_ENV, "1")
-        runner = fault_runner(_config())
-        assert isinstance(runner, _FullRunEvaluator)
-        assert not runner.forked and not runner.batched
+        for target in ("pipeline", "graph"):
+            runner = fault_runner(_config(target=target))
+            assert isinstance(runner, _CycleEvaluator)
+            assert runner.rows is not None
+            assert runner.machine is not None
 
     def test_scalar_kernels_disable_batching(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        monkeypatch.delenv(FULL_RUNS_ENV, raising=False)
-        runner = fault_runner(_config())
-        assert isinstance(runner, _ForkedEvaluator)
-        assert not isinstance(runner, _BatchedEvaluator)
+        # Scalar mode leaves the background rows None, so the same
+        # evaluator skips the lane machine and replays every lane —
+        # with the outcomes vector mode produces.
+        for target in ("pipeline", "graph"):
+            config = _config(target=target)
+            specs = config.population()
+            monkeypatch.delenv(SCALAR_ENV, raising=False)
+            vector, vector_work = (
+                fault_runner(config).evaluate_chunk(specs))
+            monkeypatch.setenv(SCALAR_ENV, "1")
+            runner = fault_runner(config)
+            assert isinstance(runner, _CycleEvaluator)
+            assert runner.rows is None and runner.machine is None
+            scalar, scalar_work = runner.evaluate_chunk(specs)
+            assert runner.lanes_batched == 0
+            assert runner.lanes_replayed == len(specs)
+            assert _encoded(scalar) == _encoded(vector)
+            assert scalar_work == vector_work
 
-    def test_netlist_always_takes_full_runs(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        monkeypatch.delenv(FULL_RUNS_ENV, raising=False)
-        runner = fault_runner(_config(target="netlist", scheme="plain",
-                                      num_faults=2))
-        assert isinstance(runner, _FullRunEvaluator)
-
-    def test_batch_env_other_values_keep_batching(self, monkeypatch):
-        for value in ("", "1", "yes"):
-            monkeypatch.setenv(BATCH_ENV, value)
-            assert not batching_disabled()
+    def test_netlist_always_takes_full_runs(self):
+        config = _config(target="netlist", scheme="plain", num_faults=2)
+        runner = fault_runner(config)
+        assert isinstance(runner, _NetlistEvaluator)
+        outcomes, work = runner.evaluate_chunk(config.population())
+        assert [o.fault_id for o in outcomes] == [0, 1]
+        assert work > 0
 
 
 class TestLaneAccounting:
     def test_every_fault_is_batched_or_replayed(self):
         config = _config()
-        runner = _BatchedEvaluator(config)
+        runner = fault_runner(config)
         specs = config.population()
         runner.evaluate_chunk(specs)
         assert runner.lanes_batched + runner.lanes_replayed == len(specs)
@@ -98,22 +81,22 @@ class TestLaneAccounting:
     def test_unsupported_policy_has_no_machine_and_replays(self):
         # ``logical`` has no pure array capture semantics: the machine
         # factory refuses, every lane replays, outcomes still match the
-        # plain forked evaluator.
+        # per-fault forked replays.
         config = _config(scheme="logical")
-        runner = _BatchedEvaluator(config)
+        runner = fault_runner(config)
         assert runner.machine is None
         specs = config.population()
         outcomes, _ = runner.evaluate_chunk(specs)
         assert runner.lanes_batched == 0
         assert runner.lanes_replayed == len(specs)
-        forked, _ = _ForkedEvaluator(config).evaluate_chunk(specs)
+        forked = [runner.replay(spec)[0] for spec in specs]
         assert _encoded(outcomes) == _encoded(forked)
 
     def test_single_fault_evaluate_uses_one_lane_group(self):
         config = _config()
-        runner = _BatchedEvaluator(config)
+        runner = fault_runner(config)
         spec = config.population()[0]
-        outcome, units = runner.evaluate(spec)
+        (outcome,), units = runner.evaluate_chunk([spec])
         assert runner.lanes_batched + runner.lanes_replayed == 1
         assert outcome.fault_id == spec.fault_id
         assert units > 0

@@ -24,7 +24,7 @@ from repro.campaign import (
     run_campaign,
     write_campaign_bench,
 )
-from repro.campaign.engine import campaign_chunk_task, run_one_fault
+from repro.campaign.engine import campaign_chunk_task, fault_runner
 from repro.errors import ConfigurationError
 
 
@@ -74,6 +74,8 @@ class TestPopulation:
             _population(sites=[])
         with pytest.raises(ConfigurationError):
             _population(kinds=("gremlin",))
+        with pytest.raises(ConfigurationError, match="fault kind"):
+            _population(kinds=())
         with pytest.raises(ConfigurationError):
             _population(magnitude_range_ps=(0, 10))
         with pytest.raises(ConfigurationError):
@@ -192,6 +194,20 @@ class TestCampaignConfig:
         with pytest.raises(ConfigurationError):
             CampaignConfig(num_faults=0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"checking_percent": 150}, "checking period"),
+        ({"checking_percent": 0}, "checking period"),
+        ({"num_cycles": 2}, "no room"),
+        ({"kinds": ()}, "at least one fault kind"),
+        ({"kinds": ("gremlin",)}, "gremlin"),
+        ({"magnitude_range_ps": (0, 10)}, "magnitude"),
+    ])
+    def test_undrawable_config_rejected_at_construction(self, overrides,
+                                                        message):
+        # Caught when the config is built, not inside a worker task.
+        with pytest.raises(ConfigurationError, match=message):
+            CampaignConfig(**overrides)
+
     def test_sites_per_target(self):
         assert CampaignConfig(num_stages=3).sites() == \
             ["cs0", "cs1", "cs2"]
@@ -216,7 +232,8 @@ class TestChunking:
                                 faults_per_task=5, seed=3)
         payload = campaign_chunk_task(
             {"config": config.to_params(), "start": 5, "stop": 10})
-        direct = [run_one_fault(config, spec)[0]
+        runner = fault_runner(config)
+        direct = [runner.evaluate_chunk([spec])[0][0]
                   for spec in config.population()[5:10]]
         assert payload.value == direct
         assert payload.events_processed > 0

@@ -154,3 +154,24 @@ class TestMonitorCommand:
                      "--interval", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "done" in out
+
+
+class TestCampaignConfigErrors:
+    @pytest.mark.parametrize("flag, value", [("--checking", "150"),
+                                             ("--cycles", "2")])
+    def test_bad_config_is_one_error_line_and_no_task(
+            self, flag, value, capsys, monkeypatch):
+        from repro.exec.runner import SweepRunner
+
+        def no_tasks(self, tasks):
+            raise AssertionError("a bad config must not reach the runner")
+
+        monkeypatch.setattr(SweepRunner, "run", no_tasks)
+        code = main(["campaign", "--faults", "10", "--no-cache",
+                     flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")

@@ -1,6 +1,10 @@
 """Tests for the top-level package API and exports."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -48,3 +52,36 @@ class TestSubpackageExports:
     def test_module_has_docstring(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__ and module.__doc__.strip()
+
+
+#: Run in a fresh interpreter: import the runtime entry points, then
+#: report whether the full-run oracle got loaded along the way.
+_IMPORT_PROBE = """
+import sys
+import repro.cli, repro.campaign, repro.soak
+print("repro.campaign.reference" in sys.modules)
+print(sorted(
+    name for name, module in list(sys.modules.items())
+    if name.startswith("repro")
+    and hasattr(module, "full_run_pipeline_fault")))
+"""
+
+
+class TestImportGraph:
+    def test_runtime_never_imports_the_full_run_reference(self):
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                     else []))
+        probe = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE], env=env,
+            capture_output=True, text=True, check=True, timeout=120)
+        loaded, holders = probe.stdout.splitlines()
+        assert loaded == "False"
+        assert holders == "[]"
+        # ...and the oracle is still there for tests and benchmarks.
+        from repro.campaign.reference import FULL_RUN_TARGETS
+        assert set(FULL_RUN_TARGETS) == {"pipeline", "graph"}

@@ -8,6 +8,7 @@ from repro.campaign import (
     BackgroundTrajectory,
     CampaignConfig,
     build_trajectory,
+    fork_window_groups,
     trajectory_for,
 )
 from repro.campaign.engine import _build_graph_sim
@@ -251,43 +252,41 @@ class TestTrajectoryCaching:
 
 class TestForkedEvaluatorFallbacks:
     def test_netlist_always_full_run(self):
-        from repro.campaign.engine import _FullRunEvaluator, fault_runner
+        from repro.campaign.engine import _NetlistEvaluator, fault_runner
 
         config = _config(target="netlist", scheme="timber-ff",
                          kinds=("seu", "delay"))
-        assert isinstance(fault_runner(config), _FullRunEvaluator)
-
-    def test_env_flag_forces_full_runs(self, monkeypatch):
-        from repro.campaign.engine import (
-            FULL_RUNS_ENV,
-            _FullRunEvaluator,
-            fault_runner,
-        )
-
-        monkeypatch.setenv(FULL_RUNS_ENV, "1")
-        assert isinstance(fault_runner(_config()), _FullRunEvaluator)
+        assert isinstance(fault_runner(config), _NetlistEvaluator)
 
     def test_forked_results_match_full_run(self):
-        from repro.campaign.engine import FULL_RUN_TARGETS, fault_runner
+        from repro.campaign.engine import fault_runner
+        from repro.campaign.reference import FULL_RUN_TARGETS
         from repro.exec.cache import encode_result
 
         config = _config(num_faults=30, num_cycles=500,
                          snapshot_stride=128)
         runner = fault_runner(config)
-        assert runner.forked
         for spec in config.iter_population():
             full = FULL_RUN_TARGETS["graph"](config, spec)
-            forked = runner.evaluate(spec)
+            forked = runner.replay(spec)
             assert encode_result(full[0]) == encode_result(forked[0])
 
-    def test_evaluation_order_is_permutation_grouped_by_stride(self):
+    def test_fork_window_groups_by_snapshot(self):
         from repro.campaign.engine import fault_runner
 
         config = _config(num_faults=50, num_cycles=500,
                          snapshot_stride=100)
-        runner = fault_runner(config)
+        trajectory = fault_runner(config).trajectory
         specs = list(config.iter_population())
-        order = runner.evaluation_order(specs)
+        groups = fork_window_groups(trajectory,
+                                    [spec.cycle for spec in specs])
+        order = [index for group in groups for index in group]
         assert sorted(order) == list(range(len(specs)))
-        groups = [specs[i].cycle // 100 for i in order]
-        assert groups == sorted(groups)
+        starts = []
+        for group in groups:
+            assert group == sorted(group)
+            points = {trajectory.fork_point(specs[i].cycle)[0]
+                      for i in group}
+            assert len(points) == 1
+            starts.append(points.pop())
+        assert starts == sorted(set(starts))
