@@ -3,8 +3,12 @@
 A campaign slices its seeded fault population into chunks, wraps every
 chunk as a :class:`~repro.exec.runner.SweepTask` (so it flows through
 the cache / retry / checkpoint machinery like any other sweep), and
-each worker re-generates the population deterministically, runs one
-simulation per fault, and classifies the observed capture events.
+each worker re-generates the population deterministically, simulates
+every fault, and classifies the observed capture events.  The chunk is
+the unit of checkpoint, cache and retry; evaluation follows the exec
+layer's dispatch batch instead: the task's batch form
+(:func:`campaign_chunks`) draws, sets up and classifies a whole batch
+of chunks at once and splits the results back per chunk.
 
 Three targets are supported:
 
@@ -47,6 +51,7 @@ fault anyway).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 import typing
 
@@ -433,12 +438,30 @@ def full_run_netlist_fault(config: CampaignConfig,
     return outcome_from_events(spec, events), sim.events_processed
 
 
+class ChunkResult(tuple):
+    """``(outcomes, work)`` of one classified chunk.
+
+    Unpacks like the pair it is.  ``units`` keeps each fault's own work
+    in population order (summing to ``work``), so a chunk classified
+    for several exec tasks at once splits back exactly
+    (:func:`chunk_payloads`).
+    """
+
+    units: list[int]
+
+    def __new__(cls, outcomes: list[FaultOutcome],
+                units: list[int]) -> "ChunkResult":
+        result = super().__new__(cls, (outcomes, sum(units)))
+        result.units = units
+        return result
+
+
 def _finish_chunk(
         config: CampaignConfig,
         results: "typing.Sequence[tuple[FaultOutcome, int]]",
         started: float,
-) -> "tuple[list[FaultOutcome], int]":
-    """Per-fault obs for one classified chunk; (outcomes, work).
+) -> ChunkResult:
+    """Per-fault obs for one classified chunk; its :class:`ChunkResult`.
 
     The chunk shares one wall clock, so the per-fault latency is the
     amortized share; the outcome counter increments once per fault.
@@ -451,8 +474,8 @@ def _finish_chunk(
                 target=config.target, scheme=config.scheme,
                 classification=outcome.classification,
             ).inc()
-    return ([outcome for outcome, _ in results],
-            sum(units for _, units in results))
+    return ChunkResult([outcome for outcome, _ in results],
+                       [units for _, units in results])
 
 
 class _NetlistEvaluator:
@@ -462,8 +485,7 @@ class _NetlistEvaluator:
         self.config = config
 
     def evaluate_chunk(
-            self, specs: typing.Sequence[FaultSpec],
-    ) -> "tuple[list[FaultOutcome], int]":
+            self, specs: typing.Sequence[FaultSpec]) -> ChunkResult:
         """Classify ``specs``; outcomes in population order + work."""
         started = time.perf_counter()
         return _finish_chunk(self.config, [
@@ -576,16 +598,16 @@ class _CycleEvaluator:
         return outcome_from_events(spec, events), units
 
     def evaluate_chunk(
-            self, specs: typing.Sequence[FaultSpec],
-    ) -> "tuple[list[FaultOutcome], int]":
+            self, specs: typing.Sequence[FaultSpec]) -> ChunkResult:
         """Classify ``specs``; outcomes in population order + work.
 
         Eligibility is judged per fork-window group, but all eligible
-        lanes merge into a single :meth:`evaluate` on the lane machine:
-        group identity affects only which lanes qualify, never what a
-        lane computes, and one big batch amortizes the per-call setup.
-        Replays run in ascending snapshot order so restores stay
-        cache-warm; results scatter back to population positions.
+        lanes merge into as few :meth:`evaluate` calls on the lane
+        machine as :data:`~repro.kernels.fault_batch.MAX_BATCH_LANES`
+        allows: group identity affects only which lanes qualify, never
+        what a lane computes, and big batches amortize the per-call
+        setup.  Replays run in ascending snapshot order so restores
+        stay cache-warm; results scatter back to population positions.
         """
         started = time.perf_counter()
         machine = self.machine
@@ -598,7 +620,11 @@ class _CycleEvaluator:
                 self.trajectory, [spec.cycle for spec in specs]):
             self._plan_group(specs, group, lanes, lane_meta, replay)
         if lanes:
-            lane_outcomes = machine.evaluate(lanes, self.rows)
+            size = self._fault_batch.MAX_BATCH_LANES
+            lane_outcomes = []
+            for first in range(0, len(lanes), size):
+                lane_outcomes.extend(machine.evaluate(
+                    lanes[first:first + size], self.rows))
             obs_on = obs.REGISTRY.enabled
             for (index, start, end), lane_outcome in zip(lane_meta,
                                                          lane_outcomes):
@@ -696,30 +722,62 @@ def fault_runner(
 # Exec-layer integration
 # ---------------------------------------------------------------------------
 
-def _warm_population_slice(config: CampaignConfig, start: int,
-                           stop: int) -> list:
-    """Faults ``[start, stop)`` of the population, via the warm cache.
+def chunk_payloads(result: ChunkResult,
+                   sizes: typing.Sequence[int]) -> list[TaskPayload]:
+    """Split one classified chunk back into per-task payloads.
 
-    Generation is pure in the population parameters and the specs are
-    frozen, so re-dispatched chunks — and chunks of *other schemes*
-    sharing the same target — reuse one expansion per worker.  Only
-    population-relevant parameters enter the key (the scheme, for one,
-    does not change the draws), and only the slice is materialized:
-    soak-scale populations never exist in memory at once.
+    ``sizes`` are the tasks' fault counts in chunk order; each task gets
+    its own slice of the outcomes and the work of exactly its faults.
     """
-    from repro.exec.cache import stable_key
-    from repro.exec.worker import WARM
+    outcomes, _ = result
+    payloads: list[TaskPayload] = []
+    stop = 0
+    for size in sizes:
+        start, stop = stop, stop + size
+        payloads.append(TaskPayload(
+            value=outcomes[start:stop],
+            events_processed=sum(result.units[start:stop])))
+    return payloads
 
-    key = stable_key("campaign-population", {
-        "sites": config.sites(),
-        "num_cycles": config.num_cycles,
-        "seed": config.seed,
-        "kinds": list(config.effective_kinds()),
-        "magnitude_range_ps": list(config.magnitude_range_ps),
-    }, start, stop)
-    return WARM.get_or_build(
-        "population", key,
-        lambda: list(config.iter_population(start, stop)))
+
+def _population_spans(run: typing.Sequence[dict]) -> list[list[int]]:
+    """The chunks' ``[start, stop)`` ranges, touching ranges merged."""
+    spans: list[list[int]] = []
+    for params in run:
+        if spans and spans[-1][1] == params["start"]:
+            spans[-1][1] = params["stop"]
+        else:
+            spans.append([params["start"], params["stop"]])
+    return spans
+
+
+def campaign_chunks(params_list: typing.Sequence[dict]
+                    ) -> list[TaskPayload]:
+    """Batch form of :func:`campaign_chunk_task` (``.batch``).
+
+    Consecutive chunks of one configuration parse it once, draw their
+    faults as one contiguous population slice, and classify them all in
+    one ``evaluate_chunk`` of one evaluator; outcomes and work then
+    split back per chunk.  The result equals mapping the task over
+    ``params_list``: outcomes are pure in the specs, and the evaluator
+    never lets a lane's neighbours change what it computes.
+    """
+    payloads: list[TaskPayload] = []
+    for _, group in itertools.groupby(params_list,
+                                      key=lambda params: params["config"]):
+        run = list(group)
+        config = CampaignConfig.from_params(run[0]["config"])
+        specs: list[FaultSpec] = []
+        for start, stop in _population_spans(run):
+            specs.extend(config.iter_population(start, stop))
+        runner = fault_runner(config)
+        with obs.trace_span("campaign.chunk", target=config.target,
+                            scheme=config.scheme, start=run[0]["start"],
+                            stop=run[-1]["stop"], chunks=len(run)):
+            result = runner.evaluate_chunk(specs)
+        payloads.extend(chunk_payloads(
+            result, [params["stop"] - params["start"] for params in run]))
+    return payloads
 
 
 def campaign_chunk_task(params: dict) -> TaskPayload:
@@ -727,17 +785,14 @@ def campaign_chunk_task(params: dict) -> TaskPayload:
 
     The evaluator visits the chunk grouped by fork snapshot and
     scatters results back, so the payload's outcome order always
-    matches the population order regardless of evaluation path.
+    matches the population order regardless of evaluation path.  The
+    exec layer runs a dispatch batch of chunks through the batch form,
+    :func:`campaign_chunks`.
     """
-    config = CampaignConfig.from_params(params["config"])
-    specs = _warm_population_slice(config, params["start"],
-                                   params["stop"])
-    runner = fault_runner(config)
-    with obs.trace_span("campaign.chunk", target=config.target,
-                        scheme=config.scheme, start=params["start"],
-                        stop=params["stop"]):
-        outcomes, work = runner.evaluate_chunk(specs)
-    return TaskPayload(value=outcomes, events_processed=work)
+    return campaign_chunks([params])[0]
+
+
+campaign_chunk_task.batch = campaign_chunks  # type: ignore[attr-defined]
 
 
 def campaign_tasks(config: CampaignConfig) -> list[SweepTask]:

@@ -31,7 +31,7 @@ import dataclasses
 import typing
 
 from repro.errors import ConfigurationError
-from repro.kernels.rng import key_id, mix32, split64
+from repro.kernels.rng import M32, key_id, mix32, mix32_batch, split64
 
 FAULT_KINDS = ("seu", "delay", "droop", "correlated")
 
@@ -45,6 +45,9 @@ _FIELD_CYCLE = 3
 _FIELD_DURATION = 4
 _FIELD_MAGNITUDE = 5
 _FIELD_SPAN = 6
+
+#: Faults drawn per :func:`draw_specs` call while streaming a population.
+DRAW_BLOCK = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,9 +163,10 @@ def iter_population(
     counter-based: fault ``i`` is a pure function of ``(seed, i)``,
     independent of every other fault and of the order — or the chunking
     — of generation, so a stream starting at ``start`` is byte-identical
-    to the same slice of the full population.  Streaming keeps
-    soak-scale populations out of memory: workers materialize only the
-    chunk they are classifying.
+    to the same slice of the full population.  Faults are drawn
+    :data:`DRAW_BLOCK` at a time by :func:`draw_specs`, the vector twin
+    of :func:`draw_spec`, so soak-scale populations never sit in memory
+    at once.
 
     Arguments are validated eagerly (:func:`check_population`; this is
     a plain function returning a generator), so a bad configuration
@@ -176,14 +180,74 @@ def iter_population(
     lanes = split64(seed)
 
     def generate() -> typing.Iterator[FaultSpec]:
-        for fault_id in range(start, num_faults):
-            yield draw_spec(
-                lanes, fault_id, sites=sites, kinds=kinds,
-                lo_ps=lo_ps, hi_ps=hi_ps, last_start=last_start,
+        for block in range(start, num_faults, DRAW_BLOCK):
+            yield from draw_specs(
+                lanes, block, min(block + DRAW_BLOCK, num_faults),
+                sites=sites, kinds=kinds, lo_ps=lo_ps, hi_ps=hi_ps,
+                last_start=last_start,
                 max_duration_cycles=max_duration_cycles,
                 max_span=max_span)
 
     return generate()
+
+
+def draw_specs(
+    lanes: tuple[int, int],
+    start: int,
+    stop: int,
+    *,
+    sites: typing.Sequence[str],
+    kinds: typing.Sequence[str],
+    lo_ps: int,
+    hi_ps: int,
+    last_start: int,
+    max_duration_cycles: int,
+    max_span: int,
+    fault_ids: typing.Sequence[int] | None = None,
+) -> list[FaultSpec]:
+    """Draws ``[start, stop)`` at once; equal to a :func:`draw_spec` loop.
+
+    One :func:`~repro.kernels.rng.mix32_batch` mixes ``(salt, seed
+    lanes, counter)`` for every draw and a second adds the field tag,
+    for all six fields at once (the span draw goes unused where
+    :func:`draw_spec` skips it).  The mixer is integer-only and the
+    field maps are integer ``%`` of non-negative values, so every draw
+    is bit-identical to the scalar one — a counter past ``2**32`` wraps
+    in both, because :func:`~repro.kernels.rng.mix32` masks each lane
+    to 32 bits.  ``fault_ids`` (default: the counters) plays
+    :func:`draw_spec`'s ``fault_id`` for each draw.
+    """
+    import numpy as np
+
+    counters = (np.arange(start, stop, dtype=np.int64) & M32).astype(
+        np.uint32)
+    mixed = mix32_batch([counters], state=mix32(_POPULATION_SALT, *lanes))
+    tags = np.array([_FIELD_KIND, _FIELD_SPAN, _FIELD_SITE,
+                     _FIELD_DURATION, _FIELD_CYCLE, _FIELD_MAGNITUDE],
+                    dtype=np.uint32)[:, None]
+    kind_h, span_h, site_h, duration_h, cycle_h, magnitude_h = (
+        mix32_batch([tags], state=mixed).astype(np.int64))
+    kind_names = np.asarray(kinds, dtype=object)[kind_h % len(kinds)]
+    span = np.ones(counters.shape, dtype=np.int64)
+    if len(sites) > 1:
+        span = np.where(kind_names == "correlated",
+                        np.minimum(2 + span_h % (max_span - 1), len(sites)),
+                        1)
+    site_index = site_h % (len(sites) - span + 1)
+    duration = np.where(kind_names == "seu", 1,
+                        1 + duration_h % max_duration_cycles)
+    cycle = 1 + cycle_h % (last_start - 1)
+    magnitude = lo_ps + magnitude_h % (hi_ps - lo_ps + 1)
+    return [
+        FaultSpec(fault_id=fault_id, kind=kind, site=sites[site],
+                  cycle=first, duration_cycles=cycles,
+                  magnitude_ps=extra, span=width)
+        for fault_id, kind, site, first, cycles, extra, width in zip(
+            range(start, stop) if fault_ids is None else fault_ids,
+            kind_names.tolist(), site_index.tolist(),
+            cycle.tolist(), duration.tolist(), magnitude.tolist(),
+            span.tolist())
+    ]
 
 
 def draw_spec(
@@ -200,6 +264,9 @@ def draw_spec(
     fault_id: int | None = None,
 ) -> FaultSpec:
     """Draw one fault — pure in ``(lanes, draw_index)``.
+
+    The scalar reference of :func:`draw_specs`, and the soak journal's
+    per-draw generator.
 
     ``fault_id`` defaults to ``draw_index`` (the population case, where
     the position in the population is also the draw counter).  Streaming

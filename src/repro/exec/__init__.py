@@ -10,11 +10,12 @@ substrate those sweeps run on.  Six layers:
   deadlines accounted from dispatch, pool-side retries with seeded
   exponential backoff, serial fallback, and crash quarantine: a task
   that repeatedly kills its worker is recorded as *poisoned* instead of
-  sinking the sweep).
+  sinking the sweep).  Task functions with a ``batch`` form run a
+  dispatch batch of their tasks in one call.
 * :mod:`repro.exec.worker` — the per-worker warm cache: an LRU keyed on
   content hashes that memoizes resolved task functions, compiled kernel
-  arrays, variability models, and campaign populations across tasks and
-  batches for the lifetime of the worker.
+  arrays, variability models, criticality indexes and campaign
+  trajectories across tasks and batches for the lifetime of the worker.
 * :mod:`repro.exec.cache` — an on-disk JSON result cache keyed by a
   content hash of the task configuration plus the code version; entries
   carry a checksum, so truncated or corrupted files are detected,

@@ -10,7 +10,8 @@ run byte-identical to a serial one.
 
 Execution semantics:
 
-* ``workers <= 1`` (the default) runs every task in-process, in order.
+* ``workers <= 1`` (the default) runs every task in-process, in order,
+  batching like a one-worker pool (see below).
 * ``workers > 1`` fans the cache misses out across one persistent
   ``concurrent.futures.ProcessPoolExecutor`` — created with an explicit
   multiprocessing context (:func:`exec_mp_context`) and a worker
@@ -27,9 +28,21 @@ Execution semantics:
   and are re-ordered in the parent, which is free because outcomes are
   keyed by task index.  Worker-side metric deltas, spans, and
   warm-cache stats ship once per batch instead of once per task.
+* A task function may carry a ``batch(params_list)`` form that returns
+  exactly what mapping the function over the list would.  Consecutive
+  tasks of such a function in one dispatch batch then run as one group
+  in one call of it — the campaign and soak chunk tasks use this to
+  draw, set up and evaluate a whole batch of chunks at once — so
+  *evaluation* follows the dispatch batch.  Checkpoint records, cache
+  entries, retries and progress stay per task: each task gets its own
+  value and ``events_processed`` and an equal share of the group's
+  wall time.  If the batch call raises, the group reruns task by task,
+  so a failure is still charged to the task that caused it.  The
+  serial path groups consecutive batch-capable misses with the same
+  :class:`DispatchSizer`; tasks without a batch form run one by one.
 * Inside each worker a process-wide LRU (:mod:`repro.exec.worker`)
   keyed on content hashes caches resolved task functions, variability
-  models, compiled stage/edge arrays, and campaign populations across
+  models, compiled stage/edge arrays, and campaign trajectories across
   tasks in a batch and across batches.  A warm hit can only skip
   redundant construction of a deterministic artefact, never change a
   result — pinned by the batched-vs-serial byte-identity properties.
@@ -69,6 +82,7 @@ import heapq
 import importlib
 import itertools
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -85,6 +99,8 @@ from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.telemetry import RunTelemetry
 from repro.exec.worker import WARM
 from repro.kernels.rng import key_id, mix32, split64, uniform01
+
+logger = logging.getLogger("repro.exec")
 
 #: Domain-separation salt for the backoff jitter stream.
 _BACKOFF_SALT = key_id("exec-backoff")
@@ -299,11 +315,14 @@ def _resolve_warm(task: SweepTask) -> TaskFunction:
     return WARM.get_or_build("task-func", task.experiment, task.resolve)
 
 
-def _run_payload(task: SweepTask) -> dict:
-    """Execute one task and package its result entry (no error guard)."""
-    started = time.perf_counter()
-    raw = _resolve_warm(task)(dict(task.params))
-    wall = time.perf_counter() - started
+def _task_payload(task: SweepTask) -> dict:
+    """The pool-boundary form of ``task`` (pickling copies it)."""
+    return {"experiment": task.experiment, "params": task.params,
+            "index": task.index, "seed": task.seed, "key": task.key}
+
+
+def _entry(raw: typing.Any, wall_s: float) -> dict:
+    """A successful result entry from a task function's return value."""
     if isinstance(raw, TaskPayload):
         value, events = raw.value, raw.events_processed
     else:
@@ -311,9 +330,75 @@ def _run_payload(task: SweepTask) -> dict:
     return {
         "ok": True,
         "value": value,
-        "wall_time_s": wall,
+        "wall_time_s": wall_s,
         "events_processed": events,
     }
+
+
+def _call(func: TaskFunction, task: SweepTask) -> dict:
+    """Run ``func`` on ``task``'s params; its result entry (no guard)."""
+    started = time.perf_counter()
+    raw = func(dict(task.params))
+    return _entry(raw, time.perf_counter() - started)
+
+
+def _run_payload(task: SweepTask) -> dict:
+    """Execute one task and package its result entry (no error guard)."""
+    return _call(_resolve_warm(task), task)
+
+
+def _run_group(tasks: typing.Sequence[SweepTask]) -> list[dict]:
+    """Result entries for consecutive tasks of one experiment.
+
+    Each task's function is resolved once, through the warm cache and
+    inside the error guard.  When the function has a ``batch`` form
+    (``batch(params_list)`` returning what mapping the function over
+    the list would), the group runs in one call of it: every task gets
+    its own value and work, and an equal share of the group's wall
+    time.  Without one — or when the batch call raises or returns the
+    wrong number of results — the tasks run one at a time, so a failure
+    is charged to the task that caused it.
+    Failed entries carry the exception under ``"error"``.
+    """
+    entries: list[dict | None] = []
+    funcs: list[TaskFunction | None] = []
+    for task in tasks:
+        try:
+            funcs.append(_resolve_warm(task))
+            entries.append(None)
+        except Exception as error:  # noqa: BLE001 — charged to the task
+            funcs.append(None)
+            entries.append({"ok": False, "error": error})
+    batch = getattr(funcs[0], "batch", None)
+    if batch is not None and len(tasks) > 1 and None not in funcs:
+        started = time.perf_counter()
+        try:
+            raws = batch([dict(task.params) for task in tasks])
+        except Exception:  # noqa: BLE001 — rerun task by task below
+            logger.warning("batch call of %s over %d task(s) failed; "
+                           "running them one by one", tasks[0].experiment,
+                           len(tasks), exc_info=True)
+            raws = None
+        if raws is not None and len(raws) == len(tasks):
+            share = (time.perf_counter() - started) / len(tasks)
+            return [_entry(raw, share) for raw in raws]
+    for index, (task, func) in enumerate(zip(tasks, funcs)):
+        if func is None:
+            continue
+        try:
+            entries[index] = _call(func, task)
+        except Exception as error:  # noqa: BLE001 — charged to the task
+            entries[index] = {"ok": False, "error": error}
+    return typing.cast("list[dict]", entries)
+
+
+def _has_batch_form(task: SweepTask) -> bool:
+    """Whether ``task``'s function has a ``batch`` form (False if it
+    does not even resolve: the per-task path reports that error)."""
+    try:
+        return hasattr(task.resolve(), "batch")
+    except Exception:  # noqa: BLE001 — surfaced by the per-task path
+        return False
 
 
 def execute_task(payload: dict) -> dict:
@@ -322,8 +407,7 @@ def execute_task(payload: dict) -> dict:
     Takes and returns plain dicts plus the (picklable) result value so
     the process-pool boundary stays simple.  Ships the task's metric
     deltas, spans, and warm-cache stats alongside the value; the parent
-    merges metric deltas only for genuine workers (pid check) — in
-    serial execution they already landed in the live registry.
+    merges metric deltas only for genuine workers (pid check).
     """
     task = SweepTask(**payload)
     token = obs.begin_capture()
@@ -344,20 +428,24 @@ def execute_task(payload: dict) -> dict:
 def execute_batch(payloads: list[dict]) -> dict:
     """Run a batch of tasks in one pool round-trip (worker entry point).
 
-    Per-task failures are captured as ``{"ok": False, "error": ...}``
-    entries rather than raised, so one bad task cannot take down its
-    batch-mates; the parent applies the retry policy per task.  Metric
-    deltas, spans, and warm-cache stats ship once for the whole batch.
+    Consecutive tasks of one experiment run as a group
+    (:func:`_run_group`), through their function's batch form when it
+    has one.  Per-task failures are captured as ``{"ok": False,
+    "error": repr}`` entries rather than raised, so one bad task cannot
+    take down its batch-mates; the parent applies the retry policy per
+    task.  Metric deltas, spans, and warm-cache stats ship once for the
+    whole batch.
     """
     token = obs.begin_capture()
     warm_before = WARM.counters()
+    tasks = [SweepTask(**payload) for payload in payloads]
     results: list[dict] = []
-    for payload in payloads:
-        task = SweepTask(**payload)
-        try:
-            results.append(_run_payload(task))
-        except Exception as error:  # noqa: BLE001 — parent retries per task
-            results.append({"ok": False, "error": repr(error)})
+    for _, group in itertools.groupby(tasks,
+                                      key=lambda task: task.experiment):
+        results.extend(
+            entry if entry["ok"] else {"ok": False,
+                                       "error": repr(entry["error"])}
+            for entry in _run_group(list(group)))
     out = {
         "worker_pid": os.getpid(),
         "results": results,
@@ -511,7 +599,7 @@ class _Dispatcher:
                     batch.append((task, attempt))
             if not batch:
                 continue
-            payloads = [dataclasses.asdict(task) for task, _ in batch]
+            payloads = [_task_payload(task) for task, _ in batch]
             try:
                 future = self.runner._pool.submit(execute_batch, payloads)
             except (BrokenProcessPool, RuntimeError):
@@ -887,10 +975,7 @@ class SweepRunner:
                     # for a single miss.
                     self._run_pool(misses, record)
                 else:
-                    for task in misses:
-                        if self._drain_requested:
-                            break
-                        record(self._run_serial(task))
+                    self._run_local(misses, record)
         finally:
             # Flush even when a task ultimately fails: everything that
             # completed before the failure stays resumable.
@@ -964,13 +1049,14 @@ class SweepRunner:
 
     def _run_serial(self, task: SweepTask, *, attempt_offset: int = 0,
                     max_attempts: int | None = None) -> TaskOutcome:
-        payload = dataclasses.asdict(task)
+        """Run one task in-process, retrying with the seeded backoff."""
         last_error: BaseException | None = None
         if max_attempts is None:
             max_attempts = self.retries + 1
         for attempt in range(1, max_attempts + 1):
+            warm_before = WARM.counters()
             try:
-                raw = execute_task(payload)
+                entry = _run_payload(task)
             except Exception as error:  # noqa: BLE001 — retried, re-raised
                 last_error = error
                 delay = 0.0
@@ -981,18 +1067,76 @@ class SweepRunner:
                 if delay > 0.0:
                     time.sleep(delay)
                 continue
-            self.telemetry.record_warm(raw.get("warm"))
+            self.telemetry.record_warm(WARM.stats_delta(warm_before))
             return TaskOutcome(
-                task=task, value=raw["value"],
-                wall_time_s=raw["wall_time_s"],
-                events_processed=raw["events_processed"], cached=False,
+                task=task, value=entry["value"],
+                wall_time_s=entry["wall_time_s"],
+                events_processed=entry["events_processed"], cached=False,
                 attempts=attempt_offset + attempt,
-                worker_pid=raw["worker_pid"],
+                worker_pid=os.getpid(),
             )
         raise ExecutionError(
             f"task {task.key} failed after "
             f"{attempt_offset + max_attempts} attempt(s): {last_error}"
         ) from last_error
+
+    def _run_local(
+        self,
+        tasks: typing.Sequence[SweepTask],
+        record: typing.Callable[[TaskOutcome], None],
+    ) -> None:
+        """In-process execution that batches like a one-worker pool.
+
+        Consecutive misses whose task function has a batch form are
+        grouped up to the dispatch sizer's batch size and run through
+        :func:`_run_group`, recording each outcome in task order; a task
+        that failed there is retried alone through :meth:`_run_serial`.
+        Tasks without a batch form run one at a time through
+        :meth:`_run_serial`.  A requested drain stops between groups.
+        """
+        batchable: dict[str, bool] = {}
+        position = 0
+        while position < len(tasks) and not self._drain_requested:
+            task = tasks[position]
+            if task.experiment not in batchable:
+                batchable[task.experiment] = _has_batch_form(task)
+            if not batchable[task.experiment]:
+                record(self._run_serial(task))
+                position += 1
+                continue
+            end = position + 1
+            limit = min(len(tasks), position + self._sizer.size())
+            while end < limit and tasks[end].experiment == task.experiment:
+                end += 1
+            group = tasks[position:end]
+            position = end
+            warm_before = WARM.counters()
+            entries = _run_group(group)
+            self.telemetry.record_warm(WARM.stats_delta(warm_before))
+            for member, entry in zip(group, entries):
+                record(self._local_outcome(member, entry))
+
+    def _local_outcome(self, task: SweepTask, entry: dict) -> TaskOutcome:
+        """The outcome of an in-process group entry; failures retry."""
+        if entry["ok"]:
+            self._sizer.observe(entry["wall_time_s"])
+            return TaskOutcome(
+                task=task, value=entry["value"],
+                wall_time_s=entry["wall_time_s"],
+                events_processed=entry["events_processed"], cached=False,
+                attempts=1, worker_pid=os.getpid(),
+            )
+        error = entry["error"]
+        delay = self._backoff_delay_s(task, 1) if self.retries else 0.0
+        self.telemetry.record_retry(task, error, backoff_s=delay)
+        if not self.retries:
+            raise ExecutionError(
+                f"task {task.key} failed after 1 attempt(s): {error}"
+            ) from error
+        if delay > 0.0:
+            time.sleep(delay)
+        return self._run_serial(task, attempt_offset=1,
+                                max_attempts=self.retries)
 
     def _run_pool(
         self,
@@ -1002,8 +1146,7 @@ class SweepRunner:
         """Dispatch ``tasks`` over the warm pool in adaptive batches,
         recording each outcome as its batch completes."""
         if self._ensure_pool() is None:
-            for task in tasks:
-                record(self._run_serial(task))
+            self._run_local(tasks, record)
             return
         _Dispatcher(self, record).run(tasks)
 
@@ -1016,7 +1159,7 @@ class SweepRunner:
         shared a pool (or a batch) with the real crasher succeed here
         on the first attempt.
         """
-        payload = dataclasses.asdict(task)
+        payload = _task_payload(task)
         crashes = 0
         attempt = 1  # the shared-pool attempt that sent us here
         while crashes < self.poison_after:

@@ -83,6 +83,15 @@ class TaskRecord:
     status: str = "done"
     resumed: bool = False
 
+    def to_json(self) -> dict:
+        """The record as a dict, in field order (what ``asdict`` gives
+        for these flat fields, without its recursive deep copy)."""
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
+
+
+_RECORD_FIELDS = tuple(field.name
+                       for field in dataclasses.fields(TaskRecord))
+
 
 class RunTelemetry:
     """Collects task records for one sweep run and summarises them."""
@@ -171,13 +180,14 @@ class RunTelemetry:
             _OBS_EVENTS.inc(record.events_processed)
             _OBS_TASK_SECONDS.observe(record.wall_time_s)
         self._notify("task", record)
-        logger.info(
-            "task %s: %s in %.3fs (%d events, attempt %d, pid %d)",
-            record.key, verb,
-            record.wall_time_s, record.events_processed,
-            record.attempts, record.worker_pid,
-            extra={"repro_task": dataclasses.asdict(record)},
-        )
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "task %s: %s in %.3fs (%d events, attempt %d, pid %d)",
+                record.key, verb,
+                record.wall_time_s, record.events_processed,
+                record.attempts, record.worker_pid,
+                extra={"repro_task": record.to_json()},
+            )
 
     def record_batch(self, *, size: int,
                      warm: dict | None = None) -> None:
@@ -305,7 +315,7 @@ class RunTelemetry:
             "poisoned": [r.key for r in self.records
                          if r.status == "poisoned"],
             "resumed_tasks": sum(1 for r in self.records if r.resumed),
-            "per_task": [dataclasses.asdict(r) for r in self.records],
+            "per_task": [r.to_json() for r in self.records],
         }
 
     def write_summary(self, path: str | os.PathLike) -> None:

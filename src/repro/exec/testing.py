@@ -26,6 +26,28 @@ def square_task(params: dict) -> TaskPayload:
     return TaskPayload(value=params["x"] ** 2, events_processed=1)
 
 
+def batched_square_task(params: dict) -> TaskPayload:
+    """:func:`square_task` with a batch form (the runner's group path).
+
+    Reports ``params['x']`` processed events.  With
+    ``params['counter_path']`` it first fails like :func:`flaky_task`
+    for ``params['fail_times']`` attempts.  The batch form maps the
+    task over its list, so one failing member makes the whole batch
+    call raise.
+    """
+    if "counter_path" in params:
+        flaky_task(params)
+    return TaskPayload(value=params["x"] ** 2,
+                       events_processed=params["x"])
+
+
+def _batched_squares(params_list: list[dict]) -> list[TaskPayload]:
+    return [batched_square_task(params) for params in params_list]
+
+
+batched_square_task.batch = _batched_squares  # type: ignore[attr-defined]
+
+
 def sleep_task(params: dict) -> float:
     """Sleep ``params['seconds']`` and return it (timeout tests)."""
     time.sleep(params["seconds"])

@@ -6,9 +6,8 @@ need from primitive parameters (that is what makes parallel runs
 byte-identical to serial ones), but much of what they rebuild is
 *content-determined*: a :class:`~repro.kernels.pipeline.CompiledStages`
 compiled from the same stage parameters is the same object every time,
-a variability model built from the same spec draws the same factors,
-and a campaign population generated from the same config is the same
-list.  The warm cache memoizes those artefacts across tasks in a batch
+and a variability model built from the same spec draws the same
+factors.  The warm cache memoizes those artefacts across tasks in a batch
 and across batches for the lifetime of the worker, keyed by a SHA-256
 content hash of the inputs — so a hit can never change a result, only
 skip redundant work.
@@ -21,9 +20,11 @@ functions (every variability model's draws are pure in
 The cache capacity comes from ``REPRO_WARM_CACHE_SIZE`` (default 64
 entries) and can be overridden per pool through the runner's worker
 initializer.  Hit/miss counters are kept per *kind* (``task-func``,
-``compiled``, ``variability``, ``population``, ``criticality``,
-``trajectory``) so the exec layer can ship per-batch deltas back to
-the parent's telemetry.  ``trajectory`` entries — fault-free campaign
+``compiled``, ``variability``, ``criticality``, ``trajectory``) so the
+exec layer can ship per-batch deltas back to the parent's telemetry.
+Campaign populations are not cached: a dispatch batch of campaign
+chunks draws its faults once, as one vector draw, through the task's
+batch form.  ``trajectory`` entries — fault-free campaign
 background trajectories with their stride snapshots — follow the same
 invalidation discipline as ``criticality``: the key is a content hash
 of everything the trajectory depends on, so a changed configuration

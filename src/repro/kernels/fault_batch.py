@@ -62,6 +62,13 @@ from repro.kernels.pipeline import CaptureParams, capture_block
 #: batch buffers stay small and dense.
 MAX_LANE_WINDOW = 64
 
+#: Most lanes one :meth:`evaluate` call advances.  A campaign chunk
+#: evaluated for a whole dispatch batch can hold thousands of lanes;
+#: the evaluator feeds them through in slices of this size, which keeps
+#: the ``(lanes, window, columns)`` buffers — and so peak memory —
+#: bounded while amortizing the per-call numpy overhead.
+MAX_BATCH_LANES = 256
+
 #: Sentinel for "no evaluated arrival" lateness cells; large enough to
 #: never win a max against a real lateness, small enough that adding a
 #: borrow offset cannot overflow int64.

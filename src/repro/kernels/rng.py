@@ -109,11 +109,17 @@ def _require_numpy() -> None:
         )
 
 
-def mix32_batch(lanes: typing.Sequence[LaneLike]) -> "np.ndarray":
-    """Vector :func:`mix32` over broadcastable ``uint32`` lanes."""
+def mix32_batch(lanes: typing.Sequence[LaneLike],
+                state: LaneLike = _SEED0) -> "np.ndarray":
+    """Vector :func:`mix32` over broadcastable ``uint32`` lanes.
+
+    ``state`` continues an earlier mix: ``mix32_batch(rest,
+    state=mix32(*prefix))`` equals ``mix32(*prefix, *rest)``, so lanes
+    shared by many draws are mixed once.
+    """
     _require_numpy()
     with np.errstate(over="ignore"):
-        h = np.uint32(_SEED0)
+        h = np.uint32(state) if isinstance(state, int) else state
         mul1 = np.uint32(_MUL1)
         mul2 = np.uint32(_MUL2)
         for lane in lanes:

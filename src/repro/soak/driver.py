@@ -36,12 +36,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import time
 import typing
 
 from repro import obs
-from repro.campaign.engine import CampaignConfig, fault_runner
+from repro.campaign.engine import (
+    CampaignConfig,
+    chunk_payloads,
+    fault_runner,
+)
 from repro.campaign.outcomes import FaultOutcome
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec.cache import _code_version
@@ -55,7 +60,12 @@ from repro.exec.runner import (
     task_key,
 )
 from repro.soak.estimators import EscapeEstimator
-from repro.soak.generator import Stratum, build_strata, spec_for_draw
+from repro.soak.generator import (
+    Stratum,
+    build_strata,
+    spec_for_draw,
+    specs_for_draws,
+)
 from repro.soak.journal import (
     JournalCorrupt,
     SoakJournal,
@@ -269,28 +279,50 @@ def soak_state_from_journal(soak: SoakConfig,
 # Worker side
 # ---------------------------------------------------------------------------
 
+def soak_chunks(params_list: typing.Sequence[dict]) -> list[TaskPayload]:
+    """Batch form of :func:`soak_chunk_task` (``.batch``).
+
+    Consecutive chunks of one configuration parse it once, regenerate
+    every draw's spec in one vector draw (:func:`specs_for_draws`, equal
+    to a :func:`spec_for_draw` loop), and classify them all in one
+    ``evaluate_chunk`` of one evaluator; outcomes and work then split
+    back per chunk, equal to mapping the task over the list.
+    """
+    payloads: list[TaskPayload] = []
+    for _, group in itertools.groupby(
+            params_list,
+            key=lambda params: (params["config"], params["strata"])):
+        run = list(group)
+        config = CampaignConfig.from_params(run[0]["config"])
+        strata = {key: Stratum.from_params(key, stratum_params)
+                  for key, stratum_params in run[0]["strata"].items()}
+        specs = specs_for_draws(
+            config, strata,
+            [draw for params in run for draw in params["draws"]])
+        runner = fault_runner(config)
+        with obs.trace_span("soak.chunk", target=config.target,
+                            scheme=config.scheme, draws=len(specs)):
+            result = runner.evaluate_chunk(specs)
+        payloads.extend(chunk_payloads(
+            result, [len(params["draws"]) for params in run]))
+    return payloads
+
+
 def soak_chunk_task(params: dict) -> TaskPayload:
     """Sweep task: evaluate one chunk of stratified soak draws.
 
-    Regenerates each draw's spec with :func:`spec_for_draw` and
-    classifies the chunk through the campaign evaluator's
+    Regenerates each draw's spec (:func:`spec_for_draw`, vectorized)
+    and classifies the chunk through the campaign evaluator's
     ``evaluate_chunk`` — the identical (lane-batched, when enabled)
     path a batch campaign chunk takes, which is what makes soak
     outcomes bit-comparable to campaign outcomes.  Outcomes come back
-    scattered to draw order.
+    scattered to draw order.  The exec layer runs a dispatch batch of
+    chunks through the batch form, :func:`soak_chunks`.
     """
-    config = CampaignConfig.from_params(params["config"])
-    strata = {key: Stratum.from_params(key, stratum_params)
-              for key, stratum_params in params["strata"].items()}
-    draws = params["draws"]
-    specs = [spec_for_draw(config, strata[key], int(counter),
-                           int(fault_id))
-             for key, counter, fault_id in draws]
-    runner = fault_runner(config)
-    with obs.trace_span("soak.chunk", target=config.target,
-                        scheme=config.scheme, draws=len(specs)):
-        outcomes, work = runner.evaluate_chunk(specs)
-    return TaskPayload(value=outcomes, events_processed=work)
+    return soak_chunks([params])[0]
+
+
+soak_chunk_task.batch = soak_chunks  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import dataclasses
 import typing
 
 from repro.campaign.engine import CampaignConfig
-from repro.campaign.faults import FaultSpec, draw_spec
+from repro.campaign.faults import FaultSpec, draw_spec, draw_specs
 from repro.errors import ConfigurationError
 from repro.exec.runner import derive_seed
 from repro.kernels.rng import split64
@@ -125,10 +125,10 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
                   counter: int, fault_id: int) -> FaultSpec:
     """Regenerate draw ``counter`` of ``stratum`` — pure, id attached.
 
-    This is the single spec-producing function on both sides of the
-    exec boundary: the driver uses it when replaying or verifying a
-    journal, the chunk task uses it to materialize its draws, so there
-    is no second implementation to drift.  ``config`` already passed
+    The driver uses it when replaying or verifying a journal; the chunk
+    task materializes its draws with the vector twin
+    :func:`specs_for_draws`, which a property test pins to this
+    function draw for draw.  ``config`` already passed
     the population checks (:func:`~repro.campaign.faults.
     check_population`), so the fault window always fits.
     """
@@ -144,3 +144,45 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
         max_span=MAX_SPAN,
         fault_id=fault_id,
     )
+
+
+def specs_for_draws(config: CampaignConfig,
+                    strata: typing.Mapping[str, Stratum],
+                    draws: typing.Iterable[typing.Sequence]
+                    ) -> list[FaultSpec]:
+    """:func:`spec_for_draw` over ``(stratum, counter, fault_id)``
+    descriptors, vectorized.
+
+    Consecutive descriptors of one stratum with consecutive counters —
+    how a round allocates them — are drawn together by
+    :func:`~repro.campaign.faults.draw_specs`, which is bit-identical
+    to the scalar :func:`~repro.campaign.faults.draw_spec` loop that
+    :func:`spec_for_draw` runs.
+    """
+    runs: list[tuple[str, int, list[int]]] = []
+    for key, counter, fault_id in draws:
+        counter, fault_id = int(counter), int(fault_id)
+        if (runs and runs[-1][0] == key
+                and runs[-1][1] + len(runs[-1][2]) == counter):
+            runs[-1][2].append(fault_id)
+        else:
+            runs.append((key, counter, [fault_id]))
+    sites = config.sites()
+    lanes: dict[str, tuple[int, int]] = {}
+    specs: list[FaultSpec] = []
+    for key, first, fault_ids in runs:
+        stratum = strata[key]
+        if key not in lanes:
+            lanes[key] = stratum_lanes(config, key)
+        specs.extend(draw_specs(
+            lanes[key], first, first + len(fault_ids),
+            sites=sites,
+            kinds=(stratum.kind,),
+            lo_ps=stratum.lo_ps,
+            hi_ps=stratum.hi_ps,
+            last_start=config.num_cycles - MAX_DURATION_CYCLES,
+            max_duration_cycles=MAX_DURATION_CYCLES,
+            max_span=MAX_SPAN,
+            fault_ids=fault_ids,
+        ))
+    return specs

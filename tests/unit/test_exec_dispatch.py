@@ -1,7 +1,9 @@
 """Unit tests for the batched warm-worker dispatch layer."""
 
 import dataclasses
+import json
 import os
+import re
 
 import pytest
 
@@ -341,3 +343,93 @@ class TestTelemetryAggregation:
         total = warm["task-func"]["hits"] + warm["task-func"]["misses"]
         assert total == 10
         assert warm["task-func"]["hits"] >= 1
+
+
+BATCHED = "repro.exec.testing:batched_square_task"
+
+
+def _cache_entries(directory) -> dict:
+    """Cache files by name, minus their (timing) ``wall_time_s`` meta."""
+    entries = {}
+    for path in sorted(directory.glob("*.json")):
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["meta"].pop("wall_time_s")
+        entries[path.name] = entry
+    return entries
+
+
+class TestGroupExecution:
+    """Batch-form tasks: one call per dispatch batch, per-task records."""
+
+    def _campaign_run(self, tmp_path, name, monkeypatch, **runner_kw):
+        from repro.campaign import CampaignConfig
+        from repro.campaign.engine import campaign_chunk_task, campaign_tasks
+
+        calls = []
+        batch = campaign_chunk_task.batch
+
+        def counting(params_list):
+            calls.append(len(params_list))
+            return batch(params_list)
+
+        monkeypatch.setattr(campaign_chunk_task, "batch", counting)
+        config = CampaignConfig(num_faults=120, num_cycles=400, seed=5,
+                                faults_per_task=10)
+        cache = ResultCache(tmp_path / name)
+        checkpoint = SweepCheckpoint(tmp_path / f"{name}.json")
+        run = SweepRunner(cache=cache, checkpoint=checkpoint,
+                          **runner_kw).run(campaign_tasks(config))
+        records = read_checkpoint(tmp_path / f"{name}.json")
+        for record in records.values():
+            record.pop("wall_time_s")
+        return run, records, _cache_entries(tmp_path / name), calls
+
+    def test_serial_grouping_is_invisible(self, tmp_path, monkeypatch):
+        grouped, grouped_cp, grouped_cache, calls = self._campaign_run(
+            tmp_path, "grouped", monkeypatch)
+        single, single_cp, single_cache, single_calls = (
+            self._campaign_run(tmp_path, "single", monkeypatch,
+                               batch_target_s=0.0))
+        assert calls and max(calls) > 1
+        assert single_calls == []
+        assert grouped.values == single.values
+        assert ([o.events_processed for o in grouped.outcomes]
+                == [o.events_processed for o in single.outcomes])
+        assert grouped_cp == single_cp and len(grouped_cp) == 12
+        assert grouped_cache == single_cache and len(grouped_cache) == 12
+
+    def test_group_wall_time_is_amortized(self):
+        tasks = expand_grid(BATCHED, {"x": tuple(range(8))}, root_seed=1)
+        run = SweepRunner(batch_target_s=5.0).run(tasks)
+        assert run.values == [x * x for x in range(8)]
+        assert [o.events_processed for o in run.outcomes] == list(range(8))
+        # The sizer's prior groups all eight: one call, equal shares.
+        assert len({o.wall_time_s for o in run.outcomes}) == 1
+        assert run.summary["warm_cache"]["task-func"]["hits"] + \
+            run.summary["warm_cache"]["task-func"]["misses"] == 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_batch_retries_the_guilty_task(self, tmp_path,
+                                                   workers):
+        tasks = expand_grid(BATCHED, {"x": tuple(range(6))}, root_seed=2)
+        # Task 3 fails twice: once inside the batch call (which sinks
+        # the call), once when its group reruns task by task.  Only
+        # task 3 is charged, and its retry succeeds.
+        guilty = dataclasses.replace(tasks[3], params={
+            **tasks[3].params, "counter_path": str(tmp_path / "count"),
+            "fail_times": 2})
+        tasks[3] = guilty
+        with SweepRunner(workers=workers, retries=1,
+                         batch_target_s=5.0) as runner:
+            run = runner.run(tasks)
+        assert run.values == [x * x for x in range(6)]
+        assert [r["key"] for r in run.summary["retries"]] == [guilty.key]
+        assert [o.attempts for o in run.outcomes] == [1, 1, 1, 2, 1, 1]
+
+    def test_failing_batch_exhausts_retries_on_its_own_key(self, tmp_path):
+        tasks = expand_grid(BATCHED, {"x": tuple(range(4))}, root_seed=2)
+        tasks[1] = dataclasses.replace(tasks[1], params={
+            **tasks[1].params, "counter_path": str(tmp_path / "count"),
+            "fail_times": 99})
+        with pytest.raises(ExecutionError, match=re.escape(tasks[1].key)):
+            SweepRunner(retries=1, batch_target_s=5.0).run(tasks)

@@ -1,5 +1,6 @@
 """Unit tests for sweep run telemetry."""
 
+import dataclasses
 import json
 import logging
 
@@ -44,6 +45,12 @@ class TestSummary:
 
     def test_summary_is_json_able(self):
         json.dumps(_run().last_run.summary)
+
+    def test_per_task_encodes_like_asdict(self):
+        telemetry = _run().telemetry
+        assert (json.dumps(telemetry.summary()["per_task"])
+                == json.dumps([dataclasses.asdict(record)
+                               for record in telemetry.records]))
 
     def test_write_summary(self, tmp_path):
         runner = _run()
