@@ -323,8 +323,9 @@ class FaultOverlay:
 
     Implements the :class:`repro.pipeline.hooks.FaultOverlayLike`
     protocol: per-(cycle, site) extra delay for the scalar state
-    machine, and a per-block active mask so the vector kernels always
-    replay injected cycles (their screens see only fault-free delays).
+    machine, and the active cycles of a window so the screened walk
+    always replays injected cycles (its screen sees only fault-free
+    delays).
     Overlapping faults add up, like independent physical mechanisms.
     """
 
@@ -340,7 +341,6 @@ class FaultOverlay:
                 for site in affected:
                     row[site] = row.get(site, 0) + spec.magnitude_ps
         self._active = sorted(self._by_cycle)
-        self._active_array = None
 
     def extra_delay_ps(self, cycle: int, key: str) -> int:
         row = self._by_cycle.get(cycle)
@@ -348,22 +348,12 @@ class FaultOverlay:
             return 0
         return row.get(key, 0)
 
-    def active_cycles(self) -> list[int]:
-        return list(self._active)
-
     def active_cycles_between(self, start: int, stop: int) -> list[int]:
-        """Active cycles in ``[start, stop)``, for window replays.
+        """Active cycles in ``[start, stop)``, sorted.
 
         Fork windows for late faults mostly contain *no* active cycle;
-        answering that in O(log n) lets ``_run_rows`` skip its
-        copy-and-scan of the interesting screen entirely."""
+        answering that in O(log n) keeps the screened walk's per-block
+        query off the hot path."""
         lo = bisect.bisect_left(self._active, start)
         hi = bisect.bisect_left(self._active, stop, lo)
         return self._active[lo:hi]
-
-    def active_mask(self, cycles):  # noqa: ANN001 — numpy-optional
-        import numpy as np
-
-        if self._active_array is None:
-            self._active_array = np.asarray(self._active, dtype=np.int64)
-        return np.isin(cycles, self._active_array)

@@ -5,9 +5,11 @@
 edges — the only ones that can ever violate — into delay / key / path
 arrays and evaluates sensitization plus idle-state arrival for a block
 of cycles at once.  The common all-clean cycle costs O(edges) numpy work
-inside a block instead of O(cycles x edges) Python; the simulator keeps
-dict-based borrow/relay bookkeeping only for the cycles whose screen
-shows a potentially late edge, feeding those cycles the precomputed
+inside a block instead of O(cycles x edges) Python.  The simulator's one
+screened walk feeds on these rows, fresh per block or sliced from shared
+background rows, and keeps dict-based borrow/relay bookkeeping only for
+the cycles whose :func:`screen_block` shows a potentially late edge (and
+their carryover successors), feeding them the precomputed
 sensitization and arrival rows so vector and scalar runs are bit-equal.
 """
 
@@ -17,101 +19,29 @@ import typing
 
 import numpy as np
 
-from repro import obs
 from repro.kernels.rng import cycle_lanes, key_id, mix32_batch, split64
+from repro.kernels.schedule import WalkCounters
 
 #: Domain-separation salt for the graph edge-sensitization stream (must
 #: match the scalar draw in ``GraphPipelineSimulation``).
 GRAPH_SENS_SALT = key_id("graph-sens")
 
-# Vector-path internals; see the pipeline kernel's twin series for the
-# screened/replayed semantics.  Replays are attributed by *reason*:
-# ``screen`` = the block screen marked the cycle interesting;
-# ``carryover`` = the screen cleared it but borrow/select_out state
-# carried over from a violating predecessor forced a scalar replay
-# anyway (incremented by the simulator's main loop — these cycles
-# escape the screen and were previously invisible).
-_OBS_SCREENED = obs.REGISTRY.counter(
-    "repro_kernel_cycles_screened_total",
-    "Cycles retired by the block screen without scalar replay",
-    labelnames=("kernel",)).labels(kernel="graph")
-_REPLAYED_FAMILY = obs.REGISTRY.counter(
-    "repro_kernel_cycles_replayed_total",
-    "Cycles replayed through the scalar state machine, by reason",
-    labelnames=("kernel", "reason"))
-_OBS_REPLAYED = _REPLAYED_FAMILY.labels(kernel="graph", reason="screen")
-#: Cycles replayed despite a clean screen, because of borrow/select_out
-#: carryover (bound here, incremented by the graph simulator).
-REPLAYED_CARRYOVER = _REPLAYED_FAMILY.labels(kernel="graph",
-                                             reason="carryover")
-_OBS_BATCH = obs.REGISTRY.histogram(
-    "repro_kernel_batch_cycles",
-    "Block sizes fed to the screen (adaptive block sizer output)",
-    labelnames=("kernel",),
-    buckets=(64, 128, 256, 512, 1024, 2048, 4096, 8192),
-).labels(kernel="graph")
+#: Walk counters of the graph simulator's screened walk.
+WALK = WalkCounters("graph")
 
 
 def screen_block(
     sens: "np.ndarray",
     arrival: "np.ndarray",
     nominal_period_ps: int,
-    forced: "np.ndarray | None" = None,
 ) -> "np.ndarray":
     """Per-cycle screen: which cycles have any idle-state violation?
 
     ``sens`` / ``arrival`` are the ``(C, E)`` blocks from
-    :meth:`CompiledEdges.block`.  ``forced`` optionally ORs in cycles
-    that must replay through the dict-based bookkeeping regardless of
-    the screen — fault campaigns pin injected cycles this way, because
-    the screen sees only the fault-free arrivals.
+    :meth:`CompiledEdges.block`.  The screen sees only fault-free
+    arrivals: the walk forces fault cycles in.
     """
-    interesting = np.any(sens & (arrival > nominal_period_ps), axis=1)
-    if forced is not None:
-        interesting = interesting | forced
-    if obs.REGISTRY.enabled:
-        hot = int(interesting.sum())
-        _OBS_REPLAYED.inc(hot)
-        _OBS_SCREENED.inc(int(interesting.size) - hot)
-        _OBS_BATCH.observe(int(interesting.size))
-    return interesting
-
-
-def background_rows(
-    compiled: "CompiledEdges",
-    variability: "typing.Any",
-    num_cycles: int,
-    nominal_period_ps: int,
-    thresholds: "np.ndarray",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Fault-free sens/arrival rows and screen verdicts per trajectory.
-
-    The graph twin of :func:`repro.kernels.pipeline.background_rows`:
-    one vectorized prefix-advance over ``[0, num_cycles)`` returning
-    ``(sens, arrival, interesting)`` with row ``c`` holding absolute
-    cycle ``c``'s per-edge decisions and the fault-free screen verdict.
-    ``thresholds`` is the ``(num_cycles,)`` per-cycle sensitization
-    threshold array (constant unless a workload trace scales it).
-    Snapshot-forked campaign evaluations index these shared rows
-    instead of re-running the block kernel per fault.
-    """
-    from repro.kernels.schedule import MAX_BLOCK
-
-    sens_parts = []
-    arrival_parts = []
-    interesting_parts = []
-    for pos in range(0, num_cycles, MAX_BLOCK):
-        cycles = np.arange(pos, min(pos + MAX_BLOCK, num_cycles),
-                           dtype=np.int64)
-        sens, arrival = compiled.block(cycles, variability,
-                                       thresholds[pos:pos + len(cycles)])
-        sens_parts.append(sens)
-        arrival_parts.append(arrival)
-        interesting_parts.append(
-            screen_block(sens, arrival, nominal_period_ps))
-    return (np.concatenate(sens_parts),
-            np.concatenate(arrival_parts),
-            np.concatenate(interesting_parts))
+    return np.any(sens & (arrival > nominal_period_ps), axis=1)
 
 
 class CompiledEdges:

@@ -10,11 +10,12 @@ Delays are everything the scalar loop computes outside of capture
 bookkeeping, and they are produced with the exact arithmetic of
 :meth:`repro.pipeline.stage.PipelineStage.delay_ps`: one float64
 multiply and one half-even rounding per (cycle, stage), on top of the
-bit-identical mixer draws.  The simulator screens each block against the
-nominal period to find the cycles that could possibly capture anything
-but CLEAN, bulk-accounts the rest, and replays only the interesting
-cycles through the scalar state machine — reusing the same delay rows so
-the result is bit-equal to a fully scalar run.
+bit-identical mixer draws.  :func:`screen_block` marks the cycles that
+could possibly capture anything but CLEAN.  The simulator's one
+screened walk feeds on these rows, fresh per block or sliced from
+shared background rows: it bulk-accounts the clean runs and replays
+only the other cycles through the scalar state machine — reusing the
+same delay rows so the result is bit-equal to a fully scalar run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import typing
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ConfigurationError
 from repro.kernels.rng import (
     cycle_lanes,
@@ -33,6 +33,7 @@ from repro.kernels.rng import (
     split64,
     uniform01_batch,
 )
+from repro.kernels.schedule import WalkCounters
 from repro.pipeline.stage import SENS_SALT
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -41,85 +42,23 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.stage import PipelineStage
     from repro.variability.base import VariabilityModel
 
-# Vector-path internals (``repro_kernel_`` namespace: zero on scalar
-# runs, excluded from cross-mode byte-identity checks).  Screened =
-# cycles the block screen retired without scalar replay; replayed =
-# cycles the screen marked interesting (forced cycles included).
-_OBS_SCREENED = obs.REGISTRY.counter(
-    "repro_kernel_cycles_screened_total",
-    "Cycles retired by the block screen without scalar replay",
-    labelnames=("kernel",)).labels(kernel="pipeline")
-_OBS_REPLAYED = obs.REGISTRY.counter(
-    "repro_kernel_cycles_replayed_total",
-    "Cycles replayed through the scalar state machine, by reason",
-    labelnames=("kernel", "reason")).labels(kernel="pipeline",
-                                            reason="screen")
-_OBS_BATCH = obs.REGISTRY.histogram(
-    "repro_kernel_batch_cycles",
-    "Block sizes fed to the screen (adaptive block sizer output)",
-    labelnames=("kernel",),
-    buckets=(64, 128, 256, 512, 1024, 2048, 4096, 8192),
-).labels(kernel="pipeline")
+#: Walk counters of the pipeline simulator's screened walk.
+WALK = WalkCounters("pipeline")
 
 
 def screen_block(
     delays: "np.ndarray",
     period_ps: int,
     threshold_ps: int,
-    forced: "np.ndarray | None" = None,
 ) -> "np.ndarray":
     """Per-cycle screen: which cycles could capture anything but CLEAN?
 
     ``delays`` is the ``(C, S)`` block from :meth:`CompiledStages.
     delay_block`; a cycle is *interesting* when any stage's idle-state
-    lateness ``delay - period`` exceeds ``threshold_ps``.  ``forced``
-    optionally ORs in cycles that must replay through the scalar state
-    machine regardless of the screen — fault-injection campaigns use it
-    to pin every injected cycle, since the screen sees only the
-    fault-free delays.
+    lateness ``delay - period`` exceeds ``threshold_ps``.  The screen
+    sees only fault-free delays: the walk forces fault cycles in.
     """
-    interesting = np.any(delays - period_ps > threshold_ps, axis=1)
-    if forced is not None:
-        interesting = interesting | forced
-    if obs.REGISTRY.enabled:
-        hot = int(interesting.sum())
-        _OBS_REPLAYED.inc(hot)
-        _OBS_SCREENED.inc(int(interesting.size) - hot)
-        _OBS_BATCH.observe(int(interesting.size))
-    return interesting
-
-
-def background_rows(
-    compiled: "CompiledStages",
-    variability: "VariabilityModel",
-    num_cycles: int,
-    period_ps: int,
-    threshold_ps: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Fault-free delay rows and screen verdicts for a whole trajectory.
-
-    One vectorized prefix-advance over ``[0, num_cycles)`` in
-    fixed-size blocks: returns ``(delays, interesting)`` where row
-    ``c`` of ``delays`` is the ``(S,)`` stage-delay vector of absolute
-    cycle ``c`` (bit-equal to ``delay_ps``) and ``interesting[c]`` is
-    the block screen's verdict on the *fault-free* cycle.  Snapshot-
-    forked campaign evaluations share these rows across every fault of
-    a configuration instead of re-evaluating their window per fault —
-    a fork then only ORs its own forced cycles into the screen slice.
-    """
-    from repro.kernels.schedule import MAX_BLOCK
-
-    delay_parts = []
-    interesting_parts = []
-    for pos in range(0, num_cycles, MAX_BLOCK):
-        cycles = np.arange(pos, min(pos + MAX_BLOCK, num_cycles),
-                           dtype=np.int64)
-        delays = compiled.delay_block(cycles, variability)
-        delay_parts.append(delays)
-        interesting_parts.append(
-            screen_block(delays, period_ps, threshold_ps))
-    return (np.concatenate(delay_parts),
-            np.concatenate(interesting_parts))
+    return np.any(delays - period_ps > threshold_ps, axis=1)
 
 
 class CompiledStages:

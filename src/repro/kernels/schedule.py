@@ -1,51 +1,65 @@
 """Blocked-cycle scheduling helpers for the vector simulators.
 
-The pipeline and graph simulators evaluate delays for a *block* of
-cycles at once, then walk the block: runs of provably-clean cycles are
-accounted in bulk, and only the "interesting" cycles (some endpoint
-might be late) drop to the scalar bookkeeping.  Two small pieces of
-machinery are shared:
+The pipeline and graph simulators each run one screened walk
+(``_run_screened``) over a cycle window ``[start, stop)``.  The walk
+takes a block of fault-free rows — sliced from shared background rows,
+or freshly evaluated by the simulator's ``_block`` — retires runs of
+provably-clean cycles in bulk while the carried state is idle, and
+drops every other cycle to the scalar bookkeeping.  The pieces both
+walks share live here:
 
-* :class:`BlockSizer` — adapts the block length to the observed density
-  of interesting cycles, so an error storm does not waste large array
-  evaluations that immediately degenerate to scalar stepping, while a
-  quiet workload amortizes the numpy call overhead over big blocks.
+* :class:`BlockSizer` — adapts the block length to the fraction of
+  cycles the walk actually replayed, so an error storm does not waste
+  large array evaluations that immediately degenerate to scalar
+  stepping, while a quiet workload amortizes the numpy call overhead
+  over big blocks.
+* :func:`block_spans` — the blocked advance over ``[start, stop)``,
+  re-reading the sizer each step.
+* :func:`replay_points` — the cycles of a block the walk must replay
+  even from an idle state: the screen's hits plus the fault overlay's
+  active cycles.
+* :class:`WalkCounters` — the ``repro_kernel_cycles_*`` counters,
+  bumped once per walked block.
+* :func:`stitch_rows` — a simulator's background rows over
+  ``[0, num_cycles)``, built from :data:`MAX_BLOCK`-cycle blocks.
 * :func:`slow_cycles_between` — exact count of slowed cycles inside a
   bulk-skipped range, from the controller's (non-overlapping, sorted)
   slowdown windows, without calling ``period_at`` per cycle.
-* :func:`block_spans` — the blocked walk over an arbitrary cycle window
-  ``[start, stop)``, re-reading the sizer each step so snapshot-forked
-  windows and full runs share one advance loop.
 """
 
 from __future__ import annotations
 
 import typing
 
+from repro import obs
+
 if typing.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.pipeline.controller import SlowdownWindow
+    from repro.pipeline.hooks import FaultOverlayLike
 
 #: Block-length bounds for the adaptive sizer.
 MIN_BLOCK = 64
 MAX_BLOCK = 8192
 
-#: Interesting-cycle density above which blocks shrink (mostly-scalar
+#: Replayed-cycle fraction above which blocks shrink (mostly-scalar
 #: workload) and below which they grow (mostly-clean workload).
 DENSE = 0.25
 SPARSE = 0.02
 
 
 class BlockSizer:
-    """Adaptive block length for the blocked-cycle main loops."""
+    """Adaptive block length for the screened walks."""
 
     def __init__(self, initial: int = 1024) -> None:
         self.size = max(MIN_BLOCK, min(MAX_BLOCK, initial))
 
-    def update(self, interesting_fraction: float) -> None:
-        """Adapt to the fraction of scalar-processed cycles last block."""
-        if interesting_fraction > DENSE:
+    def update(self, replayed_fraction: float) -> None:
+        """Adapt to the fraction of cycles replayed in the last block."""
+        if replayed_fraction > DENSE:
             self.size = max(MIN_BLOCK, self.size // 2)
-        elif interesting_fraction < SPARSE:
+        elif replayed_fraction < SPARSE:
             self.size = min(MAX_BLOCK, self.size * 2)
 
 
@@ -58,15 +72,95 @@ def block_spans(
 
     The sizer is consulted lazily at each step, so ``sizer.update``
     calls made by the consumer between blocks take effect on the next
-    span.  Both vector main loops — full runs from cycle 0 and windowed
-    runs forked from a trajectory snapshot — advance through this one
-    generator.
+    span.  Full runs from cycle 0 and windowed runs forked from a
+    trajectory snapshot advance through this one generator.
     """
     pos = start
     while pos < stop:
         count = min(sizer.size, stop - pos)
         yield pos, count
         pos += count
+
+
+def replay_points(
+    interesting: "np.ndarray",
+    pos: int,
+    faults: "FaultOverlayLike | None",
+) -> list[int]:
+    """Block-relative cycles a walk replays even from an idle state.
+
+    ``interesting`` is the screen of the block starting at cycle
+    ``pos``.  The screen sees only the fault-free rows, so the
+    overlay's active cycles inside the block are forced in.  Sorted.
+    """
+    points = interesting.nonzero()[0].tolist()
+    if faults is None:
+        return points
+    forced = faults.active_cycles_between(pos, pos + len(interesting))
+    if not forced:
+        return points
+    return sorted(set(points).union(cycle - pos for cycle in forced))
+
+
+# Vector-path internals (``repro_kernel_`` namespace: zero on scalar
+# runs, excluded from cross-mode byte-identity checks).
+_SCREENED = obs.REGISTRY.counter(
+    "repro_kernel_cycles_screened_total",
+    "Cycles retired by the block screen without scalar replay",
+    labelnames=("kernel",))
+_REPLAYED = obs.REGISTRY.counter(
+    "repro_kernel_cycles_replayed_total",
+    "Cycles replayed through the scalar state machine, by reason",
+    labelnames=("kernel", "reason"))
+_BATCH = obs.REGISTRY.histogram(
+    "repro_kernel_batch_cycles",
+    "Block sizes fed to the screen (adaptive block sizer output)",
+    labelnames=("kernel",),
+    buckets=(64, 128, 256, 512, 1024, 2048, 4096, 8192))
+
+
+class WalkCounters:
+    """One kernel's walk counters, bound once, bumped once per block.
+
+    Every walked cycle lands in exactly one series: ``screened`` (retired
+    in bulk), ``replayed{reason="screen"}`` (a replay point: screen hit
+    or forced fault cycle) or ``replayed{reason="carryover"}`` (a clean
+    screen, replayed because borrow or relay state carried over from a
+    violating predecessor).  Background-row builds walk nothing.
+    """
+
+    def __init__(self, kernel: str) -> None:
+        self._screened = _SCREENED.labels(kernel=kernel)
+        self._screen = _REPLAYED.labels(kernel=kernel, reason="screen")
+        self._carryover = _REPLAYED.labels(kernel=kernel,
+                                           reason="carryover")
+        self._batch = _BATCH.labels(kernel=kernel)
+
+    def block(self, count: int, points: int, replayed: int) -> None:
+        """Account a walked block of ``count`` cycles with ``points``
+        replay points, ``replayed`` of its cycles replayed in all."""
+        self._screened.inc(count - replayed)
+        self._screen.inc(points)
+        self._carryover.inc(replayed - points)
+        self._batch.observe(count)
+
+
+def stitch_rows(
+    block: "typing.Callable[[int, int], tuple]",
+    num_cycles: int,
+) -> tuple:
+    """``block(pos, count)`` over ``[0, num_cycles)``, concatenated.
+
+    The blocks are :data:`MAX_BLOCK` cycles long and every row is a pure
+    function of its absolute cycle, so row ``c`` of each returned
+    column equals what a walk's own ``block`` call gives for cycle
+    ``c``.
+    """
+    import numpy as np
+
+    parts = [block(pos, min(MAX_BLOCK, num_cycles - pos))
+             for pos in range(0, num_cycles, MAX_BLOCK)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def slow_cycles_between(

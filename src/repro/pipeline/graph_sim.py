@@ -19,16 +19,19 @@ arrive late given the worst borrow plus the variability headroom — are
 evaluated per cycle; the rest provably never violate and are skipped.
 
 With numpy available (and ``REPRO_SCALAR_KERNELS`` unset) the candidate
-edges are additionally compiled into flat arrays: sensitization and
-idle-state arrivals are evaluated for blocks of cycles at once, whole
-runs of provably clean cycles are skipped in bulk, and only the cycles
-whose screen shows a potentially late edge go through the dict-based
-borrow/relay bookkeeping — fed the precomputed rows, so vector and
-scalar runs are bit-identical.
+edges are additionally compiled into flat arrays, and one screened walk
+runs over blocks of cycles.  Each block's sensitization and idle-state
+arrival rows are either evaluated at once or sliced from shared
+background rows; whole runs of provably clean cycles are skipped in
+bulk, and only the cycles whose screen shows a potentially late edge
+(plus those carrying borrow/relay state) go through the dict-based
+bookkeeping — fed the precomputed rows, so vector and scalar runs are
+bit-identical.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -43,11 +46,7 @@ from repro.core.masking import (
 from repro.errors import ConfigurationError
 from repro.kernels.rng import key_id, mix32, split64
 from repro.pipeline.controller import CentralErrorController
-from repro.pipeline.hooks import (
-    CaptureObserver,
-    FaultOverlayLike,
-    active_cycles_between as _active_cycles_between,
-)
+from repro.pipeline.hooks import CaptureObserver, FaultOverlayLike
 from repro.timing.graph import TimingEdge, TimingGraph
 from repro.variability.base import (
     ConstantVariation,
@@ -294,11 +293,7 @@ class GraphPipelineSimulation:
                             cycles=num_cycles - start_cycle,
                             kernel=kernels.kernel_mode()):
             if kernels.vectorized_enabled() and self._vectorizable():
-                if rows is not None:
-                    self._run_rows(start_cycle, num_cycles, result, rows)
-                else:
-                    self._run_vector(num_cycles, result,
-                                     start_cycle=start_cycle)
+                self._run_screened(start_cycle, num_cycles, result, rows)
             else:
                 borrow, select_out = self._borrow, self._select_out
                 for cycle in range(start_cycle, num_cycles):
@@ -449,71 +444,30 @@ class GraphPipelineSimulation:
             self.controller.notify_flag(cycle)
         return new_borrow, new_select_out
 
+    # -- screened walk ---------------------------------------------------
     def background_rows(self, num_cycles: int):
         """Precomputed fault-free sens/arrival rows + screen verdicts.
 
-        One vectorized prefix-advance over ``[0, num_cycles)`` (see
-        :func:`repro.kernels.graph.background_rows`); the overlay is
-        deliberately excluded — forked runs force their own fault
-        cycles into the screen slice per fault.
+        ``(sens, arrival, interesting)`` over ``[0, num_cycles)``: the
+        concatenation of :meth:`_block` over ``MAX_BLOCK`` spans.  The
+        overlay is deliberately excluded — forked runs force their own
+        fault cycles into each block's replay points.
+        """
+        from repro.kernels.schedule import stitch_rows
+
+        return stitch_rows(self._block, num_cycles)
+
+    def _block(self, pos: int, count: int):
+        """Fault-free ``(sens, arrival, interesting)`` for ``count``
+        cycles.
+
+        Screened against the *nominal* period: a slowdown only makes
+        arrivals less late, so this marks a superset of the cycles with
+        any idle-state violation.
         """
         import numpy as np
 
-        from repro.kernels.graph import background_rows
-
-        self._ensure_compiled()
-        if self.trace is None:
-            thresholds = np.full(num_cycles, self._sens_threshold,
-                                 dtype=np.int64)
-        else:
-            thresholds = np.array(
-                [self._sens_threshold_at(cycle)
-                 for cycle in range(num_cycles)], dtype=np.int64)
-        return background_rows(self._compiled, self.variability,
-                               num_cycles, self.graph.period_ps,
-                               thresholds)
-
-    def _run_rows(self, start: int, stop: int,
-                  result: GraphPipelineResult, rows) -> None:
-        """The vector inner walk fed precomputed background rows.
-
-        Bit-identical to :meth:`_run_vector` over the same window —
-        same compiled kernel rows, same idle-skip / carryover-replay
-        policy — minus the per-run block evaluation.
-        """
-        import numpy as np
-
-        from repro.kernels.graph import REPLAYED_CARRYOVER
-
-        sens, arrival, interesting = rows
-        count = stop - start
-        window = interesting[start:stop]
-        if self.faults is not None:
-            active = _active_cycles_between(self.faults, start, stop)
-            if active:
-                window = window.copy()
-                for cycle in active:
-                    window[cycle - start] = True
-        borrow, select_out = self._borrow, self._select_out
-        k = 0
-        while k < count:
-            if not borrow and not select_out:
-                ahead = np.flatnonzero(window[k:])
-                nxt = k + int(ahead[0]) if ahead.size else count
-                if nxt > k:
-                    k = nxt
-                    if k >= count:
-                        break
-            if not window[k]:
-                REPLAYED_CARRYOVER.inc()
-            borrow, select_out = self._simulate_cycle(
-                start + k, result, borrow, select_out, sens[start + k],
-                arrival[start + k])
-            k += 1
-        self._borrow, self._select_out = borrow, select_out
-
-    def _ensure_compiled(self) -> None:
-        from repro.kernels.graph import CompiledEdges
+        from repro.kernels.graph import CompiledEdges, screen_block
 
         if self._compiled is None:
             self._compiled = CompiledEdges.for_entries(
@@ -523,69 +477,68 @@ class GraphPipelineSimulation:
                  for _, edge, _, path in entries],
                 self.seed,
             )
+        cycles = np.arange(pos, pos + count, dtype=np.int64)
+        if self.trace is None:
+            thresholds = np.full(count, self._sens_threshold,
+                                 dtype=np.int64)
+        else:
+            thresholds = np.array(
+                [self._sens_threshold_at(cycle)
+                 for cycle in range(pos, pos + count)], dtype=np.int64)
+        sens, arrival = self._compiled.block(cycles, self.variability,
+                                             thresholds)
+        return sens, arrival, screen_block(sens, arrival,
+                                           self.graph.period_ps)
 
-    # -- vector main loop ------------------------------------------------
-    def _run_vector(self, num_cycles: int, result: GraphPipelineResult,
-                    *, start_cycle: int = 0) -> None:
-        import numpy as np
+    def _run_screened(self, start: int, stop: int,
+                      result: GraphPipelineResult, rows) -> None:
+        """The screened block walk over cycles ``[start, stop)``.
 
-        from repro.kernels.graph import REPLAYED_CARRYOVER, screen_block
+        Each block's rows are sliced from the caller's shared ``rows``
+        (see :meth:`background_rows`) or evaluated by :meth:`_block`.
+        While no borrow or relay select is carried, the walk skips the
+        clean run up to the next replay point; every other cycle
+        replays through :meth:`_simulate_cycle` with its precomputed
+        sensitization and arrival rows.
+        """
+        from repro.kernels.graph import WALK
         from repro.kernels.schedule import (
             BlockSizer,
             block_spans,
+            replay_points,
             slow_cycles_between,
         )
 
-        self._ensure_compiled()
-        nominal = self.graph.period_ps
+        controller = self.controller
         borrow, select_out = self._borrow, self._select_out
         sizer = BlockSizer()
-        for pos, count in block_spans(start_cycle, num_cycles, sizer):
-            cycles = np.arange(pos, pos + count, dtype=np.int64)
-            if self.trace is None:
-                thresholds = np.full(count, self._sens_threshold,
-                                     dtype=np.int64)
+        for pos, count in block_spans(start, stop, sizer):
+            if rows is None:
+                sens, arrival, interesting = self._block(pos, count)
             else:
-                thresholds = np.array(
-                    [self._sens_threshold_at(int(c)) for c in cycles],
-                    dtype=np.int64)
-            sens, arrival = self._compiled.block(cycles, self.variability,
-                                                 thresholds)
-            # Screen against the *nominal* period: a slowdown only makes
-            # arrivals less late, so this marks a superset of the cycles
-            # with any idle-state violation.  Fault-bearing cycles are
-            # forced interesting — the screen sees only the fault-free
-            # arrivals.
-            forced = (self.faults.active_mask(cycles)
-                      if self.faults is not None else None)
-            interesting = screen_block(sens, arrival, nominal, forced)
-            replayed = 0
-            k = 0
+                sens, arrival, interesting = (column[pos:pos + count]
+                                              for column in rows)
+            points = replay_points(interesting, pos, self.faults)
+            point = replayed = k = 0
             while k < count:
                 if not borrow and not select_out:
-                    ahead = np.flatnonzero(interesting[k:])
-                    nxt = k + int(ahead[0]) if ahead.size else count
+                    point = bisect.bisect_left(points, k, point)
+                    nxt = points[point] if point < len(points) else count
                     if nxt > k:
-                        result.slow_cycles += (
-                            slow_cycles_between(self.controller.windows,
-                                                pos + k, pos + nxt)
-                            if self.controller is not None else 0)
+                        if controller is not None:
+                            result.slow_cycles += slow_cycles_between(
+                                controller.windows, pos + k, pos + nxt)
                         k = nxt
                         if k >= count:
                             break
-                if not interesting[k]:
-                    # Replayed only because of borrow/select_out
-                    # carryover from a violating predecessor — invisible
-                    # to the screen's own counters, so account it here.
-                    REPLAYED_CARRYOVER.inc()
                 borrow, select_out = self._simulate_cycle(
                     pos + k, result, borrow, select_out, sens[k],
                     arrival[k])
                 replayed += 1
                 k += 1
-            # Feed the sizer the *actual* replayed fraction: carryover
-            # replays escape the screen, and sizing on the screen's
-            # interesting fraction alone grew blocks during exactly the
-            # error storms that degrade to scalar stepping.
-            sizer.update(replayed / count if count else 0.0)
+            WALK.block(count, len(points), replayed)
+            # Size on the cycles actually replayed: carryover replays
+            # escape the screen, and an error storm that degrades to
+            # scalar stepping should shrink the blocks.
+            sizer.update(replayed / count)
         self._borrow, self._select_out = borrow, select_out

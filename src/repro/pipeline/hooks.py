@@ -6,9 +6,10 @@ GraphPipelineSimulation` through two narrow interfaces:
 
 * a **fault overlay** adds extra delay on selected (cycle, site) pairs
   — sites are stage names in the linear pipeline and destination
-  flip-flop names in the graph simulator — and can report, for a block
-  of cycles, which ones carry an active fault so the vector kernels can
-  force those cycles onto the scalar replay path;
+  flip-flop names in the graph simulator — and answers one range query,
+  the cycles of a window that carry an active fault, so the simulators'
+  screened walk can force those cycles onto the scalar replay (its
+  screen sees only the fault-free rows);
 * a **capture observer** receives every *non-clean* capture outcome.
   Clean captures never fire it: the vector path bulk-skips provably
   clean cycles, so restricting the stream to violations keeps it
@@ -23,8 +24,6 @@ from __future__ import annotations
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.core.masking import CaptureOutcome
 
 #: ``observer(cycle, site, outcome, lateness_ps)`` — ``site`` is a
@@ -40,24 +39,6 @@ class FaultOverlayLike(typing.Protocol):
         """Extra delay injected at ``key`` on ``cycle`` (0 = none)."""
         ...  # pragma: no cover - protocol
 
-    def active_mask(self, cycles: "np.ndarray") -> "np.ndarray":
-        """Bool mask over ``cycles``: True where any fault is active."""
+    def active_cycles_between(self, start: int, stop: int) -> list[int]:
+        """Sorted cycles of ``[start, stop)`` with any active fault."""
         ...  # pragma: no cover - protocol
-
-
-def active_cycles_between(overlay: "typing.Any", start: int,
-                          stop: int) -> "list[int]":
-    """Active fault cycles of ``overlay`` inside ``[start, stop)``.
-
-    Uses the overlay's range query when it has one
-    (:meth:`repro.campaign.faults.FaultOverlay.active_cycles_between`
-    answers in O(log n)); duck-typed overlays that only implement the
-    protocol above fall back to a scan of ``active_cycles()``.  Forked
-    windows for late faults mostly contain no active cycle at all, and
-    this is what lets ``_run_rows`` skip its screen copy for them.
-    """
-    query = getattr(overlay, "active_cycles_between", None)
-    if query is not None:
-        return query(start, stop)
-    return [cycle for cycle in overlay.active_cycles()
-            if start <= cycle < stop]

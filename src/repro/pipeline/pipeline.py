@@ -12,30 +12,28 @@ offset, flags feed the central error controller, and the controller's
 temporary frequency reduction feeds back into ``period(n)`` — the full
 TIMBER control loop of the paper's Sec. 4.
 
-Two executions of that loop exist.  The scalar reference walks every
-cycle through :meth:`PipelineSimulation._simulate_cycle`.  The vector
-path (default when numpy is available; disable with
-``REPRO_SCALAR_KERNELS=1``) evaluates stage delays for whole blocks of
-cycles through :class:`repro.kernels.pipeline.CompiledStages`, screens
-each block for cycles that could capture anything but CLEAN, accounts
-the clean runs in bulk, and replays only the interesting cycles through
-the same scalar state machine — with the precomputed delays, so both
-paths produce bit-identical results.
+The scalar reference walks every cycle through
+:meth:`PipelineSimulation._simulate_cycle`.  The vector path (default
+when numpy is available; disable with ``REPRO_SCALAR_KERNELS=1``) is one
+screened walk over blocks of cycles.  Each block's stage delays and
+screen verdicts — which cycles could capture anything but CLEAN — are
+either fresh (:class:`repro.kernels.pipeline.CompiledStages`) or sliced
+from shared background rows.  The walk accounts the clean runs in bulk
+and replays only the other cycles through the same scalar state machine
+— with the precomputed delays, so both paths produce bit-identical
+results.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
 from repro import kernels, obs
 from repro.core.masking import CaptureOutcome
 from repro.errors import ConfigurationError, TimingViolationError
 from repro.pipeline.controller import CentralErrorController
-from repro.pipeline.hooks import (
-    CaptureObserver,
-    FaultOverlayLike,
-    active_cycles_between as _active_cycles_between,
-)
+from repro.pipeline.hooks import CaptureObserver, FaultOverlayLike
 from repro.pipeline.schemes import CapturePolicy
 from repro.pipeline.stage import PipelineStage
 from repro.variability.base import (
@@ -164,9 +162,10 @@ class PipelineSimulation:
         simulated window.
 
         ``rows`` optionally supplies precomputed background rows from
-        :meth:`background_rows` so repeated forked windows skip the
-        per-run block evaluation; ignored in scalar-kernel mode (the
-        scalar reference stays the plain per-cycle loop).
+        :meth:`background_rows`, which the screened walk slices instead
+        of evaluating its blocks, so repeated forked windows share one
+        evaluation; ignored in scalar-kernel mode (the scalar reference
+        stays the plain per-cycle loop).
         """
         if num_cycles < 1:
             raise ConfigurationError("need at least one cycle")
@@ -185,11 +184,7 @@ class PipelineSimulation:
                             cycles=num_cycles - start_cycle,
                             kernel=kernels.kernel_mode()):
             if kernels.vectorized_enabled() and self._vectorizable():
-                if rows is not None:
-                    self._run_rows(start_cycle, num_cycles, result, rows)
-                else:
-                    self._run_vector(num_cycles, result,
-                                     start_cycle=start_cycle)
+                self._run_screened(start_cycle, num_cycles, result, rows)
             else:
                 chain = 0
                 for cycle in range(start_cycle, num_cycles):
@@ -201,57 +196,14 @@ class PipelineSimulation:
     def background_rows(self, num_cycles: int):
         """Precomputed fault-free delay rows + screen for forked runs.
 
-        One vectorized prefix-advance over ``[0, num_cycles)`` (see
-        :func:`repro.kernels.pipeline.background_rows`); the overlay is
-        deliberately excluded — forked runs force their own fault
-        cycles into the screen slice per fault.
+        ``(delays, interesting)`` over ``[0, num_cycles)``: the
+        concatenation of :meth:`_block` over ``MAX_BLOCK`` spans.  The
+        overlay is deliberately excluded — forked runs force their own
+        fault cycles into each block's replay points.
         """
-        from repro.kernels.pipeline import CompiledStages, background_rows
+        from repro.kernels.schedule import stitch_rows
 
-        if self._compiled is None:
-            self._compiled = CompiledStages.for_stages(self.stages)
-        return background_rows(
-            self._compiled, self.variability, num_cycles,
-            self.period_ps, self.policy.clean_lateness_threshold_ps())
-
-    def _run_rows(self, start: int, stop: int, result: PipelineResult,
-                  rows) -> None:
-        """The vector inner walk fed precomputed background rows.
-
-        Bit-identical to :meth:`_run_vector` over the same window: the
-        rows come from the same compiled kernel, and the walk applies
-        the same idle-skip / scalar-replay policy — only the per-run
-        block evaluation is skipped.
-        """
-        import numpy as np
-
-        delays, interesting = rows
-        count = stop - start
-        window = interesting[start:stop]
-        if self.faults is not None:
-            active = _active_cycles_between(self.faults, start, stop)
-            if active:
-                window = window.copy()
-                for cycle in active:
-                    window[cycle - start] = True
-        num_stages = len(self.stages)
-        chain = 0
-        k = 0
-        while k < count:
-            if self._idle():
-                ahead = np.flatnonzero(window[k:])
-                nxt = k + int(ahead[0]) if ahead.size else count
-                if nxt > k:
-                    clean = nxt - k
-                    result.clean += clean * num_stages
-                    result.total_time_ps += clean * self.period_ps
-                    chain = 0
-                    k = nxt
-                    if k >= count:
-                        break
-            chain = self._simulate_cycle(start + k, result, chain,
-                                         delays[start + k])
-            k += 1
+        return stitch_rows(self._block, num_cycles)
 
     # -- snapshot/fork ---------------------------------------------------
     def snapshot(self):
@@ -370,54 +322,72 @@ class PipelineSimulation:
         result.total_time_ps += period
         return chain_length
 
-    # -- vector main loop ------------------------------------------------
+    # -- screened walk ---------------------------------------------------
     def _idle(self) -> bool:
         """No carried state: every lateness equals delay - period."""
         return not any(self._borrow) and self.policy.relay_idle()
 
-    def _run_vector(self, num_cycles: int, result: PipelineResult,
-                    *, start_cycle: int = 0) -> None:
+    def _block(self, pos: int, count: int):
+        """Fault-free ``(delays, interesting)`` for ``count`` cycles.
+
+        Screened against the *nominal* period: slowdown windows only
+        lengthen the period, so this marks a superset of the cycles
+        that could capture anything but CLEAN while idle.
+        """
         import numpy as np
 
         from repro.kernels.pipeline import CompiledStages, screen_block
-        from repro.kernels.schedule import (
-            BlockSizer,
-            block_spans,
-            slow_cycles_between,
-        )
 
         if self._compiled is None:
             self._compiled = CompiledStages.for_stages(self.stages)
-        threshold = self.policy.clean_lateness_threshold_ps()
+        delays = self._compiled.delay_block(
+            np.arange(pos, pos + count, dtype=np.int64), self.variability)
+        return delays, screen_block(
+            delays, self.period_ps,
+            self.policy.clean_lateness_threshold_ps())
+
+    def _run_screened(self, start: int, stop: int, result: PipelineResult,
+                      rows) -> None:
+        """The screened block walk over cycles ``[start, stop)``.
+
+        Each block's rows are sliced from the caller's shared ``rows``
+        (see :meth:`background_rows`) or evaluated by :meth:`_block`.
+        While the machine is idle, the walk retires the clean run up to
+        the next replay point in bulk; every other cycle replays through
+        :meth:`_simulate_cycle` with its precomputed delay row.
+        """
+        from repro.kernels.pipeline import WALK
+        from repro.kernels.schedule import (
+            BlockSizer,
+            block_spans,
+            replay_points,
+            slow_cycles_between,
+        )
+
         num_stages = len(self.stages)
+        controller = self.controller
         slow_period = (
-            int(round(self.period_ps * self.controller.slowdown_factor))
-            if self.controller is not None else self.period_ps)
+            int(round(self.period_ps * controller.slowdown_factor))
+            if controller is not None else self.period_ps)
         sizer = BlockSizer()
         chain = 0
-        for pos, count in block_spans(start_cycle, num_cycles, sizer):
-            cycles = np.arange(pos, pos + count, dtype=np.int64)
-            delays = self._compiled.delay_block(cycles, self.variability)
-            # Screen against the *nominal* period: slowdown windows only
-            # lengthen the period, so this marks a superset of the
-            # cycles that could capture anything but CLEAN while idle.
-            # Fault-bearing cycles are forced interesting — the screen
-            # sees only the fault-free delays.
-            forced = (self.faults.active_mask(cycles)
-                      if self.faults is not None else None)
-            interesting = screen_block(delays, self.period_ps, threshold,
-                                       forced)
-            k = 0
+        for pos, count in block_spans(start, stop, sizer):
+            if rows is None:
+                delays, interesting = self._block(pos, count)
+            else:
+                delays, interesting = (column[pos:pos + count]
+                                       for column in rows)
+            points = replay_points(interesting, pos, self.faults)
+            point = replayed = k = 0
             while k < count:
                 if self._idle():
-                    ahead = np.flatnonzero(interesting[k:])
-                    nxt = k + int(ahead[0]) if ahead.size else count
+                    point = bisect.bisect_left(points, k, point)
+                    nxt = points[point] if point < len(points) else count
                     if nxt > k:
                         clean = nxt - k
-                        slow = (slow_cycles_between(
-                                    self.controller.windows,
-                                    pos + k, pos + nxt)
-                                if self.controller is not None else 0)
+                        slow = (slow_cycles_between(controller.windows,
+                                                    pos + k, pos + nxt)
+                                if controller is not None else 0)
                         result.slow_cycles += slow
                         result.clean += clean * num_stages
                         result.total_time_ps += (
@@ -429,8 +399,13 @@ class PipelineSimulation:
                             break
                 chain = self._simulate_cycle(pos + k, result, chain,
                                              delays[k])
+                replayed += 1
                 k += 1
-            sizer.update(float(interesting.mean()))
+            WALK.block(count, len(points), replayed)
+            # Size on the cycles actually replayed: carryover replays
+            # escape the screen, and an error storm that degrades to
+            # scalar stepping should shrink the blocks.
+            sizer.update(replayed / count)
 
     @staticmethod
     def _account(result: PipelineResult, outcome: CaptureOutcome) -> None:

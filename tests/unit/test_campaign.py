@@ -134,13 +134,20 @@ class TestFaultOverlay:
             ["s0", "s1"])
         assert overlay.extra_delay_ps(6, "s1") == 100
 
-    def test_active_mask_matches_active_cycles(self):
-        np = pytest.importorskip("numpy")
-        overlay = FaultOverlay([self._spec()], ["s0", "s1"])
-        cycles = np.arange(10)
-        mask = overlay.active_mask(cycles)
-        assert mask.tolist() == [c in (5, 6) for c in range(10)]
-        assert overlay.active_cycles() == [5, 6]
+    def test_active_cycles_between_matches_scan(self):
+        # Faults on cycles 5-6 and 12; every window edge from before the
+        # first to past the last, so edges fall inside, on and outside
+        # the fault cycles (empty and inverted windows included).
+        sites = ["s0", "s1"]
+        overlay = FaultOverlay(
+            [self._spec(), self._spec(fault_id=1, site="s0", cycle=12,
+                                      duration_cycles=1)], sites)
+        for start in range(16):
+            for stop in range(16):
+                scan = [cycle for cycle in range(start, stop)
+                        if any(overlay.extra_delay_ps(cycle, site)
+                               for site in sites)]
+                assert overlay.active_cycles_between(start, stop) == scan
 
 
 class TestClassification:
