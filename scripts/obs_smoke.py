@@ -9,10 +9,11 @@ Three checks, exercising the full ``--obs-out`` path end to end:
    line by line and contains the expected counter families.
 2. Merge the trace through ``repro-timber obs --chrome`` and validate
    the merged output too.
-3. Run the same campaign in-process under vectorized and scalar kernels
-   and assert :func:`repro.obs.semantic_snapshot` is bit-identical —
-   the determinism contract the property suite pins, checked here on
-   every CI push without hypothesis in the loop.
+3. Run small campaigns in-process under vectorized and scalar kernels
+   (pipeline timber-ff, canary, dcf and clock-stall, graph plain) and
+   assert :func:`repro.obs.semantic_snapshot` is bit-identical for
+   each — the determinism contract the property suite pins, checked
+   here on every CI push without hypothesis in the loop.
 4. Lint every metric family the campaign registered
    (:func:`repro.obs.exporters.lint_metric_names`) — counters must end
    in ``_total``, histograms must declare a unit suffix, every family
@@ -96,31 +97,53 @@ def _check_prometheus(path: pathlib.Path) -> int:
     return len(families)
 
 
+#: Campaigns whose semantic snapshot must not depend on the kernel
+#: mode: the vector run batches lanes (with prefix-table counters for
+#: the canary's never-quiet background), the scalar run replays every
+#: lane.
+SEMANTIC_CAMPAIGNS = (
+    ("pipeline", "timber-ff"),
+    ("pipeline", "canary"),
+    ("pipeline", "dcf"),
+    ("pipeline", "clock-stall"),
+    ("graph", "plain"),
+)
+
+
 def _semantic_snapshot_identity() -> int:
     from repro import obs
     from repro.campaign import CampaignConfig, run_campaign
+    from repro.exec.worker import WARM
     from repro.kernels import SCALAR_ENV
 
-    config = CampaignConfig(num_faults=40, num_cycles=300,
-                            faults_per_task=10, seed=2010)
-    snapshots = {}
-    for mode in ("vector", "scalar"):
-        if mode == "scalar":
-            os.environ[SCALAR_ENV] = "1"
-        else:
-            os.environ.pop(SCALAR_ENV, None)
+    metrics = 0
+    for target, scheme in SEMANTIC_CAMPAIGNS:
+        config = CampaignConfig(target=target, scheme=scheme,
+                                num_faults=40, num_cycles=300,
+                                faults_per_task=10, seed=2010)
+        snapshots = {}
+        for mode in ("vector", "scalar"):
+            if mode == "scalar":
+                os.environ[SCALAR_ENV] = "1"
+            else:
+                os.environ.pop(SCALAR_ENV, None)
+            # Both modes build their own background trajectory, whose
+            # run bumps the semantic counters too: start each cold.
+            WARM.clear()
+            obs.reset()
+            obs.enable()
+            run_campaign(config)
+            snapshots[mode] = json.dumps(obs.semantic_snapshot(),
+                                         sort_keys=True)
+        os.environ.pop(SCALAR_ENV, None)
         obs.reset()
-        obs.enable()
-        run_campaign(config)
-        snapshots[mode] = json.dumps(obs.semantic_snapshot(),
-                                     sort_keys=True)
-    os.environ.pop(SCALAR_ENV, None)
-    obs.reset()
-    obs.disable()
-    if snapshots["vector"] != snapshots["scalar"]:
-        raise SystemExit(
-            "semantic snapshot differs between kernel modes")
-    return len(json.loads(snapshots["vector"]))
+        obs.disable()
+        if snapshots["vector"] != snapshots["scalar"]:
+            raise SystemExit(
+                f"semantic snapshot of the {target}/{scheme} campaign "
+                f"differs between kernel modes")
+        metrics += len(json.loads(snapshots["vector"]))
+    return metrics
 
 
 def _lint_live_registry() -> int:
@@ -195,7 +218,8 @@ def main() -> int:
     print(f"obs smoke OK: {events} trace event(s), "
           f"{families} metric families, {linted} families lint-clean, "
           f"monitor round-trip validated, "
-          f"{metrics} semantic metrics identical across kernel modes")
+          f"{metrics} semantic metrics identical across kernel modes "
+          f"over {len(SEMANTIC_CAMPAIGNS)} campaigns")
     return 0
 
 

@@ -502,21 +502,24 @@ class _CycleEvaluator:
     to a fork as one numpy batch.  Faults sharing a fork snapshot are
     near-identical perturbations of one background, so faults are
     grouped by snapshot (:func:`fork_window_groups`), *eligibility* is
-    decided per group (idle fork state, quiet prefix), and every lane
-    that qualifies — across all of a chunk's groups — runs in one call of
-    the lane machine (:mod:`repro.kernels.fault_batch`): per-lane
-    disturbance deltas on the shared background rows, a vectorized
-    borrow/select/relay machine, per-lane folds feeding
+    decided per group (idle fork state, state-free prefix), and every
+    lane that qualifies — across all of a chunk's groups — runs in one
+    call of the lane machine (:mod:`repro.kernels.fault_batch`):
+    per-lane disturbance deltas on the shared background rows, a
+    vectorized borrow/select/relay machine, per-lane folds feeding
     :class:`FaultOutcome` directly.  Lanes carry absolute cycle indices
     into the one background, so merging groups changes arithmetic
-    batch shape only, never lane semantics.
+    batch shape only, never lane semantics.  The semantic counters the
+    forked prefixes would have bumped come from the machine's prefix
+    table, one vectorized sum per chunk.
 
-    Everything else — a lane with a noisy prefix or an oversized
-    window, and every lane when there is no machine (scalar kernels
-    leave the background rows ``None``; some policies have no array
-    semantics) — goes through :meth:`replay`, the per-fault fork the
-    batch is pinned against.  ``lanes_batched``/``lanes_replayed``
-    mirror the obs lane counters for in-process callers.
+    Everything else — a lane whose prefix carries state or whose window
+    is oversized, and every lane when there is no machine (scalar
+    kernels leave the background rows ``None``; logical masking and
+    soft-edge have no array semantics) — goes through :meth:`replay`,
+    the per-fault fork the batch is pinned against.
+    ``lanes_batched``/``lanes_replayed`` mirror the obs lane counters
+    for in-process callers.
     """
 
     def __init__(self, config: CampaignConfig) -> None:
@@ -536,21 +539,30 @@ class _CycleEvaluator:
         )
         # Shared fault-free background rows (delay/sensitization plus
         # the screen's verdicts): forks index precomputed arrays and
-        # the lane machine perturbs them.  Scalar mode skips both, so
-        # every lane replays through the row-free scalar path.
+        # the lane machine perturbs them.  The machine's prefix table
+        # shares the rows' warm-cache entry.  Scalar mode skips all
+        # three, so every lane replays through the row-free scalar
+        # path.
         from repro import kernels
-        self.rows = (trajectory_rows_for(
-            config.background_params(),
-            lambda: self.sim.background_rows(config.num_cycles))
-            if kernels.vectorized_enabled() else None)
-        self.machine = None
-        if self.rows is not None:
+        self.rows = self.machine = None
+        if kernels.vectorized_enabled():
             from repro.kernels import fault_batch
 
             self._fault_batch = fault_batch
-            self.machine = (fault_batch.pipeline_machine(self.sim)
-                            if config.target == "pipeline"
-                            else fault_batch.graph_machine(self.sim))
+            machine = (fault_batch.pipeline_machine(self.sim)
+                       if config.target == "pipeline"
+                       else fault_batch.graph_machine(self.sim))
+
+            def build_rows() -> tuple:
+                rows = self.sim.background_rows(config.num_cycles)
+                return rows, (machine.prefix_table(rows)
+                              if machine is not None else None)
+
+            self.rows, table = trajectory_rows_for(
+                config.background_params(), build_rows)
+            if machine is not None:
+                machine.table = table
+                self.machine = machine
         self._units_per_cycle = (len(self.sim.stages)
                                  if config.target == "pipeline"
                                  else self.sim.graph.num_ffs)
@@ -626,6 +638,10 @@ class _CycleEvaluator:
                 lane_outcomes.extend(machine.evaluate(
                     lanes[first:first + size], self.rows))
             obs_on = obs.REGISTRY.enabled
+            if obs_on:
+                machine.add_prefix_counters(
+                    [start for _, start, _ in lane_meta],
+                    [lane.cycle for lane in lanes])
             for (index, start, end), lane_outcome in zip(lane_meta,
                                                          lane_outcomes):
                 spec = specs[index]
@@ -662,35 +678,35 @@ class _CycleEvaluator:
                     group: typing.Sequence[int], lanes: list,
                     lane_meta: "list[tuple[int, int, int]]",
                     replay: "list[int]") -> None:
-        """Sort one shared-fork-window group into lanes vs. replays."""
+        """Sort one shared-fork-window group into lanes vs. replays.
+
+        The group forks from one snapshot.  A lane is provably
+        equivalent to its forked replay when that snapshot is idle and
+        no background cycle in ``[fork start, injection cycle)`` leaves
+        borrow or relay state (the machine's prefix table): the fork
+        then enters the window idle.  The prefix may still capture
+        non-clean outcomes — canary predictions — outside the fault's
+        observer window; their counter increments come from the
+        table.  State *inside* the window is fine: the machine models
+        the real rows and those events belong to the outcome on every
+        path.
+        """
         machine = self.machine
         if machine is None:
             replay.extend(group)
             return
-        import numpy as np
-
         fault_batch = self._fault_batch
         start, state = self.trajectory.fork_point(specs[group[0]].cycle)
         if not machine.state_is_idle(state):
             replay.extend(group)
             return
-        # A lane is provably equivalent to its forked replay when the
-        # background screen shows nothing interesting between the fork
-        # start and its injection cycle: the fork enters the window
-        # idle, with zero prior events or counter increments.
-        # Interesting background cycles *inside* the window are fine —
-        # the machine models the real rows and those events belong to
-        # the outcome on every path.
-        interesting = self.rows[-1]
-        max_cycle = max(specs[index].cycle for index in group)
-        ahead = np.flatnonzero(interesting[start:max_cycle])
-        quiet_until = (start + int(ahead[0]) if ahead.size
-                       else max_cycle)
+        state_free_until = machine.state_free_until(
+            start, max(specs[index].cycle for index in group))
         for index in group:
             spec = specs[index]
             end = _window_end(self.config, spec)
             steps = end + 1 - spec.cycle
-            if (spec.cycle <= quiet_until
+            if (spec.cycle <= state_free_until
                     and steps <= fault_batch.MAX_LANE_WINDOW):
                 lane_meta.append((index, start, end))
                 lanes.append(fault_batch.Lane(

@@ -173,7 +173,10 @@ def trajectory_rows_for(
 ) -> "typing.Any":
     """Precomputed background rows for ``params``, via the warm cache.
 
-    Same content-addressed kind (``"trajectory"``) and invalidation
+    ``builder`` returns whatever the caller keeps per background — the
+    campaign evaluator stores the rows together with its lane
+    machine's prefix table, so one lookup serves both.  Same
+    content-addressed kind (``"trajectory"``) and invalidation
     discipline as the snapshots, distinct salt so the two entries never
     collide.  Rows are immutable numpy arrays rebuilt by one cheap
     vectorized pass, so they stay in-process only — unlike the

@@ -14,11 +14,14 @@ The batch is only entered when its equivalence to the per-fault forked
 path is *provable*:
 
 * the group's fork snapshot must be idle (zero borrow, zero relay
-  selects) and the background screen must show no interesting cycle
-  between the fork start and a lane's injection cycle — then the lane
-  enters its window with exactly zero carried state, and the forked
-  run's prefix contributes no events and no semantic counter
-  increments;
+  selects) and the prefix ``[fork start, injection cycle)`` must be
+  *state-free*: no background cycle in it, entered idle, leaves borrow
+  or relay state behind (:class:`PrefixTable`).  By induction the
+  forked run then enters every prefix cycle idle and the lane's window
+  with exactly zero carried state; the prefix may still capture
+  non-clean outcomes (a canary's standing guard-band predictions), but
+  those fall outside the fault's observer window and only bump
+  semantic counters, which the table holds as cumulative sums;
 * a lane's window must fit :data:`MAX_LANE_WINDOW` steps.
 
 Lanes (or whole groups) that fail these checks drop to the existing
@@ -27,7 +30,8 @@ same screen-plus-scalar-replay discipline the cycle kernels use, now
 applied along the fault dimension.  Inside the batch, every semantic
 counter increment the scalar state machine would have made is
 reproduced exactly (bulk ``inc`` per outcome class, per-event relay
-depth observations), so :func:`repro.obs.semantic_snapshot` stays
+depth observations, and the prefixes' increments from the table's
+cumulative counts), so :func:`repro.obs.semantic_snapshot` stays
 bit-identical across evaluation paths.
 """
 
@@ -47,14 +51,14 @@ from repro.campaign.outcomes import (
     MASKED_TB,
     RELAYED,
 )
+from repro.kernels.graph import CompiledTopology
+from repro.kernels.pipeline import CaptureParams, capture_block
 
 #: :func:`repro.campaign.outcomes.classify_flags`'s precedence ladder
 #: as an indexable tuple — ``np.select`` resolves each lane to its
 #: severity index, this maps the index back to the taxonomy class.
 _LADDER = (ESCAPED, RELAYED, MASKED_ED, MASKED_TB, FALSE_POSITIVE,
            BENIGN)
-from repro.kernels.graph import CompiledTopology
-from repro.kernels.pipeline import CaptureParams, capture_block
 
 #: Longest fork window (in cycles from the injection cycle to the
 #: window end, inclusive) a lane may occupy in a batch.  Longer windows
@@ -68,6 +72,9 @@ MAX_LANE_WINDOW = 64
 #: the ``(lanes, window, columns)`` buffers — and so peak memory —
 #: bounded while amortizing the per-call numpy overhead.
 MAX_BATCH_LANES = 256
+
+#: Background cycles per array call when building a prefix table.
+_TABLE_BLOCK = 512
 
 #: Sentinel for "no evaluated arrival" lateness cells; large enough to
 #: never win a max against a real lateness, small enough that adding a
@@ -218,10 +225,34 @@ def _collect(lanes: "typing.Sequence[Lane]", event: "np.ndarray",
     ]
 
 
+@dataclasses.dataclass(frozen=True)
+class PrefixTable:
+    """What every background cycle does when entered idle.
+
+    Built once per background, next to its rows, by the lane machine's
+    :meth:`~_LaneMachineBase.prefix_table`.  ``state[c]`` tells
+    whether cycle ``c``'s captures, entered with zero borrow and relay
+    state, leave any behind.  ``counts[c]`` holds the machine's
+    semantic-counter increments (one column per entry of its
+    ``COUNTERS``) summed over cycles ``[0, c)``, each entered idle — so
+    a state-free prefix ``[start, cycle)`` contributed exactly
+    ``counts[cycle] - counts[start]``.
+    """
+
+    state: "np.ndarray"
+    counts: "np.ndarray"
+
+
 class _LaneMachineBase:
     """Shared lane bookkeeping for both targets."""
 
     kernel: str = "abstract"
+    #: Semantic counter children, in the column order of the prefix
+    #: table's counts and of ``_counter_classes``.
+    COUNTERS: tuple = ()
+    #: The background's :class:`PrefixTable`; the evaluator installs
+    #: it with the background rows it was built from.
+    table: "PrefixTable | None" = None
 
     def _note_batched(self, count: int) -> None:
         if obs.REGISTRY.enabled:
@@ -234,6 +265,54 @@ class _LaneMachineBase:
             _OBS_LANES.labels(kernel=self.kernel,
                               path="replayed").inc(count)
 
+    def prefix_table(self, rows: "typing.Any") -> PrefixTable:
+        """The :class:`PrefixTable` of background ``rows``.
+
+        Captures every cycle from idle state, :data:`_TABLE_BLOCK`
+        cycles per array call so the capture temporaries stay small.
+        The counts are int32 whenever every total fits, halving the
+        table's memory.
+        """
+        num_cycles = rows[0].shape[0]
+        state = np.empty(num_cycles, dtype=bool)
+        counts = np.zeros(
+            (num_cycles + 1, len(self.COUNTERS)),
+            dtype=(np.int32 if num_cycles * self.num_cols < 2 ** 31
+                   else np.int64))
+        for pos in range(0, num_cycles, _TABLE_BLOCK):
+            stop = min(pos + _TABLE_BLOCK, num_cycles)
+            state[pos:stop], classes = self._idle_captures(
+                [column[pos:stop] for column in rows])
+            counts[pos + 1:stop + 1] = np.stack(
+                [mask.sum(axis=1) for mask in classes], axis=1)
+        np.cumsum(counts, axis=0, out=counts)
+        return PrefixTable(state=state, counts=counts)
+
+    def state_free_until(self, start: int, stop: int) -> int:
+        """The first state-carrying background cycle in ``[start,
+        stop)``, or ``stop`` when there is none.
+
+        A lane forked idle at ``start`` whose injection cycle is at or
+        before it enters its window with zero carried state.
+        """
+        ahead = np.flatnonzero(self.table.state[start:stop])
+        return start + int(ahead[0]) if ahead.size else stop
+
+    def add_prefix_counters(self, starts: "typing.Sequence[int]",
+                            cycles: "typing.Sequence[int]") -> None:
+        """Bump the semantic counters by what the state-free prefixes
+        ``[starts[i], cycles[i])`` captured — one vectorized sum."""
+        counts = self.table.counts
+        totals = (counts[np.asarray(cycles)]
+                  - counts[np.asarray(starts)]).sum(axis=0)
+        for counter, total in zip(self.COUNTERS, totals.tolist()):
+            counter.inc(total)
+
+    def _inc_counters(self, classes: "typing.Sequence[np.ndarray]",
+                      event: "np.ndarray") -> None:
+        for counter, mask in zip(self.COUNTERS, classes):
+            counter.inc(int((mask & event).sum()))
+
 
 class PipelineLaneMachine(_LaneMachineBase):
     """Vectorized borrow/select relay machine for the linear pipeline.
@@ -245,6 +324,8 @@ class PipelineLaneMachine(_LaneMachineBase):
     """
 
     kernel = "pipeline"
+    COUNTERS = (_PIPE_FAILED, _PIPE_MASKED, _PIPE_MASKED_FLAGGED,
+                _PIPE_DETECTED, _PIPE_PREDICTED)
 
     def __init__(self, params: CaptureParams, stage_names:
                  "typing.Sequence[str]", period_ps: int) -> None:
@@ -269,6 +350,21 @@ class PipelineLaneMachine(_LaneMachineBase):
     def lane_columns(self, site_names:
                      "typing.Iterable[str]") -> tuple[int, ...]:
         return tuple(self._col[name] for name in site_names)
+
+    def _idle_captures(self, rows: "typing.Any") -> tuple:
+        """Per-cycle ``(leaves state, counter classes)`` of a block of
+        ``(delays, interesting)`` rows, each cycle entered idle.
+
+        A capture leaves state when it borrows time or relays a select.
+        """
+        late = rows[0] - self.period_ps
+        caps = capture_block(self.params, late,
+                             np.zeros(late.shape, dtype=np.int64))
+        state = ((caps.borrowed_ps != 0)
+                 | (caps.borrowed_intervals != 0)).any(axis=1)
+        return state, self._counter_classes(
+            caps.masked, caps.detected, caps.predicted, caps.flagged,
+            caps.failed)
 
     def evaluate(self, lanes: "typing.Sequence[Lane]",
                  rows: "typing.Any") -> "list[LaneOutcome]":
@@ -313,31 +409,23 @@ class PipelineLaneMachine(_LaneMachineBase):
         event = ((masked | detected | predicted | flagged | failed)
                  & live[:, :, None])
         if obs.REGISTRY.enabled:
-            self._apply_counters(event, masked, detected, predicted,
-                                 flagged, failed)
+            self._inc_counters(self._counter_classes(
+                masked, detected, predicted, flagged, failed), event)
             self._note_batched(count)
         return _collect(lanes, event, lateness, masked, detected,
                         predicted, flagged, failed, intervals)
 
     @staticmethod
-    def _apply_counters(event, masked, detected, predicted, flagged,
-                        failed) -> None:
-        """Reproduce ``_account``'s per-capture increments in bulk.
-
-        The forked run's prefix is provably clean (the batch
-        precondition), so its increments over the whole window equal
-        the lane's live events — accounted here class by class with
-        ``_account``'s exact precedence (failed before masked, masked
-        before detected/predicted).
-        """
-        _PIPE_FAILED.inc(int((failed & event).sum()))
-        live_masked = masked & ~failed & event
-        _PIPE_MASKED.inc(int(live_masked.sum()))
-        _PIPE_MASKED_FLAGGED.inc(int((live_masked & flagged).sum()))
-        _PIPE_DETECTED.inc(int((detected & ~failed & ~masked
-                                & event).sum()))
-        _PIPE_PREDICTED.inc(int((predicted & ~failed & ~masked
-                                 & ~detected & event).sum()))
+    def _counter_classes(masked, detected, predicted, flagged,
+                         failed) -> tuple:
+        """``_account``'s per-capture increments as one mask per
+        :attr:`COUNTERS` entry, with its exact precedence: failed
+        before masked, masked before detected before predicted."""
+        kept = ~failed
+        live_masked = masked & kept
+        rest = kept & ~masked
+        return (failed, live_masked, live_masked & flagged,
+                detected & rest, predicted & rest & ~detected)
 
 
 class GraphLaneMachine(_LaneMachineBase):
@@ -351,6 +439,8 @@ class GraphLaneMachine(_LaneMachineBase):
     """
 
     kernel = "graph"
+    COUNTERS = (_GRAPH_MASKED_ED, _GRAPH_MASKED_TB, _GRAPH_RELAYED,
+                _GRAPH_ESCAPED_PROT, _GRAPH_ESCAPED_UNPROT)
 
     def __init__(self, params: CaptureParams, topology: CompiledTopology,
                  dst_names: "typing.Sequence[str]",
@@ -377,6 +467,49 @@ class GraphLaneMachine(_LaneMachineBase):
         return tuple(self._col[name] for name in site_names
                      if name in self._col)
 
+    def _step(self, sens: "np.ndarray", arrival: "np.ndarray",
+              extra: "typing.Any", borrow: "np.ndarray",
+              select: "np.ndarray") -> tuple:
+        """One capture step from carried ``borrow``/``select`` columns
+        (sentinel column included).
+
+        Returns per-destination ``(late, masked, flagged, failed,
+        failed_prot, intervals, borrowed_ps)``.
+        """
+        topo = self.topology
+        prot = topo.protected
+        offsets = borrow[:, topo.src_cols]
+        evaluated = (offsets != 0) | sens
+        late_edge = np.where(evaluated,
+                             offsets + arrival - self.period_ps,
+                             _BIG_NEG)
+        late = np.where(topo.per_dst_any(evaluated),
+                        topo.per_dst_max(late_edge) + extra, _BIG_NEG)
+        caps = capture_block(self.params, late,
+                             topo.relay_select_in(select))
+        caps_plain = capture_block(self._plain, late)
+        masked = caps.masked & prot
+        failed_prot = caps.failed & prot
+        return (late, masked, caps.flagged & prot,
+                failed_prot | (caps_plain.failed & ~prot), failed_prot,
+                np.where(masked, caps.borrowed_intervals, 0),
+                np.where(masked, caps.borrowed_ps, 0))
+
+    def _idle_captures(self, rows: "typing.Any") -> tuple:
+        """Per-cycle ``(leaves state, counter classes)`` of a block of
+        ``(sens, arrival, interesting)`` rows, each cycle entered idle.
+
+        Any masked capture leaves state (the scalar loop records its
+        borrow even when zero), so state-free cycles never observe the
+        relay-depth histogram and the table needs no column for it.
+        """
+        idle = np.zeros((rows[0].shape[0], self.num_cols + 1),
+                        dtype=np.int64)
+        _, masked, flagged, failed, failed_prot, intervals, _ = (
+            self._step(rows[0], rows[1], 0, idle, idle))
+        return masked.any(axis=1), self._counter_classes(
+            masked, flagged, failed_prot, failed, intervals)
+
     def evaluate(self, lanes: "typing.Sequence[Lane]",
                  rows: "typing.Any") -> "list[LaneOutcome]":
         """Advance every lane through its window in one batch.
@@ -384,7 +517,6 @@ class GraphLaneMachine(_LaneMachineBase):
         ``rows`` is the trajectory's ``(sens, arrival, interesting)``
         triple; each lane reads its own window of background rows.
         """
-        topo = self.topology
         sens_all, arrival_all = rows[0], rows[1]
         width = max(lane.steps for lane in lanes)
         count = len(lanes)
@@ -394,7 +526,6 @@ class GraphLaneMachine(_LaneMachineBase):
         extra = _lane_deltas(lanes, width, self.num_cols)
         live = _live_mask(lanes, width)
         num_dsts = self.num_cols
-        prot = topo.protected[None, :]
         shape = (count, width, num_dsts)
         lateness = np.empty(shape, dtype=np.int64)
         masked = np.empty(shape, dtype=bool)
@@ -408,61 +539,36 @@ class GraphLaneMachine(_LaneMachineBase):
         borrow = np.zeros((count, num_dsts + 1), dtype=np.int64)
         select = np.zeros((count, num_dsts + 1), dtype=np.int64)
         for w in range(width):
-            offsets = borrow[:, topo.src_cols]
-            evaluated = (offsets != 0) | sens[:, w, :]
-            late_edge = np.where(evaluated,
-                                 offsets + arrival[:, w, :]
-                                 - self.period_ps,
-                                 _BIG_NEG)
-            evaluated_dst = topo.per_dst_any(evaluated)
-            late = np.where(evaluated_dst,
-                            topo.per_dst_max(late_edge) + extra[:, w, :],
-                            _BIG_NEG)
-            select_in = topo.relay_select_in(select)
-            caps = capture_block(self.params, late, select_in)
-            caps_plain = capture_block(self._plain, late)
-            step_masked = caps.masked & prot
-            step_failed_prot = caps.failed & prot
-            step_failed = step_failed_prot | (caps_plain.failed & ~prot)
-            lateness[:, w] = late
-            masked[:, w] = step_masked
-            flagged[:, w] = caps.flagged & prot
-            failed[:, w] = step_failed
-            failed_prot[:, w] = step_failed_prot
-            step_intervals = np.where(step_masked,
-                                      caps.borrowed_intervals, 0)
-            intervals[:, w] = step_intervals
-            borrow[:, :num_dsts] = np.where(step_masked,
-                                            caps.borrowed_ps, 0)
-            select[:, :num_dsts] = step_intervals
+            (lateness[:, w], masked[:, w], flagged[:, w], failed[:, w],
+             failed_prot[:, w], intervals[:, w], borrow[:, :num_dsts]) = (
+                self._step(sens[:, w, :], arrival[:, w, :],
+                           extra[:, w, :], borrow, select))
+            select[:, :num_dsts] = intervals[:, w]
         # Every violating capture is an event (the graph observer has
         # no clean filter to apply — it only ever sees violations).
         event = (masked | failed) & live[:, :, None]
         if obs.REGISTRY.enabled:
-            self._apply_counters(event, masked, flagged, failed_prot,
-                                 failed, intervals)
+            self._inc_counters(self._counter_classes(
+                masked, flagged, failed_prot, failed, intervals), event)
+            # The relay-depth histogram is observed per masked event
+            # exactly as the scalar loop does (events are few — the
+            # loop is over violations, not cycles).
+            live_masked = masked & event
+            for depth in intervals[live_masked
+                                   & (intervals > 0)].tolist():
+                _GRAPH_RELAY_DEPTH.observe(depth)
             self._note_batched(count)
         return _collect(lanes, event, lateness, masked, never, never,
                         flagged, failed, intervals)
 
     @staticmethod
-    def _apply_counters(event, masked, flagged, failed_prot, failed,
-                        intervals) -> None:
-        """Reproduce ``_simulate_cycle``'s semantic increments in bulk.
-
-        Counter totals are order-free sums; the relay-depth histogram
-        is observed per masked event exactly as the scalar loop does
-        (events are few — the loop is over violations, not cycles).
-        """
-        live_masked = masked & event
-        _GRAPH_MASKED_ED.inc(int((live_masked & flagged).sum()))
-        _GRAPH_MASKED_TB.inc(int((live_masked & ~flagged).sum()))
-        _GRAPH_RELAYED.inc(int((live_masked & (intervals >= 2)).sum()))
-        _GRAPH_ESCAPED_PROT.inc(int((failed_prot & event).sum()))
-        _GRAPH_ESCAPED_UNPROT.inc(int((failed & ~failed_prot
-                                       & event).sum()))
-        for depth in intervals[live_masked & (intervals > 0)].tolist():
-            _GRAPH_RELAY_DEPTH.observe(depth)
+    def _counter_classes(masked, flagged, failed_prot, failed,
+                         intervals) -> tuple:
+        """``_simulate_cycle``'s semantic increments as one mask per
+        :attr:`COUNTERS` entry (order-free sums)."""
+        return (masked & flagged, masked & ~flagged,
+                masked & (intervals >= 2), failed_prot,
+                failed & ~failed_prot)
 
 
 def pipeline_machine(sim: "typing.Any") -> "PipelineLaneMachine | None":
@@ -470,7 +576,10 @@ def pipeline_machine(sim: "typing.Any") -> "PipelineLaneMachine | None":
 
     ``None`` when the configuration's dynamics the batch cannot model:
     an attached controller (period feedback), fail-fast semantics, or a
-    capture policy without pure array semantics.
+    capture policy without pure array semantics (see
+    :meth:`CaptureParams.for_policy`: logical masking, soft-edge and
+    policy subclasses).  Every other pipeline scheme — dcf and
+    clock-stall included — gets a machine.
     """
     if sim.controller is not None or sim.fail_fast:
         return None

@@ -134,9 +134,12 @@ class CaptureParams:
     :func:`capture_block` needs to classify a whole array of latenesses
     with the exact element semantics of :mod:`repro.core.masking`.
     Only the schemes whose capture functions are pure in
-    ``(lateness, select_in)`` compile — :meth:`for_policy` returns
-    ``None`` for anything else (and for subclasses, which may override
-    ``capture``), so callers fall back to the scalar state machine.
+    ``(lateness, select_in)`` compile — plain, both TIMBER elements,
+    razor, canary, dcf and clock-stall.  :meth:`for_policy` returns
+    ``None`` for anything else (logical masking depends on the
+    boundary; soft-edge has no kind yet) and for subclasses, which may
+    override ``capture``, so callers fall back to the scalar state
+    machine.
     """
 
     kind: str
@@ -147,6 +150,8 @@ class CaptureParams:
     tb_ps: int = 0
     window_ps: int = 0
     guard_ps: int = 0
+    resample_ps: int = 0
+    consolidation_fits: bool = True
 
     @classmethod
     def from_checking_period(cls, kind: str,
@@ -160,6 +165,8 @@ class CaptureParams:
     def for_policy(cls, policy: "CapturePolicy") -> "CaptureParams | None":
         from repro.pipeline.schemes import (
             CanaryPolicy,
+            ClockStallPolicy,
+            DcfPolicy,
             PlainPolicy,
             RazorPolicy,
             TimberFFPolicy,
@@ -179,6 +186,12 @@ class CaptureParams:
             return cls(kind="razor", window_ps=policy.window_ps)
         if policy_type is CanaryPolicy:
             return cls(kind="canary", guard_ps=policy.guard_ps)
+        if policy_type is DcfPolicy:
+            return cls(kind="dcf", window_ps=policy.detect_window_ps,
+                       resample_ps=policy.resample_delay_ps)
+        if policy_type is ClockStallPolicy:
+            return cls(kind="clock-stall", window_ps=policy.window_ps,
+                       consolidation_fits=policy.consolidation_fits)
         return None
 
 
@@ -255,6 +268,24 @@ def capture_block(
         return CaptureArrays(
             masked=false_, detected=false_, predicted=predicted,
             flagged=predicted, failed=viol,
+            borrowed_ps=zero, borrowed_intervals=zero)
+    if params.kind == "dcf":
+        masked = (viol & (lateness <= params.resample_ps)
+                  & (lateness <= params.window_ps))
+        return CaptureArrays(
+            masked=masked, detected=false_, predicted=false_,
+            flagged=false_, failed=viol & ~masked,
+            borrowed_ps=np.where(masked, params.resample_ps, 0),
+            borrowed_intervals=zero)
+    if params.kind == "clock-stall":
+        # In the window the stall detects and flags; it masks only when
+        # consolidation fits the cycle, else the capture also fails.
+        stalled = viol & (lateness <= params.window_ps)
+        return CaptureArrays(
+            masked=stalled if params.consolidation_fits else false_,
+            detected=stalled, predicted=false_, flagged=stalled,
+            failed=(viol & ~stalled if params.consolidation_fits
+                    else viol),
             borrowed_ps=zero, borrowed_intervals=zero)
     raise ConfigurationError(
         f"no vectorized capture semantics for {params.kind!r}")
