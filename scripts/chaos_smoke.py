@@ -28,6 +28,12 @@ The drill (run from the repo root with ``PYTHONPATH=src``):
    entry behind, and its coverage reports must be byte-identical to
    the reference.
 
+A no-pool drill reruns the reference campaign with ``--workers 2``
+under ``REPRO_MP_START=no-such-method``, so no process pool can be
+built: the run must finish in-parent with byte-identical coverage
+reports, and its event spool must hold exactly one ``fallback`` event
+and no ``retry`` event.
+
 A second drill covers the soak mode:
 
 1. A reference soak runs uninterrupted for a fixed number of rounds and
@@ -115,6 +121,32 @@ def _assert_batched_runner() -> None:
     assert runner.machine is not None, (
         "chaos drill config resolved to an evaluator without a lane "
         "machine")
+
+
+def _no_pool_drill(workdir: pathlib.Path, env: dict,
+                   reference: pathlib.Path) -> None:
+    from repro.obs.stream import read_events
+
+    spool = workdir / "no-pool-events.jsonl"
+    out = workdir / "no-pool.json"
+    print("[no-pool 1/1] reference campaign with no buildable pool")
+    subprocess.run(
+        _cli(workdir, "--no-cache", "--events", str(spool),
+             "--out", str(out)),
+        cwd=REPO_ROOT, env={**env, "REPRO_MP_START": "no-such-method"},
+        check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    expected = json.loads(reference.read_text(encoding="utf-8"))
+    got = json.loads(out.read_text(encoding="utf-8"))
+    assert json.dumps(got["reports"], sort_keys=True) == \
+        json.dumps(expected["reports"], sort_keys=True), (
+            "in-parent campaign diverged from the reference:\n"
+            f"reference: {expected['reports']}\n"
+            f"in-parent: {got['reports']}")
+    _header, events = read_events(spool)
+    kinds = [event["type"] for event in events]
+    assert kinds.count("fallback") == 1, kinds
+    assert "retry" not in kinds, kinds
+    print("      in-parent reports byte-identical; one fallback event")
 
 
 #: Soak drill geometry: the reference runs SOAK_ROUNDS rounds; the
@@ -335,6 +367,7 @@ def main() -> int:
             _cli(workdir, "--no-cache", "--out", str(ref_out)),
             cwd=REPO_ROOT, env=env, check=True,
             stdout=subprocess.DEVNULL)
+        _no_pool_drill(workdir, env, ref_out)
 
         print("[2/6] chaos campaign: SIGKILL a worker, then the run")
         # Devnull stderr too: pool workers orphaned by the SIGKILL

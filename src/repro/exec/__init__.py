@@ -5,13 +5,14 @@ Every paper artefact is a sweep over an embarrassingly parallel grid of
 substrate those sweeps run on.  Six layers:
 
 * :mod:`repro.exec.runner` — grid expansion, deterministic per-task
-  seeding, and batched dispatch across one persistent warm process pool
+  seeding, and one batched dispatch loop that runs on a persistent
+  warm process pool or, with one worker or no pool, in-parent
   (adaptive batch sizing, completion-order result streaming, per-attempt
-  deadlines accounted from dispatch, pool-side retries with seeded
-  exponential backoff, serial fallback, and crash quarantine: a task
-  that repeatedly kills its worker is recorded as *poisoned* instead of
-  sinking the sweep).  Task functions with a ``batch`` form run a
-  dispatch batch of their tasks in one call.
+  deadlines accounted from dispatch, one retry policy with seeded
+  exponential backoff, and crash quarantine: a task that repeatedly
+  kills its worker is recorded as *poisoned* instead of sinking the
+  sweep).  Task functions with a ``batch`` form run a dispatch batch of
+  their tasks in one call.
 * :mod:`repro.exec.worker` — the per-worker warm cache: an LRU keyed on
   content hashes that memoizes resolved task functions, compiled kernel
   arrays, variability models, criticality indexes and campaign

@@ -8,53 +8,58 @@ deterministic seed derived from the sweep's root seed via SHA-256 — no
 global RNG state is consulted anywhere, which is what makes a parallel
 run byte-identical to a serial one.
 
-Execution semantics:
+Execution semantics — one dispatch loop (:class:`_Dispatcher`) runs
+every sweep's cache misses, whatever executes them:
 
-* ``workers <= 1`` (the default) runs every task in-process, in order,
-  batching like a one-worker pool (see below).
-* ``workers > 1`` fans the cache misses out across one persistent
+* ``workers > 1`` executes batches on one persistent
   ``concurrent.futures.ProcessPoolExecutor`` — created with an explicit
   multiprocessing context (:func:`exec_mp_context`) and a worker
-  initializer that sizes the per-worker warm cache — and reused across
+  initializer that sizes the per-worker warm cache — reused across
   :meth:`SweepRunner.run` calls, so multi-phase drivers (the campaign
-  CLI runs one sweep per scheme) pay pool construction once.  If the
-  pool cannot be created the runner falls back to serial execution.
-* Cache-miss tasks are dispatched in **batches**: one submit/return
-  round-trip executes a whole chunk of tasks, sized adaptively by
-  :class:`DispatchSizer` so each batch targets ``batch_target_s`` of
-  work (sized from observed task durations; cache hits never feed the
-  sizer).  Results stream back in completion order — a slow batch no
-  longer head-of-line-blocks recording, retries, or checkpointing —
-  and are re-ordered in the parent, which is free because outcomes are
-  keyed by task index.  Worker-side metric deltas, spans, and
-  warm-cache stats ship once per batch instead of once per task.
+  CLI runs one sweep per scheme) pay pool construction once.  Any
+  multi-worker run uses the pool even for a single miss: crash-prone
+  tasks never execute in the parent while a pool exists.
+* ``workers <= 1`` (the default), or a pool that cannot be created or
+  rebuilt, executes batches in this process, one at a time: the same
+  loop submits to an in-parent executor whose results come back
+  already resolved.  An in-parent batch is one batch-form group of a
+  single experiment, or else a single task, so outcomes, checkpoints
+  and drain checks land between tasks that do not share a call.
+* Batches are sized adaptively by :class:`DispatchSizer` so each
+  targets ``batch_target_s`` of work (sized from observed task
+  durations; cache hits never feed the sizer).  Results stream back in
+  completion order — a slow batch does not head-of-line-block
+  recording, retries, or checkpointing — and are re-ordered in the
+  parent, which is free because outcomes are keyed by task index.
+  Worker-side metric deltas, spans, and warm-cache stats ship once per
+  batch.
 * A task function may carry a ``batch(params_list)`` form that returns
   exactly what mapping the function over the list would.  Consecutive
-  tasks of such a function in one dispatch batch then run as one group
-  in one call of it — the campaign and soak chunk tasks use this to
-  draw, set up and evaluate a whole batch of chunks at once — so
-  *evaluation* follows the dispatch batch.  Checkpoint records, cache
-  entries, retries and progress stay per task: each task gets its own
-  value and ``events_processed`` and an equal share of the group's
-  wall time.  If the batch call raises, the group reruns task by task,
-  so a failure is still charged to the task that caused it.  The
-  serial path groups consecutive batch-capable misses with the same
-  :class:`DispatchSizer`; tasks without a batch form run one by one.
-* Inside each worker a process-wide LRU (:mod:`repro.exec.worker`)
+  tasks of such a function in one batch then run as one group in one
+  call of it — the campaign and soak chunk tasks use this to draw, set
+  up and evaluate a whole batch of chunks at once — so *evaluation*
+  follows the dispatch batch.  Checkpoint records, cache entries,
+  retries and progress stay per task: each task gets its own value and
+  ``events_processed`` and an equal share of the group's wall time.
+  If the batch call raises, the group reruns task by task, so a
+  failure is still charged to the task that caused it.
+* Inside each process a process-wide LRU (:mod:`repro.exec.worker`)
   keyed on content hashes caches resolved task functions, variability
   models, compiled stage/edge arrays, and campaign trajectories across
   tasks in a batch and across batches.  A warm hit can only skip
   redundant construction of a deterministic artefact, never change a
   result — pinned by the batched-vs-serial byte-identity properties.
-* ``task_timeout_s`` (``None`` = unlimited) budgets each *attempt* from
-  the moment its batch is dispatched to a worker — queue wait is never
-  charged, so tasks late in submission order cannot spuriously time out
-  on a busy pool.  A batch of ``n`` tasks gets ``n`` budgets; retries
-  are re-dispatched to the pool (with the existing seeded exponential
-  backoff) so the other workers keep draining the sweep, and the serial
-  in-parent path remains only as the fallback when no pool is
-  available.  After ``retries`` additional attempts the run fails with
-  :class:`~repro.errors.ExecutionError`.
+* One retry policy: a failed attempt is retried — re-dispatched through
+  the same loop after its seeded exponential backoff, so other batches
+  keep draining the sweep meanwhile — until ``retries`` additional
+  attempts have failed, and then the run fails with
+  :class:`~repro.errors.ExecutionError`.  Attempt numbers carry over
+  every hand-off (crash isolation, the move to in-parent execution).
+* ``task_timeout_s`` (``None`` = unlimited) budgets each pool *attempt*
+  from the moment its batch is dispatched to a worker — queue wait is
+  never charged, so tasks late in submission order cannot spuriously
+  time out on a busy pool.  A batch of ``n`` tasks gets ``n`` budgets.
+  In-parent batches have no deadline.
 * A worker *crash* (the pool reports ``BrokenProcessPool``) is handled
   separately from an ordinary exception: every task in flight is a
   suspect, and each suspect is re-run alone in a fresh single-worker
@@ -342,11 +347,6 @@ def _call(func: TaskFunction, task: SweepTask) -> dict:
     return _entry(raw, time.perf_counter() - started)
 
 
-def _run_payload(task: SweepTask) -> dict:
-    """Execute one task and package its result entry (no error guard)."""
-    return _call(_resolve_warm(task), task)
-
-
 def _run_group(tasks: typing.Sequence[SweepTask]) -> list[dict]:
     """Result entries for consecutive tasks of one experiment.
 
@@ -394,66 +394,60 @@ def _run_group(tasks: typing.Sequence[SweepTask]) -> list[dict]:
 
 def _has_batch_form(task: SweepTask) -> bool:
     """Whether ``task``'s function has a ``batch`` form (False if it
-    does not even resolve: the per-task path reports that error)."""
+    does not even resolve: running the task reports that error)."""
     try:
         return hasattr(task.resolve(), "batch")
-    except Exception:  # noqa: BLE001 — surfaced by the per-task path
+    except Exception:  # noqa: BLE001 — surfaced when the task runs
         return False
 
 
-def execute_task(payload: dict) -> dict:
-    """Run one task (worker entry point; must stay module-level).
+def _run_batch(tasks: typing.Sequence[SweepTask]) -> dict:
+    """Run a batch of tasks in this process: what both executors return.
 
-    Takes and returns plain dicts plus the (picklable) result value so
-    the process-pool boundary stays simple.  Ships the task's metric
-    deltas, spans, and warm-cache stats alongside the value; the parent
-    merges metric deltas only for genuine workers (pid check).
+    Consecutive tasks of one experiment run as a group
+    (:func:`_run_group`), through their function's batch form when it
+    has one.  Per-task failures are captured as ``{"ok": False,
+    "error": ...}`` entries rather than raised, so one bad task cannot
+    take down its batch-mates; the dispatcher applies the retry policy
+    per task.  Warm-cache stats ship once for the whole batch.
     """
-    task = SweepTask(**payload)
-    token = obs.begin_capture()
     warm_before = WARM.counters()
-    entry = _run_payload(task)
-    result = {
-        "value": entry["value"],
-        "wall_time_s": entry["wall_time_s"],
-        "events_processed": entry["events_processed"],
+    results: list[dict] = []
+    for _, group in itertools.groupby(tasks,
+                                      key=lambda task: task.experiment):
+        results.extend(_run_group(list(group)))
+    return {
         "worker_pid": os.getpid(),
+        "results": results,
         "warm": WARM.stats_delta(warm_before),
     }
-    if token is not None:
-        result["obs"], result["obs_spans"] = obs.end_capture(token)
-    return result
 
 
 def execute_batch(payloads: list[dict]) -> dict:
     """Run a batch of tasks in one pool round-trip (worker entry point).
 
-    Consecutive tasks of one experiment run as a group
-    (:func:`_run_group`), through their function's batch form when it
-    has one.  Per-task failures are captured as ``{"ok": False,
-    "error": repr}`` entries rather than raised, so one bad task cannot
-    take down its batch-mates; the parent applies the retry policy per
-    task.  Metric deltas, spans, and warm-cache stats ship once for the
-    whole batch.
+    :func:`_run_batch` over the payloads, with each error rendered by
+    ``repr`` (exception types may not pickle) and the batch's metric
+    deltas and spans captured for the parent to merge.
     """
     token = obs.begin_capture()
-    warm_before = WARM.counters()
-    tasks = [SweepTask(**payload) for payload in payloads]
-    results: list[dict] = []
-    for _, group in itertools.groupby(tasks,
-                                      key=lambda task: task.experiment):
-        results.extend(
-            entry if entry["ok"] else {"ok": False,
-                                       "error": repr(entry["error"])}
-            for entry in _run_group(list(group)))
-    out = {
-        "worker_pid": os.getpid(),
-        "results": results,
-        "warm": WARM.stats_delta(warm_before),
-    }
+    out = _run_batch([SweepTask(**payload) for payload in payloads])
+    for entry in out["results"]:
+        if not entry["ok"]:
+            entry["error"] = repr(entry["error"])
     if token is not None:
         out["obs"], out["obs_spans"] = obs.end_capture(token)
     return out
+
+
+def _run_inline(tasks: typing.Sequence[SweepTask]
+                ) -> concurrent.futures.Future:
+    """The in-parent executor: :func:`_run_batch` now, as a resolved
+    future.  Metrics and spans land in the live registry directly, and
+    errors keep their exception objects (and tracebacks)."""
+    future: concurrent.futures.Future = concurrent.futures.Future()
+    future.set_result(_run_batch(tasks))
+    return future
 
 
 class DispatchSizer:
@@ -509,26 +503,36 @@ class _Flight:
     deadline: float | None
 
 
-def _shutdown_pool(pool) -> None:
+def _task_error(entry: dict) -> BaseException:
+    """A failed result entry's error as an exception (worker errors
+    arrive as their ``repr``)."""
+    error = entry["error"]
+    return error if isinstance(error, BaseException) \
+        else RemoteTaskError(error)
+
+
+def _shutdown_pool(pool, *, wait: bool = False) -> None:
     """Best-effort executor shutdown (finalizer-safe, never raises)."""
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=wait, cancel_futures=True)
     except Exception:  # pragma: no cover - interpreter-teardown races
         pass
 
 
 class _Dispatcher:
-    """One ``_run_pool`` invocation's streaming dispatch state machine.
+    """One run's streaming dispatch loop, for the pool and in-parent.
 
-    Keeps at most ``workers`` batches in flight so a submitted batch is
-    picked up immediately — which is what lets per-attempt deadlines
-    start at dispatch time without charging queue wait.  Completions
-    are consumed in completion order (``concurrent.futures.wait``);
-    failed tasks re-enter the queue as retry batches after their seeded
-    backoff elapses, and timed-out batches are abandoned to the
-    *ghosts* set: their worker still counts as busy until the future
-    resolves, and a late success is adopted if the task has not been
-    recorded by a retry in the meantime.
+    Keeps at most one batch per free slot in flight — ``workers`` slots
+    on the pool, one in-parent — so a submitted batch is picked up
+    immediately, which is what lets per-attempt deadlines start at
+    dispatch time without charging queue wait.  Completions are
+    consumed in completion order (``concurrent.futures.wait``); failed
+    tasks re-enter the queue after their seeded backoff elapses, and
+    timed-out batches are abandoned to the *ghosts* set: their worker
+    still counts as busy until the future resolves, and a late success
+    is adopted if the task has not been recorded by a retry in the
+    meantime.  Retries, backoff, drain, recording and sizing live here
+    alone.
     """
 
     def __init__(self, runner: "SweepRunner",
@@ -543,6 +547,7 @@ class _Dispatcher:
         self.recorded: set[int] = set()
         self._seq = itertools.count()
         self._suspects: list[tuple[SweepTask, int]] = []
+        self._batchable: dict[str, bool] = {}
 
     def run(self, tasks: typing.Sequence[SweepTask]) -> None:
         self.pending.extend((task, 1) for task in tasks)
@@ -578,12 +583,15 @@ class _Dispatcher:
         self.pending.extendleft(reversed(due))
 
     def _free_slots(self) -> int:
+        if self.runner._pool is None:
+            return 1 - len(self.in_flight)
         ghosts_busy = sum(1 for future in self.ghosts
                           if not future.done())
         return self.runner.workers - len(self.in_flight) - ghosts_busy
 
     def _fill(self, now: float) -> bool:
-        """Dispatch batches onto free workers; True if the pool broke."""
+        """Dispatch batches onto free slots; True if the pool broke."""
+        pool = self.runner._pool
         free = self._free_slots()
         while self.pending and free > 0:
             # Split what's left across the free workers, capped by the
@@ -592,29 +600,54 @@ class _Dispatcher:
             limit = max(1, min(
                 self.runner._sizer.size(),
                 math.ceil(len(self.pending) / free)))
-            batch: list[tuple[SweepTask, int]] = []
-            while self.pending and len(batch) < limit:
-                task, attempt = self.pending.popleft()
-                if task.index not in self.recorded:
-                    batch.append((task, attempt))
+            batch = self._take(limit, inline=pool is None)
             if not batch:
                 continue
-            payloads = [_task_payload(task) for task, _ in batch]
-            try:
-                future = self.runner._pool.submit(execute_batch, payloads)
-            except (BrokenProcessPool, RuntimeError):
-                # Never dispatched — requeue untouched (not suspects,
-                # no attempt charged) and let the recovery path rebuild
-                # the pool.
-                self.pending.extendleft(reversed(batch))
-                return True
             deadline = None
-            if self.runner.task_timeout_s is not None:
-                deadline = (time.monotonic()
-                            + self.runner.task_timeout_s * len(batch))
+            if pool is None:
+                future = _run_inline([task for task, _ in batch])
+            else:
+                payloads = [_task_payload(task) for task, _ in batch]
+                try:
+                    future = pool.submit(execute_batch, payloads)
+                except (BrokenProcessPool, RuntimeError):
+                    # Never dispatched — requeue untouched (not
+                    # suspects, no attempt charged) and let the
+                    # recovery path rebuild the pool.
+                    self.pending.extendleft(reversed(batch))
+                    return True
+                if self.runner.task_timeout_s is not None:
+                    deadline = (time.monotonic()
+                                + self.runner.task_timeout_s * len(batch))
             self.in_flight[future] = _Flight(batch, deadline)
             free -= 1
         return False
+
+    def _take(self, limit: int, *,
+              inline: bool) -> list[tuple[SweepTask, int]]:
+        """Pop the next batch: at most ``limit`` unrecorded tasks.
+
+        An in-parent batch is one batch-form group of a single
+        experiment, or else a single task.
+        """
+        batch: list[tuple[SweepTask, int]] = []
+        while self.pending and len(batch) < limit:
+            task, attempt = self.pending[0]
+            if inline and batch and not self._groups_with(batch[0][0],
+                                                          task):
+                break
+            self.pending.popleft()
+            if task.index not in self.recorded:
+                batch.append((task, attempt))
+        return batch
+
+    def _groups_with(self, head: SweepTask, task: SweepTask) -> bool:
+        """Whether ``task`` joins ``head``'s in-parent group."""
+        if task.experiment != head.experiment:
+            return False
+        if head.experiment not in self._batchable:
+            self._batchable[head.experiment] = _has_batch_form(head)
+        return self._batchable[head.experiment]
 
     # -- completion --------------------------------------------------------
     def _collect(self) -> bool:
@@ -662,19 +695,11 @@ class _Dispatcher:
         for (task, attempt), entry in zip(flight.batch, raw["results"]):
             if task.index in self.recorded:
                 continue
-            if entry.get("ok"):
-                self.recorded.add(task.index)
-                self.record(TaskOutcome(
-                    task=task, value=entry["value"],
-                    wall_time_s=entry["wall_time_s"],
-                    events_processed=entry["events_processed"],
-                    cached=False, attempts=attempt,
-                    worker_pid=raw["worker_pid"],
-                ))
+            if entry["ok"]:
+                self._record_done(task, attempt, entry, raw["worker_pid"])
                 runner._sizer.observe(entry["wall_time_s"])
             else:
-                self._after_failure(task, attempt,
-                                    RemoteTaskError(entry["error"]))
+                self._after_failure(task, attempt, _task_error(entry))
 
     def _adopt_late(self, future) -> None:
         """A timed-out batch finally resolved; adopt unclaimed results.
@@ -690,19 +715,23 @@ class _Dispatcher:
         raw = future.result()
         self.runner._merge_worker_obs(raw)
         for (task, attempt), entry in zip(flight.batch, raw["results"]):
-            if entry.get("ok") and task.index not in self.recorded:
-                self.recorded.add(task.index)
-                self.record(TaskOutcome(
-                    task=task, value=entry["value"],
-                    wall_time_s=entry["wall_time_s"],
-                    events_processed=entry["events_processed"],
-                    cached=False, attempts=attempt,
-                    worker_pid=raw["worker_pid"],
-                ))
+            if entry["ok"] and task.index not in self.recorded:
+                self._record_done(task, attempt, entry, raw["worker_pid"])
+
+    def _record_done(self, task: SweepTask, attempt: int, entry: dict,
+                     worker_pid: int) -> None:
+        """Record a successful result entry as ``task``'s outcome."""
+        self.recorded.add(task.index)
+        self.record(TaskOutcome(
+            task=task, value=entry["value"],
+            wall_time_s=entry["wall_time_s"],
+            events_processed=entry["events_processed"],
+            cached=False, attempts=attempt, worker_pid=worker_pid,
+        ))
 
     def _after_failure(self, task: SweepTask, attempt: int,
                        error: BaseException) -> None:
-        """Apply the retry policy to one failed attempt."""
+        """The retry policy, applied to one failed attempt."""
         runner = self.runner
         if attempt > runner.retries:
             raise ExecutionError(
@@ -743,7 +772,11 @@ class _Dispatcher:
 
     # -- crash recovery ----------------------------------------------------
     def _recover_from_broken_pool(self) -> None:
-        """Attribute the crash in isolation, rebuild the pool, go on."""
+        """Attribute the crash in isolation, rebuild the pool, go on.
+
+        When no pool can be rebuilt the loop finishes the run
+        in-parent; queued tasks keep their attempt numbers.
+        """
         suspects = list(self._suspects)
         self._suspects.clear()
         for flight in self.in_flight.values():
@@ -752,30 +785,60 @@ class _Dispatcher:
         # Ghost batches died with the pool; their retries are already
         # queued (or their tasks recorded), so just drop the futures.
         self.ghosts.clear()
-        self.runner._reset_pool()
-        for task, _ in suspects:
-            if task.index in self.recorded:
-                continue
-            self.recorded.add(task.index)
-            self.record(self.runner._run_isolated(task))
-        if (self.pending or self.retries) \
-                and self.runner._ensure_pool() is None:
-            self._drain_serial()
+        self.runner.close()
+        for task, attempt in suspects:
+            if task.index not in self.recorded:
+                self._run_isolated(task, attempt)
+        if self.pending or self.retries:
+            self.runner._ensure_pool()
 
-    def _drain_serial(self) -> None:
-        """Final fallback: no pool can be built — finish in-parent."""
-        leftovers = list(self.pending)
-        self.pending.clear()
-        while self.retries:
-            _, _, task, attempt = heapq.heappop(self.retries)
-            leftovers.append((task, attempt))
-        for task, _ in sorted(leftovers, key=lambda item: item[0].index):
-            if self.runner._drain_requested:
-                return
-            if task.index in self.recorded:
-                continue
-            self.recorded.add(task.index)
-            self.record(self.runner._run_serial(task))
+    def _run_isolated(self, task: SweepTask, attempt: int) -> None:
+        """Re-run a crash suspect alone in fresh single-worker pools.
+
+        In isolation a dead worker is definitely this task's doing;
+        after ``poison_after`` such deaths the task is quarantined as
+        *poisoned* rather than retried forever.  Tasks that merely
+        shared a pool (or a batch) with the real crasher succeed here
+        on the first attempt.  An ordinary failure goes to the retry
+        policy with its real attempt number: the shared-pool attempt
+        that sent the task here counts, and so does each isolated one.
+        """
+        runner = self.runner
+        crashes = 0
+        while crashes < runner.poison_after:
+            attempt += 1
+            try:
+                pool = runner._new_pool(1)
+            except (OSError, ValueError, ImportError) as error:
+                # No isolation available; running a crash suspect in
+                # the parent would risk the whole sweep — quarantine.
+                runner.telemetry.record_fallback(error)
+                break
+            with pool:
+                future = pool.submit(execute_batch, [_task_payload(task)])
+                try:
+                    raw = future.result(timeout=runner.task_timeout_s)
+                except BrokenProcessPool as error:
+                    crashes += 1
+                    runner.telemetry.record_crash(task, error)
+                    continue
+                except Exception as error:  # noqa: BLE001 — retry policy
+                    self._after_failure(task, attempt, error)
+                    return
+            runner._merge_worker_obs(raw)
+            runner.telemetry.record_warm(raw.get("warm"))
+            entry = raw["results"][0]
+            if entry["ok"]:
+                self._record_done(task, attempt, entry, raw["worker_pid"])
+            else:
+                self._after_failure(task, attempt, _task_error(entry))
+            return
+        self.recorded.add(task.index)
+        self.record(TaskOutcome(
+            task=task, value=None, wall_time_s=0.0,
+            events_processed=0, cached=False, attempts=attempt,
+            worker_pid=os.getpid(), status="poisoned",
+        ))
 
 
 class SweepRunner:
@@ -872,12 +935,7 @@ class SweepRunner:
         if self._pool is not None:
             return self._pool
         try:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=exec_mp_context(self.mp_start),
-                initializer=_worker_init,
-                initargs=(self.warm_cache_size,),
-            )
+            pool = self._new_pool(self.workers)
         except (OSError, ValueError, ImportError) as error:
             self.telemetry.record_fallback(error)
             return None
@@ -886,18 +944,19 @@ class SweepRunner:
                                                 pool)
         return pool
 
-    def _reset_pool(self) -> None:
-        """Drop the current pool (crashed or being closed)."""
-        if self._pool is None:
-            return
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        _shutdown_pool(self._pool)
-        self._pool = None
+    def _new_pool(self, workers: int
+                  ) -> concurrent.futures.ProcessPoolExecutor:
+        """A fresh pool of ``workers`` on the exec-layer context."""
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=exec_mp_context(self.mp_start),
+            initializer=_worker_init,
+            initargs=(self.warm_cache_size,),
+        )
 
     def close(self, *, wait: bool = False) -> None:
-        """Shut the persistent worker pool down.
+        """Shut the persistent worker pool down (also how a crashed
+        pool is dropped before its rebuild).
 
         ``wait=True`` blocks until the workers exit; the default lets
         them finish their current batch and exit on their own.
@@ -908,10 +967,7 @@ class SweepRunner:
             self._pool_finalizer.detach()
             self._pool_finalizer = None
         pool, self._pool = self._pool, None
-        try:
-            pool.shutdown(wait=wait, cancel_futures=True)
-        except Exception:  # pragma: no cover - teardown races
-            pass
+        _shutdown_pool(pool, wait=wait)
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -972,10 +1028,9 @@ class SweepRunner:
                 if self.workers > 1:
                     # Crash-prone tasks must never execute in the parent
                     # process, so any multi-worker run uses the pool even
-                    # for a single miss.
-                    self._run_pool(misses, record)
-                else:
-                    self._run_local(misses, record)
+                    # for a single miss (in-parent only if none builds).
+                    self._ensure_pool()
+                _Dispatcher(self, record).run(misses)
         finally:
             # Flush even when a task ultimately fails: everything that
             # completed before the failure stays resumable.
@@ -1009,9 +1064,9 @@ class SweepRunner:
     def _merge_worker_obs(raw: dict) -> None:
         """Adopt a genuine worker's metric deltas and span records.
 
-        Serial (in-parent) execution already accumulated into the live
-        registry, so merging again would double-count — the pid check
-        tells the two apart."""
+        In-parent batches already accumulated into the live registry,
+        so merging again would double-count — the pid check tells the
+        two apart."""
         if raw.get("worker_pid") == os.getpid():
             return
         if raw.get("obs"):
@@ -1046,179 +1101,3 @@ class SweepRunner:
             draw = uniform01(mix32(_BACKOFF_SALT, lo, hi, attempt))
             delay *= 1.0 - self.backoff_jitter + 2.0 * self.backoff_jitter * draw
         return delay
-
-    def _run_serial(self, task: SweepTask, *, attempt_offset: int = 0,
-                    max_attempts: int | None = None) -> TaskOutcome:
-        """Run one task in-process, retrying with the seeded backoff."""
-        last_error: BaseException | None = None
-        if max_attempts is None:
-            max_attempts = self.retries + 1
-        for attempt in range(1, max_attempts + 1):
-            warm_before = WARM.counters()
-            try:
-                entry = _run_payload(task)
-            except Exception as error:  # noqa: BLE001 — retried, re-raised
-                last_error = error
-                delay = 0.0
-                if attempt < max_attempts:
-                    delay = self._backoff_delay_s(
-                        task, attempt_offset + attempt)
-                self.telemetry.record_retry(task, error, backoff_s=delay)
-                if delay > 0.0:
-                    time.sleep(delay)
-                continue
-            self.telemetry.record_warm(WARM.stats_delta(warm_before))
-            return TaskOutcome(
-                task=task, value=entry["value"],
-                wall_time_s=entry["wall_time_s"],
-                events_processed=entry["events_processed"], cached=False,
-                attempts=attempt_offset + attempt,
-                worker_pid=os.getpid(),
-            )
-        raise ExecutionError(
-            f"task {task.key} failed after "
-            f"{attempt_offset + max_attempts} attempt(s): {last_error}"
-        ) from last_error
-
-    def _run_local(
-        self,
-        tasks: typing.Sequence[SweepTask],
-        record: typing.Callable[[TaskOutcome], None],
-    ) -> None:
-        """In-process execution that batches like a one-worker pool.
-
-        Consecutive misses whose task function has a batch form are
-        grouped up to the dispatch sizer's batch size and run through
-        :func:`_run_group`, recording each outcome in task order; a task
-        that failed there is retried alone through :meth:`_run_serial`.
-        Tasks without a batch form run one at a time through
-        :meth:`_run_serial`.  A requested drain stops between groups.
-        """
-        batchable: dict[str, bool] = {}
-        position = 0
-        while position < len(tasks) and not self._drain_requested:
-            task = tasks[position]
-            if task.experiment not in batchable:
-                batchable[task.experiment] = _has_batch_form(task)
-            if not batchable[task.experiment]:
-                record(self._run_serial(task))
-                position += 1
-                continue
-            end = position + 1
-            limit = min(len(tasks), position + self._sizer.size())
-            while end < limit and tasks[end].experiment == task.experiment:
-                end += 1
-            group = tasks[position:end]
-            position = end
-            warm_before = WARM.counters()
-            entries = _run_group(group)
-            self.telemetry.record_warm(WARM.stats_delta(warm_before))
-            for member, entry in zip(group, entries):
-                record(self._local_outcome(member, entry))
-
-    def _local_outcome(self, task: SweepTask, entry: dict) -> TaskOutcome:
-        """The outcome of an in-process group entry; failures retry."""
-        if entry["ok"]:
-            self._sizer.observe(entry["wall_time_s"])
-            return TaskOutcome(
-                task=task, value=entry["value"],
-                wall_time_s=entry["wall_time_s"],
-                events_processed=entry["events_processed"], cached=False,
-                attempts=1, worker_pid=os.getpid(),
-            )
-        error = entry["error"]
-        delay = self._backoff_delay_s(task, 1) if self.retries else 0.0
-        self.telemetry.record_retry(task, error, backoff_s=delay)
-        if not self.retries:
-            raise ExecutionError(
-                f"task {task.key} failed after 1 attempt(s): {error}"
-            ) from error
-        if delay > 0.0:
-            time.sleep(delay)
-        return self._run_serial(task, attempt_offset=1,
-                                max_attempts=self.retries)
-
-    def _run_pool(
-        self,
-        tasks: list[SweepTask],
-        record: typing.Callable[[TaskOutcome], None],
-    ) -> None:
-        """Dispatch ``tasks`` over the warm pool in adaptive batches,
-        recording each outcome as its batch completes."""
-        if self._ensure_pool() is None:
-            self._run_local(tasks, record)
-            return
-        _Dispatcher(self, record).run(tasks)
-
-    def _run_isolated(self, task: SweepTask) -> TaskOutcome:
-        """Re-run a crash suspect alone in fresh single-worker pools.
-
-        In isolation a dead worker is definitely this task's doing;
-        after ``poison_after`` such deaths the task is quarantined as
-        *poisoned* rather than retried forever.  Tasks that merely
-        shared a pool (or a batch) with the real crasher succeed here
-        on the first attempt.
-        """
-        payload = _task_payload(task)
-        crashes = 0
-        attempt = 1  # the shared-pool attempt that sent us here
-        while crashes < self.poison_after:
-            attempt += 1
-            try:
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=1,
-                    mp_context=exec_mp_context(self.mp_start),
-                    initializer=_worker_init,
-                    initargs=(self.warm_cache_size,),
-                )
-            except (OSError, ValueError, ImportError) as error:
-                # No isolation available; running a crash suspect in
-                # the parent would risk the whole sweep — quarantine.
-                self.telemetry.record_fallback(error)
-                break
-            with pool:
-                future = pool.submit(execute_task, payload)
-                try:
-                    raw = future.result(timeout=self.task_timeout_s)
-                except BrokenProcessPool as error:
-                    crashes += 1
-                    self.telemetry.record_crash(task, error)
-                    if crashes >= self.poison_after:
-                        break
-                    delay = self._backoff_delay_s(task, attempt)
-                    self.telemetry.record_retry(task, error,
-                                                backoff_s=delay)
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    continue
-                except Exception as error:  # noqa: BLE001 — retry policy
-                    # Ordinary failure once isolated: hand the task to
-                    # the normal in-parent retry loop (it did not kill
-                    # this worker, so the parent is safe).
-                    delay = (self._backoff_delay_s(task, attempt)
-                             if self.retries >= 1 else 0.0)
-                    self.telemetry.record_retry(task, error,
-                                                backoff_s=delay)
-                    if self.retries < 1:
-                        raise ExecutionError(
-                            f"task {task.key} failed: {error}"
-                        ) from error
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    return self._run_serial(
-                        task, attempt_offset=attempt,
-                        max_attempts=self.retries)
-                self._merge_worker_obs(raw)
-                self.telemetry.record_warm(raw.get("warm"))
-                return TaskOutcome(
-                    task=task, value=raw["value"],
-                    wall_time_s=raw["wall_time_s"],
-                    events_processed=raw["events_processed"],
-                    cached=False, attempts=attempt,
-                    worker_pid=raw["worker_pid"],
-                )
-        return TaskOutcome(
-            task=task, value=None, wall_time_s=0.0,
-            events_processed=0, cached=False, attempts=attempt,
-            worker_pid=os.getpid(), status="poisoned",
-        )

@@ -58,7 +58,7 @@ _OBS_TASK_SECONDS = obs.REGISTRY.histogram(
              30.0, 60.0)).labels()
 _OBS_BATCHES = obs.REGISTRY.counter(
     "repro_exec_batches_total",
-    "Task batches dispatched to pool workers").labels()
+    "Task batches dispatched, to pool workers or in-parent").labels()
 _OBS_BATCH_TASKS = obs.REGISTRY.histogram(
     "repro_exec_batch_tasks",
     "Tasks per dispatched batch",

@@ -123,7 +123,8 @@ class TestParallelExecution:
         assert parallel == serial
 
     def test_pool_retry_after_worker_failure(self, tmp_path):
-        # First (pool) attempt fails; the in-parent serial retry wins.
+        # First (pool) attempt fails; the retry, resubmitted to the
+        # pool, wins.
         tasks = [
             SweepTask(
                 experiment=FLAKY,
