@@ -26,6 +26,7 @@ from repro.campaign.engine import (
 )
 from repro.campaign.faults import (
     FAULT_KINDS,
+    FaultColumns,
     FaultOverlay,
     FaultSpec,
     draw_spec,
@@ -66,6 +67,7 @@ __all__ = [
     "fault_runner",
     "run_campaign",
     "FAULT_KINDS",
+    "FaultColumns",
     "FaultOverlay",
     "FaultSpec",
     "draw_spec",

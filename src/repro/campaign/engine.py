@@ -40,7 +40,12 @@ of the whole prefix from cycle 0 — O(window) per fault instead of
 O(num_cycles).  One evaluator serves both cycle-level targets: it
 batches every lane it can prove equivalent through the lane machine
 (:mod:`repro.kernels.fault_batch`) and replays the rest one fork at a
-time.  The full-run evaluators live in :mod:`repro.campaign.reference`
+time.  Faults travel that path as columns: a chunk is drawn as one
+:class:`~repro.campaign.faults.FaultColumns` block, planned and run as
+arrays, and folded into outcome columns; :class:`FaultSpec` records
+are built only for forked replays and the netlist target, and each
+:class:`~repro.campaign.outcomes.FaultOutcome` once, from the folded
+columns.  The full-run evaluators live in :mod:`repro.campaign.reference`
 as the executable spec both paths are pinned against (hypothesis
 properties and a golden campaign capture); no runtime path imports
 them.  The netlist target has no cycle-level carried-state snapshot
@@ -50,27 +55,32 @@ fault anyway).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import time
 import typing
 
+import numpy as np
+
 from repro import obs
 from repro.baselines.architectures import architecture_by_key
 from repro.campaign.faults import (
     FAULT_KINDS,
+    FaultColumns,
     FaultOverlay,
     FaultSpec,
     check_population,
     iter_population,
+    population_columns,
 )
 from repro.campaign.trajectory import (
     build_trajectory,
-    fork_window_groups,
     trajectory_for,
     trajectory_rows_for,
 )
 from repro.campaign.outcomes import (
+    SEVERITY_LADDER,
     CaptureEvent,
     FaultOutcome,
     outcome_from_events,
@@ -207,6 +217,18 @@ class CampaignConfig:
         allowed = tuple(k for k in self.kinds if k in _NETLIST_KINDS)
         return allowed or _NETLIST_KINDS
 
+    def _population_args(self) -> dict:
+        return dict(sites=self.sites(), num_cycles=self.num_cycles,
+                    seed=self.seed, kinds=self.effective_kinds(),
+                    magnitude_range_ps=self.magnitude_range_ps)
+
+    def _check_stop(self, stop: int | None) -> int:
+        stop = self.num_faults if stop is None else stop
+        if stop > self.num_faults:
+            raise ConfigurationError(
+                f"stop {stop} past population end {self.num_faults}")
+        return stop
+
     def iter_population(self, start: int = 0,
                         stop: int | None = None
                         ) -> typing.Iterator[FaultSpec]:
@@ -214,19 +236,16 @@ class CampaignConfig:
         slice is byte-identical to the same range of the full
         population, and workers never materialize more than their own
         chunk."""
-        stop = self.num_faults if stop is None else stop
-        if stop > self.num_faults:
-            raise ConfigurationError(
-                f"stop {stop} past population end {self.num_faults}")
-        return iter_population(
-            num_faults=stop,
-            sites=self.sites(),
-            num_cycles=self.num_cycles,
-            seed=self.seed,
-            kinds=self.effective_kinds(),
-            magnitude_range_ps=self.magnitude_range_ps,
-            start=start,
-        )
+        return iter_population(num_faults=self._check_stop(stop),
+                               start=start, **self._population_args())
+
+    def fault_columns(self, start: int = 0,
+                      stop: int | None = None) -> FaultColumns:
+        """Faults ``[start, stop)`` as one column block — the same
+        faults :meth:`iter_population` streams, drawn as arrays for the
+        batched evaluator."""
+        return population_columns(num_faults=self._check_stop(stop),
+                                  start=start, **self._population_args())
 
     def population(self) -> list[FaultSpec]:
         return list(self.iter_population())
@@ -456,26 +475,25 @@ class ChunkResult(tuple):
         return result
 
 
-def _finish_chunk(
-        config: CampaignConfig,
-        results: "typing.Sequence[tuple[FaultOutcome, int]]",
-        started: float,
-) -> ChunkResult:
+def _finish_chunk(config: CampaignConfig, outcomes: list[FaultOutcome],
+                  units: list[int], started: float) -> ChunkResult:
     """Per-fault obs for one classified chunk; its :class:`ChunkResult`.
 
     The chunk shares one wall clock, so the per-fault latency is the
-    amortized share; the outcome counter increments once per fault.
+    amortized share; the outcome counter gets one increment per class
+    and the latency histogram one bulk observe.
     """
-    if obs.REGISTRY.enabled and results:
-        elapsed = (time.perf_counter() - started) / len(results)
-        for outcome, _ in results:
-            _OBS_FAULT_SECONDS.observe(elapsed)
+    if obs.REGISTRY.enabled and outcomes:
+        elapsed = (time.perf_counter() - started) / len(outcomes)
+        _OBS_FAULT_SECONDS.observe_many(np.full(len(outcomes), elapsed))
+        tally = collections.Counter(
+            outcome.classification for outcome in outcomes)
+        for classification, count in tally.items():
             _OBS_OUTCOMES.labels(
                 target=config.target, scheme=config.scheme,
-                classification=outcome.classification,
-            ).inc()
-    return ChunkResult([outcome for outcome, _ in results],
-                       [units for _, units in results])
+                classification=classification,
+            ).inc(count)
+    return ChunkResult(outcomes, units)
 
 
 class _NetlistEvaluator:
@@ -488,9 +506,11 @@ class _NetlistEvaluator:
             self, specs: typing.Sequence[FaultSpec]) -> ChunkResult:
         """Classify ``specs``; outcomes in population order + work."""
         started = time.perf_counter()
-        return _finish_chunk(self.config, [
-            full_run_netlist_fault(self.config, spec) for spec in specs],
-            started)
+        results = [full_run_netlist_fault(self.config, spec)
+                   for spec in specs]
+        return _finish_chunk(self.config,
+                             [outcome for outcome, _ in results],
+                             [units for _, units in results], started)
 
 
 class _CycleEvaluator:
@@ -499,25 +519,27 @@ class _CycleEvaluator:
     One long-lived simulation forks every fault from the shared
     fault-free background trajectory, and :meth:`evaluate_chunk` — the
     production entry point — runs every lane it can prove equivalent
-    to a fork as one numpy batch.  Faults sharing a fork snapshot are
-    near-identical perturbations of one background, so faults are
-    grouped by snapshot (:func:`fork_window_groups`), *eligibility* is
-    decided per group (idle fork state, state-free prefix), and every
-    lane that qualifies — across all of a chunk's groups — runs in one
-    call of the lane machine (:mod:`repro.kernels.fault_batch`):
+    to a fork as one numpy batch.  A chunk is planned as columns: each
+    fault's fork snapshot, window end and *eligibility* (idle fork
+    snapshot, state-free prefix, window within the lane cap) are array
+    expressions over its :class:`~repro.campaign.faults.FaultColumns`,
+    and every lane that qualifies runs in as few calls of the lane
+    machine (:mod:`repro.kernels.fault_batch`) as the batch cap allows:
     per-lane disturbance deltas on the shared background rows, a
-    vectorized borrow/select/relay machine, per-lane folds feeding
-    :class:`FaultOutcome` directly.  Lanes carry absolute cycle indices
-    into the one background, so merging groups changes arithmetic
-    batch shape only, never lane semantics.  The semantic counters the
-    forked prefixes would have bumped come from the machine's prefix
-    table, one vectorized sum per chunk.
+    vectorized borrow/select/relay machine, per-lane folds returned as
+    outcome columns.  Lanes carry absolute cycle indices into the one
+    background, so batch composition changes arithmetic shape only,
+    never lane semantics.  The semantic counters the forked prefixes
+    would have bumped come from the machine's prefix table, one
+    vectorized sum per chunk.
 
     Everything else — a lane whose prefix carries state or whose window
     is oversized, and every lane when there is no machine (scalar
     kernels leave the background rows ``None``; logical masking and
     soft-edge have no array semantics) — goes through :meth:`replay`,
-    the per-fault fork the batch is pinned against.
+    the per-fault fork the batch is pinned against, and the only place
+    a :class:`FaultSpec` is built.  Outcomes become
+    :class:`FaultOutcome` records once, from the chunk's columns.
     ``lanes_batched``/``lanes_replayed`` mirror the obs lane counters
     for in-process callers.
     """
@@ -568,19 +590,6 @@ class _CycleEvaluator:
                                  else self.sim.graph.num_ffs)
         self.lanes_batched = 0
         self.lanes_replayed = 0
-        #: (kind, site, span) -> machine column tuple.  The affected
-        #: sites are a pure function of those three spec fields (plus
-        #: the fixed site list), and populations draw from a handful of
-        #: combinations — memoizing skips the per-lane name lookups.
-        self._lane_cols: dict = {}
-
-    def _lane_columns(self, spec: FaultSpec) -> "tuple[int, ...]":
-        key = (spec.kind, spec.site, spec.span)
-        cols = self._lane_cols.get(key)
-        if cols is None:
-            cols = self._lane_cols[key] = self.machine.lane_columns(
-                spec.sites_affected(self.sites))
-        return cols
 
     def replay(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
         """Evaluate one fault by forking the background simulation.
@@ -613,111 +622,112 @@ class _CycleEvaluator:
             self, specs: typing.Sequence[FaultSpec]) -> ChunkResult:
         """Classify ``specs``; outcomes in population order + work.
 
-        Eligibility is judged per fork-window group, but all eligible
-        lanes merge into as few :meth:`evaluate` calls on the lane
-        machine as :data:`~repro.kernels.fault_batch.MAX_BATCH_LANES`
-        allows: group identity affects only which lanes qualify, never
-        what a lane computes, and big batches amortize the per-call
-        setup.  Replays run in ascending snapshot order so restores
-        stay cache-warm; results scatter back to population positions.
+        ``specs`` is a :class:`~repro.campaign.faults.FaultColumns`
+        block or any sequence of :class:`FaultSpec` (turned into one).
+        Eligible lanes, in population order, go through the lane
+        machine :data:`~repro.kernels.fault_batch.MAX_BATCH_LANES` at
+        a time: a lane's fork snapshot decides only whether it
+        qualifies, never what it computes, and big batches amortize
+        the per-call setup.  Replays run in ascending snapshot order so
+        restores stay cache-warm.  Both fill the same outcome columns.
         """
         started = time.perf_counter()
-        machine = self.machine
-        results: list[tuple[FaultOutcome, int] | None] = (
-            [None] * len(specs))
-        lanes: list = []
-        lane_meta: list[tuple[int, int, int]] = []
-        replay: list[int] = []
-        for group in fork_window_groups(
-                self.trajectory, [spec.cycle for spec in specs]):
-            self._plan_group(specs, group, lanes, lane_meta, replay)
-        if lanes:
-            size = self._fault_batch.MAX_BATCH_LANES
-            lane_outcomes = []
-            for first in range(0, len(lanes), size):
-                lane_outcomes.extend(machine.evaluate(
-                    lanes[first:first + size], self.rows))
-            obs_on = obs.REGISTRY.enabled
-            if obs_on:
-                machine.add_prefix_counters(
-                    [start for _, start, _ in lane_meta],
-                    [lane.cycle for lane in lanes])
-            for (index, start, end), lane_outcome in zip(lane_meta,
-                                                         lane_outcomes):
-                spec = specs[index]
-                if obs_on:
-                    _OBS_PREFIX_SAVED.inc(start)
-                    _OBS_FORK_WINDOW.observe(end + 1 - start)
-                outcome = FaultOutcome(
-                    fault_id=spec.fault_id,
-                    kind=spec.kind,
-                    site=spec.site,
-                    cycle=spec.cycle,
-                    magnitude_ps=spec.magnitude_ps,
-                    classification=lane_outcome.classification,
-                    events=lane_outcome.events,
-                    worst_lateness_ps=lane_outcome.worst_lateness_ps,
-                    max_borrowed_intervals=(
-                        lane_outcome.max_borrowed_intervals),
-                )
-                results[index] = (
-                    outcome, (end + 1 - start) * self._units_per_cycle)
-            self.lanes_batched += len(lanes)
-        if replay:
-            if machine is not None:
-                machine.note_replayed(len(replay))
-            self.lanes_replayed += len(replay)
-            for index in replay:
-                results[index] = self.replay(specs[index])
-        return _finish_chunk(
-            self.config,
-            typing.cast("list[tuple[FaultOutcome, int]]", results),
-            started)
+        faults = FaultColumns.from_specs(specs, self.sites)
+        config = self.config
+        cycle = faults.cycle
+        snapshot = self.trajectory.fork_indices(cycle)
+        start = snapshot * self.trajectory.stride
+        end = np.minimum(config.num_cycles - 1,
+                         faults.last_cycle + config.relay_horizon)
+        # Outcome columns: class (a SEVERITY_LADDER index), events,
+        # worst lateness, max borrowed intervals; then work units.
+        folded = np.zeros((4, len(faults)), dtype=np.int64)
+        units = (end + 1 - start) * self._units_per_cycle
+        batch = self._batchable(snapshot, start, cycle, end)
+        lanes = np.flatnonzero(batch)
+        if lanes.size:
+            self._run_lanes(faults, lanes, end, folded)
+            if obs.REGISTRY.enabled:
+                self.machine.add_prefix_counters(start[lanes],
+                                                 cycle[lanes])
+                _OBS_PREFIX_SAVED.inc(int(start[lanes].sum()))
+                _OBS_FORK_WINDOW.observe_many(
+                    end[lanes] + 1 - start[lanes])
+            self.lanes_batched += lanes.size
+        replay = np.flatnonzero(~batch)
+        if replay.size:
+            if self.machine is not None:
+                self.machine.note_replayed(replay.size)
+            self.lanes_replayed += replay.size
+            replay = replay[np.argsort(snapshot[replay], kind="stable")]
+            for index in replay.tolist():
+                outcome, units[index] = self.replay(faults[index])
+                folded[:, index] = (
+                    SEVERITY_LADDER.index(outcome.classification),
+                    outcome.events, outcome.worst_lateness_ps,
+                    outcome.max_borrowed_intervals)
+        return _finish_chunk(config, _outcomes(faults, folded),
+                             units.tolist(), started)
 
-    def _plan_group(self, specs: typing.Sequence[FaultSpec],
-                    group: typing.Sequence[int], lanes: list,
-                    lane_meta: "list[tuple[int, int, int]]",
-                    replay: "list[int]") -> None:
-        """Sort one shared-fork-window group into lanes vs. replays.
+    def _batchable(self, snapshot: np.ndarray, start: np.ndarray,
+                   cycle: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Which faults the lane machine provably evaluates like a fork.
 
-        The group forks from one snapshot.  A lane is provably
-        equivalent to its forked replay when that snapshot is idle and
-        no background cycle in ``[fork start, injection cycle)`` leaves
-        borrow or relay state (the machine's prefix table): the fork
-        then enters the window idle.  The prefix may still capture
-        non-clean outcomes — canary predictions — outside the fault's
-        observer window; their counter increments come from the
-        table.  State *inside* the window is fine: the machine models
-        the real rows and those events belong to the outcome on every
-        path.
+        A lane is equivalent to its forked replay when its fork
+        snapshot is idle and no background cycle in ``[fork start,
+        injection cycle)`` leaves borrow or relay state (the machine's
+        prefix table): the fork then enters the window idle.  The
+        prefix may still capture non-clean outcomes — canary
+        predictions — outside the fault's observer window; their
+        counter increments come from the table.  State *inside* the
+        window is fine: the machine models the real rows and those
+        events belong to the outcome on every path.  The window must
+        also fit :data:`~repro.kernels.fault_batch.MAX_LANE_WINDOW`.
         """
         machine = self.machine
         if machine is None:
-            replay.extend(group)
-            return
+            return np.zeros(len(cycle), dtype=bool)
+        used, which = np.unique(snapshot, return_inverse=True)
+        idle = np.array([
+            machine.state_is_idle(self.trajectory.snapshots[index])
+            for index in used.tolist()], dtype=bool)
+        return (idle[which.reshape(-1)]
+                & machine.state_free(start, cycle)
+                & (end + 1 - cycle <= self._fault_batch.MAX_LANE_WINDOW))
+
+    def _run_lanes(self, faults: FaultColumns, lanes: np.ndarray,
+                   end: np.ndarray, folded: np.ndarray) -> None:
+        """Evaluate faults ``lanes`` on the machine into ``folded``."""
         fault_batch = self._fault_batch
-        start, state = self.trajectory.fork_point(specs[group[0]].cycle)
-        if not machine.state_is_idle(state):
-            replay.extend(group)
-            return
-        state_free_until = machine.state_free_until(
-            start, max(specs[index].cycle for index in group))
-        for index in group:
-            spec = specs[index]
-            end = _window_end(self.config, spec)
-            steps = end + 1 - spec.cycle
-            if (spec.cycle <= state_free_until
-                    and steps <= fault_batch.MAX_LANE_WINDOW):
-                lane_meta.append((index, start, end))
-                lanes.append(fault_batch.Lane(
-                    cycle=spec.cycle,
-                    steps=steps,
-                    duration=spec.duration_cycles,
-                    magnitude_ps=spec.magnitude_ps,
-                    cols=self._lane_columns(spec),
-                ))
-            else:
-                replay.append(index)
+        cycle = faults.cycle[lanes]
+        block = fault_batch.LaneBlock(
+            cycle=cycle,
+            steps=end[lanes] + 1 - cycle,
+            duration=faults.duration_cycles[lanes],
+            magnitude_ps=faults.magnitude_ps[lanes],
+            mask=self.machine.lane_mask(faults.sites,
+                                        faults.site_mask()[lanes]))
+        size = fault_batch.MAX_BATCH_LANES
+        for first in range(0, len(block), size):
+            folded[:, lanes[first:first + size]] = self.machine.evaluate(
+                block[first:first + size], self.rows)
+
+
+def _outcomes(faults: FaultColumns,
+              folded: np.ndarray) -> list[FaultOutcome]:
+    """One :class:`FaultOutcome` per fault, from the chunk's columns
+    (plain ``int``/``str`` fields)."""
+    sites = faults.sites
+    return [
+        FaultOutcome(fault_id, FAULT_KINDS[kind], sites[site], cycle,
+                     magnitude, SEVERITY_LADDER[classification], events,
+                     worst, intervals)
+        for (fault_id, kind, site, cycle, magnitude, classification,
+             events, worst, intervals) in zip(
+            faults.fault_id.tolist(), faults.kind.tolist(),
+            faults.site.tolist(), faults.cycle.tolist(),
+            faults.magnitude_ps.tolist(), *folded.tolist())
+    ]
 
 
 def fault_runner(
@@ -772,9 +782,10 @@ def campaign_chunks(params_list: typing.Sequence[dict]
     """Batch form of :func:`campaign_chunk_task` (``.batch``).
 
     Consecutive chunks of one configuration parse it once, draw their
-    faults as one contiguous population slice, and classify them all in
-    one ``evaluate_chunk`` of one evaluator; outcomes and work then
-    split back per chunk.  The result equals mapping the task over
+    faults as one column block (:meth:`CampaignConfig.fault_columns`
+    per contiguous span), and classify them all in one
+    ``evaluate_chunk`` of one evaluator; outcomes and work then split
+    back per chunk.  The result equals mapping the task over
     ``params_list``: outcomes are pure in the specs, and the evaluator
     never lets a lane's neighbours change what it computes.
     """
@@ -783,14 +794,13 @@ def campaign_chunks(params_list: typing.Sequence[dict]
                                       key=lambda params: params["config"]):
         run = list(group)
         config = CampaignConfig.from_params(run[0]["config"])
-        specs: list[FaultSpec] = []
-        for start, stop in _population_spans(run):
-            specs.extend(config.iter_population(start, stop))
         runner = fault_runner(config)
         with obs.trace_span("campaign.chunk", target=config.target,
                             scheme=config.scheme, start=run[0]["start"],
                             stop=run[-1]["stop"], chunks=len(run)):
-            result = runner.evaluate_chunk(specs)
+            result = runner.evaluate_chunk(FaultColumns.concat([
+                config.fault_columns(start, stop)
+                for start, stop in _population_spans(run)]))
         payloads.extend(chunk_payloads(
             result, [params["stop"] - params["start"] for params in run]))
     return payloads

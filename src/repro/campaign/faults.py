@@ -7,6 +7,15 @@ depends only on ``(seed, i)``, so slicing the population into chunks for
 the exec layer — or regenerating it inside a worker process — always
 yields the same faults.
 
+Populations are drawn as :class:`FaultColumns` blocks: one int array per
+:class:`FaultSpec` field (kind and site as indices), filled by one
+vector draw (:func:`draw_specs`, bit-identical to the scalar
+:func:`draw_spec`).  The batched campaign path plans and classifies
+whole blocks as arrays; a block is also a sequence of
+:class:`FaultSpec`, materialized one record at a time only where a
+per-fault record is consumed (forked replays, the netlist target,
+:func:`iter_population`'s stream).
+
 Four fault kinds cover the dynamic-error sources the TIMBER paper and
 the fault-campaign literature care about:
 
@@ -27,13 +36,19 @@ scalar replay path.
 from __future__ import annotations
 
 import bisect
+import collections.abc
 import dataclasses
 import typing
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kernels.rng import M32, key_id, mix32, mix32_batch, split64
 
 FAULT_KINDS = ("seu", "delay", "droop", "correlated")
+#: Kind indices (:class:`FaultColumns` stores kinds by position).
+_SEU, _DROOP, _CORRELATED = (FAULT_KINDS.index(kind)
+                             for kind in ("seu", "droop", "correlated"))
 
 #: Domain-separation salt for the population stream.
 _POPULATION_SALT = key_id("campaign-population")
@@ -100,6 +115,92 @@ class FaultSpec:
         return [self.site]
 
 
+#: The per-fault columns of a :class:`FaultColumns` block, in
+#: :class:`FaultSpec` field order.
+_COLUMNS = ("fault_id", "kind", "site", "cycle", "duration_cycles",
+            "magnitude_ps", "span")
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class FaultColumns(collections.abc.Sequence):
+    """A block of faults as columns: one int64 array per
+    :class:`FaultSpec` field.
+
+    ``kind`` holds indices into :data:`FAULT_KINDS` and ``site`` indices
+    into ``sites``; every other column holds the field's value.  The
+    block is also a sequence of :class:`FaultSpec` — indexing or
+    iterating builds the records, with plain ``int``/``str`` fields —
+    and compares equal to any sequence holding the same specs.
+    """
+
+    sites: tuple[str, ...]
+    fault_id: np.ndarray
+    kind: np.ndarray
+    site: np.ndarray
+    cycle: np.ndarray
+    duration_cycles: np.ndarray
+    magnitude_ps: np.ndarray
+    span: np.ndarray
+
+    @classmethod
+    def from_specs(cls, specs: typing.Iterable[FaultSpec],
+                   sites: typing.Sequence[str]) -> "FaultColumns":
+        """The block holding ``specs``, sites indexed into ``sites``."""
+        if isinstance(specs, FaultColumns) and specs.sites == tuple(sites):
+            return specs
+        slot = {name: index for index, name in enumerate(sites)}
+        table = np.array(
+            [(spec.fault_id, FAULT_KINDS.index(spec.kind), slot[spec.site],
+              spec.cycle, spec.duration_cycles, spec.magnitude_ps,
+              spec.span) for spec in specs],
+            dtype=np.int64).reshape(-1, len(_COLUMNS))
+        return cls(tuple(sites), *table.T.copy())
+
+    @classmethod
+    def concat(cls, blocks: typing.Sequence["FaultColumns"]
+               ) -> "FaultColumns":
+        """``blocks`` (one site list) joined in order."""
+        if len(blocks) == 1:
+            return blocks[0]
+        return cls(blocks[0].sites, *(
+            np.concatenate([getattr(block, name) for block in blocks])
+            for name in _COLUMNS))
+
+    @property
+    def last_cycle(self) -> np.ndarray:
+        return self.cycle + self.duration_cycles - 1
+
+    def site_mask(self) -> np.ndarray:
+        """``(faults, sites)`` mask of the sites each fault perturbs —
+        :meth:`FaultSpec.sites_affected`, vectorized."""
+        column = np.arange(len(self.sites))[None, :]
+        first = self.site[:, None]
+        width = np.where(self.kind == _CORRELATED, self.span, 1)[:, None]
+        return ((self.kind == _DROOP)[:, None]
+                | ((column >= first) & (column < first + width)))
+
+    def __len__(self) -> int:
+        return len(self.fault_id)
+
+    def __getitem__(self, index: int) -> FaultSpec:
+        fault_id, kind, site, *rest = (
+            int(getattr(self, name)[index]) for name in _COLUMNS)
+        return FaultSpec(fault_id, FAULT_KINDS[kind], self.sites[site],
+                         *rest)
+
+    def __iter__(self) -> typing.Iterator[FaultSpec]:
+        sites = self.sites
+        for fault_id, kind, site, *rest in zip(
+                *(getattr(self, name).tolist() for name in _COLUMNS)):
+            yield FaultSpec(fault_id, FAULT_KINDS[kind], sites[site], *rest)
+
+    def __eq__(self, other: object) -> bool:
+        if (not isinstance(other, collections.abc.Sequence)
+                or isinstance(other, str)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+
 def _draw(seed_lanes: tuple[int, int], fault_id: int, field: int) -> int:
     lo, hi = seed_lanes
     return mix32(_POPULATION_SALT, lo, hi, fault_id, field)
@@ -113,6 +214,7 @@ def check_population(
     kinds: typing.Sequence[str],
     magnitude_range_ps: tuple[int, int],
     max_duration_cycles: int = 3,
+    max_span: int = 3,
     start: int = 0,
 ) -> int:
     """Validate population arguments; returns the last injection start.
@@ -136,12 +238,46 @@ def check_population(
     lo_ps, hi_ps = magnitude_range_ps
     if not 0 < lo_ps <= hi_ps:
         raise ConfigurationError("bad magnitude range")
+    if max_duration_cycles < 1:
+        raise ConfigurationError(
+            f"max_duration_cycles must be >= 1, got {max_duration_cycles}")
+    if max_span < 2:
+        raise ConfigurationError(
+            f"max_span must be >= 2, got {max_span}")
     last_start = num_cycles - max_duration_cycles
     if last_start < 2:
         raise ConfigurationError(
             f"{num_cycles} cycles leave no room for a "
             f"{max_duration_cycles}-cycle fault window")
     return last_start
+
+
+def population_columns(
+    *,
+    num_faults: int,
+    sites: typing.Sequence[str],
+    num_cycles: int,
+    seed: int,
+    kinds: typing.Sequence[str] = FAULT_KINDS,
+    magnitude_range_ps: tuple[int, int] = (20, 220),
+    max_duration_cycles: int = 3,
+    max_span: int = 3,
+    start: int = 0,
+) -> FaultColumns:
+    """Faults ``[start, num_faults)`` of a deterministic population, as
+    one :class:`FaultColumns` block (see :func:`iter_population`)."""
+    last_start = check_population(
+        num_faults=num_faults, sites=sites, num_cycles=num_cycles,
+        kinds=kinds, magnitude_range_ps=magnitude_range_ps,
+        max_duration_cycles=max_duration_cycles, max_span=max_span,
+        start=start)
+    lo_ps, hi_ps = magnitude_range_ps
+    counters = np.arange(start, num_faults, dtype=np.int64)
+    return draw_specs(
+        split64(seed), counters, counters, sites=sites,
+        kinds=[[FAULT_KINDS.index(kind) for kind in kinds]],
+        lo_ps=lo_ps, hi_ps=hi_ps, last_start=last_start,
+        max_duration_cycles=max_duration_cycles, max_span=max_span)
 
 
 def iter_population(
@@ -164,90 +300,84 @@ def iter_population(
     independent of every other fault and of the order — or the chunking
     — of generation, so a stream starting at ``start`` is byte-identical
     to the same slice of the full population.  Faults are drawn
-    :data:`DRAW_BLOCK` at a time by :func:`draw_specs`, the vector twin
-    of :func:`draw_spec`, so soak-scale populations never sit in memory
-    at once.
+    :data:`DRAW_BLOCK` at a time (:func:`population_columns`), so
+    soak-scale populations never sit in memory at once.
 
     Arguments are validated eagerly (:func:`check_population`; this is
     a plain function returning a generator), so a bad configuration
     raises at call time.
     """
-    last_start = check_population(
-        num_faults=num_faults, sites=sites, num_cycles=num_cycles,
-        kinds=kinds, magnitude_range_ps=magnitude_range_ps,
-        max_duration_cycles=max_duration_cycles, start=start)
-    lo_ps, hi_ps = magnitude_range_ps
-    lanes = split64(seed)
+    args = dict(sites=sites, num_cycles=num_cycles, kinds=kinds,
+                magnitude_range_ps=magnitude_range_ps,
+                max_duration_cycles=max_duration_cycles,
+                max_span=max_span)
+    check_population(num_faults=num_faults, start=start, **args)
 
     def generate() -> typing.Iterator[FaultSpec]:
         for block in range(start, num_faults, DRAW_BLOCK):
-            yield from draw_specs(
-                lanes, block, min(block + DRAW_BLOCK, num_faults),
-                sites=sites, kinds=kinds, lo_ps=lo_ps, hi_ps=hi_ps,
-                last_start=last_start,
-                max_duration_cycles=max_duration_cycles,
-                max_span=max_span)
+            yield from population_columns(
+                num_faults=min(block + DRAW_BLOCK, num_faults),
+                start=block, seed=seed, **args)
 
     return generate()
 
 
 def draw_specs(
-    lanes: tuple[int, int],
-    start: int,
-    stop: int,
+    lanes: tuple[typing.Any, typing.Any],
+    counters: np.ndarray,
+    fault_ids: np.ndarray,
     *,
     sites: typing.Sequence[str],
-    kinds: typing.Sequence[str],
-    lo_ps: int,
-    hi_ps: int,
+    kinds: typing.Any,
+    lo_ps: typing.Any,
+    hi_ps: typing.Any,
     last_start: int,
     max_duration_cycles: int,
     max_span: int,
-    fault_ids: typing.Sequence[int] | None = None,
-) -> list[FaultSpec]:
-    """Draws ``[start, stop)`` at once; equal to a :func:`draw_spec` loop.
+) -> FaultColumns:
+    """Every draw at once; equal to a :func:`draw_spec` loop.
 
-    One :func:`~repro.kernels.rng.mix32_batch` mixes ``(salt, seed
-    lanes, counter)`` for every draw and a second adds the field tag,
-    for all six fields at once (the span draw goes unused where
-    :func:`draw_spec` skips it).  The mixer is integer-only and the
-    field maps are integer ``%`` of non-negative values, so every draw
-    is bit-identical to the scalar one — a counter past ``2**32`` wraps
-    in both, because :func:`~repro.kernels.rng.mix32` masks each lane
-    to 32 bits.  ``fault_ids`` (default: the counters) plays
-    :func:`draw_spec`'s ``fault_id`` for each draw.
+    Draw ``i`` is ``draw_spec(lanes_i, counters[i], kinds=kinds_i,
+    lo_ps=lo_i, hi_ps=hi_i, fault_id=fault_ids[i])``: the two seed
+    ``lanes``, ``lo_ps`` and ``hi_ps`` are ints shared by every draw or
+    per-draw arrays, and ``kinds`` holds :data:`FAULT_KINDS` indices,
+    one row of choices for every draw or one row per draw (a soak
+    stratum's single kind).  :func:`~repro.kernels.rng.mix32_batch`
+    mixes ``(salt, seed lanes, counter)`` for every draw and then the
+    field tag, for all six fields at once (the span draw goes unused
+    where :func:`draw_spec` skips it).  The mixer is integer-only and
+    the field maps are integer ``%`` of non-negative values, so every
+    draw is bit-identical to the scalar one — a counter past ``2**32``
+    wraps in both, because :func:`~repro.kernels.rng.mix32` masks each
+    lane to 32 bits.
     """
-    import numpy as np
-
-    counters = (np.arange(start, stop, dtype=np.int64) & M32).astype(
-        np.uint32)
-    mixed = mix32_batch([counters], state=mix32(_POPULATION_SALT, *lanes))
+    counters = np.asarray(counters, dtype=np.int64)
+    seeded = mix32_batch(list(lanes), state=mix32(_POPULATION_SALT))
+    mixed = mix32_batch([(counters & M32).astype(np.uint32)], state=seeded)
     tags = np.array([_FIELD_KIND, _FIELD_SPAN, _FIELD_SITE,
                      _FIELD_DURATION, _FIELD_CYCLE, _FIELD_MAGNITUDE],
                     dtype=np.uint32)[:, None]
     kind_h, span_h, site_h, duration_h, cycle_h, magnitude_h = (
         mix32_batch([tags], state=mixed).astype(np.int64))
-    kind_names = np.asarray(kinds, dtype=object)[kind_h % len(kinds)]
+    choices = np.broadcast_to(np.asarray(kinds, dtype=np.int64),
+                              (len(counters), np.shape(kinds)[-1]))
+    kind = choices[np.arange(len(counters)), kind_h % choices.shape[1]]
     span = np.ones(counters.shape, dtype=np.int64)
     if len(sites) > 1:
-        span = np.where(kind_names == "correlated",
+        span = np.where(kind == _CORRELATED,
                         np.minimum(2 + span_h % (max_span - 1), len(sites)),
                         1)
-    site_index = site_h % (len(sites) - span + 1)
-    duration = np.where(kind_names == "seu", 1,
-                        1 + duration_h % max_duration_cycles)
-    cycle = 1 + cycle_h % (last_start - 1)
-    magnitude = lo_ps + magnitude_h % (hi_ps - lo_ps + 1)
-    return [
-        FaultSpec(fault_id=fault_id, kind=kind, site=sites[site],
-                  cycle=first, duration_cycles=cycles,
-                  magnitude_ps=extra, span=width)
-        for fault_id, kind, site, first, cycles, extra, width in zip(
-            range(start, stop) if fault_ids is None else fault_ids,
-            kind_names.tolist(), site_index.tolist(),
-            cycle.tolist(), duration.tolist(), magnitude.tolist(),
-            span.tolist())
-    ]
+    return FaultColumns(
+        sites=tuple(sites),
+        fault_id=np.asarray(fault_ids, dtype=np.int64),
+        kind=kind,
+        site=site_h % (len(sites) - span + 1),
+        cycle=1 + cycle_h % (last_start - 1),
+        duration_cycles=np.where(kind == _SEU, 1,
+                                 1 + duration_h % max_duration_cycles),
+        magnitude_ps=lo_ps + magnitude_h % (hi_ps - lo_ps + 1),
+        span=span,
+    )
 
 
 def draw_spec(

@@ -44,6 +44,11 @@ BENIGN = "benign"
 OUTCOME_CLASSES = (MASKED_TB, MASKED_ED, RELAYED, ESCAPED,
                    FALSE_POSITIVE, BENIGN)
 
+#: :func:`classify_flags`'s precedence ladder, most severe first.  The
+#: batched paths carry classes as indices into it.
+SEVERITY_LADDER = (ESCAPED, RELAYED, MASKED_ED, MASKED_TB, FALSE_POSITIVE,
+                   BENIGN)
+
 
 @dataclasses.dataclass(frozen=True)
 class CaptureEvent:

@@ -36,6 +36,8 @@ import logging
 import os
 import typing
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache, stable_key
 from repro.exec.worker import WARM
@@ -73,25 +75,31 @@ class BackgroundTrajectory:
     def num_snapshots(self) -> int:
         return len(self.snapshots)
 
+    def fork_indices(self, cycles: "np.ndarray") -> "np.ndarray":
+        """The :meth:`fork_point` snapshot index of every cycle (the
+        last-snapshot clamp included), as one array."""
+        return np.minimum(np.asarray(cycles, dtype=np.int64) // self.stride,
+                          len(self.snapshots) - 1)
+
 
 def fork_window_groups(trajectory: BackgroundTrajectory,
-                       cycles: "typing.Sequence[int]",
+                       cycles: "typing.Sequence[int] | np.ndarray",
                        ) -> "list[list[int]]":
     """Group indices of ``cycles`` by the fork snapshot they share.
 
-    Every cycle in one group has the same :meth:`fork_point` (the
-    last-snapshot clamp included), so the group's faults can be
-    evaluated as one lane batch over one restored background.  Groups
-    come back in ascending snapshot order with indices ascending inside
-    each group, so forked replays walk the trajectory forward and
+    Every cycle in one group has the same :meth:`fork_point`, so the
+    group's faults fork from one restored background.  Groups come
+    back in ascending snapshot order with indices ascending inside
+    each group (a stable sort of :meth:`~BackgroundTrajectory.
+    fork_indices`), so forked replays walk the trajectory forward and
     restores stay cache-warm.
     """
-    last = trajectory.num_snapshots - 1
-    groups: dict[int, list[int]] = {}
-    for index, cycle in enumerate(cycles):
-        groups.setdefault(min(cycle // trajectory.stride, last),
-                          []).append(index)
-    return [groups[key] for key in sorted(groups)]
+    snapshot = trajectory.fork_indices(cycles)
+    if not snapshot.size:
+        return []
+    order = np.argsort(snapshot, kind="stable")
+    cuts = np.flatnonzero(np.diff(snapshot[order])) + 1
+    return [group.tolist() for group in np.split(order, cuts)]
 
 
 def build_trajectory(make_sim: "typing.Callable[[], typing.Any]", *,

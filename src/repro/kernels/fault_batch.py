@@ -2,35 +2,45 @@
 
 Snapshot forking (:mod:`repro.campaign.trajectory`) made each fault's
 cost O(window); this module removes the remaining per-fault Python
-walk.  Faults that share a fork window are near-identical perturbations
-of one shared fault-free background, so a whole group is evaluated as
-**one numpy batch with a lane axis**: per-lane ``(lanes, window_cycles,
-columns)`` disturbance deltas ride on top of the shared background
-rows, and a vectorized borrow/select/relay state machine — the array
-form of the simulators' ``_simulate_cycle`` — advances every lane per
-cycle step.
+walk.  Faults that share a background are near-identical perturbations
+of it, so a batch of them is evaluated as **one numpy problem with a
+lane axis**: per-lane ``(lanes, window_cycles, columns)`` disturbance
+deltas ride on top of the shared background rows, and a vectorized
+borrow/select/relay state machine — the array form of the simulators'
+``_simulate_cycle`` — advances every lane per cycle step.
 
-The batch is only entered when its equivalence to the per-fault forked
+The machines take and return arrays.  A :class:`LaneBlock` carries the
+lanes as columns (injection cycle, window steps, fault duration,
+magnitude, perturbed-column mask) and builds its deltas in one
+broadcast; :meth:`~PipelineLaneMachine.evaluate` returns per-lane
+outcome columns — class as an index into
+:data:`~repro.campaign.outcomes.SEVERITY_LADDER`, events, worst
+lateness, max borrowed intervals — which the campaign evaluator turns
+into :class:`~repro.campaign.outcomes.FaultOutcome` records once per
+fault.
+
+A lane is only batched when its equivalence to the per-fault forked
 path is *provable*:
 
-* the group's fork snapshot must be idle (zero borrow, zero relay
-  selects) and the prefix ``[fork start, injection cycle)`` must be
-  *state-free*: no background cycle in it, entered idle, leaves borrow
-  or relay state behind (:class:`PrefixTable`).  By induction the
-  forked run then enters every prefix cycle idle and the lane's window
-  with exactly zero carried state; the prefix may still capture
-  non-clean outcomes (a canary's standing guard-band predictions), but
-  those fall outside the fault's observer window and only bump
-  semantic counters, which the table holds as cumulative sums;
-* a lane's window must fit :data:`MAX_LANE_WINDOW` steps.
+* its fork snapshot must be idle (zero borrow, zero relay selects) and
+  the prefix ``[fork start, injection cycle)`` must be *state-free*:
+  no background cycle in it, entered idle, leaves borrow or relay state
+  behind (:class:`PrefixTable`, :meth:`~_LaneMachineBase.state_free`).
+  By induction the forked run then enters every prefix cycle idle and
+  the lane's window with exactly zero carried state; the prefix may
+  still capture non-clean outcomes (a canary's standing guard-band
+  predictions), but those fall outside the fault's observer window and
+  only bump semantic counters, which the table holds as cumulative
+  sums;
+* its window must fit :data:`MAX_LANE_WINDOW` steps.
 
-Lanes (or whole groups) that fail these checks drop to the existing
-per-fault forked path, which is preserved as the executable spec — the
-same screen-plus-scalar-replay discipline the cycle kernels use, now
-applied along the fault dimension.  Inside the batch, every semantic
-counter increment the scalar state machine would have made is
-reproduced exactly (bulk ``inc`` per outcome class, per-event relay
-depth observations, and the prefixes' increments from the table's
+Lanes that fail these checks drop to the existing per-fault forked
+path, which is preserved as the executable spec — the same
+screen-plus-scalar-replay discipline the cycle kernels use, now applied
+along the fault dimension.  Inside the batch, every semantic counter
+increment the scalar state machine would have made is reproduced
+exactly (bulk ``inc`` per outcome class, one bulk relay-depth observe
+with the same buckets, and the prefixes' increments from the table's
 cumulative counts), so :func:`repro.obs.semantic_snapshot` stays
 bit-identical across evaluation paths.
 """
@@ -43,22 +53,8 @@ import typing
 import numpy as np
 
 from repro import obs
-from repro.campaign.outcomes import (
-    BENIGN,
-    ESCAPED,
-    FALSE_POSITIVE,
-    MASKED_ED,
-    MASKED_TB,
-    RELAYED,
-)
 from repro.kernels.graph import CompiledTopology
 from repro.kernels.pipeline import CaptureParams, capture_block
-
-#: :func:`repro.campaign.outcomes.classify_flags`'s precedence ladder
-#: as an indexable tuple — ``np.select`` resolves each lane to its
-#: severity index, this maps the index back to the taxonomy class.
-_LADDER = (ESCAPED, RELAYED, MASKED_ED, MASKED_TB, FALSE_POSITIVE,
-           BENIGN)
 
 #: Longest fork window (in cycles from the injection cycle to the
 #: window end, inclusive) a lane may occupy in a batch.  Longer windows
@@ -131,70 +127,59 @@ _GRAPH_RELAY_DEPTH = obs.REGISTRY.histogram(
 
 
 @dataclasses.dataclass(frozen=True)
-class Lane:
-    """One fault's window, as the lane machines consume it.
+class LaneBlock:
+    """Fault lanes as columns, one row per lane, as the lane machines
+    consume them.
 
-    ``cycle`` is the absolute injection cycle (the window start),
-    ``steps`` the window length in cycles (``window_end - cycle + 1``),
-    ``duration`` the leading fault-active cycles, and ``cols`` the
-    perturbed column indices (stage or candidate-destination indices,
-    per target).
+    ``cycle`` is each lane's absolute injection cycle (the window
+    start), ``steps`` its window length in cycles (``window_end - cycle
+    + 1``), ``duration`` its leading fault-active cycles and
+    ``magnitude_ps`` its extra delay; ``mask`` is the ``(lanes,
+    columns)`` mask of the machine columns (stage or candidate
+    destination indices, per target) the fault perturbs.
     """
 
-    cycle: int
-    steps: int
-    duration: int
-    magnitude_ps: int
-    cols: tuple[int, ...]
+    cycle: "np.ndarray"
+    steps: "np.ndarray"
+    duration: "np.ndarray"
+    magnitude_ps: "np.ndarray"
+    mask: "np.ndarray"
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    def __getitem__(self, index: slice) -> "LaneBlock":
+        return LaneBlock(*(getattr(self, field.name)[index]
+                           for field in dataclasses.fields(self)))
+
+    def window(self, num_rows: int) -> tuple:
+        """The batch's ``(cycles, delta, live)`` over its widest window.
+
+        ``cycles`` is the ``(L, W)`` background row of each lane step,
+        clipped to the rows (dead steps past a lane's window read a
+        valid row whose values every aggregate masks out); ``delta``
+        the ``(L, W, C)`` extra delay — each lane's magnitude on its
+        perturbed columns for its fault-active steps, zero elsewhere —
+        in one broadcast; ``live`` the ``(L, W)`` mask of steps inside
+        each lane's own window.
+        """
+        step = np.arange(int(self.steps.max()), dtype=np.int64)
+        cycles = np.minimum(self.cycle[:, None] + step, num_rows - 1)
+        active = step < self.duration[:, None]
+        delta = np.where(active[:, :, None] & self.mask[:, None, :],
+                         self.magnitude_ps[:, None, None], 0)
+        return cycles, delta, step < self.steps[:, None]
 
 
-@dataclasses.dataclass(frozen=True)
-class LaneOutcome:
-    """Per-lane aggregation, mirroring ``outcome_from_events``."""
+def _collect(event: "np.ndarray", lateness: "np.ndarray",
+             masked: "np.ndarray", detected: "np.ndarray",
+             predicted: "np.ndarray", flagged: "np.ndarray",
+             failed: "np.ndarray", intervals: "np.ndarray") -> tuple:
+    """Fold the per-capture arrays into per-lane outcome columns.
 
-    classification: str
-    events: int
-    worst_lateness_ps: int
-    max_borrowed_intervals: int
-
-
-def _window_cycles(lanes: "typing.Sequence[Lane]", width: int,
-                   num_rows: int) -> "np.ndarray":
-    """``(L, W)`` absolute cycle index per lane step, clipped to the
-    background rows (dead steps past a lane's window read a valid row
-    whose values are masked out of every aggregate)."""
-    starts = np.array([lane.cycle for lane in lanes],
-                      dtype=np.int64)[:, None]
-    return np.minimum(starts + np.arange(width, dtype=np.int64)[None, :],
-                      num_rows - 1)
-
-
-def _lane_deltas(lanes: "typing.Sequence[Lane]", width: int,
-                 num_cols: int) -> "np.ndarray":
-    """``(L, W, C)`` extra-delay deltas: each lane's magnitude on its
-    perturbed columns for its fault-active steps, zero elsewhere."""
-    delta = np.zeros((len(lanes), width, num_cols), dtype=np.int64)
-    for index, lane in enumerate(lanes):
-        if lane.cols:
-            delta[index, :lane.duration, list(lane.cols)] = (
-                lane.magnitude_ps)
-    return delta
-
-
-def _live_mask(lanes: "typing.Sequence[Lane]", width: int) -> "np.ndarray":
-    """``(L, W)`` mask of steps inside each lane's own window."""
-    steps = np.array([lane.steps for lane in lanes],
-                     dtype=np.int64)[:, None]
-    return np.arange(width, dtype=np.int64)[None, :] < steps
-
-
-def _collect(lanes: "typing.Sequence[Lane]", event: "np.ndarray",
-             lateness: "np.ndarray", masked: "np.ndarray",
-             detected: "np.ndarray", predicted: "np.ndarray",
-             flagged: "np.ndarray", failed: "np.ndarray",
-             intervals: "np.ndarray") -> "list[LaneOutcome]":
-    """Fold the per-capture arrays into one outcome per lane.
-
+    Returns ``(classes, events, worst_lateness_ps,
+    max_borrowed_intervals)``, one entry per lane, with ``classes`` as
+    indices into :data:`~repro.campaign.outcomes.SEVERITY_LADDER`.
     ``event`` must already be masked to live steps; aggregation is
     order-free, exactly like ``outcome_from_events`` over the observer
     stream.
@@ -211,18 +196,10 @@ def _collect(lanes: "typing.Sequence[Lane]", event: "np.ndarray",
     any_warned = ((predicted | flagged) & event).any(axes)
     # classify_flags, vectorized: one np.select down the same severity
     # ladder instead of a python call per lane.
-    severity = np.select(
+    classes = np.select(
         [any_failed, any_relayed, any_masked_ed, any_masked, any_warned],
         [0, 1, 2, 3, 4], default=5)
-    return [
-        LaneOutcome(
-            classification=_LADDER[severity[i]],
-            events=int(events[i]),
-            worst_lateness_ps=int(worst[i]),
-            max_borrowed_intervals=int(max_intervals[i]),
-        )
-        for i in range(len(lanes))
-    ]
+    return classes, events, worst, max_intervals
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,14 +209,16 @@ class PrefixTable:
     Built once per background, next to its rows, by the lane machine's
     :meth:`~_LaneMachineBase.prefix_table`.  ``state[c]`` tells
     whether cycle ``c``'s captures, entered with zero borrow and relay
-    state, leave any behind.  ``counts[c]`` holds the machine's
-    semantic-counter increments (one column per entry of its
-    ``COUNTERS``) summed over cycles ``[0, c)``, each entered idle — so
-    a state-free prefix ``[start, cycle)`` contributed exactly
-    ``counts[cycle] - counts[start]``.
+    state, leave any behind, and ``carried[c]`` counts such cycles in
+    ``[0, c)``.  ``counts[c]`` holds the machine's semantic-counter
+    increments (one column per entry of its ``COUNTERS``) summed over
+    cycles ``[0, c)``, each entered idle — so a state-free prefix
+    ``[start, cycle)`` contributed exactly ``counts[cycle] -
+    counts[start]``.
     """
 
     state: "np.ndarray"
+    carried: "np.ndarray"
     counts: "np.ndarray"
 
 
@@ -253,6 +232,9 @@ class _LaneMachineBase:
     #: The background's :class:`PrefixTable`; the evaluator installs
     #: it with the background rows it was built from.
     table: "PrefixTable | None" = None
+    #: Site name -> machine column.
+    _col: "dict[str, int]"
+    num_cols: int
 
     def _note_batched(self, count: int) -> None:
         if obs.REGISTRY.enabled:
@@ -264,6 +246,23 @@ class _LaneMachineBase:
         if obs.REGISTRY.enabled:
             _OBS_LANES.labels(kernel=self.kernel,
                               path="replayed").inc(count)
+
+    def lane_mask(self, sites: "typing.Sequence[str]",
+                  site_mask: "np.ndarray") -> "np.ndarray":
+        """``(lanes, columns)`` perturbed machine columns, from a
+        ``(lanes, sites)`` mask over ``sites``.
+
+        Sites without a machine column perturb nothing: faults on
+        non-candidate graph destinations never get evaluated (the
+        scalar loop adds the extra only when an in-edge fired).
+        """
+        pairs = [(index, self._col[name])
+                 for index, name in enumerate(sites) if name in self._col]
+        mask = np.zeros((len(site_mask), self.num_cols), dtype=bool)
+        if pairs:
+            src, dst = (list(side) for side in zip(*pairs))
+            mask[:, dst] = site_mask[:, src]
+        return mask
 
     def prefix_table(self, rows: "typing.Any") -> PrefixTable:
         """The :class:`PrefixTable` of background ``rows``.
@@ -286,25 +285,27 @@ class _LaneMachineBase:
             counts[pos + 1:stop + 1] = np.stack(
                 [mask.sum(axis=1) for mask in classes], axis=1)
         np.cumsum(counts, axis=0, out=counts)
-        return PrefixTable(state=state, counts=counts)
+        carried = np.zeros(num_cycles + 1, dtype=np.int64)
+        np.cumsum(state, out=carried[1:])
+        return PrefixTable(state=state, carried=carried, counts=counts)
 
-    def state_free_until(self, start: int, stop: int) -> int:
-        """The first state-carrying background cycle in ``[start,
-        stop)``, or ``stop`` when there is none.
+    def state_free(self, starts: "np.ndarray",
+                   cycles: "np.ndarray") -> "np.ndarray":
+        """Per lane: does no background cycle in ``[starts, cycles)``
+        leave state behind?
 
-        A lane forked idle at ``start`` whose injection cycle is at or
-        before it enters its window with zero carried state.
+        A lane forked idle at ``start`` whose prefix is state-free
+        enters its window with zero carried state.
         """
-        ahead = np.flatnonzero(self.table.state[start:stop])
-        return start + int(ahead[0]) if ahead.size else stop
+        carried = self.table.carried
+        return carried[cycles] == carried[starts]
 
-    def add_prefix_counters(self, starts: "typing.Sequence[int]",
-                            cycles: "typing.Sequence[int]") -> None:
+    def add_prefix_counters(self, starts: "np.ndarray",
+                            cycles: "np.ndarray") -> None:
         """Bump the semantic counters by what the state-free prefixes
         ``[starts[i], cycles[i])`` captured — one vectorized sum."""
         counts = self.table.counts
-        totals = (counts[np.asarray(cycles)]
-                  - counts[np.asarray(starts)]).sum(axis=0)
+        totals = (counts[cycles] - counts[starts]).sum(axis=0)
         for counter, total in zip(self.COUNTERS, totals.tolist()):
             counter.inc(total)
 
@@ -347,10 +348,6 @@ class PipelineLaneMachine(_LaneMachineBase):
         select_in, next_select_in = relay
         return not any(select_in) and not any(next_select_in)
 
-    def lane_columns(self, site_names:
-                     "typing.Iterable[str]") -> tuple[int, ...]:
-        return tuple(self._col[name] for name in site_names)
-
     def _idle_captures(self, rows: "typing.Any") -> tuple:
         """Per-cycle ``(leaves state, counter classes)`` of a block of
         ``(delays, interesting)`` rows, each cycle entered idle.
@@ -366,20 +363,17 @@ class PipelineLaneMachine(_LaneMachineBase):
             caps.masked, caps.detected, caps.predicted, caps.flagged,
             caps.failed)
 
-    def evaluate(self, lanes: "typing.Sequence[Lane]",
-                 rows: "typing.Any") -> "list[LaneOutcome]":
+    def evaluate(self, lanes: LaneBlock, rows: "typing.Any") -> tuple:
         """Advance every lane through its window in one batch.
 
         ``rows`` is the trajectory's ``(delays, interesting)`` pair;
         each lane reads its own window of background delay rows.
+        Returns :func:`_collect`'s per-lane outcome columns.
         """
         delays_all = rows[0]
-        width = max(lane.steps for lane in lanes)
-        count = len(lanes)
-        cycles = _window_cycles(lanes, width, delays_all.shape[0])
-        delays = delays_all[cycles] + _lane_deltas(lanes, width,
-                                                   self.num_cols)
-        live = _live_mask(lanes, width)
+        cycles, delta, live = lanes.window(delays_all.shape[0])
+        delays = delays_all[cycles] + delta
+        count, width = live.shape
         shape = (count, width, self.num_cols)
         lateness = np.empty(shape, dtype=np.int64)
         masked = np.empty(shape, dtype=bool)
@@ -412,8 +406,8 @@ class PipelineLaneMachine(_LaneMachineBase):
             self._inc_counters(self._counter_classes(
                 masked, detected, predicted, flagged, failed), event)
             self._note_batched(count)
-        return _collect(lanes, event, lateness, masked, detected,
-                        predicted, flagged, failed, intervals)
+        return _collect(event, lateness, masked, detected, predicted,
+                        flagged, failed, intervals)
 
     @staticmethod
     def _counter_classes(masked, detected, predicted, flagged,
@@ -459,14 +453,6 @@ class GraphLaneMachine(_LaneMachineBase):
         borrow, select_out = state
         return not borrow and not select_out
 
-    def lane_columns(self, site_names:
-                     "typing.Iterable[str]") -> tuple[int, ...]:
-        # Faults on non-candidate destinations never get evaluated
-        # (the scalar loop adds the extra only when an in-edge fired),
-        # so those sites simply contribute no delta column.
-        return tuple(self._col[name] for name in site_names
-                     if name in self._col)
-
     def _step(self, sens: "np.ndarray", arrival: "np.ndarray",
               extra: "typing.Any", borrow: "np.ndarray",
               select: "np.ndarray") -> tuple:
@@ -510,21 +496,18 @@ class GraphLaneMachine(_LaneMachineBase):
         return masked.any(axis=1), self._counter_classes(
             masked, flagged, failed_prot, failed, intervals)
 
-    def evaluate(self, lanes: "typing.Sequence[Lane]",
-                 rows: "typing.Any") -> "list[LaneOutcome]":
+    def evaluate(self, lanes: LaneBlock, rows: "typing.Any") -> tuple:
         """Advance every lane through its window in one batch.
 
         ``rows`` is the trajectory's ``(sens, arrival, interesting)``
         triple; each lane reads its own window of background rows.
+        Returns :func:`_collect`'s per-lane outcome columns.
         """
         sens_all, arrival_all = rows[0], rows[1]
-        width = max(lane.steps for lane in lanes)
-        count = len(lanes)
-        cycles = _window_cycles(lanes, width, sens_all.shape[0])
+        cycles, extra, live = lanes.window(sens_all.shape[0])
         sens = sens_all[cycles]
         arrival = arrival_all[cycles]
-        extra = _lane_deltas(lanes, width, self.num_cols)
-        live = _live_mask(lanes, width)
+        count, width = live.shape
         num_dsts = self.num_cols
         shape = (count, width, num_dsts)
         lateness = np.empty(shape, dtype=np.int64)
@@ -550,16 +533,13 @@ class GraphLaneMachine(_LaneMachineBase):
         if obs.REGISTRY.enabled:
             self._inc_counters(self._counter_classes(
                 masked, flagged, failed_prot, failed, intervals), event)
-            # The relay-depth histogram is observed per masked event
-            # exactly as the scalar loop does (events are few — the
-            # loop is over violations, not cycles).
-            live_masked = masked & event
-            for depth in intervals[live_masked
-                                   & (intervals > 0)].tolist():
-                _GRAPH_RELAY_DEPTH.observe(depth)
+            # The relay-depth histogram gets every masked event's
+            # depth, as the scalar loop observes them one by one.
+            _GRAPH_RELAY_DEPTH.observe_many(
+                intervals[masked & event & (intervals > 0)])
             self._note_batched(count)
-        return _collect(lanes, event, lateness, masked, never, never,
-                        flagged, failed, intervals)
+        return _collect(event, lateness, masked, never, never, flagged,
+                        failed, intervals)
 
     @staticmethod
     def _counter_classes(masked, flagged, failed_prot, failed,

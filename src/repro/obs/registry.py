@@ -111,6 +111,23 @@ class Histogram:
             self.sum += value
             self.counts[bisect.bisect_left(self.edges, value)] += 1
 
+    def observe_many(self, values: typing.Any) -> None:
+        """:meth:`observe` every value of a numpy array, in bulk.
+
+        ``np.searchsorted(side="left")`` places each value in the
+        bucket ``bisect_left`` would, so the counts match one
+        :meth:`observe` per value.
+        """
+        if self._registry._enabled and len(values):
+            import numpy as np
+
+            self.sum += values.sum().item()
+            placed = np.bincount(
+                np.searchsorted(self.edges, values, side="left"),
+                minlength=len(self.counts))
+            for index, count in enumerate(placed.tolist()):
+                self.counts[index] += count
+
 
 class MetricFamily:
     """All series of one metric name, across label combinations."""

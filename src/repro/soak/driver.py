@@ -283,8 +283,8 @@ def soak_chunks(params_list: typing.Sequence[dict]) -> list[TaskPayload]:
     """Batch form of :func:`soak_chunk_task` (``.batch``).
 
     Consecutive chunks of one configuration parse it once, regenerate
-    every draw's spec in one vector draw (:func:`specs_for_draws`, equal
-    to a :func:`spec_for_draw` loop), and classify them all in one
+    every draw as one column block (:func:`specs_for_draws`, equal to a
+    :func:`spec_for_draw` loop), and classify them all in one
     ``evaluate_chunk`` of one evaluator; outcomes and work then split
     back per chunk, equal to mapping the task over the list.
     """
@@ -296,13 +296,12 @@ def soak_chunks(params_list: typing.Sequence[dict]) -> list[TaskPayload]:
         config = CampaignConfig.from_params(run[0]["config"])
         strata = {key: Stratum.from_params(key, stratum_params)
                   for key, stratum_params in run[0]["strata"].items()}
-        specs = specs_for_draws(
-            config, strata,
-            [draw for params in run for draw in params["draws"]])
+        draws = [draw for params in run for draw in params["draws"]]
         runner = fault_runner(config)
         with obs.trace_span("soak.chunk", target=config.target,
-                            scheme=config.scheme, draws=len(specs)):
-            result = runner.evaluate_chunk(specs)
+                            scheme=config.scheme, draws=len(draws)):
+            result = runner.evaluate_chunk(
+                specs_for_draws(config, strata, draws))
         payloads.extend(chunk_payloads(
             result, [len(params["draws"]) for params in run]))
     return payloads

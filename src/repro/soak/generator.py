@@ -32,8 +32,16 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+import numpy as np
+
 from repro.campaign.engine import CampaignConfig
-from repro.campaign.faults import FaultSpec, draw_spec, draw_specs
+from repro.campaign.faults import (
+    FAULT_KINDS,
+    FaultColumns,
+    FaultSpec,
+    draw_spec,
+    draw_specs,
+)
 from repro.errors import ConfigurationError
 from repro.exec.runner import derive_seed
 from repro.kernels.rng import split64
@@ -149,40 +157,37 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
 def specs_for_draws(config: CampaignConfig,
                     strata: typing.Mapping[str, Stratum],
                     draws: typing.Iterable[typing.Sequence]
-                    ) -> list[FaultSpec]:
+                    ) -> FaultColumns:
     """:func:`spec_for_draw` over ``(stratum, counter, fault_id)``
-    descriptors, vectorized.
+    descriptors, as one column block.
 
-    Consecutive descriptors of one stratum with consecutive counters —
-    how a round allocates them — are drawn together by
-    :func:`~repro.campaign.faults.draw_specs`, which is bit-identical
-    to the scalar :func:`~repro.campaign.faults.draw_spec` loop that
-    :func:`spec_for_draw` runs.
+    One :func:`~repro.campaign.faults.draw_specs` call draws them all,
+    each with its own stratum's seed lanes, kind and magnitude bin; it
+    is bit-identical to the scalar :func:`~repro.campaign.faults.
+    draw_spec` loop that :func:`spec_for_draw` runs.
     """
-    runs: list[tuple[str, int, list[int]]] = []
+    keys: list[str] = []
+    counters: list[int] = []
+    fault_ids: list[int] = []
     for key, counter, fault_id in draws:
-        counter, fault_id = int(counter), int(fault_id)
-        if (runs and runs[-1][0] == key
-                and runs[-1][1] + len(runs[-1][2]) == counter):
-            runs[-1][2].append(fault_id)
-        else:
-            runs.append((key, counter, [fault_id]))
-    sites = config.sites()
-    lanes: dict[str, tuple[int, int]] = {}
-    specs: list[FaultSpec] = []
-    for key, first, fault_ids in runs:
-        stratum = strata[key]
-        if key not in lanes:
-            lanes[key] = stratum_lanes(config, key)
-        specs.extend(draw_specs(
-            lanes[key], first, first + len(fault_ids),
-            sites=sites,
-            kinds=(stratum.kind,),
-            lo_ps=stratum.lo_ps,
-            hi_ps=stratum.hi_ps,
-            last_start=config.num_cycles - MAX_DURATION_CYCLES,
-            max_duration_cycles=MAX_DURATION_CYCLES,
-            max_span=MAX_SPAN,
-            fault_ids=fault_ids,
-        ))
-    return specs
+        keys.append(key)
+        counters.append(int(counter))
+        fault_ids.append(int(fault_id))
+    slots = {key: slot for slot, key in enumerate(dict.fromkeys(keys))}
+    # Per stratum: seed lanes, kind index, magnitude bin.
+    table = np.array(
+        [(*stratum_lanes(config, key), FAULT_KINDS.index(strata[key].kind),
+          strata[key].lo_ps, strata[key].hi_ps) for key in slots],
+        dtype=np.int64).reshape(-1, 5)[[slots[key] for key in keys]]
+    return draw_specs(
+        (table[:, 0], table[:, 1]),
+        np.array(counters, dtype=np.int64),
+        np.array(fault_ids, dtype=np.int64),
+        sites=config.sites(),
+        kinds=table[:, 2:3],
+        lo_ps=table[:, 3],
+        hi_ps=table[:, 4],
+        last_start=config.num_cycles - MAX_DURATION_CYCLES,
+        max_duration_cycles=MAX_DURATION_CYCLES,
+        max_span=MAX_SPAN,
+    )

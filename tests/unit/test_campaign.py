@@ -20,6 +20,7 @@ from repro.campaign import (
     build_report,
     classify_events,
     generate_population,
+    iter_population,
     render_reports,
     run_campaign,
     write_campaign_bench,
@@ -80,6 +81,22 @@ class TestPopulation:
             _population(magnitude_range_ps=(0, 10))
         with pytest.raises(ConfigurationError):
             _population(num_cycles=4)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(max_span=1), "max_span"),
+        (dict(max_span=0), "max_span"),
+        (dict(max_duration_cycles=0), "max_duration_cycles"),
+        (dict(max_duration_cycles=-2), "max_duration_cycles"),
+    ])
+    def test_shape_bounds_rejected_at_call_time(self, overrides, message):
+        # Regression: max_span=1 made the scalar draw divide by zero
+        # and the vector draw emit span 2 > max_span;
+        # max_duration_cycles=0 failed the same way.  Both are now
+        # rejected before anything is drawn.
+        with pytest.raises(ConfigurationError, match=message):
+            iter_population(num_faults=5, sites=["s0", "s1", "s2"],
+                            num_cycles=200, seed=11,
+                            kinds=("correlated",), **overrides)
 
 
 class TestFaultSpec:
