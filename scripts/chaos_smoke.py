@@ -13,12 +13,13 @@ The drill (run from the repo root with ``PYTHONPATH=src``):
    process is SIGKILLed (the runner must absorb the broken pool with the whole
    batch in flight), and then the campaign process itself is SIGKILLed
    (a hard crash with a partial checkpoint on disk).
-3. One result-cache entry is truncated — the corruption the integrity
-   check must catch rather than serve.
-4. One cached background-trajectory entry (the snapshot chain the
-   forked fault evaluator restores from, persisted under
-   ``<cache-dir>/trajectories`` by the CLI) is truncated too — the
-   checksum-on-read must log the corruption, discard the entry, and
+3. One result-cache record in the middle of a pack segment is
+   overwritten in place — the corruption the integrity check must
+   catch rather than serve, without losing the records after it.
+4. The cached background-trajectory record (the snapshot chain the
+   forked fault evaluator restores from, persisted in the pack under
+   ``<cache-dir>/trajectories`` by the CLI) is damaged the same way —
+   the checksum-on-read must log the corruption, skip the record, and
    rebuild it from simulation rather than fork from bogus state.
 5. The checkpoint's last record is cut mid-line — the torn tail a
    crash during an append can leave in the append-only record log.
@@ -199,6 +200,28 @@ def _completed_records(checkpoint: pathlib.Path) -> int:
     from repro.exec import read_checkpoint
 
     return len(read_checkpoint(checkpoint))
+
+
+def _damage_pack_record(directory: pathlib.Path) -> tuple[str, str]:
+    """Overwrite bytes inside one pack record; return (key, where).
+
+    Picks the middle record of the largest segment, so the damaged
+    record has intact records after it whenever the segment holds more
+    than one, and damages the middle of that record, not its tail.
+    """
+    segments = sorted(directory.glob("pack-*.jsonl"),
+                      key=lambda path: path.stat().st_size)
+    assert segments, f"no pack segment under {directory}"
+    segment = segments[-1]
+    raw = segment.read_bytes()
+    lines = raw.splitlines(keepends=True)
+    victim = (len(lines) - 1) // 2
+    start = sum(len(line) for line in lines[:victim])
+    record = lines[victim]
+    key = json.loads(record)["key"]
+    middle = start + len(record) // 2
+    segment.write_bytes(raw[:middle] + b"#" * 8 + raw[middle + 8:])
+    return key, f"{segment.name} record {victim + 1}/{len(lines)}"
 
 
 def _journal_rounds(journal: pathlib.Path) -> int:
@@ -421,25 +444,20 @@ def main() -> int:
         assert _completed_records(checkpoint) >= MIN_CHECKPOINTED, \
             "no checkpointed progress survived the crash"
 
-        print("[3/6] corrupting one result-cache entry")
-        entries = sorted(cache_dir.glob("*.json"))
-        assert entries, "crashed run left no cache entries"
-        entries[0].write_bytes(
-            entries[0].read_bytes()[:20])
-        print(f"      truncated {entries[0].name}")
+        print("[3/6] corrupting one result-cache record mid-segment")
+        _, where = _damage_pack_record(cache_dir)
+        print(f"      damaged {where}")
 
-        print("[4/6] corrupting one cached trajectory entry")
+        print("[4/6] corrupting the cached trajectory record")
         # The CLI points REPRO_TRAJECTORY_CACHE_DIR here whenever
         # --cache-dir is given; the crashed run's workers persisted the
-        # background snapshots before the kill landed.
+        # background snapshots before the kill landed.  Rewriting a
+        # segment makes it the newest, so its record is the one served.
         trajectory_dir = cache_dir / "trajectories"
-        trajectory_entries = sorted(trajectory_dir.glob("*.json"))
-        assert trajectory_entries, \
+        assert list(trajectory_dir.glob("pack-*.jsonl")), \
             "crashed run left no cached trajectory (snapshots not warm)"
-        trajectory_entry = trajectory_entries[0]
-        trajectory_entry.write_bytes(
-            trajectory_entry.read_bytes()[:40])
-        print(f"      truncated {trajectory_entry.name}")
+        trajectory_key, where = _damage_pack_record(trajectory_dir)
+        print(f"      damaged {where}")
 
         print("[5/6] cutting the checkpoint's last record mid-line")
         raw = checkpoint.read_bytes()
@@ -483,11 +501,11 @@ def main() -> int:
                 "resume never reported the corrupted trajectory entry "
                 f"(stderr was: {stderr[-500:]!r})")
             print("      trajectory corruption detected and logged")
-        rebuilt = json.loads(
-            trajectory_entry.read_text(encoding="utf-8"))
-        assert {"version", "result", "checksum"} <= set(rebuilt), \
-            "corrupted trajectory entry was not rebuilt"
-        print("      trajectory entry rebuilt with a valid checksum")
+        from repro.exec import ResultCache
+
+        hit, _ = ResultCache(trajectory_dir).get(trajectory_key)
+        assert hit, "corrupted trajectory record was not rebuilt"
+        print("      trajectory record rebuilt with a valid checksum")
 
         _soak_drill(workdir, env)
         _stale_drill(workdir, env)

@@ -24,15 +24,18 @@ same campaign, again byte-identical and warm-cache-served.  Both
 campaign gates warm the trajectory cache first, repeat each timed arm
 until it covers ``GATE_ARM_MIN_S`` of wall time, and compare the arms'
 median passes; every sample and the quartiles land in the payload.
-A soak gate runs a 10-second bounded soak against a batched campaign
-on the same config (streamed throughput must hold >= 0.8x of the batch
-rate) and an adaptive-vs-uniform arm on a fixed round budget (adaptive
-must end with a strictly narrower widest CI, with compatible overall
-estimates), writing ``BENCH_soak.json``.  An event-stream gate finally
-re-times the sweep with a live ``EventPublisher`` spooling to disk
-(min-of-repeats both arms; the stream must cost < 2% of sweep wall
-time), writing ``BENCH_monitor.json``.  CI runs this on every push;
-it is also a convenient local sanity check:
+A soak gate interleaves five 2-second bounded soaks with warm batched
+campaign arms on the same config (the median streamed rate must hold
+>= 0.8x of the median batch pass rate) and runs an adaptive-vs-uniform
+arm on a fixed round budget (adaptive must end with a strictly
+narrower widest CI, with compatible overall estimates), writing
+``BENCH_soak.json``.  An event-stream gate finally re-times the sweep
+with a live ``EventPublisher`` spooling to disk, alternating bare and
+streamed passes until each arm covers ``GATE_ARM_MIN_S`` (the median
+per-pair overhead must stay < 2% of sweep wall time), writing
+``BENCH_monitor.json``.  Every timed gate records each sample and the
+quartiles of its arms.  CI runs this on every push; it is also a
+convenient local sanity check:
 
     PYTHONPATH=src python scripts/perf_smoke.py
 
@@ -111,26 +114,30 @@ GATE_MIN_PASSES = 3
 #: runner served from the warm trajectory cache.
 BATCH_SPEEDUP_FLOOR = 3.0
 
-#: Soak gate: a 10-second bounded soak must sustain at least this
-#: fraction of the batched campaign's faults/s on the same config (the
-#: round loop, ring, estimator, and fsync-per-round journal are the
-#: only additions), and on a fixed round budget the adaptive sampler
-#: must leave a strictly narrower widest CI than uniform sampling while
-#: the two overall estimates stay statistically compatible (the
-#: uniform-stratum combination is unbiased under any allocation).
+#: Soak gate: 10 seconds of bounded soak, split into ``SOAK_PASSES``
+#: passes interleaved with warm batched-campaign arms, must sustain at
+#: least this fraction of the batched campaign's faults/s on the same
+#: config (the round loop, ring, estimator, and fsync-per-round journal
+#: are the only additions), medians against medians.  On a fixed round
+#: budget the adaptive sampler must leave a strictly narrower widest CI
+#: than uniform sampling while the two overall estimates stay
+#: statistically compatible (the uniform-stratum combination is
+#: unbiased under any allocation).
 SOAK_CYCLES = 2_000
 SOAK_BATCH_FAULTS = 400
 SOAK_RUNTIME_S = 10.0
+SOAK_PASSES = 5
 SOAK_THROUGHPUT_FLOOR = 0.8
 SOAK_CI_CYCLES = 800
 SOAK_CI_ROUNDS = 20
 SOAK_CI_FAULTS_PER_ROUND = 100
 
 #: Event-stream overhead gate: the same sweep with and without a live
-#: ``EventPublisher`` spooling to disk, min-of-repeats each (the min is
-#: the least-noisy location statistic on a shared runner); the stream
-#: must cost under this percent of sweep wall time.
-MONITOR_REPEATS = 3
+#: ``EventPublisher`` spooling to disk, in back-to-back pairs (at least
+#: ``MONITOR_MIN_PAIRS``, and until each arm covers ``GATE_ARM_MIN_S``),
+#: alternating which arm runs first; the median per-pair overhead must
+#: stay under this percent of sweep wall time.
+MONITOR_MIN_PAIRS = 9
 MONITOR_OVERHEAD_LIMIT_PERCENT = 2.0
 
 
@@ -350,6 +357,14 @@ def _timed_arm(run) -> tuple[typing.Any, list[float]]:
     return result, samples
 
 
+def _spread(samples: list[float], digits: int = 5) -> dict:
+    """Median, quartiles and every sample of one timed arm."""
+    p25, median, p75 = statistics.quantiles(samples, n=4)
+    return {"median": round(median, digits), "p25": round(p25, digits),
+            "p75": round(p75, digits), "n": len(samples),
+            "samples": [round(sample, digits) for sample in samples]}
+
+
 def _arm_record(label: str, samples: list[float], faults: int,
                 now: str) -> dict:
     """One gate arm's payload entry: median pass plus every sample."""
@@ -559,10 +574,12 @@ def _campaign_batch_bench(now: str) -> tuple[dict | None, str | None]:
 def _soak_bench(now: str) -> tuple[dict | None, str | None]:
     """Soak-mode gates: streaming throughput and adaptive CI narrowing.
 
-    Arm one times a batched campaign and a 10-second bounded soak on
-    the same target/scheme/cycle config (both serial and in-process, so
-    the comparison isolates the soak loop's overhead) and gates soak
-    throughput at ``SOAK_THROUGHPUT_FLOOR`` of the batch rate.  Arm two
+    Arm one interleaves warm batched-campaign arms (each repeated until
+    it covers ``GATE_ARM_MIN_S``) with ``SOAK_PASSES`` bounded soaks
+    that share ``SOAK_RUNTIME_S`` on the same target/scheme/cycle config
+    (all serial and in-process, so the comparison isolates the soak
+    loop's overhead), and gates the median soak rate at
+    ``SOAK_THROUGHPUT_FLOOR`` of the median batch pass rate.  Arm two
     runs an adaptive and a uniform soak on an identical fixed round
     budget: the adaptive run's widest per-stratum Wilson CI must end
     strictly narrower, and the two overall escape-rate estimates must
@@ -579,21 +596,35 @@ def _soak_bench(now: str) -> tuple[dict | None, str | None]:
     campaign = CampaignConfig(
         target="graph", scheme="timber-ff",
         num_faults=SOAK_BATCH_FAULTS, num_cycles=SOAK_CYCLES)
-    with SweepRunner(workers=1, cache=None) as runner:
-        start = time.perf_counter()
-        run_campaign(campaign, runner=runner)
-        batch_wall = time.perf_counter() - start
-    batch_rate = SOAK_BATCH_FAULTS / batch_wall
 
+    def batch_pass() -> None:
+        with SweepRunner(workers=1, cache=None) as runner:
+            run_campaign(campaign, runner=runner)
+
+    # Both arms run warm on purpose: this pass fills the trajectory
+    # cache that every later batch pass and soak round is served from.
+    batch_pass()
+    batch_samples: list[float] = []
+    soak_rates: list[float] = []
+    soak_faults = soak_rounds = 0
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="soak-bench-"))
     try:
         soak = SoakConfig(campaign=campaign,
                           faults_per_round=SOAK_BATCH_FAULTS // 2)
-        with SweepRunner(workers=1, cache=None) as runner:
-            streamed = run_soak(
-                soak, journal_path=workdir / "throughput.jsonl",
-                runner=runner, max_runtime_s=SOAK_RUNTIME_S)
-        soak_rate = streamed.faults_per_second
+        for index in range(SOAK_PASSES):
+            batch_samples += _timed_arm(batch_pass)[1]
+            with SweepRunner(workers=1, cache=None) as runner:
+                streamed = run_soak(
+                    soak, runner=runner,
+                    journal_path=workdir / f"throughput-{index}.jsonl",
+                    max_runtime_s=SOAK_RUNTIME_S / SOAK_PASSES)
+            soak_rates.append(streamed.faults_per_second)
+            soak_faults += streamed.total_faults
+            soak_rounds += streamed.rounds
+        batch_rates = [SOAK_BATCH_FAULTS / sample
+                       for sample in batch_samples]
+        batch_rate = statistics.median(batch_rates)
+        soak_rate = statistics.median(soak_rates)
 
         ci_campaign = CampaignConfig(
             target="graph", scheme="timber-ff", num_faults=1,
@@ -630,12 +661,15 @@ def _soak_bench(now: str) -> tuple[dict | None, str | None]:
         "throughput": {
             "num_cycles": SOAK_CYCLES,
             "batch_faults": SOAK_BATCH_FAULTS,
-            "batch_wall_s": round(batch_wall, 4),
+            "batch_wall_s": _spread(batch_samples),
             "batch_faults_per_second": round(batch_rate, 1),
+            "batch_rates": _spread(batch_rates, 1),
             "soak_runtime_s": SOAK_RUNTIME_S,
-            "soak_faults": streamed.total_faults,
-            "soak_rounds": streamed.rounds,
+            "soak_passes": SOAK_PASSES,
+            "soak_faults": soak_faults,
+            "soak_rounds": soak_rounds,
             "soak_faults_per_second": round(soak_rate, 1),
+            "soak_rates": _spread(soak_rates, 1),
             "ratio": round(ratio, 3),
             "ratio_floor": SOAK_THROUGHPUT_FLOOR,
         },
@@ -654,8 +688,8 @@ def _soak_bench(now: str) -> tuple[dict | None, str | None]:
     if ratio < SOAK_THROUGHPUT_FLOOR:
         return payload, (
             f"soak sustained only {ratio:.2f}x of the batched campaign "
-            f"rate (floor {SOAK_THROUGHPUT_FLOOR:.2f}; batch "
-            f"{batch_rate:.1f} f/s, soak {soak_rate:.1f} f/s)")
+            f"rate (floor {SOAK_THROUGHPUT_FLOOR:.2f}; median batch "
+            f"{batch_rate:.1f} f/s, median soak {soak_rate:.1f} f/s)")
     if not adaptive_widest < uniform_widest:
         return payload, (
             f"adaptive sampling did not narrow the widest CI below "
@@ -673,12 +707,12 @@ def _soak_bench(now: str) -> tuple[dict | None, str | None]:
 def _monitor_bench(now: str) -> tuple[dict | None, str | None]:
     """Event-stream overhead gate on the perf-smoke sweep.
 
-    Runs the standard resilience sweep ``MONITOR_REPEATS`` times bare
-    and ``MONITOR_REPEATS`` times with a live :class:`EventPublisher`
-    attached to the runner's telemetry and spooling to a real file
-    (flush per event, heartbeat thread running — the exact ``--events``
-    configuration), compares the per-arm minima, and gates the stream's
-    cost at ``MONITOR_OVERHEAD_LIMIT_PERCENT`` of sweep wall time.
+    Runs the standard resilience sweep in bare/streamed pairs, the
+    streamed pass with a live :class:`EventPublisher` attached to the
+    runner's telemetry and spooling to a real file (flush per event,
+    heartbeat thread running — the exact ``--events`` configuration),
+    and gates the median per-pair overhead at
+    ``MONITOR_OVERHEAD_LIMIT_PERCENT`` of sweep wall time.
     Returns ``(bench_payload, failure_message)`` for
     ``BENCH_monitor.json``.
     """
@@ -710,41 +744,51 @@ def _monitor_bench(now: str) -> tuple[dict | None, str | None]:
         return wall
 
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="monitor-bench-"))
+    bare: list[float] = []
+    streamed: list[float] = []
     try:
-        bare = [run_once(None) for _ in range(MONITOR_REPEATS)]
-        streamed = [run_once(workdir / f"events-{i}.jsonl")
-                    for i in range(MONITOR_REPEATS)]
-        spool_bytes = max((workdir / f"events-{i}.jsonl").stat().st_size
-                          for i in range(MONITOR_REPEATS))
+        run_once(None)  # warm both arms' imports and kernel caches
+        while (len(bare) < MONITOR_MIN_PAIRS
+               or min(sum(bare), sum(streamed)) < GATE_ARM_MIN_S):
+            spool = workdir / f"events-{len(bare)}.jsonl"
+            # Alternate which arm goes first, so drift hits both alike.
+            if len(bare) % 2:
+                streamed.append(run_once(spool))
+                bare.append(run_once(None))
+            else:
+                bare.append(run_once(None))
+                streamed.append(run_once(spool))
+        spool_bytes = max(path.stat().st_size
+                          for path in workdir.glob("events-*.jsonl"))
     finally:
         import shutil
 
         shutil.rmtree(workdir, ignore_errors=True)
 
-    bare_min, streamed_min = min(bare), min(streamed)
-    overhead = (100.0 * (streamed_min - bare_min) / bare_min
-                if bare_min > 0 else 0.0)
+    pair_overheads = [100.0 * (on - off) / off
+                      for off, on in zip(bare, streamed) if off > 0]
+    overhead = statistics.median(pair_overheads)
     payload = {
         "bench": "monitor",
         "schema_version": 1,
         "recorded_at": now,
         "overhead_percent": round(overhead, 3),
         "overhead_limit_percent": MONITOR_OVERHEAD_LIMIT_PERCENT,
-        "repeats": MONITOR_REPEATS,
+        "pairs": len(bare),
+        "pair_overhead_percent": _spread(pair_overheads, 3),
         "spool_bytes": spool_bytes,
         "runs": [
-            {"events": False, "wall_time_s": [round(w, 4) for w in bare],
-             "min_wall_s": round(bare_min, 4)},
-            {"events": True,
-             "wall_time_s": [round(w, 4) for w in streamed],
-             "min_wall_s": round(streamed_min, 4)},
+            {"events": False, "wall_time_s": _spread(bare, 4)},
+            {"events": True, "wall_time_s": _spread(streamed, 4)},
         ],
     }
     if overhead > MONITOR_OVERHEAD_LIMIT_PERCENT:
         return payload, (
             f"event stream costs {overhead:.2f}% of sweep wall time "
-            f"(limit {MONITOR_OVERHEAD_LIMIT_PERCENT:.0f}%; bare "
-            f"{bare_min:.3f}s, streamed {streamed_min:.3f}s)")
+            f"(median of {len(bare)} pairs; limit "
+            f"{MONITOR_OVERHEAD_LIMIT_PERCENT:.0f}%; median bare "
+            f"{statistics.median(bare):.3f}s, streamed "
+            f"{statistics.median(streamed):.3f}s)")
     return payload, None
 
 
@@ -955,7 +999,7 @@ def main() -> int:
           f"{SOAK_CI_ROUNDS} rounds")
     print(f"  event stream: {monitor['overhead_percent']:+.2f}% sweep "
           f"overhead (limit {MONITOR_OVERHEAD_LIMIT_PERCENT:.0f}%, "
-          f"min of {MONITOR_REPEATS}, spool "
+          f"median of {monitor['pairs']} pairs, spool "
           f"{monitor['spool_bytes']} bytes)")
     print(f"  trajectories written to {path.name}, {obs_path.name}, "
           "BENCH_dispatch.json, BENCH_fig8_relay.json, "

@@ -17,10 +17,11 @@ substrate those sweeps run on.  Six layers:
   content hashes that memoizes resolved task functions, compiled kernel
   arrays, variability models, criticality indexes and campaign
   trajectories across tasks and batches for the lifetime of the worker.
-* :mod:`repro.exec.cache` — an on-disk JSON result cache keyed by a
-  content hash of the task configuration plus the code version; entries
-  carry a checksum, so truncated or corrupted files are detected,
-  logged, deleted, and rebuilt instead of served.
+* :mod:`repro.exec.cache` — an on-disk result cache keyed by a content
+  hash of the task configuration plus the code version, kept as an
+  append-only pack of per-process segments; records carry a checksum,
+  so truncated or corrupted ones are detected, logged, and rebuilt
+  instead of served.
 * :mod:`repro.exec.recordlog` — the append-only JSONL record log
   (fsync per append, torn-tail truncation on resume) shared by sweep
   checkpoints and the soak journal.
@@ -37,7 +38,7 @@ from repro.exec.cache import (
     ResultCache,
     decode_result,
     encode_result,
-    result_checksum,
+    encode_stored,
     stable_key,
 )
 from repro.exec.checkpoint import (
@@ -82,9 +83,9 @@ __all__ = [
     "decode_result",
     "derive_seed",
     "encode_result",
+    "encode_stored",
     "exec_mp_context",
     "expand_grid",
     "read_checkpoint",
-    "result_checksum",
     "stable_key",
 ]

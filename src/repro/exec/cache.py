@@ -1,31 +1,46 @@
 """On-disk result cache for sweep tasks.
 
-Entries are JSON files keyed by a SHA-256 content hash of the task
-configuration (experiment name, params, seed) plus the *code version*
-(package version and a cache schema version), so upgrading the library
-or changing any input silently invalidates stale entries.  Result values
-are experiment dataclasses; they round-trip through a small tagged JSON
-encoding that reconstructs the exact dataclass types on load.
+Entries are keyed by a SHA-256 content hash of the task configuration
+(experiment name, params, seed) plus the *code version* (package version
+and a cache schema version), so upgrading the library or changing any
+input silently invalidates stale entries.  Result values are experiment
+dataclasses; they round-trip through a small tagged JSON encoding that
+reconstructs the exact dataclass types on load.  The store form
+(:func:`encode_stored`) additionally writes a list of one scalar-field
+dataclass — a campaign chunk's outcomes — as columns, and is serialized
+once per task: the runner hands the same text to the cache and the
+sweep checkpoint.
 
-Every entry carries a SHA-256 checksum of its canonical encoded result;
-a truncated, corrupted, or tampered file fails verification on read and
-is treated as a miss — logged, deleted, and rebuilt on the next store —
-never as silently wrong data.
+Entries live in an append-only *pack*: ``pack-<pid>.jsonl`` segments,
+one per writer process, so pool workers never contend for a lock.  Each
+entry is one line (:func:`repro.exec.recordlog.encode_line`) that starts
+with its key; the first :meth:`ResultCache.get` indexes every segment
+(key → segment, offset, length; the newest record for a key wins) and
+each lookup reads and verifies only its own slice.
+
+Every record ends in a SHA-256 checksum of all its other bytes; a
+truncated, corrupted, or tampered record fails verification (when the
+pack is indexed and again on read) and is treated as a miss — logged,
+never served, and superseded by the next store — never as silently
+wrong data.  Damage stays inside its own line, so the records after it
+in the segment are still served.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
 import logging
 import os
 import pathlib
-import tempfile
+import re
 import typing
 
 from repro.errors import ConfigurationError
+from repro.exec.recordlog import encode_line, frame_lines
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.exec.runner import SweepTask
@@ -35,7 +50,9 @@ logger = logging.getLogger("repro.exec.cache")
 #: Bump to invalidate every existing cache entry on disk (result layout
 #: or semantics changed without a package-version bump).
 #: 2: entries gained a result checksum for integrity verification.
-CACHE_SCHEMA_VERSION = 2
+#: 3: entries moved into append-only pack segments; task values are
+#: stored through :func:`encode_stored` (columns for outcome lists).
+CACHE_SCHEMA_VERSION = 3
 
 #: Default cache location; overridable per-cache or via environment.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -96,20 +113,68 @@ def encode_result(value: typing.Any) -> typing.Any:
         f"cannot cache value of type {type(value).__name__}")
 
 
+_SCALARS = (type(None), bool, int, float, str)
+
+
+@functools.lru_cache(maxsize=None)
+def _column_fields(cls: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass that can be built from them alone."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    fields = dataclasses.fields(cls)
+    if not all(field.init for field in fields):
+        return None
+    return tuple(field.name for field in fields)
+
+
+def encode_stored(value: typing.Any) -> str:
+    """The one serialized form of a task value in the cache and checkpoint.
+
+    A non-empty list of instances of one dataclass whose fields all hold
+    scalars becomes ``{"__columns__": "module:QualName", "fields":
+    {name: [values...]}}``; every other value is :func:`encode_result`.
+    :func:`decode_result` reads both.
+    """
+    encoded: typing.Any = None
+    if isinstance(value, list) and value:
+        cls = type(value[0])
+        names = _column_fields(cls)
+        if names is not None and all(type(item) is cls for item in value):
+            columns = {name: [getattr(item, name) for item in value]
+                       for name in names}
+            if all(type(item) in _SCALARS
+                   for column in columns.values() for item in column):
+                encoded = {"__columns__": f"{cls.__module__}:"
+                                          f"{cls.__qualname__}",
+                           "fields": columns}
+    if encoded is None:
+        encoded = encode_result(value)
+    return json.dumps(encoded, separators=(",", ":"))
+
+
+def _dataclass_named(tag: str) -> typing.Any:
+    module_name, _, qualname = tag.partition(":")
+    cls: typing.Any = importlib.import_module(module_name)
+    for part in qualname.split("."):
+        cls = getattr(cls, part)
+    if not dataclasses.is_dataclass(cls):
+        raise ConfigurationError(f"{tag} is not a dataclass")
+    return cls
+
+
 def decode_result(data: typing.Any) -> typing.Any:
-    """Inverse of :func:`encode_result`."""
+    """Inverse of :func:`encode_result` (and of :func:`encode_stored`)."""
     if isinstance(data, dict):
         if "__dataclass__" in data:
-            module_name, _, qualname = data["__dataclass__"].partition(":")
-            cls: typing.Any = importlib.import_module(module_name)
-            for part in qualname.split("."):
-                cls = getattr(cls, part)
-            if not dataclasses.is_dataclass(cls):
-                raise ConfigurationError(
-                    f"{data['__dataclass__']} is not a dataclass")
+            cls = _dataclass_named(data["__dataclass__"])
             fields = {key: decode_result(item)
                       for key, item in data["fields"].items()}
             return cls(**fields)
+        if "__columns__" in data:
+            cls = _dataclass_named(data["__columns__"])
+            names = tuple(data["fields"])
+            return [cls(**dict(zip(names, row)))
+                    for row in zip(*data["fields"].values())]
         if "__tuple__" in data:
             return tuple(decode_result(item) for item in data["__tuple__"])
         return {key: decode_result(item) for key, item in data.items()}
@@ -118,18 +183,46 @@ def decode_result(data: typing.Any) -> typing.Any:
     return data
 
 
-def result_checksum(encoded: typing.Any) -> str:
-    """SHA-256 of the canonical JSON form of an encoded result."""
-    payload = json.dumps(encoded, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # The cache proper
 # ---------------------------------------------------------------------------
 
+#: Keys are spliced into a record's first field unescaped, so the pack
+#: index can read them without parsing the record.
+_KEY = re.compile(r"[A-Za-z0-9_.:-]+")
+_KEY_PREFIX = b'{"key":"'
+#: Every record ends in a SHA-256 of all the bytes before this field.
+_CHECKSUM = b',"checksum":"'
+_TRAILER = len(_CHECKSUM) + 64 + len(b'"}')
+
+
+def _seal(body: bytes) -> bytes:
+    """A record line: ``body`` (an unclosed JSON object) plus checksum."""
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return body + _CHECKSUM + digest + b'"}\n'
+
+
+def _unseal(line: bytes) -> bytes | None:
+    """The JSON object of an intact record line, or None if damaged."""
+    body, trailer = line[:-_TRAILER], line[-_TRAILER:]
+    if not (body.startswith(_KEY_PREFIX) and trailer.startswith(_CHECKSUM)
+            and trailer.endswith(b'"}')):
+        return None
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    if digest != trailer[len(_CHECKSUM):-2]:
+        return None
+    return body + b"}"
+
+
 class ResultCache:
-    """A directory of content-addressed task results."""
+    """A directory of content-addressed task results (an append-only pack).
+
+    Args:
+        directory: The cache directory (default ``$REPRO_CACHE_DIR`` or
+            ``.repro-cache``).
+        version: Code version stamped into every record; a record of
+            another version is a plain miss.
+    """
 
     def __init__(self, directory: str | os.PathLike | None = None, *,
                  version: str | None = None) -> None:
@@ -138,6 +231,9 @@ class ResultCache:
                                        DEFAULT_CACHE_DIR)
         self.directory = pathlib.Path(directory)
         self.version = version if version is not None else _code_version()
+        #: key -> (segment, offset, length) of its newest intact record;
+        #: built on the first lookup, then kept current by our puts.
+        self._index: dict[str, tuple[pathlib.Path, int, int]] | None = None
 
     # -- keys --------------------------------------------------------------
     def key_for(self, experiment: str, params: typing.Mapping,
@@ -154,75 +250,116 @@ class ResultCache:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    def _segment(self) -> pathlib.Path:
+        """This process's pack segment (the one its puts append to)."""
+        return self.directory / f"pack-{os.getpid()}.jsonl"
+
+    def _segments(self) -> list[pathlib.Path]:
+        """Every pack segment, oldest write first."""
+        def written(path: pathlib.Path) -> tuple[int, str]:
+            try:
+                return path.stat().st_mtime_ns, path.name
+            except OSError:
+                return 0, path.name
+        return sorted(self.directory.glob("pack-*.jsonl"), key=written)
+
+    def locate(self, key: str) -> tuple[pathlib.Path, int, int] | None:
+        """``(segment, offset, length)`` of ``key``'s newest record."""
+        return self._load_index().get(key)
+
     def _path(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.json"
+        """The segment holding ``key``'s newest record (or the writer's)."""
+        location = self.locate(key)
+        return location[0] if location is not None else self._segment()
+
+    def _load_index(self) -> dict[str, tuple[pathlib.Path, int, int]]:
+        if self._index is None:
+            index: dict[str, tuple[pathlib.Path, int, int]] = {}
+            for segment in self._segments():
+                try:
+                    raw = segment.read_bytes()
+                except OSError:
+                    continue
+                for offset, line in frame_lines(raw):
+                    if _unseal(line) is None:
+                        logger.warning(
+                            "cache record at %s:%d corrupted (checksum "
+                            "mismatch); skipping it", segment.name, offset)
+                        continue
+                    end = line.index(b'"', len(_KEY_PREFIX))
+                    key = line[len(_KEY_PREFIX):end].decode("ascii")
+                    index[key] = (segment, offset, len(line))
+            self._index = index
+        return self._index
 
     # -- storage -----------------------------------------------------------
     def get(self, key: str) -> tuple[bool, typing.Any]:
-        """Return ``(hit, value)``; unreadable entries count as misses.
+        """Return ``(hit, value)``; damaged records count as misses.
 
-        A file that exists but cannot be parsed, or whose checksum does
-        not match its payload (truncated write, disk corruption, manual
-        tampering), is logged, deleted, and reported as a miss so the
-        task recomputes and rebuilds the entry.
+        Indexing checks every record's checksum, and a lookup checks its
+        own slice again.  A record that fails (truncated write, disk
+        corruption, manual tampering) is logged, never served, and
+        reported as a miss so the task recomputes and the next put
+        supersedes it.
         """
-        path = self._path(key)
+        location = self.locate(key)
+        if location is None:
+            return False, None
+        segment, offset, length = location
         try:
-            raw = path.read_bytes()
+            with open(segment, "rb") as handle:
+                handle.seek(offset)
+                entry = _unseal(handle.read(length))
         except OSError:
             return False, None
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-            if not isinstance(entry, dict):
-                raise ValueError("entry is not a JSON object")
-            version = entry["version"]
-            if version != self.version:
-                # Legitimately stale (older code / schema); a plain
-                # miss, not corruption — leave the file for inspection.
-                return False, None
-            checksum = entry["checksum"]
-            result = entry["result"]
-        except (ValueError, KeyError, TypeError) as error:
-            self._discard_corrupt(path, f"unparseable entry: {error}")
+        if entry is None or not entry.startswith(
+                _KEY_PREFIX + key.encode("ascii") + b'"'):
+            self._index.pop(key)
+            logger.warning(
+                "cache entry %s at %s:%d corrupted (checksum mismatch); "
+                "recomputing", key[:16], segment.name, offset)
             return False, None
-        if result_checksum(result) != checksum:
-            self._discard_corrupt(path, "checksum mismatch")
+        record = json.loads(entry)
+        if record["version"] != self.version:
+            # Legitimately stale (older code / schema); a plain miss,
+            # not corruption — leave the record for inspection.
             return False, None
-        return True, decode_result(result)
-
-    def _discard_corrupt(self, path: pathlib.Path, reason: str) -> None:
-        logger.warning(
-            "cache entry %s corrupted (%s); deleting and recomputing",
-            path.name, reason)
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        return True, decode_result(record["result"])
 
     def put(self, key: str, value: typing.Any, *,
-            experiment: str = "", meta: dict | None = None) -> None:
-        """Store ``value`` under ``key`` (atomic rename, last-write-wins)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        encoded = encode_result(value)
-        entry = {
+            experiment: str = "", meta: dict | None = None,
+            encoded: str | None = None) -> None:
+        """Append ``value`` under ``key`` (the newest record wins).
+
+        ``encoded`` is ``value``'s :func:`encode_stored` text when the
+        caller already has it.  The line is flushed, not ``fsync``\\ ed:
+        a torn record is a miss, never a wrong value.
+        """
+        if not _KEY.fullmatch(key):
+            raise ConfigurationError(f"invalid cache key {key!r}")
+        if encoded is None:
+            encoded = encode_stored(value)
+        line = _seal(encode_line({
+            "key": key,
             "version": self.version,
             "experiment": experiment,
-            "result": encoded,
-            "checksum": result_checksum(encoded),
             "meta": meta or {},
-        }
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry))  # one write, not per chunk
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        }, result=encoded)[:-2])
+        self.directory.mkdir(parents=True, exist_ok=True)
+        segment = self._segment()
+        length = len(line) - 1
+        with open(segment, "ab+") as handle:
+            offset = handle.seek(0, os.SEEK_END)
+            if offset:
+                # A writer killed mid-line (an earlier process with
+                # this pid) left a torn tail: start on a fresh line.
+                handle.seek(offset - 1)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+                    offset += 1
+            handle.write(line)
+        if self._index is not None:
+            self._index[key] = (segment, offset, length)
 
     # -- task-level convenience -------------------------------------------
     def get_task(self, task: "SweepTask") -> tuple[bool, typing.Any]:
@@ -230,25 +367,31 @@ class ResultCache:
                                      task.seed))
 
     def put_task(self, task: "SweepTask", value: typing.Any,
-                 meta: dict | None = None) -> None:
+                 meta: dict | None = None, *,
+                 encoded: str | None = None) -> None:
         self.put(self.key_for(task.experiment, task.params, task.seed),
-                 value, experiment=task.experiment, meta=meta)
+                 value, experiment=task.experiment, meta=meta,
+                 encoded=encoded)
 
     # -- maintenance -------------------------------------------------------
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
+        """Delete every entry; returns the number of keys removed.
+
+        Removes the pack segments, schema-2 ``*.json`` entry files, and
+        ``*.tmp`` files orphaned by a writer killed mid-store.
+        """
+        removed = len(self)
+        for pattern in ("pack-*.jsonl", "*.json", "*.tmp"):
+            for path in self.directory.glob(pattern):
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                if pattern == "*.json":
+                    removed += 1
+        self._index = {}
         return removed
 
     def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        """Number of live keys in the pack."""
+        return len(self._load_index())

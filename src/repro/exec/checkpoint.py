@@ -8,11 +8,13 @@ is a :class:`~repro.exec.recordlog.RecordLog`: a header line
 carrying its task ``index`` (the last line for an index wins).  The
 *run key* hashes every task's (experiment, params, seed, index) and the
 code version, so a checkpoint of another run is logged and ignored.
-Values use the result cache's tagged encoding
-(:func:`repro.exec.cache.encode_result`), so a resumed sweep is
-byte-identical to an uninterrupted one.  ``record`` encodes only the new
-outcome; every ``every`` completions (and at the end) the buffered lines
-are appended and ``fsync``\\ ed — O(1) I/O per outcome, never a rewrite.
+Values use the result cache's store encoding
+(:func:`repro.exec.cache.encode_stored`: tagged JSON, with outcome
+lists as columns), spliced in as the text the runner already encoded
+for the cache, so a resumed sweep is byte-identical to an
+uninterrupted one.  ``record`` encodes only the new outcome; every
+``every`` completions (and at the end) the buffered lines are appended
+and ``fsync``\\ ed — O(1) I/O per outcome, never a rewrite.
 :func:`atomic_write_json` serves whole-document state such as the soak
 driver's checkpoints.
 """
@@ -27,7 +29,7 @@ import pathlib
 import tempfile
 import typing
 
-from repro.exec.cache import decode_result, encode_result
+from repro.exec.cache import decode_result, encode_stored
 from repro.exec.recordlog import RecordLog, RecordLogCorrupt, fsync_dir
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -155,18 +157,24 @@ class SweepCheckpoint:
         return completed
 
     # -- record ------------------------------------------------------------
-    def record(self, outcome: "TaskOutcome") -> None:
-        """Encode one completed outcome; append when the batch is full."""
+    def record(self, outcome: "TaskOutcome",
+               encoded: str | None = None) -> None:
+        """Encode one completed outcome; append when the batch is full.
+
+        ``encoded`` is the value's :func:`encode_stored` text when the
+        caller already has it (the runner shares it with the cache).
+        """
+        if encoded is None:
+            encoded = encode_stored(outcome.value)
         self._pending.append(self._log.encode({
             "index": outcome.task.index,
             "key": outcome.task.key,
             "status": outcome.status,
-            "value": encode_result(outcome.value),
             "wall_time_s": outcome.wall_time_s,
             "events_processed": outcome.events_processed,
             "attempts": outcome.attempts,
             "worker_pid": outcome.worker_pid,
-        }))
+        }, value=encoded))
         self._indices.add(outcome.task.index)
         if len(self._pending) >= self.every:
             self._append()

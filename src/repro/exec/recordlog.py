@@ -3,8 +3,10 @@
 The one durable log primitive behind the sweep checkpoint
 (:mod:`repro.exec.checkpoint`) and the soak journal
 (:mod:`repro.soak.journal`): a header line, then one JSON object per
-line.  An append costs its own bytes plus one ``fsync``, however long
-the log already is.  Every write ends on a newline and is ``fsync``\\ ed
+line.  The line framing (:func:`encode_line`, :func:`frame_lines`) is
+shared with the result cache's pack segments (:mod:`repro.exec.cache`).
+An append costs its own bytes plus one ``fsync``, however long the log
+already is.  Every write ends on a newline and is ``fsync``\\ ed
 before it returns, so a crash can tear only the final line:
 :meth:`RecordLog.open_resume` truncates such a tail in place, while an
 unparseable line with complete lines after it cannot be explained by a
@@ -39,6 +41,36 @@ def fsync_dir(directory: pathlib.Path) -> None:
         os.close(dir_fd)
 
 
+def encode_line(record: dict, *, sort_keys: bool = False,
+                **encoded: str) -> bytes:
+    """One record as a complete, newline-terminated JSON line.
+
+    ``encoded`` fields are JSON text serialized once elsewhere (a task
+    value shared by the cache and the checkpoint); they are spliced in
+    verbatim after ``record``'s own fields instead of re-encoded.
+    """
+    text = json.dumps(record, sort_keys=sort_keys, separators=(",", ":"))
+    if encoded:
+        spliced = ",".join(f"{json.dumps(name)}:{value}"
+                           for name, value in encoded.items())
+        text = f"{text[:-1]}{',' if record else ''}{spliced}}}"
+    return text.encode("utf-8") + b"\n"
+
+
+def frame_lines(raw: bytes) -> typing.Iterator[tuple[int, bytes]]:
+    """``(offset, line)`` for every newline-terminated line of ``raw``.
+
+    The newline is not part of ``line``.  An unterminated tail is torn
+    by definition and never yielded.
+    """
+    offset = 0
+    end = raw.find(b"\n")
+    while end >= 0:
+        yield offset, raw[offset:end]
+        offset = end + 1
+        end = raw.find(b"\n", offset)
+
+
 class RecordLog:
     """One append-only JSONL file: a header line, then records."""
 
@@ -51,10 +83,9 @@ class RecordLog:
         self.path = pathlib.Path(path)
         self._open = False
 
-    def encode(self, record: dict) -> bytes:
-        """One record as a complete, newline-terminated line."""
-        return json.dumps(record, sort_keys=self.sort_keys,
-                          separators=(",", ":")).encode("utf-8") + b"\n"
+    def encode(self, record: dict, **encoded: str) -> bytes:
+        """One record as a complete line (see :func:`encode_line`)."""
+        return encode_line(record, sort_keys=self.sort_keys, **encoded)
 
     def check_header(self, header: dict) -> None:
         """Raise :attr:`corrupt` if ``header`` does not belong here."""
@@ -96,10 +127,8 @@ class RecordLog:
             raw = b""
         lines: list[dict] = []
         offset = 0
-        # ``[:-1]`` keeps exactly the newline-terminated lines: an
-        # unterminated tail is torn by definition.
-        segments = raw.split(b"\n")[:-1]
-        for index, line in enumerate(segments):
+        segments = list(frame_lines(raw))
+        for index, (start, line) in enumerate(segments):
             try:
                 record = json.loads(line.decode("utf-8"))
                 if not isinstance(record, dict):
@@ -111,7 +140,7 @@ class RecordLog:
                     f"{self.path}: unreadable record {index} ({error}) "
                     f"with records after it") from error
             lines.append(record)
-            offset += len(line) + 1
+            offset = start + len(line) + 1
         if not lines:
             return None, [], 0, len(raw)
         self.check_header(lines[0])

@@ -99,7 +99,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
-from repro.exec.cache import ResultCache, _code_version
+from repro.exec.cache import ResultCache, _code_version, encode_stored
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.telemetry import RunTelemetry
 from repro.exec.worker import WARM
@@ -1019,9 +1019,18 @@ class SweepRunner:
         def record(outcome: TaskOutcome) -> None:
             outcomes[outcome.task.index] = outcome
             self.telemetry.record_task(outcome)
-            self._cache_put(outcome)
+            # One encoding serves both durable stores.
+            cacheable = self._cacheable(outcome)
+            if not cacheable and self.checkpoint is None:
+                return
+            encoded = encode_stored(outcome.value)
+            if cacheable:
+                self.cache.put_task(outcome.task, outcome.value, meta={
+                    "wall_time_s": outcome.wall_time_s,
+                    "events_processed": outcome.events_processed,
+                }, encoded=encoded)
             if self.checkpoint is not None:
-                self.checkpoint.record(outcome)
+                self.checkpoint.record(outcome, encoded)
 
         try:
             if misses:
@@ -1079,13 +1088,9 @@ class SweepRunner:
             return False, None
         return self.cache.get_task(task)
 
-    def _cache_put(self, outcome: TaskOutcome) -> None:
-        if (self.cache is not None and not outcome.cached
-                and not outcome.resumed and outcome.status == "done"):
-            self.cache.put_task(outcome.task, outcome.value, meta={
-                "wall_time_s": outcome.wall_time_s,
-                "events_processed": outcome.events_processed,
-            })
+    def _cacheable(self, outcome: TaskOutcome) -> bool:
+        return (self.cache is not None and not outcome.cached
+                and not outcome.resumed and outcome.status == "done")
 
     def _backoff_delay_s(self, task: SweepTask, attempt: int) -> float:
         """Backoff before retry ``attempt + 1``: exponential, with

@@ -1,6 +1,8 @@
 """Unit tests for the on-disk result cache and its JSON encoding."""
 
 import json
+import logging
+import multiprocessing
 
 import pytest
 
@@ -66,6 +68,14 @@ class TestEncoding:
             encode_result(object())
 
 
+def _put_many(directory, writer: int, count: int) -> None:
+    """Pool-worker stand-in: store ``count`` entries, some shared."""
+    cache = ResultCache(directory)
+    for i in range(count):
+        cache.put(cache.key_for("exp", {"i": i}, seed=writer), [writer, i])
+        cache.put(cache.key_for("shared", {"i": i}, seed=0), i)
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -97,9 +107,8 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = cache.key_for("exp", {}, seed=0)
         cache.put(key, _pipeline_result())
-        (tmp_path / f"{key}.json").write_text("{not json",
-                                              encoding="utf-8")
-        assert cache.get(key) == (False, None)
+        _replace_record(cache, key, b"{not json")
+        assert ResultCache(tmp_path).get(key) == (False, None)
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -109,69 +118,178 @@ class TestResultCache:
         assert len(cache) == 0
         assert cache.clear() == 0
 
+    def test_clear_removes_legacy_entries_and_orphans(self, tmp_path):
+        # A schema-2 entry file and the temp file of a store killed
+        # between create and rename must not outlive clear().
+        cache = ResultCache(tmp_path)
+        cache.put(cache.key_for("exp", {}, seed=0), 1)
+        (tmp_path / "deadbeef.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "tmpabc123.tmp").write_text("{", encoding="utf-8")
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
+        assert len(ResultCache(tmp_path)) == 0
+
+    def test_len_counts_live_keys(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("exp", {}, seed=0)
+        cache.put(key, 1)
+        cache.put(key, 2)  # superseded, not a second entry
+        cache.put(cache.key_for("exp", {}, seed=1), 3)
+        assert len(cache) == len(ResultCache(tmp_path)) == 2
+        assert ResultCache(tmp_path).get(key) == (True, 2)
+
+    def test_entries_share_one_segment_per_process(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = [cache.key_for("exp", {"i": i}, seed=0) for i in range(4)]
+        for i, key in enumerate(keys):
+            cache.put(key, i)
+        assert [p.name for p in tmp_path.iterdir()] == [
+            cache._path(keys[0]).name]
+        fresh = ResultCache(tmp_path)
+        assert [fresh.get(key) for key in keys] == [
+            (True, i) for i in range(4)]
+
+    def test_concurrent_writers_lose_nothing(self, tmp_path):
+        # More writer processes than cores, all appending at once: each
+        # owns its segment, so every record of every writer survives.
+        writers, count = 6, 150
+        context = multiprocessing.get_context("spawn")
+        procs = [context.Process(target=_put_many,
+                                 args=(str(tmp_path), writer, count))
+                 for writer in range(writers)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0] * writers
+        assert len(list(tmp_path.glob("pack-*.jsonl"))) == writers
+        cache = ResultCache(tmp_path)
+        assert len(cache) == writers * count + count
+        for writer in range(writers):
+            for i in range(count):
+                assert cache.get(cache.key_for("exp", {"i": i},
+                                               seed=writer)) == (
+                    True, [writer, i])
+        assert all(cache.get(cache.key_for("shared", {"i": i}, seed=0))
+                   == (True, i) for i in range(count))
+
+    def test_invalid_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            ResultCache(tmp_path).put('a"b', 1)
+
+
+def _replace_record(cache, key, line: bytes) -> None:
+    """Overwrite ``key``'s record in its pack segment with ``line``."""
+    segment, offset, length = cache.locate(key)
+    raw = segment.read_bytes()
+    segment.write_bytes(raw[:offset] + line + raw[offset + length:])
+
+
+def _record(cache, key) -> dict:
+    segment, offset, length = cache.locate(key)
+    return json.loads(segment.read_bytes()[offset:offset + length])
+
+
+def _encode(entry: dict) -> bytes:
+    return json.dumps(entry, separators=(",", ":")).encode("utf-8")
+
 
 class TestCorruptionInjection:
-    """A damaged entry is logged, deleted, and rebuilt — never served."""
+    """A damaged record is logged and rebuilt — never served.
+
+    Each case damages the stored record in place inside its pack
+    segment, then reads through a fresh cache (a later process indexing
+    the pack from disk).  The damaged bytes stay on disk; the miss drops
+    the record from the index and the next put supersedes it.
+    """
 
     def _stored(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key_for("exp", {"x": 1}, seed=0)
         cache.put(key, _pipeline_result(), experiment="exp")
-        return cache, key, tmp_path / f"{key}.json"
+        return cache, key
 
-    def test_truncated_entry_deleted_and_logged(self, tmp_path, caplog):
-        import logging
-
-        cache, key, path = self._stored(tmp_path)
-        path.write_text(path.read_text(encoding="utf-8")[:37],
-                        encoding="utf-8")
+    def _assert_logged_miss(self, tmp_path, key, caplog):
+        reader = ResultCache(tmp_path)
         with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
-            assert cache.get(key) == (False, None)
-        assert not path.exists()
+            assert reader.get(key) == (False, None)
         assert any("corrupted" in record.message
                    for record in caplog.records)
+        assert reader.locate(key) is None  # never served again
+        return reader
 
-    def test_non_json_entry_deleted(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
-        path.write_bytes(b"\x00\xffgarbage")
-        assert cache.get(key) == (False, None)
-        assert not path.exists()
+    def test_truncated_entry_deleted_and_logged(self, tmp_path, caplog):
+        cache, key = self._stored(tmp_path)
+        segment, offset, length = cache.locate(key)
+        record = segment.read_bytes()[offset:offset + length]
+        _replace_record(cache, key, record[:37])
+        self._assert_logged_miss(tmp_path, key, caplog)
+        # A record cut after its key is a logged miss too.
+        _replace_record(cache, key, record[:length // 2])
+        self._assert_logged_miss(tmp_path, key, caplog)
 
-    def test_json_non_object_entry_deleted(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
-        path.write_text("[1, 2, 3]", encoding="utf-8")
-        assert cache.get(key) == (False, None)
-        assert not path.exists()
+    def test_non_json_entry_deleted(self, tmp_path, caplog):
+        cache, key = self._stored(tmp_path)
+        _replace_record(cache, key, b"\x00\xffgarbage")
+        self._assert_logged_miss(tmp_path, key, caplog)
+        # Garbage behind an intact key prefix fails the parse instead.
+        _replace_record(cache, key, b'{"key":"' + key.encode() + b'",\xff')
+        self._assert_logged_miss(tmp_path, key, caplog)
 
-    def test_tampered_result_fails_checksum(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
-        entry = json.loads(path.read_text(encoding="utf-8"))
+    def test_json_non_object_entry_deleted(self, tmp_path, caplog):
+        cache, key = self._stored(tmp_path)
+        _replace_record(cache, key, b"[1, 2, 3]")
+        self._assert_logged_miss(tmp_path, key, caplog)
+
+    def test_tampered_result_fails_checksum(self, tmp_path, caplog):
+        cache, key = self._stored(tmp_path)
+        entry = _record(cache, key)
         entry["result"]["fields"]["failed"] = 999  # silent bit-flip
-        path.write_text(json.dumps(entry), encoding="utf-8")
-        assert cache.get(key) == (False, None)
-        assert not path.exists()
+        _replace_record(cache, key, _encode(entry))
+        self._assert_logged_miss(tmp_path, key, caplog)
 
-    def test_missing_checksum_field_deleted(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
-        entry = json.loads(path.read_text(encoding="utf-8"))
+    def test_missing_checksum_field_deleted(self, tmp_path, caplog):
+        cache, key = self._stored(tmp_path)
+        entry = _record(cache, key)
         del entry["checksum"]
-        path.write_text(json.dumps(entry), encoding="utf-8")
-        assert cache.get(key) == (False, None)
-        assert not path.exists()
+        _replace_record(cache, key, _encode(entry))
+        self._assert_logged_miss(tmp_path, key, caplog)
 
-    def test_stale_version_is_plain_miss_not_deleted(self, tmp_path):
+    def test_stale_version_is_plain_miss_not_deleted(self, tmp_path,
+                                                     caplog):
         # A version mismatch is legitimate staleness, not corruption.
         old = ResultCache(tmp_path, version="v1")
         key = old.key_for("exp", {}, seed=0)
         old.put(key, _pipeline_result())
         new = ResultCache(tmp_path, version="v2")
-        assert new.get(key) == (False, None)
-        assert (tmp_path / f"{key}.json").exists()
+        with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
+            assert new.get(key) == (False, None)
+        assert not caplog.records
+        assert new.locate(key) is not None  # left on disk, still indexed
+        assert ResultCache(tmp_path, version="v1").get(key) == (
+            True, _pipeline_result())
 
-    def test_rebuild_after_corruption(self, tmp_path):
-        cache, key, path = self._stored(tmp_path)
-        path.write_text("oops", encoding="utf-8")
-        assert cache.get(key) == (False, None)
-        cache.put(key, _pipeline_result(), experiment="exp")
-        hit, value = cache.get(key)
+    def test_rebuild_after_corruption(self, tmp_path, caplog):
+        cache, key = self._stored(tmp_path)
+        _replace_record(cache, key, b"oops")
+        reader = self._assert_logged_miss(tmp_path, key, caplog)
+        reader.put(key, _pipeline_result(), experiment="exp")
+        hit, value = reader.get(key)
         assert hit and value == _pipeline_result()
+        # The rebuilt record wins for every later reader too.
+        assert ResultCache(tmp_path).get(key) == (True, _pipeline_result())
+
+    def test_mid_segment_damage_keeps_later_records(self, tmp_path,
+                                                    caplog):
+        cache = ResultCache(tmp_path)
+        keys = [cache.key_for("exp", {"i": i}, seed=0) for i in range(5)]
+        for i, key in enumerate(keys):
+            cache.put(key, [_pipeline_result()] * (i + 1))
+        entry = _record(cache, keys[2])
+        for column in entry["result"]["fields"].values():
+            column.pop()  # one outcome dropped from the column record
+        _replace_record(cache, keys[2], _encode(entry))
+        reader = self._assert_logged_miss(tmp_path, keys[2], caplog)
+        for i in (0, 1, 3, 4):
+            assert reader.get(keys[i]) == (
+                True, [_pipeline_result()] * (i + 1))

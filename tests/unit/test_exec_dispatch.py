@@ -349,12 +349,15 @@ BATCHED = "repro.exec.testing:batched_square_task"
 
 
 def _cache_entries(directory) -> dict:
-    """Cache files by name, minus their (timing) ``wall_time_s`` meta."""
+    """Pack records by key, minus their (timing) ``wall_time_s`` meta
+    and the record checksum that covers it."""
     entries = {}
-    for path in sorted(directory.glob("*.json")):
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        entry["meta"].pop("wall_time_s")
-        entries[path.name] = entry
+    for path in sorted(directory.glob("pack-*.jsonl")):
+        for line in path.read_bytes().splitlines():
+            entry = json.loads(line)
+            entry["meta"].pop("wall_time_s")
+            entry.pop("checksum")
+            entries[entry["key"]] = entry
     return entries
 
 

@@ -229,15 +229,16 @@ class TestTrajectoryCaching:
 
         WARM.clear()
         first = trajectory_for(params, build)
-        entries = list(tmp_path.glob("*.json"))
-        assert len(entries) == 1
+        segments = list(tmp_path.glob("pack-*.jsonl"))
+        assert len(segments) == 1
+        assert len(segments[0].read_bytes().splitlines()) == 1
         # A fresh process (cleared warm cache) loads from disk.
         WARM.clear()
         loaded = trajectory_for(params, build)
         assert isinstance(loaded, BackgroundTrajectory)
         assert loaded == first
-        # Corrupt the entry: checksum-on-read logs, deletes, rebuilds.
-        entries[0].write_text(entries[0].read_text().replace(
+        # Corrupt the record: checksum-on-read logs, skips, rebuilds.
+        segments[0].write_text(segments[0].read_text().replace(
             '"result"', '"resolt"', 1))
         WARM.clear()
         with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
@@ -245,7 +246,8 @@ class TestTrajectoryCaching:
         assert rebuilt == first
         assert any("corrupted" in record.message
                    for record in caplog.records)
-        # The rebuild rewrote a valid entry.
+        # The rebuild appended a valid record that now wins.
+        assert len(segments[0].read_bytes().splitlines()) == 2
         WARM.clear()
         assert trajectory_for(params, build) == first
 
