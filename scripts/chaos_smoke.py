@@ -56,6 +56,8 @@ A third drill covers stale-run detection in the live event stream:
 3. The driver is SIGKILLed — no ``run_end`` is ever written.
 4. One heartbeat interval later the monitor must report ``stale``:
    the liveness contract a dashboard's "is it dead?" badge relies on.
+   The killed spool must still read cleanly: no ``StreamCorrupt``,
+   strictly increasing ``seq`` and no dropped events.
 """
 
 from __future__ import annotations
@@ -318,6 +320,8 @@ def _monitor_health(spool: pathlib.Path, env: dict) -> dict:
 
 
 def _stale_drill(workdir: pathlib.Path, env: dict) -> None:
+    from repro.obs.stream import EventStreamReader, read_events
+
     spool = workdir / "stale-events.jsonl"
     journal = workdir / "stale.jsonl"
 
@@ -366,6 +370,14 @@ def _stale_drill(workdir: pathlib.Path, env: dict) -> None:
         assert health["lifecycle"] == "running", health["lifecycle"]
         print(f"      monitor: status={health['status']} "
               f"(last event {health['last_event_age_s']:.2f}s ago)")
+        _header, events = read_events(spool)  # raises StreamCorrupt
+        seqs = [event["seq"] for event in events]
+        assert seqs and all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+        reader = EventStreamReader(spool)
+        reader.poll()
+        assert reader.dropped == 0, f"{reader.dropped} dropped events"
+        print(f"      killed spool: {len(events)} events, seq "
+              f"1..{seqs[-1]}, none dropped")
     finally:
         if proc.poll() is None:
             proc.kill()

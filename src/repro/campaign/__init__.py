@@ -36,7 +36,6 @@ from repro.campaign.faults import (
 from repro.campaign.trajectory import (
     BackgroundTrajectory,
     build_trajectory,
-    fork_window_groups,
     trajectory_for,
 )
 from repro.campaign.outcomes import (
@@ -75,7 +74,6 @@ __all__ = [
     "iter_population",
     "BackgroundTrajectory",
     "build_trajectory",
-    "fork_window_groups",
     "trajectory_for",
     "BENIGN",
     "ESCAPED",

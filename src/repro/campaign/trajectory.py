@@ -82,26 +82,6 @@ class BackgroundTrajectory:
                           len(self.snapshots) - 1)
 
 
-def fork_window_groups(trajectory: BackgroundTrajectory,
-                       cycles: "typing.Sequence[int] | np.ndarray",
-                       ) -> "list[list[int]]":
-    """Group indices of ``cycles`` by the fork snapshot they share.
-
-    Every cycle in one group has the same :meth:`fork_point`, so the
-    group's faults fork from one restored background.  Groups come
-    back in ascending snapshot order with indices ascending inside
-    each group (a stable sort of :meth:`~BackgroundTrajectory.
-    fork_indices`), so forked replays walk the trajectory forward and
-    restores stay cache-warm.
-    """
-    snapshot = trajectory.fork_indices(cycles)
-    if not snapshot.size:
-        return []
-    order = np.argsort(snapshot, kind="stable")
-    cuts = np.flatnonzero(np.diff(snapshot[order])) + 1
-    return [group.tolist() for group in np.split(order, cuts)]
-
-
 def build_trajectory(make_sim: "typing.Callable[[], typing.Any]", *,
                      num_cycles: int, stride: int) -> BackgroundTrajectory:
     """Run the fault-free background once, snapshotting every stride.

@@ -605,7 +605,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             magnitude_bins=args.magnitude_bins,
             min_weight=args.min_weight,
             adaptive=not args.uniform,
-            ring_capacity=args.ring_capacity,
             checkpoint_every_rounds=args.checkpoint_every,
         )
     except ConfigurationError as error:
@@ -1021,10 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--uniform", action="store_true",
                       help="disable adaptive reweighting (uniform "
                            "allocation; the control arm for benches)")
-    soak.add_argument("--ring-capacity", type=_positive_int,
-                      default=4096, metavar="N",
-                      help="bounded draw-ring capacity — caps "
-                           "generator run-ahead (default 4096)")
     soak.add_argument("--checkpoint-every", type=_positive_int,
                       default=1, metavar="ROUNDS",
                       help="rounds between checkpoint writes "

@@ -24,7 +24,7 @@ substrate those sweeps run on.  Six layers:
   instead of served.
 * :mod:`repro.exec.recordlog` — the append-only JSONL record log
   (fsync per append, torn-tail truncation on resume) shared by sweep
-  checkpoints and the soak journal.
+  checkpoints, the soak journal and the run-event spool.
 * :mod:`repro.exec.checkpoint` — append-only persistence of completed
   outcomes on that log, so a sweep killed mid-run resumes where it left
   off with byte-identical results.

@@ -1,16 +1,18 @@
 """Append-only JSONL record log with torn-tail recovery.
 
 The one durable log primitive behind the sweep checkpoint
-(:mod:`repro.exec.checkpoint`) and the soak journal
-(:mod:`repro.soak.journal`): a header line, then one JSON object per
+(:mod:`repro.exec.checkpoint`), the soak journal
+(:mod:`repro.soak.journal`) and the run-event spool
+(:mod:`repro.obs.stream`): a header line, then one JSON object per
 line.  The line framing (:func:`encode_line`, :func:`frame_lines`) is
 shared with the result cache's pack segments (:mod:`repro.exec.cache`).
 An append costs its own bytes plus one ``fsync``, however long the log
 already is.  Every write ends on a newline and is ``fsync``\\ ed
-before it returns, so a crash can tear only the final line:
-:meth:`RecordLog.open_resume` truncates such a tail in place, while an
-unparseable line with complete lines after it cannot be explained by a
-crash and raises :class:`RecordLogCorrupt`.
+before it returns, so a crash can tear only the final line.  One
+parser (:func:`parse_lines`) applies the torn-tail rule for every
+reader: :meth:`RecordLog.open_resume` truncates a torn tail in place,
+while an unparseable line with complete lines after it cannot be
+explained by a crash and raises :class:`RecordLogCorrupt`.
 """
 
 from __future__ import annotations
@@ -71,6 +73,36 @@ def frame_lines(raw: bytes) -> typing.Iterator[tuple[int, bytes]]:
         end = raw.find(b"\n", offset)
 
 
+def parse_lines(raw: bytes, path: str | os.PathLike,
+                corrupt: type[RecordLogCorrupt],
+                at: int = 0) -> tuple[list[dict], int]:
+    """``(records, bytes consumed)`` for the complete lines of ``raw``.
+
+    An unterminated tail, or an unparseable final line, is presumed
+    torn: it is left unconsumed for the caller to truncate or re-read.
+    An unparseable line with complete lines after it cannot be a crash
+    artefact and raises ``corrupt``.  ``at`` is the file offset of
+    ``raw``, for the error message only.
+    """
+    records: list[dict] = []
+    consumed = 0
+    segments = list(frame_lines(raw))
+    for index, (start, line) in enumerate(segments):
+        try:
+            record = json.loads(line.decode("utf-8"))
+            if not isinstance(record, dict):
+                raise ValueError("line is not a JSON object")
+        except ValueError as error:
+            if index == len(segments) - 1:
+                break  # torn line that happens to end in a newline
+            raise corrupt(
+                f"{path}: unreadable record at byte {at + start} "
+                f"({error}) with records after it") from error
+        records.append(record)
+        consumed = start + len(line) + 1
+    return records, consumed
+
+
 class RecordLog:
     """One append-only JSONL file: a header line, then records."""
 
@@ -78,6 +110,9 @@ class RecordLog:
     corrupt: type[RecordLogCorrupt] = RecordLogCorrupt
     #: Canonical (sorted-key) lines; off keeps a record's dict order.
     sort_keys = False
+    #: Header schema version; when set, :meth:`open_fresh` stamps
+    #: ``{type: header, schema}`` and :meth:`check_header` requires it.
+    schema: int | None = None
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = pathlib.Path(path)
@@ -89,10 +124,20 @@ class RecordLog:
 
     def check_header(self, header: dict) -> None:
         """Raise :attr:`corrupt` if ``header`` does not belong here."""
+        if self.schema is None:
+            return
+        if header.get("type") != "header":
+            raise self.corrupt(f"{self.path}: first record is not a header")
+        if header.get("schema") != self.schema:
+            raise self.corrupt(
+                f"{self.path}: schema {header.get('schema')!r} "
+                f"(expected {self.schema})")
 
     # -- opening -----------------------------------------------------------
     def open_fresh(self, header: dict) -> None:
         """Start a new log holding only ``header``, replacing any file."""
+        if self.schema is not None:
+            header = {"type": "header", "schema": self.schema, **header}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._write(self.encode(header), "wb")
         fsync_dir(self.path.parent)
@@ -125,32 +170,20 @@ class RecordLog:
             raw = self.path.read_bytes()
         except OSError:
             raw = b""
-        lines: list[dict] = []
-        offset = 0
-        segments = list(frame_lines(raw))
-        for index, (start, line) in enumerate(segments):
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError("line is not a JSON object")
-            except ValueError as error:
-                if index == len(segments) - 1:
-                    break  # torn line that happens to end in a newline
-                raise self.corrupt(
-                    f"{self.path}: unreadable record {index} ({error}) "
-                    f"with records after it") from error
-            lines.append(record)
-            offset = start + len(line) + 1
-        if not lines:
+        records, good_end = parse_lines(raw, self.path, self.corrupt)
+        if not records:
             return None, [], 0, len(raw)
-        self.check_header(lines[0])
-        return lines[0], lines[1:], offset, len(raw)
+        self.check_header(records[0])
+        return records[0], records[1:], good_end, len(raw)
 
     # -- appending ---------------------------------------------------------
     def write(self, data: bytes) -> None:
         """Durably append encoded lines (write + flush + fsync)."""
         if not self._open:
             raise ReproError(f"{self.path}: record log used before open")
+        self._append(data)
+
+    def _append(self, data: bytes) -> None:
         self._write(data, "ab")
 
     def _write(self, data: bytes, mode: str) -> None:

@@ -46,16 +46,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     snapshot_delta,
 )
-from repro.obs.stream import (
-    DEFAULT_HEARTBEAT_S,
-    EVENTS_FILENAME,
-    STREAM_SCHEMA_VERSION,
-    EventPublisher,
-    EventStreamReader,
-    StreamCorrupt,
-    events_path,
-    read_events,
-)
 from repro.obs.tracing import NOOP_SPAN, Span, Tracer
 
 #: Environment variable enabling observability process-wide.
@@ -158,16 +148,10 @@ if env_enabled():  # pragma: no cover - exercised via subprocess workers
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "DEFAULT_HEARTBEAT_S",
-    "EVENTS_FILENAME",
-    "EventPublisher",
-    "EventStreamReader",
     "HEALTH_SCHEMA_VERSION",
     "HealthFold",
     "MetricsRegistry",
     "RunHealth",
-    "STREAM_SCHEMA_VERSION",
-    "StreamCorrupt",
     "NON_SEMANTIC_PREFIXES",
     "NON_SEMANTIC_SUFFIXES",
     "NOOP_SPAN",
@@ -182,9 +166,7 @@ __all__ = [
     "enable",
     "enabled",
     "env_enabled",
-    "events_path",
     "fold_events",
-    "read_events",
     "reset",
     "semantic_snapshot",
     "snapshot_delta",

@@ -176,6 +176,8 @@ class HealthFold:
             self._unit = event.get("unit", self._unit)
             if event.get("total") is not None:
                 self._total = event["total"]
+            if self._started_wall is None:
+                self._started_wall = event.get("wall")
             if self._started_mono is None:
                 self._started_mono = event.get("mono_ns")
         elif etype == "phase_start":

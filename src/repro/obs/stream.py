@@ -1,13 +1,15 @@
 """Durable run-event stream: an append-only JSONL spool with live tails.
 
-Long-running modes (sweep/campaign/soak) were black boxes while they
-ran — ``repro.obs`` snapshots flush at exit and each CLI hand-rolled a
-status line.  This module is the streaming layer underneath live
-monitoring: an :class:`EventPublisher` appends one JSON object per run
-event to ``events.jsonl`` inside the run's obs directory, and an
-:class:`EventStreamReader` tails that file incrementally (from this or
-any other process), tolerating the torn final line an abrupt death can
-leave behind.
+This module is the streaming layer underneath live monitoring of
+long-running modes (sweep/campaign/soak): an :class:`EventPublisher`
+appends one JSON object per run event to ``events.jsonl`` inside the
+run's obs directory, and an :class:`EventStreamReader` tails that file
+incrementally (from this or any other process), tolerating the torn
+final line an abrupt death can leave behind.  The spool is an
+:class:`EventSpool`, a :class:`~repro.exec.recordlog.RecordLog`: its
+framing, header rule and torn-tail parser are the checkpoint's and the
+soak journal's, but its appends skip the fsync, because events are
+*telemetry*, not replay state.
 
 Event framing
 -------------
@@ -26,13 +28,6 @@ event carries:
   ``progress``, ``round``, ``retry``, ``crash``, ``quarantine``,
   ``fallback``, ``checkpoint``, ``metrics``, ``heartbeat``, ``drain``,
   ``phase_end``, ``run_end``).
-
-Durability is deliberately weaker than the soak journal's: events are
-*telemetry*, not replay state, so ``append`` flushes but does not fsync
-per record (the <2% overhead gate in ``BENCH_monitor.json`` depends on
-this).  The read side reuses the journal's truncation discipline: only
-the final line may fail to parse; damage with complete lines after it
-raises :class:`StreamCorrupt`.
 
 The publisher also fans events out to in-process listener callbacks —
 the CLI's live status line subscribes there, folding the *same* events
@@ -54,7 +49,7 @@ import threading
 import time
 import typing
 
-from repro.errors import ReproError
+from repro.exec.recordlog import RecordLog, RecordLogCorrupt, parse_lines
 
 logger = logging.getLogger("repro.obs")
 
@@ -73,8 +68,43 @@ DEFAULT_PROGRESS_EVERY_S = 0.5
 DEFAULT_METRICS_EVERY_S = 5.0
 
 
-class StreamCorrupt(ReproError):
+class StreamCorrupt(RecordLogCorrupt):
     """The event spool is damaged in a way a crash cannot explain."""
+
+
+class EventSpool(RecordLog):
+    """The publisher's spool: a record log whose appends never fsync.
+
+    The header is written and fsynced like any record log's (losing it
+    would orphan the whole spool).  Appends then flush through one
+    handle held open until :meth:`close`, so tails see each event
+    promptly, but skip the per-record fsync, which would blow the
+    overhead budget on fast sweeps.  Lines are sorted-key JSON with
+    ``default=str``: callers pass arbitrary event fields, and telemetry
+    stringifies what JSON cannot hold rather than fail the run.
+    """
+
+    corrupt = StreamCorrupt
+    sort_keys = True
+    schema = STREAM_SCHEMA_VERSION
+    _handle: typing.IO[bytes] | None = None
+
+    def encode(self, record: dict) -> bytes:
+        return json.dumps(record, sort_keys=True, separators=(",", ":"),
+                          default=str).encode("utf-8") + b"\n"
+
+    def _append(self, data: bytes) -> None:
+        if self._handle is None:
+            self._handle = open(self.path, "ab")
+        self._handle.write(data)
+        self._handle.flush()
+
+    def close(self) -> None:
+        super().close()
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            with handle:
+                os.fsync(handle.fileno())
 
 
 def _default_run_id(kind: str) -> str:
@@ -108,7 +138,8 @@ class EventPublisher:
         self.progress_every_s = progress_every_s
         self.metrics_every_s = metrics_every_s
         self._lock = threading.RLock()
-        self._handle: typing.IO[bytes] | None = None
+        self._spool = (EventSpool(self.path) if self.path is not None
+                       else None)
         self._listeners: list[typing.Callable[[dict], None]] = []
         self._seq = 0
         self._last_emit_ns = time.perf_counter_ns()
@@ -138,25 +169,15 @@ class EventPublisher:
     def open(self) -> "EventPublisher":
         """Write the header, open the spool, start the heartbeat."""
         with self._lock:
-            if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "wb")
             if self.registry is not None:
                 self._metrics_before = self.registry.snapshot()
             self._write({
-                "type": "header",
-                "schema": STREAM_SCHEMA_VERSION,
                 "run_id": self.run_id,
                 "kind": self.kind,
                 "heartbeat_s": self.heartbeat_s,
                 "pid": os.getpid(),
                 "meta": self.meta,
-            })
-            if self._handle is not None:
-                # One durability point: the header names the run; losing
-                # it would orphan the whole spool.
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
+            }, header=True)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._heartbeat_loop, name="obs-events-heartbeat",
@@ -181,13 +202,11 @@ class EventPublisher:
             self._maybe_progress(force=True)
             if status is not None and not self._ended:
                 self.emit("run_end", status=status, **fields)
-            if self._handle is not None:
+            if self._spool is not None:
                 try:
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                    self._handle.close()
+                    self._spool.close()
                 finally:
-                    self._handle = None
+                    self._spool = None
 
     def __enter__(self) -> "EventPublisher":
         return self.open()
@@ -223,25 +242,23 @@ class EventPublisher:
                                    exc_info=True)
             return event
 
-    def _write(self, record: dict) -> None:
-        if self._handle is None:
+    def _write(self, record: dict, *, header: bool = False) -> None:
+        spool = self._spool
+        if spool is None:
             return
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":"), default=str)
         try:
-            self._handle.write(line.encode("utf-8") + b"\n")
-            # Flush (so tails see it promptly) but do not fsync: events
-            # are telemetry, and per-record fsync would blow the <2%
-            # overhead budget on fast sweeps.
-            self._handle.flush()
+            if header:
+                spool.open_fresh(record)
+            else:
+                spool.write(spool.encode(record))
         except OSError:
             logger.warning("obs event spool write failed; disabling "
                            "file sink", exc_info=True)
+            self._spool = None
             try:
-                self._handle.close()
+                spool.close()
             except OSError:  # pragma: no cover
                 pass
-            self._handle = None
 
     # -- run lifecycle events ----------------------------------------------
     def run_start(self, *, total: int | None = None,
@@ -378,11 +395,6 @@ class EventPublisher:
                 self._metrics_before = after
                 self.emit("metrics", delta=delta)
 
-    def flush_progress(self) -> None:
-        """Force out any pending progress/metrics events."""
-        with self._lock:
-            self._maybe_progress(force=True)
-
     # -- heartbeat ---------------------------------------------------------
     def _heartbeat_loop(self) -> None:
         # Tick at a quarter interval and emit whenever nothing has been
@@ -409,11 +421,12 @@ class EventStreamReader:
 
     ``poll()`` returns the events appended since the previous call and
     never advances past an incomplete tail, so a live ``--follow`` tail
-    and a post-mortem read share one code path.  An unparseable final
-    line is presumed torn and left pending; if a later poll finds
-    complete lines *after* it, the damage cannot be a crash artefact
-    and :class:`StreamCorrupt` is raised — the same discipline as the
-    soak journal.
+    and a post-mortem read share one code path.  Parsing is
+    :func:`~repro.exec.recordlog.parse_lines`, the record logs' one
+    torn-tail rule: an unparseable final line is presumed torn and left
+    pending; if a later poll finds complete lines *after* it, the
+    damage cannot be a crash artefact and :class:`StreamCorrupt` is
+    raised.  The header must pass :meth:`EventSpool.check_header`.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -432,43 +445,18 @@ class EventStreamReader:
                 raw = handle.read()
         except OSError:
             return []
-        if not raw:
-            return []
-        events: list[dict] = []
-        consumed = 0
-        segments = raw.split(b"\n")[:-1]
-        for index, line in enumerate(segments):
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ValueError("event line is not an object")
-            except (ValueError, UnicodeDecodeError) as error:
-                if index == len(segments) - 1:
-                    # Possibly a torn terminated line; leave the offset
-                    # before it and re-judge on the next poll.
-                    break
-                raise StreamCorrupt(
-                    f"{self.path}: unreadable event at byte "
-                    f"{self._offset + consumed} ({error}) with "
-                    f"records after it") from error
-            consumed += len(line) + 1
-            if self._offset == 0 and index == 0:
-                if record.get("type") != "header":
-                    raise StreamCorrupt(
-                        f"{self.path}: first record is not a header")
-                if record.get("schema") != STREAM_SCHEMA_VERSION:
-                    raise StreamCorrupt(
-                        f"{self.path}: schema {record.get('schema')!r} "
-                        f"(expected {STREAM_SCHEMA_VERSION})")
-                self.header = record
-            else:
-                seq = record.get("seq")
-                if isinstance(seq, int):
-                    if self.last_seq and seq > self.last_seq + 1:
-                        self.dropped += seq - self.last_seq - 1
-                    self.last_seq = max(self.last_seq, seq)
-                events.append(record)
+        events, consumed = parse_lines(raw, self.path, StreamCorrupt,
+                                       at=self._offset)
+        if self._offset == 0 and events:
+            EventSpool(self.path).check_header(events[0])
+            self.header = events.pop(0)
         self._offset += consumed
+        for event in events:
+            seq = event.get("seq")
+            if isinstance(seq, int):
+                if self.last_seq and seq > self.last_seq + 1:
+                    self.dropped += seq - self.last_seq - 1
+                self.last_seq = max(self.last_seq, seq)
         return events
 
 

@@ -29,8 +29,6 @@ Modules:
   floor, largest-remainder integer allocation (no RNG);
 * :mod:`repro.soak.generator` — strata construction and counter-based
   spec draws (:func:`repro.campaign.faults.draw_spec`);
-* :mod:`repro.soak.ring` — the bounded draw buffer between generator
-  and chunk assembly (backpressure bounds generator run-ahead);
 * :mod:`repro.soak.journal` — fsync-per-record append-only JSONL with
   torn-tail recovery;
 * :mod:`repro.soak.driver` — the round loop: allocate, draw, dispatch
@@ -59,7 +57,6 @@ from repro.soak.generator import (
     stratum_lanes,
 )
 from repro.soak.journal import JournalCorrupt, SoakJournal
-from repro.soak.ring import SoakRing
 from repro.soak.sampler import AdaptiveSampler, allocate_counts
 
 __all__ = [
@@ -71,7 +68,6 @@ __all__ = [
     "SoakConfig",
     "SoakJournal",
     "SoakResult",
-    "SoakRing",
     "Stratum",
     "StratumStats",
     "allocate_counts",

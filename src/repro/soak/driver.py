@@ -7,7 +7,7 @@ One soak *round* is the unit of determinism and durability:
 2. the round's ``faults_per_round`` draws are allocated across strata
    (largest remainder, no RNG) and minted as ``(stratum, counter,
    fault_id)`` descriptors from per-stratum monotone counters;
-3. descriptors flow through the bounded ring into chunk tasks and out
+3. descriptors are cut into chunk tasks, in draw order, and go out
    over the exec layer (:class:`~repro.exec.runner.SweepRunner` —
    the same warm pool, retry, timeout-watchdog, and crash-quarantine
    machinery batch campaigns use; workers share the campaign's
@@ -71,7 +71,6 @@ from repro.soak.journal import (
     SoakJournal,
     record_digest,
 )
-from repro.soak.ring import SoakRing
 from repro.soak.sampler import AdaptiveSampler
 
 #: Dotted task-function name (module-level, worker-importable).
@@ -80,8 +79,7 @@ SOAK_TASK = "repro.soak.driver:soak_chunk_task"
 SOAK_CHECKPOINT_SCHEMA_VERSION = 1
 
 # Soak observability.  Round/fault counters and the CI-width gauge are
-# semantic (pure functions of config and round count); the ring-depth
-# gauge is semantic too (the pump is deterministic); wall-clock rates
+# semantic (pure functions of config and round count); wall-clock rates
 # live under the ``_seconds`` suffix, excluded from determinism checks.
 _OBS_ROUNDS = obs.REGISTRY.counter(
     "repro_soak_rounds_total", "Completed soak rounds").labels()
@@ -89,9 +87,6 @@ _OBS_FAULTS = obs.REGISTRY.counter(
     "repro_soak_faults_total",
     "Soak faults evaluated, by stratum",
     labelnames=("stratum",))
-_OBS_RING_DEPTH = obs.REGISTRY.gauge(
-    "repro_soak_ring_depth",
-    "Pending draws buffered in the soak ring").labels()
 _OBS_WIDEST_CI = obs.REGISTRY.gauge(
     "repro_soak_widest_ci_width",
     "Widest per-stratum escape-rate Wilson CI width").labels()
@@ -117,7 +112,6 @@ class SoakConfig:
     magnitude_bins: int = 3
     min_weight: float | None = None
     adaptive: bool = True
-    ring_capacity: int = 4096
     checkpoint_every_rounds: int = 1
 
     def __post_init__(self) -> None:
@@ -125,8 +119,6 @@ class SoakConfig:
             raise ConfigurationError("faults_per_round must be >= 1")
         if self.magnitude_bins < 1:
             raise ConfigurationError("magnitude_bins must be >= 1")
-        if self.ring_capacity < 1:
-            raise ConfigurationError("ring_capacity must be >= 1")
         if self.checkpoint_every_rounds < 1:
             raise ConfigurationError(
                 "checkpoint_every_rounds must be >= 1")
@@ -137,8 +129,8 @@ class SoakConfig:
     def run_key(self) -> str:
         """Identity of the soak stream: sampling semantics + code.
 
-        Excludes operational knobs (ring capacity, checkpoint cadence,
-        stop conditions) — they change pacing, never content.
+        Excludes operational knobs (checkpoint cadence, stop
+        conditions) — they change pacing, never content.
         """
         payload = json.dumps({
             "campaign": self.campaign.to_params(),
@@ -157,7 +149,6 @@ class SoakConfig:
             "magnitude_bins": self.magnitude_bins,
             "min_weight": self.min_weight,
             "adaptive": self.adaptive,
-            "ring_capacity": self.ring_capacity,
             "checkpoint_every_rounds": self.checkpoint_every_rounds,
         }
 
@@ -341,25 +332,6 @@ def _round_draws(strata: typing.Sequence[Stratum],
             fault_id += 1
 
 
-def _chunk_draws(ring: SoakRing,
-                 source: typing.Iterator[tuple[str, int, int]],
-                 chunk_size: int) -> typing.Iterator[list]:
-    """Pump draws through the bounded ring into chunk-sized batches.
-
-    Fill/drain alternation: the generator only advances while the ring
-    has room (backpressure), and chunks are cut from the ring FIFO so
-    draw order is preserved end to end.
-    """
-    while True:
-        ring.fill_from(source)
-        if obs.REGISTRY.enabled:
-            _OBS_RING_DEPTH.set(len(ring))
-        batch = ring.take(chunk_size)
-        if not batch:
-            return
-        yield batch
-
-
 def _outcome_digest_payload(outcome: FaultOutcome) -> list:
     """The per-fault fields the round digest commits to."""
     return [
@@ -370,8 +342,8 @@ def _outcome_digest_payload(outcome: FaultOutcome) -> list:
 
 
 def _run_round(soak: SoakConfig, runner: SweepRunner,
-               strata: typing.Sequence[Stratum], ring: SoakRing,
-               state: dict, alloc: typing.Mapping[str, int],
+               strata: typing.Sequence[Stratum], state: dict,
+               alloc: typing.Mapping[str, int],
                ) -> tuple[list[tuple[str, FaultOutcome]], int]:
     """Dispatch one round's draws; returns (keyed outcomes, work units).
 
@@ -381,9 +353,11 @@ def _run_round(soak: SoakConfig, runner: SweepRunner,
     re-run after resume is identical anyway).
     """
     config = soak.campaign
-    source = _round_draws(strata, alloc, state["counters"],
-                          state["seq"])
-    chunks = list(_chunk_draws(ring, source, config.faults_per_task))
+    draws = list(_round_draws(strata, alloc, state["counters"],
+                              state["seq"]))
+    size = config.faults_per_task
+    chunks = [draws[start:start + size]
+              for start in range(0, len(draws), size)]
     config_params = config.to_params()
     strata_params = {stratum.key: stratum.to_params()
                      for stratum in strata}
@@ -570,7 +544,6 @@ def run_soak(
     estimator = EscapeEstimator.restore(keys, state["estimator"])
     sampler = AdaptiveSampler(keys, min_weight=soak.min_weight,
                               adaptive=soak.adaptive)
-    ring = SoakRing(soak.ring_capacity)
     owns_runner = runner is None
     runner = runner or SweepRunner()
     started = time.monotonic()
@@ -595,8 +568,8 @@ def run_soak(
             weights, alloc = sampler.allocate(estimator,
                                               soak.faults_per_round)
             try:
-                keyed, _work = _run_round(soak, runner, strata, ring,
-                                          state, alloc)
+                keyed, _work = _run_round(soak, runner, strata, state,
+                                          alloc)
             except SweepDrained:
                 # Partial round: journal untouched (prefix-stable);
                 # the identical round re-runs after resume.

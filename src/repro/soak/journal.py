@@ -10,8 +10,9 @@ carry **no wall-clock data**: an interrupted run's journal is a
 byte-exact prefix of the uninterrupted run's — the property the chaos
 drill pins.  The file mechanics (``fsync`` per ``append``, torn-tail
 truncation on ``open_resume``, :class:`JournalCorrupt` on damage before
-the tail) are the shared :class:`repro.exec.recordlog.RecordLog`; this
-module adds the header schema, sorted-key lines and the digest chain.
+the tail, the ``{type: header, schema}`` header rule) are the shared
+:class:`repro.exec.recordlog.RecordLog`; this module adds the schema
+version, sorted-key lines and the digest chain.
 """
 
 from __future__ import annotations
@@ -42,19 +43,7 @@ class SoakJournal(RecordLog):
 
     corrupt = JournalCorrupt
     sort_keys = True
-
-    def open_fresh(self, header: dict) -> None:
-        """Start a new journal, replacing any existing file."""
-        super().open_fresh({"type": "header",
-                            "schema": JOURNAL_SCHEMA_VERSION, **header})
-
-    def check_header(self, header: dict) -> None:
-        if header.get("type") != "header":
-            raise JournalCorrupt(f"{self.path}: first record is not a header")
-        if header.get("schema") != JOURNAL_SCHEMA_VERSION:
-            raise JournalCorrupt(
-                f"{self.path}: schema {header.get('schema')!r} "
-                f"(expected {JOURNAL_SCHEMA_VERSION})")
+    schema = JOURNAL_SCHEMA_VERSION
 
     def append(self, record: dict) -> None:
         """Durably append one record (write + flush + fsync)."""

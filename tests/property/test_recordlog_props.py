@@ -1,14 +1,16 @@
 """Torn-write properties of every durable append log.
 
-Three files are append-only logs framed one record per line
+Four files are append-only logs framed one record per line
 (:func:`repro.exec.recordlog.frame_lines`): the sweep checkpoint and the
 soak journal (:class:`~repro.exec.recordlog.RecordLog`, ``fsync`` per
-append) and the result cache's pack segments
-(:class:`~repro.exec.ResultCache`).  For any record sequence:
+append), the run-event spool (:class:`~repro.obs.stream.EventSpool`, a
+``RecordLog`` that flushes without ``fsync``) and the result cache's
+pack segments (:class:`~repro.exec.ResultCache`).  For any record
+sequence:
 
 1. a cut at any byte reads as exactly the complete records before the
-   cut — in the record log, the soak journal, the checkpoint and the
-   cache pack;
+   cut — in the record log, the soak journal, the event spool, the
+   checkpoint and the cache pack;
 2. reopening after a torn tail truncates it and appends after it, and
    the cache appends after a torn segment tail without losing a record;
 3. an unparseable checkpoint or journal line with complete lines after
@@ -38,6 +40,7 @@ from repro.exec import (
     expand_grid,
     read_checkpoint,
 )
+from repro.obs.stream import EventSpool
 from repro.soak import JournalCorrupt, SoakJournal
 
 SQUARE = "repro.exec.testing:square_task"
@@ -136,8 +139,8 @@ def _complete(raw: bytes, cut: int) -> int:
     return raw[:cut].count(b"\n")
 
 
-@pytest.mark.parametrize("log_cls", [RecordLog, SoakJournal],
-                         ids=["record-log", "soak-journal"])
+@pytest.mark.parametrize("log_cls", [RecordLog, SoakJournal, EventSpool],
+                         ids=["record-log", "soak-journal", "event-spool"])
 @settings(max_examples=40, deadline=None)
 @given(records=_records, cut=st.floats(0, 1))
 def test_cut_at_any_byte_reads_the_complete_prefix(log_cls, records, cut):

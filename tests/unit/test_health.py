@@ -11,6 +11,7 @@ from repro.obs.render import (
     render_dashboard,
     render_html,
 )
+from repro.obs.stream import EventPublisher, read_events
 
 SEC = 1_000_000_000  # mono_ns per second
 
@@ -47,6 +48,15 @@ class TestLifecycle:
         assert health.run_id == "run-1"
         assert health.kind == "sweep"
         assert health.heartbeat_s == 5.0
+
+    def test_started_wall_comes_from_run_start(self, tmp_path):
+        # The spool header carries no wall clock; run_start does.
+        spool = tmp_path / "events.jsonl"
+        with EventPublisher(spool, kind="sweep", heartbeat_s=60.0) as pub:
+            pub.run_start(total=1)
+        header_, events = read_events(spool)
+        health = fold_events([header_, *events])
+        assert health.started_wall == events[0]["wall"]
 
     def test_run_start_to_done(self):
         health = fold_events([

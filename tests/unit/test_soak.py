@@ -14,7 +14,6 @@ from repro.soak import (
     SoakCheckpoint,
     SoakConfig,
     SoakJournal,
-    SoakRing,
     allocate_counts,
     build_strata,
     run_soak,
@@ -186,30 +185,6 @@ class TestSampler:
     def test_floor_bounds_validated(self):
         with pytest.raises(ConfigurationError):
             AdaptiveSampler(["a", "b"], min_weight=0.6)  # > uniform
-
-
-class TestRing:
-    def test_backpressure_and_fifo(self):
-        ring = SoakRing(3)
-        assert ring.push(1) and ring.push(2) and ring.push(3)
-        assert ring.full and not ring.push(4)
-        assert ring.take(2) == [1, 2]
-        assert ring.free == 2
-
-    def test_fill_from_leaves_the_rest_in_the_source(self):
-        ring = SoakRing(2)
-        source = iter(range(5))
-        assert ring.fill_from(source) == 2
-        assert ring.take(10) == [0, 1]
-        assert ring.fill_from(source) == 2
-        assert next(source) == 4  # 4 was never pulled
-
-    def test_accepted_is_monotonic(self):
-        ring = SoakRing(2)
-        ring.fill_from(iter(range(2)))
-        ring.take(2)
-        ring.fill_from(iter(range(2)))
-        assert ring.accepted == 4
 
 
 class TestJournal:
@@ -409,7 +384,6 @@ class TestSoakConfig:
             base.run_key()
         assert small_soak(adaptive=False).run_key() != base.run_key()
         # Operational knobs don't change the stream identity.
-        assert small_soak(ring_capacity=8).run_key() == base.run_key()
         assert small_soak(checkpoint_every_rounds=5).run_key() == \
             base.run_key()
 

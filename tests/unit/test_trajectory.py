@@ -8,7 +8,6 @@ from repro.campaign import (
     BackgroundTrajectory,
     CampaignConfig,
     build_trajectory,
-    fork_window_groups,
     trajectory_for,
 )
 from repro.campaign.engine import _build_graph_sim
@@ -272,23 +271,3 @@ class TestForkedEvaluatorFallbacks:
             full = FULL_RUN_TARGETS["graph"](config, spec)
             forked = runner.replay(spec)
             assert encode_result(full[0]) == encode_result(forked[0])
-
-    def test_fork_window_groups_by_snapshot(self):
-        from repro.campaign.engine import fault_runner
-
-        config = _config(num_faults=50, num_cycles=500,
-                         snapshot_stride=100)
-        trajectory = fault_runner(config).trajectory
-        specs = list(config.iter_population())
-        groups = fork_window_groups(trajectory,
-                                    [spec.cycle for spec in specs])
-        order = [index for group in groups for index in group]
-        assert sorted(order) == list(range(len(specs)))
-        starts = []
-        for group in groups:
-            assert group == sorted(group)
-            points = {trajectory.fork_point(specs[i].cycle)[0]
-                      for i in group}
-            assert len(points) == 1
-            starts.append(points.pop())
-        assert starts == sorted(set(starts))
