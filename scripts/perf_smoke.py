@@ -117,7 +117,7 @@ BATCH_SPEEDUP_FLOOR = 3.0
 #: Soak gate: 10 seconds of bounded soak, split into ``SOAK_PASSES``
 #: passes interleaved with warm batched-campaign arms, must sustain at
 #: least this fraction of the batched campaign's faults/s on the same
-#: config (the round loop, ring, estimator, and fsync-per-round journal
+#: config (the round loop, ring, estimator, and group-committed journal
 #: are the only additions), medians against medians.  On a fixed round
 #: budget the adaptive sampler must leave a strictly narrower widest CI
 #: than uniform sampling while the two overall estimates stay

@@ -605,7 +605,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             magnitude_bins=args.magnitude_bins,
             min_weight=args.min_weight,
             adaptive=not args.uniform,
-            checkpoint_every_rounds=args.checkpoint_every,
         )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1020,13 +1019,12 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--uniform", action="store_true",
                       help="disable adaptive reweighting (uniform "
                            "allocation; the control arm for benches)")
-    soak.add_argument("--checkpoint-every", type=_positive_int,
-                      default=1, metavar="ROUNDS",
-                      help="rounds between checkpoint writes "
-                           "(default 1)")
     soak.add_argument("--journal", required=True, metavar="PATH",
-                      help="append-only replay journal (fsync per "
-                           "round; --resume continues it)")
+                      help="append-only replay journal (each round "
+                           "flushed, fsync'd at commit points: at "
+                           "least once a second and on exit, so a "
+                           "power loss costs at most the last "
+                           "second of rounds; --resume continues it)")
     soak.add_argument("--max-faults", type=_positive_int, default=None,
                       help="stop after this many total faults")
     soak.add_argument("--max-runtime", type=float, default=None,
@@ -1049,8 +1047,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="suppress the per-round status line")
     add_exec_flags(
         soak,
-        checkpoint_help=("soak-state checkpoint file (atomic "
-                         "tmp+rename+fsync; speeds up --resume)"),
+        checkpoint_help=("soak-state checkpoint file, written "
+                         "atomically at each commit point (at least "
+                         "once a second and on exit); speeds up "
+                         "--resume"),
         resume_help=("continue a previous soak from its journal "
                      "(and checkpoint, if given) byte-identically"))
     soak.add_argument("--out", metavar="PATH",

@@ -23,8 +23,9 @@ substrate those sweeps run on.  Six layers:
   so truncated or corrupted ones are detected, logged, and rebuilt
   instead of served.
 * :mod:`repro.exec.recordlog` — the append-only JSONL record log
-  (fsync per append, torn-tail truncation on resume) shared by sweep
-  checkpoints, the soak journal and the run-event spool.
+  (one held append handle, fsync per append or at the owner's commit
+  points, torn-tail truncation on resume) shared by sweep checkpoints,
+  the soak journal and the run-event spool.
 * :mod:`repro.exec.checkpoint` — append-only persistence of completed
   outcomes on that log, so a sweep killed mid-run resumes where it left
   off with byte-identical results.

@@ -180,10 +180,15 @@ class SweepCheckpoint:
             self._append()
 
     def flush(self) -> None:
-        """Durably append every buffered outcome (write + fsync)."""
+        """Durably append every buffered outcome and release the file.
+
+        The runner calls this once, at the end of a run; the next
+        :meth:`load` reopens the log.
+        """
         if self._run_key is None:
             raise RuntimeError("checkpoint used before load()")
         self._append()
+        self._log.close()
 
     def _append(self) -> None:
         if self._pending:

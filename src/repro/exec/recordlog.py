@@ -6,9 +6,13 @@ The one durable log primitive behind the sweep checkpoint
 (:mod:`repro.obs.stream`): a header line, then one JSON object per
 line.  The line framing (:func:`encode_line`, :func:`frame_lines`) is
 shared with the result cache's pack segments (:mod:`repro.exec.cache`).
-An append costs its own bytes plus one ``fsync``, however long the log
-already is.  Every write ends on a newline and is ``fsync``\\ ed
-before it returns, so a crash can tear only the final line.  One
+Appends go through one handle held open until :meth:`RecordLog.close`
+and cost their own bytes, however long the log already is.  Every
+write ends on a newline and is flushed before it returns, so a crash
+can tear only the final line; :meth:`RecordLog.sync` ``fsync``\\ s
+what was flushed.  A plain log syncs every write; a log that sets
+:attr:`RecordLog.sync_writes` off (the soak journal, the event spool)
+is durable at the points its owner calls ``sync``, and at close.  One
 parser (:func:`parse_lines`) applies the torn-tail rule for every
 reader: :meth:`RecordLog.open_resume` truncates a torn tail in place,
 while an unparseable line with complete lines after it cannot be
@@ -114,9 +118,14 @@ class RecordLog:
     #: ``{type: header, schema}`` and :meth:`check_header` requires it.
     schema: int | None = None
 
+    #: ``fsync`` every :meth:`write`; off leaves it to :meth:`sync`.
+    sync_writes = True
+
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = pathlib.Path(path)
         self._open = False
+        self._handle: typing.IO[bytes] | None = None
+        self._unsynced = False
 
     def encode(self, record: dict, **encoded: str) -> bytes:
         """One record as a complete line (see :func:`encode_line`)."""
@@ -138,8 +147,12 @@ class RecordLog:
         """Start a new log holding only ``header``, replacing any file."""
         if self.schema is not None:
             header = {"type": "header", "schema": self.schema, **header}
+        self.close()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._write(self.encode(header), "wb")
+        with open(self.path, "wb") as handle:
+            handle.write(self.encode(header))
+            handle.flush()
+            os.fsync(handle.fileno())
         fsync_dir(self.path.parent)
         self._open = True
 
@@ -148,6 +161,7 @@ class RecordLog:
 
         A missing or empty file yields ``(None, [])`` and stays closed.
         """
+        self.close()
         header, records, good_end, size = self._scan()
         if good_end < size:
             with open(self.path, "rb+") as handle:
@@ -178,22 +192,37 @@ class RecordLog:
 
     # -- appending ---------------------------------------------------------
     def write(self, data: bytes) -> None:
-        """Durably append encoded lines (write + flush + fsync)."""
+        """Append encoded lines through the held handle and flush them.
+
+        The write is ``fsync``\\ ed before it returns when
+        :attr:`sync_writes` is on, and at the next :meth:`sync` or
+        :meth:`close` otherwise.
+        """
         if not self._open:
             raise ReproError(f"{self.path}: record log used before open")
-        self._append(data)
+        if self._handle is None:
+            self._handle = open(self.path, "ab")
+        self._handle.write(data)
+        self._handle.flush()
+        self._unsynced = True
+        if self.sync_writes:
+            self.sync()
 
-    def _append(self, data: bytes) -> None:
-        self._write(data, "ab")
-
-    def _write(self, data: bytes, mode: str) -> None:
-        with open(self.path, mode) as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+    def sync(self) -> None:
+        """``fsync`` every flushed write; a no-op when none is pending."""
+        if self._unsynced:
+            os.fsync(self._handle.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
+        """Sync pending writes and release the handle."""
         self._open = False
+        if self._handle is not None:
+            try:
+                self.sync()
+            finally:
+                handle, self._handle = self._handle, None
+                handle.close()
 
     def __enter__(self) -> "RecordLog":
         return self

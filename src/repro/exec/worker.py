@@ -20,8 +20,9 @@ functions (every variability model's draws are pure in
 The cache capacity comes from ``REPRO_WARM_CACHE_SIZE`` (default 64
 entries) and can be overridden per pool through the runner's worker
 initializer.  Hit/miss counters are kept per *kind* (``task-func``,
-``compiled``, ``variability``, ``criticality``, ``trajectory``) so the
-exec layer can ship per-batch deltas back to the parent's telemetry.
+``compiled``, ``variability``, ``criticality``, ``trajectory``,
+``evaluator``) so the exec layer can ship per-batch deltas back to the
+parent's telemetry.
 Campaign populations are not cached: a dispatch batch of campaign
 chunks draws its faults once, as one vector draw, through the task's
 batch form.  ``trajectory`` entries — fault-free campaign

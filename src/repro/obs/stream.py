@@ -76,10 +76,10 @@ class EventSpool(RecordLog):
     """The publisher's spool: a record log whose appends never fsync.
 
     The header is written and fsynced like any record log's (losing it
-    would orphan the whole spool).  Appends then flush through one
-    handle held open until :meth:`close`, so tails see each event
-    promptly, but skip the per-record fsync, which would blow the
-    overhead budget on fast sweeps.  Lines are sorted-key JSON with
+    would orphan the whole spool).  Appends then flush through the
+    log's held handle, so tails see each event promptly, but skip the
+    per-record fsync, which would blow the overhead budget on fast
+    sweeps; :meth:`close` syncs them.  Lines are sorted-key JSON with
     ``default=str``: callers pass arbitrary event fields, and telemetry
     stringifies what JSON cannot hold rather than fail the run.
     """
@@ -87,24 +87,11 @@ class EventSpool(RecordLog):
     corrupt = StreamCorrupt
     sort_keys = True
     schema = STREAM_SCHEMA_VERSION
-    _handle: typing.IO[bytes] | None = None
+    sync_writes = False
 
     def encode(self, record: dict) -> bytes:
         return json.dumps(record, sort_keys=True, separators=(",", ":"),
                           default=str).encode("utf-8") + b"\n"
-
-    def _append(self, data: bytes) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "ab")
-        self._handle.write(data)
-        self._handle.flush()
-
-    def close(self) -> None:
-        super().close()
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            with handle:
-                os.fsync(handle.fileno())
 
 
 def _default_run_id(kind: str) -> str:

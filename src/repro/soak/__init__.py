@@ -29,7 +29,7 @@ Modules:
   floor, largest-remainder integer allocation (no RNG);
 * :mod:`repro.soak.generator` — strata construction and counter-based
   spec draws (:func:`repro.campaign.faults.draw_spec`);
-* :mod:`repro.soak.journal` — fsync-per-record append-only JSONL with
+* :mod:`repro.soak.journal` — group-committed append-only JSONL with
   torn-tail recovery;
 * :mod:`repro.soak.driver` — the round loop: allocate, draw, dispatch
   through :class:`repro.exec.SweepRunner`, update, journal, checkpoint.

@@ -16,7 +16,12 @@ One soak *round* is the unit of determinism and durability:
    excludes fault parameters);
 4. classified outcomes update the estimator, and one journal record —
    weights, draws, per-stratum class counts, chained outcome digest —
-   is fsync'd before the round is considered to have happened.
+   is appended and flushed; the round has then happened.  The journal
+   is group-committed: it is ``fsync``\\ ed at *commit points*, when
+   :data:`COMMIT_INTERVAL_S` has passed since the last one and on
+   every loop exit (stop, drain or failure).  Each commit also saves
+   the checkpoint hint, when one is kept, and emits one ``checkpoint``
+   event.
 
 Because outcomes are pure in the drawn specs and weights are pure in
 the estimator, the entire stream is a pure function of (configuration,
@@ -24,7 +29,10 @@ number of rounds).  Crash safety follows: the journal is prefix-stable,
 so resume = rebuild state from the complete journal records (optionally
 fast-forwarded from an atomic checkpoint), truncate any torn tail, and
 continue — byte-identical to a run that was never interrupted.  A kill
-*inside* a round loses only that round's work; it is re-run identically.
+*inside* a round loses only that round's work, and a killed process
+loses no flushed round; a power loss can cost the rounds since the last
+commit, at most :data:`COMMIT_INTERVAL_S` of them.  Either way the lost
+rounds are re-run identically.
 
 Stop conditions (``max_faults``, ``max_runtime_s``,
 ``target_ci_width``, ``max_rounds``) are checked at round boundaries
@@ -41,7 +49,7 @@ import json
 import time
 import typing
 
-from repro import obs
+from repro import kernels, obs
 from repro.campaign.engine import (
     CampaignConfig,
     chunk_payloads,
@@ -49,7 +57,7 @@ from repro.campaign.engine import (
 )
 from repro.campaign.outcomes import FaultOutcome
 from repro.errors import ConfigurationError, ExecutionError
-from repro.exec.cache import _code_version
+from repro.exec.cache import _code_version, stable_key
 from repro.exec.checkpoint import atomic_write_json
 from repro.exec.runner import (
     SweepDrained,
@@ -59,6 +67,7 @@ from repro.exec.runner import (
     derive_seed,
     task_key,
 )
+from repro.exec.worker import WARM
 from repro.soak.estimators import EscapeEstimator
 from repro.soak.generator import (
     Stratum,
@@ -77,6 +86,11 @@ from repro.soak.sampler import AdaptiveSampler
 SOAK_TASK = "repro.soak.driver:soak_chunk_task"
 
 SOAK_CHECKPOINT_SCHEMA_VERSION = 1
+
+#: Seconds between the loop's commit points (journal ``fsync``,
+#: checkpoint hint, ``checkpoint`` event); every loop exit commits too.
+#: A power loss can cost the rounds of this window, never more.
+COMMIT_INTERVAL_S = 1.0
 
 # Soak observability.  Round/fault counters and the CI-width gauge are
 # semantic (pure functions of config and round count); wall-clock rates
@@ -112,16 +126,12 @@ class SoakConfig:
     magnitude_bins: int = 3
     min_weight: float | None = None
     adaptive: bool = True
-    checkpoint_every_rounds: int = 1
 
     def __post_init__(self) -> None:
         if self.faults_per_round < 1:
             raise ConfigurationError("faults_per_round must be >= 1")
         if self.magnitude_bins < 1:
             raise ConfigurationError("magnitude_bins must be >= 1")
-        if self.checkpoint_every_rounds < 1:
-            raise ConfigurationError(
-                "checkpoint_every_rounds must be >= 1")
 
     def strata(self) -> list[Stratum]:
         return build_strata(self.campaign, self.magnitude_bins)
@@ -129,8 +139,8 @@ class SoakConfig:
     def run_key(self) -> str:
         """Identity of the soak stream: sampling semantics + code.
 
-        Excludes operational knobs (checkpoint cadence, stop
-        conditions) — they change pacing, never content.
+        Excludes operational knobs (commit cadence, stop conditions)
+        — they change pacing, never content.
         """
         payload = json.dumps({
             "campaign": self.campaign.to_params(),
@@ -149,7 +159,6 @@ class SoakConfig:
             "magnitude_bins": self.magnitude_bins,
             "min_weight": self.min_weight,
             "adaptive": self.adaptive,
-            "checkpoint_every_rounds": self.checkpoint_every_rounds,
         }
 
     @classmethod
@@ -164,9 +173,11 @@ class SoakCheckpoint:
     """Atomic snapshot of the soak loop state (resume fast path).
 
     The journal alone fully determines the state; the checkpoint just
-    spares resume a long fold.  It is validated against the journal on
-    load (run key, record count, chained digest) and silently discarded
-    on any mismatch — the journal is the source of truth.
+    spares resume a long fold.  It is saved at the loop's commit points,
+    right after the journal sync, so it never covers an unsynced round.
+    It is validated against the journal on load (run key, record count,
+    chained digest) and silently discarded on any mismatch — the
+    journal is the source of truth.
     """
 
     def __init__(self, path) -> None:
@@ -273,29 +284,44 @@ def soak_state_from_journal(soak: SoakConfig,
 def soak_chunks(params_list: typing.Sequence[dict]) -> list[TaskPayload]:
     """Batch form of :func:`soak_chunk_task` (``.batch``).
 
-    Consecutive chunks of one configuration parse it once, regenerate
-    every draw as one column block (:func:`specs_for_draws`, equal to a
-    :func:`spec_for_draw` loop), and classify them all in one
-    ``evaluate_chunk`` of one evaluator; outcomes and work then split
-    back per chunk, equal to mapping the task over the list.
+    Consecutive chunks of one configuration regenerate every draw as
+    one column block (:func:`specs_for_draws`, equal to a
+    :func:`spec_for_draw` loop) and classify them all in one
+    ``evaluate_chunk``; outcomes and work then split back per chunk,
+    equal to mapping the task over the list.  The evaluator comes from
+    the process's warm cache, so a soak run builds it once, not once
+    per round: every fault restores its fork snapshot and installs its
+    own overlay, so a reused evaluator classifies like a fresh one.
     """
     payloads: list[TaskPayload] = []
     for _, group in itertools.groupby(
             params_list,
             key=lambda params: (params["config"], params["strata"])):
         run = list(group)
-        config = CampaignConfig.from_params(run[0]["config"])
+        evaluator = _evaluator(run[0]["config"])
+        config = evaluator.config
         strata = {key: Stratum.from_params(key, stratum_params)
                   for key, stratum_params in run[0]["strata"].items()}
         draws = [draw for params in run for draw in params["draws"]]
-        runner = fault_runner(config)
         with obs.trace_span("soak.chunk", target=config.target,
                             scheme=config.scheme, draws=len(draws)):
-            result = runner.evaluate_chunk(
+            result = evaluator.evaluate_chunk(
                 specs_for_draws(config, strata, draws))
         payloads.extend(chunk_payloads(
             result, [len(params["draws"]) for params in run]))
     return payloads
+
+
+def _evaluator(config_params: dict):
+    """The campaign evaluator of ``config_params``, one per process.
+
+    The key holds the kernel mode too: it decides whether the
+    evaluator gets a lane machine.
+    """
+    key = stable_key("soak-evaluator", config_params, kernels.kernel_mode())
+    return WARM.get_or_build(
+        "evaluator", key,
+        lambda: fault_runner(CampaignConfig.from_params(config_params)))
 
 
 def soak_chunk_task(params: dict) -> TaskPayload:
@@ -341,31 +367,28 @@ def _outcome_digest_payload(outcome: FaultOutcome) -> list:
     ]
 
 
-def _run_round(soak: SoakConfig, runner: SweepRunner,
-               strata: typing.Sequence[Stratum], state: dict,
-               alloc: typing.Mapping[str, int],
+def _run_round(config: CampaignConfig, runner: SweepRunner,
+               strata: typing.Sequence[Stratum], shared: dict,
+               state: dict, alloc: typing.Mapping[str, int],
                ) -> tuple[list[tuple[str, FaultOutcome]], int]:
     """Dispatch one round's draws; returns (keyed outcomes, work units).
 
-    Raises :class:`~repro.exec.runner.SweepDrained` through from the
-    exec layer when a graceful drain interrupts the round — the caller
-    must then *not* journal it (a partial round is not replayable; the
+    ``shared`` holds the chunk-task params every round shares — the
+    config and strata params, computed once per run.  Raises
+    :class:`~repro.exec.runner.SweepDrained` through from the exec
+    layer when a graceful drain interrupts the round — the caller must
+    then *not* journal it (a partial round is not replayable; the
     re-run after resume is identical anyway).
     """
-    config = soak.campaign
     draws = list(_round_draws(strata, alloc, state["counters"],
                               state["seq"]))
     size = config.faults_per_task
     chunks = [draws[start:start + size]
               for start in range(0, len(draws), size)]
-    config_params = config.to_params()
-    strata_params = {stratum.key: stratum.to_params()
-                     for stratum in strata}
     tasks = [
         SweepTask(
             experiment=SOAK_TASK,
-            params={"config": config_params, "strata": strata_params,
-                    "draws": [list(draw) for draw in chunk]},
+            params={**shared, "draws": [list(draw) for draw in chunk]},
             index=index,
             seed=derive_seed(config.seed, SOAK_TASK, state["round"],
                              index),
@@ -473,6 +496,21 @@ def _stop_reason(soak: SoakConfig, state: dict,
     return None
 
 
+def _commit(journal: SoakJournal, checkpoint: SoakCheckpoint | None,
+            publisher: typing.Any, state: dict,
+            estimator: EscapeEstimator) -> None:
+    """One commit point: sync the journal, save the checkpoint hint
+    (when one is kept), and emit one ``checkpoint`` event."""
+    journal.sync()
+    path = journal.path
+    if checkpoint is not None:
+        state["estimator"] = estimator.snapshot()
+        checkpoint.save(state["run_key"], state)
+        path = checkpoint.path
+    if publisher is not None:
+        publisher.checkpoint(path=str(path), round=state["round"])
+
+
 def run_soak(
     soak: SoakConfig,
     *,
@@ -496,8 +534,8 @@ def run_soak(
     soaks).  ``status`` receives a one-line progress string after every
     round.  ``publisher`` (an opened
     :class:`~repro.obs.stream.EventPublisher`) receives one ``round``
-    event per journaled round and a ``checkpoint`` event per durable
-    checkpoint — the live feed ``repro-timber monitor`` folds; its
+    event per journaled round and a ``checkpoint`` event per commit
+    point — the live feed ``repro-timber monitor`` folds; its
     ``run_start``/``run_end`` framing stays with the caller, who owns
     the publisher's lifecycle.
     """
@@ -546,8 +584,11 @@ def run_soak(
                               adaptive=soak.adaptive)
     owns_runner = runner is None
     runner = runner or SweepRunner()
-    started = time.monotonic()
-    start_round = state["round"]
+    shared = {"config": soak.campaign.to_params(),
+              "strata": {stratum.key: stratum.to_params()
+                         for stratum in strata}}
+    started = last_commit = time.monotonic()
+    committed = state["round"]
     evaluated = 0
     drained = False
     stop = None
@@ -568,8 +609,8 @@ def run_soak(
             weights, alloc = sampler.allocate(estimator,
                                               soak.faults_per_round)
             try:
-                keyed, _work = _run_round(soak, runner, strata, state,
-                                          alloc)
+                keyed, _work = _run_round(soak.campaign, runner, strata,
+                                          shared, state, alloc)
             except SweepDrained:
                 # Partial round: journal untouched (prefix-stable);
                 # the identical round re-runs after resume.
@@ -610,14 +651,10 @@ def run_soak(
                 _OBS_WIDEST_CI.set(widest.ci_width)
                 _OBS_ROUND_SECONDS.observe(
                     time.perf_counter() - round_started)
-            if (checkpoint is not None
-                    and state["round"] % soak.checkpoint_every_rounds
-                    == 0):
-                state["estimator"] = estimator.snapshot()
-                checkpoint.save(run_key, state)
-                if publisher is not None:
-                    publisher.checkpoint(path=str(checkpoint.path),
-                                         round=state["round"])
+            now = time.monotonic()
+            if now - last_commit >= COMMIT_INTERVAL_S:
+                _commit(journal, checkpoint, publisher, state, estimator)
+                committed, last_commit = state["round"], now
             if publisher is not None:
                 overall = estimator.overall()
                 publisher.emit(
@@ -647,9 +684,8 @@ def run_soak(
     finally:
         # Whatever ends the loop — stop rule, drain, or a failure —
         # the durable state must reflect every journaled round.
-        if checkpoint is not None and state["round"] > start_round:
-            state["estimator"] = estimator.snapshot()
-            checkpoint.save(run_key, state)
+        if state["round"] > committed:
+            _commit(journal, checkpoint, publisher, state, estimator)
         journal.close()
         if owns_runner:
             runner.close()

@@ -30,6 +30,7 @@ combination.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 import numpy as np
@@ -126,7 +127,13 @@ def build_strata(config: CampaignConfig,
 def stratum_lanes(config: CampaignConfig,
                   key: str) -> tuple[int, int]:
     """The RNG lanes of one stratum's draw stream."""
-    return split64(derive_seed(config.seed, STRATUM_SEED_TAG, key))
+    return _lanes(config.seed, key)
+
+
+@functools.lru_cache(maxsize=1024)
+def _lanes(seed: int, key: str) -> tuple[int, int]:
+    # Hashed once per (seed, stratum), not once per draw block.
+    return split64(derive_seed(seed, STRATUM_SEED_TAG, key))
 
 
 def spec_for_draw(config: CampaignConfig, stratum: Stratum,

@@ -1,12 +1,12 @@
 """Torn-write properties of every durable append log.
 
 Four files are append-only logs framed one record per line
-(:func:`repro.exec.recordlog.frame_lines`): the sweep checkpoint and the
-soak journal (:class:`~repro.exec.recordlog.RecordLog`, ``fsync`` per
-append), the run-event spool (:class:`~repro.obs.stream.EventSpool`, a
-``RecordLog`` that flushes without ``fsync``) and the result cache's
-pack segments (:class:`~repro.exec.ResultCache`).  For any record
-sequence:
+(:func:`repro.exec.recordlog.frame_lines`): the sweep checkpoint
+(:class:`~repro.exec.recordlog.RecordLog`, ``fsync`` per append), the
+soak journal and the run-event spool (``RecordLog`` subclasses that
+flush each append and ``fsync`` only at their owner's ``sync``) and the
+result cache's pack segments (:class:`~repro.exec.ResultCache`).  For
+any record sequence:
 
 1. a cut at any byte reads as exactly the complete records before the
    cut — in the record log, the soak journal, the event spool, the
@@ -18,13 +18,16 @@ sequence:
 4. a byte flip inside a cache record is a logged miss, never a wrong
    value, and leaves every other record served;
 5. a sweep checkpoint cut anywhere resumes the complete prefix, and its
-   values equal an uninterrupted run's.
+   values equal an uninterrupted run's;
+6. a flushed but unsynced append, its handle still open, is seen by
+   ``read`` and by a fresh ``open_resume``.
 """
 
 import functools
 import logging
 import pathlib
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +87,7 @@ def test_torn_tail_recovers_exact_prefix_and_appends(records, extra, cut):
         assert path.read_bytes() == raw[:start]
         for record in extra:
             log.write(log.encode(record))
+        log.close()
         assert RecordLog.read(path) == (header, records[:-1] + extra)
 
 
@@ -153,6 +157,28 @@ def test_cut_at_any_byte_reads_the_complete_prefix(log_cls, records, cut):
         lines = _complete(raw, at)
         expected = (header, records[:lines - 1]) if lines else (None, [])
         assert log_cls.read(path) == expected
+
+
+@pytest.mark.parametrize("log_cls", [SoakJournal, EventSpool],
+                         ids=["soak-journal", "event-spool"])
+@settings(max_examples=40, deadline=None)
+@given(records=_records)
+def test_flushed_unsynced_appends_are_read_and_resumed(log_cls, records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "log.jsonl"
+        log = log_cls(path)
+        log.open_fresh({"run": "k"})
+        header = {"type": "header", "schema": 1, "run": "k"}
+        with mock.patch("os.fsync",
+                        side_effect=AssertionError("fsync on append")):
+            for record in records:
+                log.write(log.encode(record))
+            assert log_cls.read(path) == (header, records)
+            fresh = log_cls(path)
+            assert fresh.open_resume() == (header, records)
+            fresh.close()  # nothing written through it: no fsync
+        log.close()
+        assert log_cls.read(path) == (header, records)
 
 
 _CAMPAIGN = CampaignConfig(num_faults=24, num_cycles=300, seed=11,

@@ -1,7 +1,9 @@
 """Unit tests for the soak subsystem: strata, estimators, sampler,
-ring, journal, checkpoint, and the driver's resume semantics."""
+ring, journal, checkpoint, and the driver's resume and commit
+semantics."""
 
 import json
+import os
 
 import pytest
 
@@ -21,6 +23,9 @@ from repro.soak import (
     spec_for_draw,
     wilson_interval,
 )
+from repro.obs.health import fold_events
+from repro.obs.stream import EventPublisher, read_events
+from repro.soak import driver
 from repro.soak.generator import magnitude_bins
 
 
@@ -376,6 +381,91 @@ class TestRunSoak:
             uniform.widest["ci_width"] + 1e-12
 
 
+class TestCommitRule:
+    """The loop fsyncs at commit points, not per round."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def _run(self, tmp_path, name, **kwargs):
+        journal = tmp_path / f"{name}.jsonl"
+        run_soak(small_soak(), journal_path=journal,
+                 checkpoint_path=tmp_path / f"{name}.json", **kwargs)
+        return journal.read_bytes()
+
+    def test_fsyncs_scale_with_commits_not_rounds(
+            self, tmp_path, monkeypatch, fsyncs):
+        monkeypatch.setattr(driver, "COMMIT_INTERVAL_S", 1e9)
+        grouped = []
+        for rounds in (2, 6):
+            fsyncs.clear()
+            self._run(tmp_path, f"g{rounds}", max_rounds=rounds)
+            grouped.append(len(fsyncs))
+        # Only the header and the exit commit: flat in the round count.
+        assert grouped[0] == grouped[1]
+        monkeypatch.setattr(driver, "COMMIT_INTERVAL_S", 0.0)
+        fsyncs.clear()
+        self._run(tmp_path, "every", max_rounds=6)
+        # One commit per round: at least the journal fsync each.
+        assert len(fsyncs) >= grouped[1] + 5
+
+    def test_journal_does_not_depend_on_the_commit_interval(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(driver, "COMMIT_INTERVAL_S", 1e9)
+        grouped = self._run(tmp_path, "grouped", max_rounds=5)
+        monkeypatch.setattr(driver, "COMMIT_INTERVAL_S", 0.0)
+        assert self._run(tmp_path, "every", max_rounds=5) == grouped
+
+    def test_resume_from_a_mid_run_commit_is_byte_identical(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(driver, "COMMIT_INTERVAL_S", 0.0)
+        journal = tmp_path / "a.jsonl"
+        checkpoint = tmp_path / "a.json"
+        saved = {}
+
+        def keep_round_two(_line):
+            # Called after the round's commit: the checkpoint is fresh.
+            if len(SoakJournal.read(journal)[1]) == 2:
+                saved["checkpoint"] = checkpoint.read_bytes()
+
+        run_soak(small_soak(), journal_path=journal,
+                 checkpoint_path=checkpoint, max_rounds=4,
+                 status=keep_round_two)
+        # A crash after round 4 was flushed but before it committed:
+        # the journal runs two rounds past the checkpoint.
+        checkpoint.write_bytes(saved["checkpoint"])
+        hint = json.loads(saved["checkpoint"])["state"]
+        assert hint["journal_records"] == 2
+        run_soak(small_soak(), journal_path=journal,
+                 checkpoint_path=checkpoint, resume=True, max_rounds=6)
+        assert journal.read_bytes() == \
+            self._run(tmp_path, "ref", max_rounds=6)
+
+    def test_exit_commit_emits_one_checkpoint_event(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(driver, "COMMIT_INTERVAL_S", 1e9)
+        spool = tmp_path / "events.jsonl"
+        with EventPublisher(spool, kind="soak") as publisher:
+            run_soak(small_soak(), journal_path=tmp_path / "j.jsonl",
+                     checkpoint_path=tmp_path / "c.json", max_rounds=3,
+                     publisher=publisher)
+        header, events = read_events(spool)
+        checkpoints = [event for event in events
+                       if event["type"] == "checkpoint"]
+        assert [(event["round"], event["path"])
+                for event in checkpoints] == [(3, str(tmp_path / "c.json"))]
+        assert fold_events([header, *events]).checkpoints == 1
+
+
 class TestSoakConfig:
     def test_run_key_tracks_sampling_semantics_only(self):
         base = small_soak()
@@ -383,9 +473,6 @@ class TestSoakConfig:
         assert small_soak(faults_per_round=21).run_key() != \
             base.run_key()
         assert small_soak(adaptive=False).run_key() != base.run_key()
-        # Operational knobs don't change the stream identity.
-        assert small_soak(checkpoint_every_rounds=5).run_key() == \
-            base.run_key()
 
     def test_params_round_trip(self):
         soak = small_soak(min_weight=0.05, adaptive=False)
