@@ -239,6 +239,23 @@ def _make_runner(args: argparse.Namespace, *,
     )
 
 
+def _trajectory_cache_begin(args: argparse.Namespace) -> None:
+    """Persist background trajectories next to the result cache.
+
+    A later run (or another worker pool) then forks from disk instead
+    of re-simulating; workers inherit the setting through the
+    environment.  An explicit ``REPRO_TRAJECTORY_CACHE_DIR`` wins.
+    """
+    if not args.cache_dir or args.no_cache:
+        return
+    import os
+
+    from repro.campaign.trajectory import TRAJECTORY_CACHE_ENV
+
+    os.environ.setdefault(TRAJECTORY_CACHE_ENV,
+                          os.path.join(args.cache_dir, "trajectories"))
+
+
 class _DrainState:
     """Which signal (if any) requested a graceful drain."""
 
@@ -497,17 +514,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     reports = []
     config = None
     summary: dict | None = None
-    if args.cache_dir and not args.no_cache:
-        # Persist background trajectories next to the result cache so
-        # a later run (or another worker pool) forks from disk instead
-        # of re-simulating; workers inherit the setting.
-        import os
-
-        from repro.campaign.trajectory import TRAJECTORY_CACHE_ENV
-
-        os.environ.setdefault(
-            TRAJECTORY_CACHE_ENV,
-            os.path.join(args.cache_dir, "trajectories"))
+    _trajectory_cache_begin(args)
     # One runner — hence one warm worker pool and one adaptive sizer —
     # shared across every scheme phase; only the checkpoint is
     # per-scheme, so each phase stays independently resumable.
@@ -582,14 +589,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.soak import SoakConfig, run_soak
 
     observing = _obs_begin(args)
-    if args.cache_dir and not args.no_cache:
-        import os
-
-        from repro.campaign.trajectory import TRAJECTORY_CACHE_ENV
-
-        os.environ.setdefault(
-            TRAJECTORY_CACHE_ENV,
-            os.path.join(args.cache_dir, "trajectories"))
+    _trajectory_cache_begin(args)
     try:
         campaign = CampaignConfig(
             target=args.target, scheme=args.scheme,

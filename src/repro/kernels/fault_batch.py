@@ -55,6 +55,8 @@ import numpy as np
 from repro import obs
 from repro.kernels.graph import CompiledTopology
 from repro.kernels.pipeline import CaptureParams, capture_block
+from repro.pipeline import graph_sim as _graph_sim
+from repro.pipeline import pipeline as _pipeline_sim
 
 #: Longest fork window (in cycles from the injection cycle to the
 #: window end, inclusive) a lane may occupy in a batch.  Longer windows
@@ -91,39 +93,6 @@ _OBS_GROUP = obs.REGISTRY.histogram(
     "Fault lanes evaluated together per batched fork-window group",
     labelnames=("kernel",),
     buckets=(1, 2, 4, 8, 16, 32, 64))
-
-# Semantic simulator counters, re-obtained from the registry (family
-# registration is idempotent) so the lane machines can reproduce the
-# exact increments the scalar state machine would have made.
-_PIPE_OUTCOMES = obs.REGISTRY.counter(
-    "repro_pipeline_outcomes_total",
-    "Non-clean pipeline capture outcomes",
-    labelnames=("outcome",))
-_PIPE_MASKED = _PIPE_OUTCOMES.labels(outcome="masked")
-_PIPE_MASKED_FLAGGED = _PIPE_OUTCOMES.labels(outcome="masked_flagged")
-_PIPE_DETECTED = _PIPE_OUTCOMES.labels(outcome="detected")
-_PIPE_PREDICTED = _PIPE_OUTCOMES.labels(outcome="predicted")
-_PIPE_FAILED = _PIPE_OUTCOMES.labels(outcome="failed")
-_GRAPH_MASKED = obs.REGISTRY.counter(
-    "repro_graph_masked_total",
-    "Masked graph captures by checking-period interval class",
-    labelnames=("interval",))
-_GRAPH_MASKED_TB = _GRAPH_MASKED.labels(interval="tb")
-_GRAPH_MASKED_ED = _GRAPH_MASKED.labels(interval="ed")
-_GRAPH_RELAYED = obs.REGISTRY.counter(
-    "repro_graph_relayed_total",
-    "Masked captures whose >=2-interval borrow proves an upstream "
-    "relay increment").labels()
-_GRAPH_ESCAPED = obs.REGISTRY.counter(
-    "repro_graph_escaped_total",
-    "Failed (unmasked) graph captures",
-    labelnames=("protected",))
-_GRAPH_ESCAPED_PROT = _GRAPH_ESCAPED.labels(protected="yes")
-_GRAPH_ESCAPED_UNPROT = _GRAPH_ESCAPED.labels(protected="no")
-_GRAPH_RELAY_DEPTH = obs.REGISTRY.histogram(
-    "repro_graph_relay_depth_intervals",
-    "Borrowed intervals per masked capture (select-chain depth)",
-    buckets=(1, 2, 3, 4, 6, 8)).labels()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,8 +294,9 @@ class PipelineLaneMachine(_LaneMachineBase):
     """
 
     kernel = "pipeline"
-    COUNTERS = (_PIPE_FAILED, _PIPE_MASKED, _PIPE_MASKED_FLAGGED,
-                _PIPE_DETECTED, _PIPE_PREDICTED)
+    COUNTERS = (_pipeline_sim.OBS_FAILED, _pipeline_sim.OBS_MASKED,
+                _pipeline_sim.OBS_MASKED_FLAGGED, _pipeline_sim.OBS_DETECTED,
+                _pipeline_sim.OBS_PREDICTED)
 
     def __init__(self, params: CaptureParams, stage_names:
                  "typing.Sequence[str]", period_ps: int) -> None:
@@ -433,8 +403,9 @@ class GraphLaneMachine(_LaneMachineBase):
     """
 
     kernel = "graph"
-    COUNTERS = (_GRAPH_MASKED_ED, _GRAPH_MASKED_TB, _GRAPH_RELAYED,
-                _GRAPH_ESCAPED_PROT, _GRAPH_ESCAPED_UNPROT)
+    COUNTERS = (_graph_sim.OBS_MASKED_ED, _graph_sim.OBS_MASKED_TB,
+                _graph_sim.OBS_RELAYED, _graph_sim.OBS_ESCAPED_PROT,
+                _graph_sim.OBS_ESCAPED_UNPROT)
 
     def __init__(self, params: CaptureParams, topology: CompiledTopology,
                  dst_names: "typing.Sequence[str]",
@@ -535,7 +506,7 @@ class GraphLaneMachine(_LaneMachineBase):
                 masked, flagged, failed_prot, failed, intervals), event)
             # The relay-depth histogram gets every masked event's
             # depth, as the scalar loop observes them one by one.
-            _GRAPH_RELAY_DEPTH.observe_many(
+            _graph_sim.OBS_RELAY_DEPTH.observe_many(
                 intervals[masked & event & (intervals > 0)])
             self._note_batched(count)
         return _collect(event, lateness, masked, never, never, flagged,

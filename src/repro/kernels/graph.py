@@ -5,12 +5,13 @@
 edges — the only ones that can ever violate — into delay / key / path
 arrays and evaluates sensitization plus idle-state arrival for a block
 of cycles at once.  The common all-clean cycle costs O(edges) numpy work
-inside a block instead of O(cycles x edges) Python.  The simulator's one
-screened walk feeds on these rows, fresh per block or sliced from shared
-background rows, and keeps dict-based borrow/relay bookkeeping only for
-the cycles whose :func:`screen_block` shows a potentially late edge (and
-their carryover successors), feeding them the precomputed
-sensitization and arrival rows so vector and scalar runs are bit-equal.
+inside a block instead of O(cycles x edges) Python.  The simulators'
+shared screened walk feeds on these rows, fresh per block or sliced
+from shared background rows, and keeps dict-based borrow/relay
+bookkeeping only for the cycles whose :func:`screen_block` shows a
+potentially late edge (and their carryover successors), feeding them
+the precomputed sensitization and arrival rows so vector and scalar
+runs are bit-equal.
 """
 
 from __future__ import annotations

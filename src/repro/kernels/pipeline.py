@@ -11,7 +11,7 @@ bookkeeping, and they are produced with the exact arithmetic of
 :meth:`repro.pipeline.stage.PipelineStage.delay_ps`: one float64
 multiply and one half-even rounding per (cycle, stage), on top of the
 bit-identical mixer draws.  :func:`screen_block` marks the cycles that
-could possibly capture anything but CLEAN.  The simulator's one
+could possibly capture anything but CLEAN.  The simulators' shared
 screened walk feeds on these rows, fresh per block or sliced from
 shared background rows: it bulk-accounts the clean runs and replays
 only the other cycles through the scalar state machine — reusing the

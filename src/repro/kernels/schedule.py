@@ -1,12 +1,13 @@
-"""Blocked-cycle scheduling helpers for the vector simulators.
+"""The screened block walk of the cycle simulators, and its helpers.
 
-The pipeline and graph simulators each run one screened walk
-(``_run_screened``) over a cycle window ``[start, stop)``.  The walk
-takes a block of fault-free rows — sliced from shared background rows,
-or freshly evaluated by the simulator's ``_block`` — retires runs of
-provably-clean cycles in bulk while the carried state is idle, and
-drops every other cycle to the scalar bookkeeping.  The pieces both
-walks share live here:
+Both cycle simulators (:class:`~repro.pipeline.hooks.CycleSimulation`)
+run their vector path through one walk, :func:`screened_walk`, over a
+cycle window ``[start, stop)``.  The walk takes a block of fault-free
+rows — sliced from shared background rows, or freshly evaluated by the
+simulator's ``_block`` — retires runs of provably-clean cycles in bulk
+while the carried state is idle, and drops every other cycle to the
+simulator's scalar state machine.  The helpers only it uses live here
+too:
 
 * :class:`BlockSizer` — adapts the block length to the fraction of
   cycles the walk actually replayed, so an error storm does not waste
@@ -29,6 +30,7 @@ walks share live here:
 
 from __future__ import annotations
 
+import bisect
 import typing
 
 from repro import obs
@@ -37,7 +39,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from repro.pipeline.controller import SlowdownWindow
-    from repro.pipeline.hooks import FaultOverlayLike
+    from repro.pipeline.hooks import CycleSimulation, FaultOverlayLike
 
 #: Block-length bounds for the adaptive sizer.
 MIN_BLOCK = 64
@@ -50,7 +52,7 @@ SPARSE = 0.02
 
 
 class BlockSizer:
-    """Adaptive block length for the screened walks."""
+    """Adaptive block length for the screened walk."""
 
     def __init__(self, initial: int = 1024) -> None:
         self.size = max(MIN_BLOCK, min(MAX_BLOCK, initial))
@@ -180,3 +182,52 @@ def slow_cycles_between(
         if hi > lo:
             total += hi - lo
     return total
+
+
+def screened_walk(
+    sim: "CycleSimulation",
+    start: int,
+    stop: int,
+    result: typing.Any,
+    rows: "tuple | None",
+) -> None:
+    """Walk ``sim`` over cycles ``[start, stop)`` in screened blocks.
+
+    Each block's rows are sliced from the caller's shared ``rows`` (see
+    ``background_rows``) or evaluated by ``sim._block``.  While the
+    machine is idle, the walk retires the clean run up to the next
+    replay point in bulk — its slowed cycles here, the rest through
+    ``sim._retire_clean``; every other cycle replays through
+    ``sim._simulate_cycle``, fed the block and its index in it.
+    """
+    controller = sim.controller
+    simulate = sim._simulate_cycle
+    idle = sim._idle
+    walk = sim._walk
+    sizer = BlockSizer()
+    for pos, count in block_spans(start, stop, sizer):
+        block = (sim._block(pos, count) if rows is None
+                 else tuple(column[pos:pos + count] for column in rows))
+        points = replay_points(block[-1], pos, sim.faults)
+        point = replayed = k = 0
+        while k < count:
+            if idle():
+                point = bisect.bisect_left(points, k, point)
+                nxt = points[point] if point < len(points) else count
+                if nxt > k:
+                    slow = (slow_cycles_between(controller.windows,
+                                                pos + k, pos + nxt)
+                            if controller is not None else 0)
+                    result.slow_cycles += slow
+                    sim._retire_clean(result, nxt - k, slow)
+                    k = nxt
+                    if k >= count:
+                        break
+            simulate(pos + k, result, block, k)
+            replayed += 1
+            k += 1
+        walk.block(count, len(points), replayed)
+        # Size on the cycles actually replayed: carryover replays
+        # escape the screen, and an error storm that degrades to
+        # scalar stepping should shrink the blocks.
+        sizer.update(replayed / count)

@@ -19,23 +19,23 @@ arrive late given the worst borrow plus the variability headroom — are
 evaluated per cycle; the rest provably never violate and are skipped.
 
 With numpy available (and ``REPRO_SCALAR_KERNELS`` unset) the candidate
-edges are additionally compiled into flat arrays, and one screened walk
-runs over blocks of cycles.  Each block's sensitization and idle-state
-arrival rows are either evaluated at once or sliced from shared
-background rows; whole runs of provably clean cycles are skipped in
-bulk, and only the cycles whose screen shows a potentially late edge
-(plus those carrying borrow/relay state) go through the dict-based
-bookkeeping — fed the precomputed rows, so vector and scalar runs are
-bit-identical.
+edges are additionally compiled into flat arrays, and the screened walk
+shared with the linear pipeline
+(:class:`~repro.pipeline.hooks.CycleSimulation`) runs over blocks of
+cycles.  Each block's sensitization and idle-state arrival rows are
+either evaluated at once or sliced from shared background rows; whole
+runs of provably clean cycles are skipped in bulk, and only the cycles
+whose screen shows a potentially late edge (plus those carrying
+borrow/relay state) go through the dict-based bookkeeping — fed the
+precomputed rows, so vector and scalar runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import typing
 
-from repro import kernels, obs
+from repro import obs
 from repro.core.checking_period import CheckingPeriod
 from repro.core.masking import (
     CaptureOutcome,
@@ -46,13 +46,13 @@ from repro.core.masking import (
 from repro.errors import ConfigurationError
 from repro.kernels.rng import key_id, mix32, split64
 from repro.pipeline.controller import CentralErrorController
-from repro.pipeline.hooks import CaptureObserver, FaultOverlayLike
-from repro.timing.graph import TimingEdge, TimingGraph
-from repro.variability.base import (
-    ConstantVariation,
-    VariabilityModel,
-    supports_batch,
+from repro.pipeline.hooks import (
+    CaptureObserver,
+    CycleSimulation,
+    FaultOverlayLike,
 )
+from repro.timing.graph import TimingEdge, TimingGraph
+from repro.variability.base import ConstantVariation, VariabilityModel
 
 #: Domain-separation salt for the edge-sensitization stream (shared
 #: with the vector kernel in :mod:`repro.kernels.graph`).
@@ -64,24 +64,26 @@ _M32 = 0xFFFFFFFF
 # machine (which every violating cycle of both execution modes runs
 # through), so scalar and vector runs agree bit-for-bit.  ``tb`` masks
 # were absorbed silently in a time-borrowing interval; ``ed`` masks
-# reached an error-detection interval and flagged the controller.
-_OBS_MASKED = obs.REGISTRY.counter(
+# reached an error-detection interval and flagged the controller.  The
+# fault-lane machine (:mod:`repro.kernels.fault_batch`) bumps the same
+# bound series.
+OBS_MASKED = obs.REGISTRY.counter(
     "repro_graph_masked_total",
     "Masked graph captures by checking-period interval class",
     labelnames=("interval",))
-_OBS_MASKED_TB = _OBS_MASKED.labels(interval="tb")
-_OBS_MASKED_ED = _OBS_MASKED.labels(interval="ed")
-_OBS_RELAYED = obs.REGISTRY.counter(
+OBS_MASKED_TB = OBS_MASKED.labels(interval="tb")
+OBS_MASKED_ED = OBS_MASKED.labels(interval="ed")
+OBS_RELAYED = obs.REGISTRY.counter(
     "repro_graph_relayed_total",
     "Masked captures whose >=2-interval borrow proves an upstream "
     "relay increment").labels()
-_OBS_ESCAPED = obs.REGISTRY.counter(
+OBS_ESCAPED = obs.REGISTRY.counter(
     "repro_graph_escaped_total",
     "Failed (unmasked) graph captures",
     labelnames=("protected",))
-_OBS_ESCAPED_PROT = _OBS_ESCAPED.labels(protected="yes")
-_OBS_ESCAPED_UNPROT = _OBS_ESCAPED.labels(protected="no")
-_OBS_RELAY_DEPTH = obs.REGISTRY.histogram(
+OBS_ESCAPED_PROT = OBS_ESCAPED.labels(protected="yes")
+OBS_ESCAPED_UNPROT = OBS_ESCAPED.labels(protected="no")
+OBS_RELAY_DEPTH = obs.REGISTRY.histogram(
     "repro_graph_relay_depth_intervals",
     "Borrowed intervals per masked capture (select-chain depth)",
     buckets=(1, 2, 3, 4, 6, 8)).labels()
@@ -123,8 +125,14 @@ class GraphPipelineResult:
         return self.masked / self.violations
 
 
-class GraphPipelineSimulation:
-    """Simulate TIMBER (or nothing) deployed on a timing graph."""
+class GraphPipelineSimulation(CycleSimulation[GraphPipelineResult]):
+    """Simulate TIMBER (or nothing) deployed on a timing graph.
+
+    A full run (``start_cycle == 0``) starts from idle carried state; a
+    windowed run continues from whatever :meth:`restore` installed.
+    """
+
+    SPAN = "graph.run"
 
     def __init__(
         self,
@@ -152,6 +160,7 @@ class GraphPipelineSimulation:
         if max_variability_factor < 1.0:
             raise ConfigurationError("max variability factor >= 1")
         self.graph = graph
+        self.period_ps = graph.period_ps
         self.scheme = scheme
         self.seed = seed
         self.sensitization_prob = sensitization_prob
@@ -257,116 +266,51 @@ class GraphPipelineSimulation:
             return timber_latch_capture(lateness, self.cp)
         return plain_ff_capture(lateness)
 
-    def run(self, num_cycles: int, *, start_cycle: int = 0,
-            rows=None) -> GraphPipelineResult:
-        """Simulate cycles ``[start_cycle, num_cycles)`` and aggregate.
-
-        A full run (``start_cycle == 0``) starts from idle carried
-        state; a windowed run continues from whatever :meth:`restore`
-        installed, and — because every sensitization and variability
-        draw is addressed by absolute cycle — captures bit-identically
-        to the same window of a full run.  ``rows`` optionally supplies
-        precomputed background rows from :meth:`background_rows` so
-        repeated forked windows skip the per-run block evaluation;
-        ignored in scalar-kernel mode.
-        """
-        if num_cycles < 1:
-            raise ConfigurationError("need at least one cycle")
-        if not 0 <= start_cycle < num_cycles:
-            raise ConfigurationError(
-                f"start_cycle {start_cycle} outside [0, {num_cycles})")
-        if (start_cycle or rows is not None) and self.controller is not None:
-            raise ConfigurationError(
-                "windowed runs do not support a central controller "
-                "(its window state is not part of the snapshot)")
+    # -- run hooks -------------------------------------------------------
+    def _start_run(self, start_cycle: int) -> None:
         if start_cycle == 0:
             self._borrow = {}
             self._select_out = {}
-        result = GraphPipelineResult(
+
+    def _new_result(self, cycles: int) -> GraphPipelineResult:
+        return GraphPipelineResult(
             scheme=self.scheme,
-            cycles=num_cycles - start_cycle,
+            cycles=cycles,
             num_ffs=self.graph.num_ffs,
             num_protected=len(self.protected),
             candidate_edges=self._num_edges,
         )
-        with obs.trace_span("graph.run", scheme=self.scheme,
-                            cycles=num_cycles - start_cycle,
-                            kernel=kernels.kernel_mode()):
-            if kernels.vectorized_enabled() and self._vectorizable():
-                self._run_screened(start_cycle, num_cycles, result, rows)
-            else:
-                borrow, select_out = self._borrow, self._select_out
-                for cycle in range(start_cycle, num_cycles):
-                    borrow, select_out = self._simulate_cycle(
-                        cycle, result, borrow, select_out, None, None)
-                self._borrow, self._select_out = borrow, select_out
+
+    def _finish(self, result: GraphPipelineResult) -> None:
         # Captures that saw no (evaluated) violation were clean.
-        result.clean_captures = (
-            (num_cycles - start_cycle) * self.graph.num_ffs
-            - result.violations)
-        return result
+        result.clean_captures = (result.cycles * self.graph.num_ffs
+                                 - result.violations)
 
-    # -- snapshot/fork ---------------------------------------------------
-    def snapshot(self):
-        """Opaque snapshot of all state carried between cycles.
-
-        Sensitization, variability, and arrival draws are pure
-        functions of the absolute cycle number, so the carried state is
-        just the borrow offsets and relay selects by FF name.
-        Controller-attached simulations are rejected: slowdown windows
-        accumulate outside the snapshot.
-        """
-        if self.controller is not None:
-            raise ConfigurationError(
-                "snapshots do not cover central-controller state")
+    def _state(self):
         return (dict(self._borrow), dict(self._select_out))
 
-    def restore(self, state) -> None:
-        """Install a state previously returned by :meth:`snapshot`."""
-        if self.controller is not None:
-            raise ConfigurationError(
-                "snapshots do not cover central-controller state")
+    def _install(self, state) -> None:
         borrow, select_out = state
         self._borrow = dict(borrow)
         self._select_out = dict(select_out)
 
-    def _vectorizable(self) -> bool:
-        """Can this configuration run on the block kernel?
-
-        Needs batch-capable variability and, when a controller is
-        attached, the ``CentralErrorController`` window interface used
-        for bulk slow-cycle accounting; duck-typed feedback controllers
-        take the scalar loop.
-        """
-        if not supports_batch(self.variability):
-            return False
-        return (self.controller is None
-                or hasattr(self.controller, "windows"))
-
-    # -- shared per-cycle state machine ---------------------------------
-    def _period_at(self, cycle: int) -> int:
-        if self.controller is None:
-            return self.graph.period_ps
-        return self.controller.period_at(cycle)
-
-    def _simulate_cycle(
-        self,
-        cycle: int,
-        result: GraphPipelineResult,
-        borrow: dict[str, int],
-        select_out: dict[str, int],
-        sens_row,
-        arrival_row,
-    ) -> tuple[dict[str, int], dict[str, int]]:
+    # -- per-cycle state machine -----------------------------------------
+    def _simulate_cycle(self, cycle: int, result: GraphPipelineResult,
+                        block=None, k: int = 0) -> None:
         """One cycle of arrival/capture/relay bookkeeping.
 
-        ``sens_row`` / ``arrival_row`` optionally supply the vector
-        kernel's precomputed per-edge decisions for this cycle; ``None``
-        computes them per edge (the scalar reference).
+        ``block`` optionally supplies the vector kernel's
+        :meth:`_block`, whose rows ``k`` hold this cycle's precomputed
+        per-edge sensitization and arrival; ``None`` computes them per
+        edge (the scalar reference).
         """
+        sens_row = arrival_row = None
+        if block is not None:
+            sens_row, arrival_row = block[0][k], block[1][k]
         period = self._period_at(cycle)
-        if period > self.graph.period_ps:
+        if period > self.period_ps:
             result.slow_cycles += 1
+        borrow, select_out = self._borrow, self._select_out
         threshold = (self._sens_threshold_at(cycle)
                      if sens_row is None else 0)
         new_borrow: dict[str, int] = {}
@@ -422,40 +366,38 @@ class GraphPipelineSimulation:
                                            outcome.borrowed_ps)
                 if outcome.borrowed_intervals:
                     new_select_out[ff] = outcome.borrowed_intervals
-                    _OBS_RELAY_DEPTH.observe(outcome.borrowed_intervals)
+                    OBS_RELAY_DEPTH.observe(outcome.borrowed_intervals)
                     if outcome.borrowed_intervals >= 2:
-                        _OBS_RELAYED.inc()
+                        OBS_RELAYED.inc()
                 if outcome.flagged:
-                    _OBS_MASKED_ED.inc()
+                    OBS_MASKED_ED.inc()
                     result.masked_flagged += 1
                     cycle_flagged = True
                     result.flags_per_ff[ff] = (
                         result.flags_per_ff.get(ff, 0) + 1)
                 else:
-                    _OBS_MASKED_TB.inc()
+                    OBS_MASKED_TB.inc()
             elif outcome.failed:
                 if ff in self.protected:
                     result.failed += 1
-                    _OBS_ESCAPED_PROT.inc()
+                    OBS_ESCAPED_PROT.inc()
                 else:
                     result.failed_unprotected += 1
-                    _OBS_ESCAPED_UNPROT.inc()
+                    OBS_ESCAPED_UNPROT.inc()
         if cycle_flagged and self.controller is not None:
             self.controller.notify_flag(cycle)
-        return new_borrow, new_select_out
+        self._borrow, self._select_out = new_borrow, new_select_out
 
-    # -- screened walk ---------------------------------------------------
-    def background_rows(self, num_cycles: int):
-        """Precomputed fault-free sens/arrival rows + screen verdicts.
+    # -- screened walk hooks ---------------------------------------------
+    def _idle(self) -> bool:
+        """No borrow or relay select carried into the next cycle."""
+        return not self._borrow and not self._select_out
 
-        ``(sens, arrival, interesting)`` over ``[0, num_cycles)``: the
-        concatenation of :meth:`_block` over ``MAX_BLOCK`` spans.  The
-        overlay is deliberately excluded — forked runs force their own
-        fault cycles into each block's replay points.
-        """
-        from repro.kernels.schedule import stitch_rows
+    @property
+    def _walk(self):
+        from repro.kernels.graph import WALK
 
-        return stitch_rows(self._block, num_cycles)
+        return WALK
 
     def _block(self, pos: int, count: int):
         """Fault-free ``(sens, arrival, interesting)`` for ``count``
@@ -487,58 +429,4 @@ class GraphPipelineSimulation:
                  for cycle in range(pos, pos + count)], dtype=np.int64)
         sens, arrival = self._compiled.block(cycles, self.variability,
                                              thresholds)
-        return sens, arrival, screen_block(sens, arrival,
-                                           self.graph.period_ps)
-
-    def _run_screened(self, start: int, stop: int,
-                      result: GraphPipelineResult, rows) -> None:
-        """The screened block walk over cycles ``[start, stop)``.
-
-        Each block's rows are sliced from the caller's shared ``rows``
-        (see :meth:`background_rows`) or evaluated by :meth:`_block`.
-        While no borrow or relay select is carried, the walk skips the
-        clean run up to the next replay point; every other cycle
-        replays through :meth:`_simulate_cycle` with its precomputed
-        sensitization and arrival rows.
-        """
-        from repro.kernels.graph import WALK
-        from repro.kernels.schedule import (
-            BlockSizer,
-            block_spans,
-            replay_points,
-            slow_cycles_between,
-        )
-
-        controller = self.controller
-        borrow, select_out = self._borrow, self._select_out
-        sizer = BlockSizer()
-        for pos, count in block_spans(start, stop, sizer):
-            if rows is None:
-                sens, arrival, interesting = self._block(pos, count)
-            else:
-                sens, arrival, interesting = (column[pos:pos + count]
-                                              for column in rows)
-            points = replay_points(interesting, pos, self.faults)
-            point = replayed = k = 0
-            while k < count:
-                if not borrow and not select_out:
-                    point = bisect.bisect_left(points, k, point)
-                    nxt = points[point] if point < len(points) else count
-                    if nxt > k:
-                        if controller is not None:
-                            result.slow_cycles += slow_cycles_between(
-                                controller.windows, pos + k, pos + nxt)
-                        k = nxt
-                        if k >= count:
-                            break
-                borrow, select_out = self._simulate_cycle(
-                    pos + k, result, borrow, select_out, sens[k],
-                    arrival[k])
-                replayed += 1
-                k += 1
-            WALK.block(count, len(points), replayed)
-            # Size on the cycles actually replayed: carryover replays
-            # escape the screen, and an error storm that degrades to
-            # scalar stepping should shrink the blocks.
-            sizer.update(replayed / count)
-        self._borrow, self._select_out = borrow, select_out
+        return sens, arrival, screen_block(sens, arrival, self.period_ps)

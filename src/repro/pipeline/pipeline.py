@@ -14,46 +14,48 @@ TIMBER control loop of the paper's Sec. 4.
 
 The scalar reference walks every cycle through
 :meth:`PipelineSimulation._simulate_cycle`.  The vector path (default
-when numpy is available; disable with ``REPRO_SCALAR_KERNELS=1``) is one
-screened walk over blocks of cycles.  Each block's stage delays and
-screen verdicts — which cycles could capture anything but CLEAN — are
-either fresh (:class:`repro.kernels.pipeline.CompiledStages`) or sliced
-from shared background rows.  The walk accounts the clean runs in bulk
-and replays only the other cycles through the same scalar state machine
-— with the precomputed delays, so both paths produce bit-identical
-results.
+when numpy is available; disable with ``REPRO_SCALAR_KERNELS=1``) is the
+screened walk shared with the graph simulator
+(:class:`~repro.pipeline.hooks.CycleSimulation`).  Each block's stage
+delays and screen verdicts — which cycles could capture anything but
+CLEAN — are either fresh (:class:`repro.kernels.pipeline.CompiledStages`)
+or sliced from shared background rows.  The walk accounts the clean runs
+in bulk and replays only the other cycles through the same scalar state
+machine — with the precomputed delays, so both paths produce
+bit-identical results.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 
-from repro import kernels, obs
+from repro import obs
 from repro.core.masking import CaptureOutcome
 from repro.errors import ConfigurationError, TimingViolationError
 from repro.pipeline.controller import CentralErrorController
-from repro.pipeline.hooks import CaptureObserver, FaultOverlayLike
+from repro.pipeline.hooks import (
+    CaptureObserver,
+    CycleSimulation,
+    FaultOverlayLike,
+)
 from repro.pipeline.schemes import CapturePolicy
 from repro.pipeline.stage import PipelineStage
-from repro.variability.base import (
-    ConstantVariation,
-    VariabilityModel,
-    supports_batch,
-)
+from repro.variability.base import ConstantVariation, VariabilityModel
 
 # Semantic outcome counters: incremented only in the shared scalar
 # state machine, which both execution modes route every non-clean
-# capture through — so scalar and vector runs agree bit-for-bit.
-_OBS_OUTCOMES = obs.REGISTRY.counter(
+# capture through — so scalar and vector runs agree bit-for-bit.  The
+# fault-lane machine (:mod:`repro.kernels.fault_batch`) bumps the same
+# bound series.
+OBS_OUTCOMES = obs.REGISTRY.counter(
     "repro_pipeline_outcomes_total",
     "Non-clean pipeline capture outcomes",
     labelnames=("outcome",))
-_OBS_MASKED = _OBS_OUTCOMES.labels(outcome="masked")
-_OBS_MASKED_FLAGGED = _OBS_OUTCOMES.labels(outcome="masked_flagged")
-_OBS_DETECTED = _OBS_OUTCOMES.labels(outcome="detected")
-_OBS_PREDICTED = _OBS_OUTCOMES.labels(outcome="predicted")
-_OBS_FAILED = _OBS_OUTCOMES.labels(outcome="failed")
+OBS_MASKED = OBS_OUTCOMES.labels(outcome="masked")
+OBS_MASKED_FLAGGED = OBS_OUTCOMES.labels(outcome="masked_flagged")
+OBS_DETECTED = OBS_OUTCOMES.labels(outcome="detected")
+OBS_PREDICTED = OBS_OUTCOMES.labels(outcome="predicted")
+OBS_FAILED = OBS_OUTCOMES.labels(outcome="failed")
 
 
 @dataclasses.dataclass
@@ -105,8 +107,14 @@ class PipelineResult:
         return 100.0 * (1.0 - self.throughput_factor)
 
 
-class PipelineSimulation:
-    """A linear pipeline with one capture policy at every boundary."""
+class PipelineSimulation(CycleSimulation[PipelineResult]):
+    """A linear pipeline with one capture policy at every boundary.
+
+    Borrow and relay state carry across runs, a full run from cycle 0
+    included; only the borrow-chain count starts afresh with each run.
+    """
+
+    SPAN = "pipeline.run"
 
     def __init__(
         self,
@@ -148,84 +156,25 @@ class PipelineSimulation:
         #: cycles: boundary i's borrow delays the data it launches into
         #: stage i+1 next cycle.
         self._borrow = [0] * len(stages)
+        #: Consecutive masked cycles so far in the current run.
+        self._chain = 0
         self._compiled = None
 
-    def run(self, num_cycles: int, *, start_cycle: int = 0,
-            rows=None) -> PipelineResult:
-        """Simulate cycles ``[start_cycle, num_cycles)`` and aggregate.
+    # -- run hooks -------------------------------------------------------
+    def _start_run(self, start_cycle: int) -> None:
+        self._chain = 0
 
-        ``start_cycle`` resumes the cycle counter mid-trajectory — the
-        counter-based RNG addresses every draw by absolute cycle, so a
-        run forked from a :meth:`snapshot` taken at ``start_cycle``
-        produces captures bit-identical to the same window of a full
-        run from cycle 0.  The result's aggregates cover only the
-        simulated window.
+    def _new_result(self, cycles: int) -> PipelineResult:
+        return PipelineResult(scheme=self.policy.name, cycles=cycles,
+                              period_ps=self.period_ps)
 
-        ``rows`` optionally supplies precomputed background rows from
-        :meth:`background_rows`, which the screened walk slices instead
-        of evaluating its blocks, so repeated forked windows share one
-        evaluation; ignored in scalar-kernel mode (the scalar reference
-        stays the plain per-cycle loop).
-        """
-        if num_cycles < 1:
-            raise ConfigurationError("need at least one cycle")
-        if not 0 <= start_cycle < num_cycles:
-            raise ConfigurationError(
-                f"start_cycle {start_cycle} outside [0, {num_cycles})")
-        if (start_cycle or rows is not None) and self.controller is not None:
-            raise ConfigurationError(
-                "windowed runs do not support a central controller "
-                "(its window state is not part of the snapshot)")
-        result = PipelineResult(
-            scheme=self.policy.name, cycles=num_cycles - start_cycle,
-            period_ps=self.period_ps,
-        )
-        with obs.trace_span("pipeline.run", scheme=self.policy.name,
-                            cycles=num_cycles - start_cycle,
-                            kernel=kernels.kernel_mode()):
-            if kernels.vectorized_enabled() and self._vectorizable():
-                self._run_screened(start_cycle, num_cycles, result, rows)
-            else:
-                chain = 0
-                for cycle in range(start_cycle, num_cycles):
-                    chain = self._simulate_cycle(cycle, result, chain,
-                                                 None)
+    def _finish(self, result: PipelineResult) -> None:
         result.total_time_ps += result.replay_cycles * self.period_ps
-        return result
 
-    def background_rows(self, num_cycles: int):
-        """Precomputed fault-free delay rows + screen for forked runs.
-
-        ``(delays, interesting)`` over ``[0, num_cycles)``: the
-        concatenation of :meth:`_block` over ``MAX_BLOCK`` spans.  The
-        overlay is deliberately excluded — forked runs force their own
-        fault cycles into each block's replay points.
-        """
-        from repro.kernels.schedule import stitch_rows
-
-        return stitch_rows(self._block, num_cycles)
-
-    # -- snapshot/fork ---------------------------------------------------
-    def snapshot(self):
-        """Opaque snapshot of all state carried between cycles.
-
-        Stage delays and variability factors are pure functions of the
-        absolute cycle number (counter-based RNG), so the only mutable
-        inter-cycle state is the borrow vector and the policy's relay
-        machine.  Controller-attached simulations are rejected: the
-        controller accumulates slowdown windows that a snapshot does
-        not capture.
-        """
-        if self.controller is not None:
-            raise ConfigurationError(
-                "snapshots do not cover central-controller state")
+    def _state(self):
         return (tuple(self._borrow), self.policy.relay_state())
 
-    def restore(self, state) -> None:
-        """Install a state previously returned by :meth:`snapshot`."""
-        if self.controller is not None:
-            raise ConfigurationError(
-                "snapshots do not cover central-controller state")
+    def _install(self, state) -> None:
         borrow, relay = state
         if len(borrow) != len(self.stages):
             raise ConfigurationError(
@@ -234,42 +183,16 @@ class PipelineSimulation:
         self._borrow = list(borrow)
         self.policy.restore_relay_state(relay)
 
-    def _vectorizable(self) -> bool:
-        """Can this configuration run on the block kernel?
-
-        The vector path precomputes a whole block of stage delays and
-        accounts clean runs through the controller's slowdown windows,
-        so it needs batch-capable variability and (when a controller is
-        attached) the ``CentralErrorController`` window interface.
-        Duck-typed feedback controllers — e.g. the adaptive voltage
-        scaler, whose delay factor depends on flags raised earlier in
-        the block — must take the scalar loop.
-        """
-        if not supports_batch(self.variability):
-            return False
-        return self.controller is None or (
-            hasattr(self.controller, "slowdown_factor")
-            and hasattr(self.controller, "windows"))
-
-    # -- shared per-cycle state machine ---------------------------------
-    def _period_at(self, cycle: int) -> int:
-        if self.controller is None:
-            return self.period_ps
-        return self.controller.period_at(cycle)
-
-    def _simulate_cycle(
-        self,
-        cycle: int,
-        result: PipelineResult,
-        chain_length: int,
-        delay_row,
-    ) -> int:
+    # -- per-cycle state machine -----------------------------------------
+    def _simulate_cycle(self, cycle: int, result: PipelineResult,
+                        block=None, k: int = 0) -> None:
         """One cycle of capture/borrow/relay bookkeeping.
 
-        ``delay_row`` optionally supplies precomputed per-stage delays
-        (from the vector kernel); ``None`` computes them per stage.
-        Returns the updated borrow-chain length.
+        ``block`` optionally supplies the vector kernel's
+        :meth:`_block`, whose row ``k`` holds this cycle's per-stage
+        delays; ``None`` computes them per stage.
         """
+        delay_row = None if block is None else block[0][k]
         period = self._period_at(cycle)
         if period > self.period_ps:
             result.slow_cycles += 1
@@ -312,20 +235,34 @@ class PipelineSimulation:
                 )
             if outcome.detected:
                 result.replay_cycles += self.policy.replay_penalty_cycles
-        chain_length = chain_length + 1 if cycle_masked else 0
-        result.borrow_chain_max = max(result.borrow_chain_max,
-                                      chain_length)
+        self._chain = self._chain + 1 if cycle_masked else 0
+        result.borrow_chain_max = max(result.borrow_chain_max, self._chain)
         if cycle_flagged and self.controller is not None:
             self.controller.notify_flag(cycle)
         self.policy.end_of_cycle(outcomes)
         self._borrow = new_borrow
         result.total_time_ps += period
-        return chain_length
 
-    # -- screened walk ---------------------------------------------------
+    # -- screened walk hooks ---------------------------------------------
     def _idle(self) -> bool:
         """No carried state: every lateness equals delay - period."""
         return not any(self._borrow) and self.policy.relay_idle()
+
+    def _retire_clean(self, result: PipelineResult, clean: int,
+                      slow: int) -> None:
+        result.clean += clean * len(self.stages)
+        result.total_time_ps += clean * self.period_ps
+        if slow:
+            slow_period = int(round(self.period_ps
+                                    * self.controller.slowdown_factor))
+            result.total_time_ps += slow * (slow_period - self.period_ps)
+        self._chain = 0
+
+    @property
+    def _walk(self):
+        from repro.kernels.pipeline import WALK
+
+        return WALK
 
     def _block(self, pos: int, count: int):
         """Fault-free ``(delays, interesting)`` for ``count`` cycles.
@@ -346,83 +283,22 @@ class PipelineSimulation:
             delays, self.period_ps,
             self.policy.clean_lateness_threshold_ps())
 
-    def _run_screened(self, start: int, stop: int, result: PipelineResult,
-                      rows) -> None:
-        """The screened block walk over cycles ``[start, stop)``.
-
-        Each block's rows are sliced from the caller's shared ``rows``
-        (see :meth:`background_rows`) or evaluated by :meth:`_block`.
-        While the machine is idle, the walk retires the clean run up to
-        the next replay point in bulk; every other cycle replays through
-        :meth:`_simulate_cycle` with its precomputed delay row.
-        """
-        from repro.kernels.pipeline import WALK
-        from repro.kernels.schedule import (
-            BlockSizer,
-            block_spans,
-            replay_points,
-            slow_cycles_between,
-        )
-
-        num_stages = len(self.stages)
-        controller = self.controller
-        slow_period = (
-            int(round(self.period_ps * controller.slowdown_factor))
-            if controller is not None else self.period_ps)
-        sizer = BlockSizer()
-        chain = 0
-        for pos, count in block_spans(start, stop, sizer):
-            if rows is None:
-                delays, interesting = self._block(pos, count)
-            else:
-                delays, interesting = (column[pos:pos + count]
-                                       for column in rows)
-            points = replay_points(interesting, pos, self.faults)
-            point = replayed = k = 0
-            while k < count:
-                if self._idle():
-                    point = bisect.bisect_left(points, k, point)
-                    nxt = points[point] if point < len(points) else count
-                    if nxt > k:
-                        clean = nxt - k
-                        slow = (slow_cycles_between(controller.windows,
-                                                    pos + k, pos + nxt)
-                                if controller is not None else 0)
-                        result.slow_cycles += slow
-                        result.clean += clean * num_stages
-                        result.total_time_ps += (
-                            (clean - slow) * self.period_ps
-                            + slow * slow_period)
-                        chain = 0
-                        k = nxt
-                        if k >= count:
-                            break
-                chain = self._simulate_cycle(pos + k, result, chain,
-                                             delays[k])
-                replayed += 1
-                k += 1
-            WALK.block(count, len(points), replayed)
-            # Size on the cycles actually replayed: carryover replays
-            # escape the screen, and an error storm that degrades to
-            # scalar stepping should shrink the blocks.
-            sizer.update(replayed / count)
-
     @staticmethod
     def _account(result: PipelineResult, outcome: CaptureOutcome) -> None:
         if outcome.failed:
             result.failed += 1
-            _OBS_FAILED.inc()
+            OBS_FAILED.inc()
         elif outcome.masked:
             result.masked += 1
-            _OBS_MASKED.inc()
+            OBS_MASKED.inc()
             if outcome.flagged:
                 result.masked_flagged += 1
-                _OBS_MASKED_FLAGGED.inc()
+                OBS_MASKED_FLAGGED.inc()
         elif outcome.detected:
             result.detected += 1
-            _OBS_DETECTED.inc()
+            OBS_DETECTED.inc()
         elif outcome.predicted:
             result.predicted += 1
-            _OBS_PREDICTED.inc()
+            OBS_PREDICTED.inc()
         else:
             result.clean += 1

@@ -72,7 +72,6 @@ from repro.soak.estimators import EscapeEstimator
 from repro.soak.generator import (
     Stratum,
     build_strata,
-    spec_for_draw,
     specs_for_draws,
 )
 from repro.soak.journal import (
@@ -417,11 +416,26 @@ def _run_round(config: CampaignConfig, runner: SweepRunner,
     return keyed, work
 
 
+def _round_tally(prev_digest: str,
+                 keyed: typing.Sequence[tuple[str, FaultOutcome]]
+                 ) -> tuple[dict[str, dict[str, int]], str]:
+    """A round's per-stratum class counts and its chained digest."""
+    counts: dict[str, dict[str, int]] = {}
+    for key, outcome in keyed:
+        row = counts.setdefault(key, {})
+        row[outcome.classification] = row.get(
+            outcome.classification, 0) + 1
+    digest = record_digest(prev_digest, [
+        _outcome_digest_payload(outcome) for _key, outcome in keyed])
+    return counts, digest
+
+
 def replay_round(soak: SoakConfig, record: dict,
                  prev_digest: str) -> dict:
     """Re-derive one journal record's outcomes in-process.
 
-    Regenerates every draw from the record's descriptors, classifies
+    Regenerates every draw from the record's descriptors as one column
+    block (:func:`specs_for_draws`, the chunk task's path), classifies
     them as one chunk through the batch-campaign evaluator path, and
     recomputes the per-stratum counts and the chained digest.  Used by
     the property tests and the chaos drill to pin the replay contract:
@@ -430,23 +444,14 @@ def replay_round(soak: SoakConfig, record: dict,
     """
     config = soak.campaign
     strata = {stratum.key: stratum for stratum in soak.strata()}
-    seq = int(record["seq_start"])
-    keys: list[str] = []
-    specs = []
-    for key, counter_start, count in record["draws"]:
-        for offset in range(int(count)):
-            specs.append(spec_for_draw(config, strata[key],
-                                       int(counter_start) + offset,
-                                       seq + len(specs)))
-            keys.append(key)
-    outcomes, _work = fault_runner(config).evaluate_chunk(specs)
-    counts: dict[str, dict[str, int]] = {}
-    for key, outcome in zip(keys, outcomes):
-        row = counts.setdefault(key, {})
-        row[outcome.classification] = row.get(
-            outcome.classification, 0) + 1
-    digest = record_digest(prev_digest, [
-        _outcome_digest_payload(outcome) for outcome in outcomes])
+    fault_ids = itertools.count(int(record["seq_start"]))
+    draws = [(key, int(counter_start) + offset, next(fault_ids))
+             for key, counter_start, count in record["draws"]
+             for offset in range(int(count))]
+    outcomes, _work = fault_runner(config).evaluate_chunk(
+        specs_for_draws(config, strata, draws))
+    counts, digest = _round_tally(prev_digest, [
+        (key, outcome) for (key, _, _), outcome in zip(draws, outcomes)])
     return {"counts": counts, "digest": digest, "outcomes": outcomes}
 
 
@@ -617,14 +622,7 @@ def run_soak(
                 drained = True
                 stop = "drained"
                 break
-            counts: dict[str, dict[str, int]] = {}
-            for key, outcome in keyed:
-                row = counts.setdefault(key, {})
-                row[outcome.classification] = row.get(
-                    outcome.classification, 0) + 1
-            digest = record_digest(state["digest"], [
-                _outcome_digest_payload(outcome)
-                for _key, outcome in keyed])
+            counts, digest = _round_tally(state["digest"], keyed)
             record = {
                 "type": "round",
                 "round": state["round"],

@@ -244,6 +244,27 @@ class TestScalarFallback:
         scalar, vector = run_both_modes(monkeypatch, run)
         assert scalar == vector
 
+    def test_graph_feedback_scaler_runs_identically(self, monkeypatch):
+        from repro.pipeline.dvfs import AdaptiveVoltageScaler
+
+        def run():
+            scaler = AdaptiveVoltageScaler(
+                period_ps=1000, window_cycles=64, vdd_step=0.01,
+                flag_budget=0)
+            sim = GraphPipelineSimulation(
+                _chain_graph(), scheme="timber-ff", percent_checking=30.0,
+                sensitization_prob=0.6, controller=scaler,
+                variability=CompositeVariation([
+                    LocalVariation(sigma=0.02, max_factor=1.06, seed=3),
+                    scaler,
+                ]), seed=1)
+            assert not sim._vectorizable()
+            return sim.run(800)
+
+        scalar, vector = run_both_modes(monkeypatch, run)
+        assert scalar == vector
+        assert vector.masked > 0
+
 
 # ---------------------------------------------------------------------------
 # Graph simulation: scheme x variability grid, identical results
