@@ -18,7 +18,6 @@ import itertools
 
 from repro.baselines.architectures import (
     ARCHITECTURES,
-    TechniqueArchitecture,
     architecture_by_key,
 )
 from repro.core.architecture import TimberDesign, TimberStyle
@@ -293,22 +292,6 @@ class ResiliencePoint:
     result: PipelineResult
 
 
-def _build_stages(num_stages: int, period_ps: int, *,
-                  criticality: float = 0.95,
-                  sensitization_prob: float = 0.05,
-                  seed: int = 11) -> list[PipelineStage]:
-    critical = int(period_ps * criticality)
-    typical = int(period_ps * 0.70)
-    return [
-        PipelineStage(
-            name=f"stage{i}", critical_delay_ps=critical,
-            typical_delay_ps=typical,
-            sensitization_prob=sensitization_prob, seed=seed + i,
-        )
-        for i in range(num_stages)
-    ]
-
-
 def _variability_from_spec(spec: list[dict]) -> object:
     """Variability model for a JSON-able task spec, warm-cached.
 
@@ -578,8 +561,3 @@ def shootout_sweep(
     runner = runner or SweepRunner()
     results = runner.run_values(tasks)
     return {key: result for key, result in zip(techniques, results)}
-
-
-def all_architectures() -> tuple[TechniqueArchitecture, ...]:
-    """All modelled architectures (re-export for the harness)."""
-    return ARCHITECTURES

@@ -235,7 +235,6 @@ def _make_runner(args: argparse.Namespace, *,
         backoff_base_s=args.backoff,
         checkpoint=checkpoint,
         batch_target_s=max(0.0, args.batch_target_ms / 1000.0),
-        warm_cache_size=args.warm_cache_size,
     )
 
 
@@ -616,8 +615,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     # would only burn disk.
     runner = _make_runner(args, checkpoint_path="")
     runner.cache = None
-    if args.watchdog is not None and args.timeout is None:
-        runner.task_timeout_s = args.watchdog
     # The per-round status line is the RunHealth fold over the soak's
     # own ``round`` events (not runner-task progress — a soak's unit
     # is faults), printed by the publisher's listener.
@@ -898,13 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "batch, sized adaptively from observed "
                               "task durations (0 = one task per "
                               "dispatch; default 250)")
-        cmd.add_argument("--warm-cache-size", type=int, default=None,
-                         metavar="N",
-                         help="per-worker warm-cache entries for "
-                              "compiled kernels, variability models, "
-                              "and task functions (default: "
-                              "$REPRO_WARM_CACHE_SIZE or 64; 0 "
-                              "disables)")
         cmd.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="result-cache directory (default: "
                               "$REPRO_CACHE_DIR or .repro-cache)")
@@ -1037,12 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--rounds", type=_positive_int, default=None,
                       help="stop after this many rounds (mostly for "
                            "tests and benches)")
-    soak.add_argument("--watchdog", type=float, default=None,
-                      metavar="SECONDS",
-                      help="per-fault-chunk stall watchdog: alias for "
-                           "--timeout (stalled workers are abandoned, "
-                           "their work re-dispatched, late results "
-                           "adopted)")
     soak.add_argument("--quiet", action="store_true",
                       help="suppress the per-round status line")
     add_exec_flags(

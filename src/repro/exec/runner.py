@@ -304,17 +304,6 @@ def expand_grid(
     return tasks
 
 
-def _worker_init(warm_capacity: int | None) -> None:
-    """Pool-worker initializer: size this process's warm cache.
-
-    Runs once per worker regardless of start method; everything else a
-    worker needs (observability enablement, kernel mode) travels
-    through the inherited environment.
-    """
-    if warm_capacity is not None:
-        WARM.configure(warm_capacity)
-
-
 def _resolve_warm(task: SweepTask) -> TaskFunction:
     """Resolve a task function through the process warm cache."""
     return WARM.get_or_build("task-func", task.experiment, task.resolve)
@@ -859,7 +848,6 @@ class SweepRunner:
         checkpoint: SweepCheckpoint | None = None,
         batch_target_s: float = 0.25,
         max_batch: int = 64,
-        warm_cache_size: int | None = None,
         mp_start: str | None = None,
     ) -> None:
         if workers < 1:
@@ -889,7 +877,6 @@ class SweepRunner:
         self.checkpoint = checkpoint
         self.batch_target_s = batch_target_s
         self.max_batch = max_batch
-        self.warm_cache_size = warm_cache_size
         self.mp_start = mp_start
         #: Result of the most recent :meth:`run` (telemetry access for
         #: callers that only see the experiment's return value).
@@ -950,8 +937,6 @@ class SweepRunner:
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             mp_context=exec_mp_context(self.mp_start),
-            initializer=_worker_init,
-            initargs=(self.warm_cache_size,),
         )
 
     def close(self, *, wait: bool = False) -> None:

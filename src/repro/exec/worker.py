@@ -18,8 +18,9 @@ functions (every variability model's draws are pure in
 ``(seed, cycle, path)``).  Mutable simulation state never goes in here.
 
 The cache capacity comes from ``REPRO_WARM_CACHE_SIZE`` (default 64
-entries) and can be overridden per pool through the runner's worker
-initializer.  Hit/miss counters are kept per *kind* (``task-func``,
+entries; ``0`` disables retention), the one setting for it: every
+process reads it when it builds its cache, and pool workers inherit it
+with the environment.  Hit/miss counters are kept per *kind* (``task-func``,
 ``compiled``, ``variability``, ``criticality``, ``trajectory``,
 ``evaluator``) so the exec layer can ship per-batch deltas back to the
 parent's telemetry.
@@ -71,16 +72,6 @@ class WarmCache:
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
 
-    def configure(self, capacity: int) -> None:
-        """Set the capacity, evicting LRU entries that no longer fit."""
-        self.capacity = capacity
-        self._shrink()
-
-    def _shrink(self) -> None:
-        limit = max(0, self.capacity)
-        while len(self._entries) > limit:
-            self._entries.popitem(last=False)
-
     def get_or_build(
         self,
         kind: str,
@@ -101,7 +92,8 @@ class WarmCache:
         value = builder()
         if self.capacity > 0:
             self._entries[full] = value
-            self._shrink()
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
         return value
 
     # -- stats -------------------------------------------------------------
@@ -138,8 +130,3 @@ class WarmCache:
 
 #: The process-wide warm cache every call site binds to.
 WARM = WarmCache()
-
-
-def configure(capacity: int) -> None:
-    """Worker-initializer hook: size this process's warm cache."""
-    WARM.configure(capacity)

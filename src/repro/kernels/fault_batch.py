@@ -9,10 +9,15 @@ deltas ride on top of the shared background rows, and a vectorized
 borrow/select/relay state machine — the array form of the simulators'
 ``_simulate_cycle`` — advances every lane per cycle step.
 
+Both targets share :class:`_LaneMachineBase`: the lane loop (window
+gather, per-step buffers, event mask, counter bumps, fold) and the
+prefix-table pass, which runs each background cycle from idle through
+the same per-cycle ``_step`` — the one piece each target supplies.
+
 The machines take and return arrays.  A :class:`LaneBlock` carries the
 lanes as columns (injection cycle, window steps, fault duration,
 magnitude, perturbed-column mask) and builds its deltas in one
-broadcast; :meth:`~PipelineLaneMachine.evaluate` returns per-lane
+broadcast; :meth:`~_LaneMachineBase.evaluate` returns per-lane
 outcome columns — class as an index into
 :data:`~repro.campaign.outcomes.SEVERITY_LADDER`, events, worst
 lateness, max borrowed intervals — which the campaign evaluator turns
@@ -54,7 +59,7 @@ import numpy as np
 
 from repro import obs
 from repro.kernels.graph import CompiledTopology
-from repro.kernels.pipeline import CaptureParams, capture_block
+from repro.kernels.pipeline import CaptureArrays, CaptureParams, capture_block
 from repro.pipeline import graph_sim as _graph_sim
 from repro.pipeline import pipeline as _pipeline_sim
 
@@ -141,10 +146,9 @@ class LaneBlock:
 
 
 def _collect(event: "np.ndarray", lateness: "np.ndarray",
-             masked: "np.ndarray", detected: "np.ndarray",
-             predicted: "np.ndarray", flagged: "np.ndarray",
-             failed: "np.ndarray", intervals: "np.ndarray") -> tuple:
-    """Fold the per-capture arrays into per-lane outcome columns.
+             caps: CaptureArrays) -> tuple:
+    """Fold the stacked ``(lanes, window, columns)`` captures into
+    per-lane outcome columns.
 
     Returns ``(classes, events, worst_lateness_ps,
     max_borrowed_intervals)``, one entry per lane, with ``classes`` as
@@ -154,15 +158,17 @@ def _collect(event: "np.ndarray", lateness: "np.ndarray",
     stream.
     """
     axes = (1, 2)
+    masked, intervals = caps.masked, caps.borrowed_intervals
     events = event.sum(axes)
     worst = np.where(event, lateness, _BIG_NEG).max(axes)
     worst = np.where(events > 0, worst, 0)
     max_intervals = np.where(event, intervals, 0).max(axes)
-    any_failed = (failed & event).any(axes)
+    any_failed = (caps.failed & event).any(axes)
     any_relayed = (masked & (intervals >= 2) & event).any(axes)
-    any_masked_ed = (((masked & flagged) | detected) & event).any(axes)
+    any_masked_ed = (((masked & caps.flagged) | caps.detected)
+                     & event).any(axes)
     any_masked = (masked & event).any(axes)
-    any_warned = ((predicted | flagged) & event).any(axes)
+    any_warned = ((caps.predicted | caps.flagged) & event).any(axes)
     # classify_flags, vectorized: one np.select down the same severity
     # ladder instead of a python call per lane.
     classes = np.select(
@@ -191,8 +197,26 @@ class PrefixTable:
     counts: "np.ndarray"
 
 
+#: Capture fields the lane loop stacks per step; borrow amounts only
+#: feed the next step's state.
+_KEPT = dict(masked=bool, detected=bool, predicted=bool, flagged=bool,
+             failed=bool, borrowed_intervals=np.int64)
+
+
 class _LaneMachineBase:
-    """Shared lane bookkeeping for both targets."""
+    """The lane loop and prefix-table pass both targets share.
+
+    A target supplies only its per-cycle state machine:
+    ``_step(step_rows, extra, state) -> (lateness, CaptureArrays,
+    next_state)`` — one capture step of every lane's ``(lanes, ...)``
+    background rows plus its per-column ``extra`` delay, from carried
+    ``state`` — with ``_zero_state(count)``, the per-lane
+    ``_leaves_state(caps)`` of an idle-entered step, the
+    ``_counter_classes(caps)`` masks (one per :attr:`COUNTERS` entry)
+    and ``state_is_idle``, plus :meth:`_observe` where it keeps a
+    histogram.  :meth:`evaluate` runs the step along each lane's window;
+    :meth:`prefix_table` runs it once per background cycle, from idle.
+    """
 
     kernel: str = "abstract"
     #: Semantic counter children, in the column order of the prefix
@@ -205,10 +229,69 @@ class _LaneMachineBase:
     _col: "dict[str, int]"
     num_cols: int
 
-    def _note_batched(self, count: int) -> None:
+    def _observe(self, caps: CaptureArrays, event: "np.ndarray") -> None:
+        """Observe the target's histograms over the batch's events."""
+
+    def evaluate(self, lanes: LaneBlock, rows: "typing.Any") -> tuple:
+        """Advance every lane through its window in one batch.
+
+        ``rows`` is the trajectory's block columns (the screen's
+        verdicts last, unread).  Each lane steps its own window of them
+        plus its delta through :meth:`_step`, into preallocated ``(lanes,
+        window, columns)`` buffers.  Returns :func:`_collect`'s per-lane
+        outcome columns.
+        """
+        cycles, extra, live = lanes.window(rows[0].shape[0])
+        window = [column[cycles] for column in rows[:-1]]
+        count, width = live.shape
+        shape = (count, width, self.num_cols)
+        lateness = np.empty(shape, dtype=np.int64)
+        kept = {name: np.empty(shape, dtype) for name, dtype in _KEPT.items()}
+        state = self._zero_state(count)
+        for w in range(width):
+            late, caps, state = self._step(
+                [column[:, w] for column in window], extra[:, w], state)
+            lateness[:, w] = late
+            for name, buffer in kept.items():
+                buffer[:, w] = getattr(caps, name)
+        caps = CaptureArrays(borrowed_ps=None, **kept)
+        event = caps.event & live[:, :, None]
         if obs.REGISTRY.enabled:
+            for counter, mask in zip(self.COUNTERS,
+                                     self._counter_classes(caps)):
+                counter.inc(int((mask & event).sum()))
+            self._observe(caps, event)
             _OBS_LANES.labels(kernel=self.kernel, path="batched").inc(count)
             _OBS_GROUP.labels(kernel=self.kernel).observe(count)
+        return _collect(event, lateness, caps)
+
+    def prefix_table(self, rows: "typing.Any") -> PrefixTable:
+        """The :class:`PrefixTable` of background ``rows``.
+
+        Steps each block of :data:`_TABLE_BLOCK` background cycles once
+        through :meth:`_step`, cycles as lanes, each from
+        :meth:`_zero_state` — the state machine the lanes run.  The
+        counts are int32 whenever every total fits, halving the table's
+        memory.
+        """
+        num_cycles = rows[0].shape[0]
+        state = np.empty(num_cycles, dtype=bool)
+        counts = np.zeros(
+            (num_cycles + 1, len(self.COUNTERS)),
+            dtype=(np.int32 if num_cycles * self.num_cols < 2 ** 31
+                   else np.int64))
+        for pos in range(0, num_cycles, _TABLE_BLOCK):
+            stop = min(pos + _TABLE_BLOCK, num_cycles)
+            _, caps, _ = self._step(
+                [column[pos:stop] for column in rows[:-1]], 0,
+                self._zero_state(stop - pos))
+            state[pos:stop] = self._leaves_state(caps)
+            counts[pos + 1:stop + 1] = np.stack(
+                self._counter_classes(caps), axis=-1).sum(axis=1)
+        np.cumsum(counts, axis=0, out=counts)
+        carried = np.zeros(num_cycles + 1, dtype=np.int64)
+        np.cumsum(state, out=carried[1:])
+        return PrefixTable(state=state, carried=carried, counts=counts)
 
     def note_replayed(self, count: int) -> None:
         """Account lanes that dropped to the per-fault forked path."""
@@ -233,31 +316,6 @@ class _LaneMachineBase:
             mask[:, dst] = site_mask[:, src]
         return mask
 
-    def prefix_table(self, rows: "typing.Any") -> PrefixTable:
-        """The :class:`PrefixTable` of background ``rows``.
-
-        Captures every cycle from idle state, :data:`_TABLE_BLOCK`
-        cycles per array call so the capture temporaries stay small.
-        The counts are int32 whenever every total fits, halving the
-        table's memory.
-        """
-        num_cycles = rows[0].shape[0]
-        state = np.empty(num_cycles, dtype=bool)
-        counts = np.zeros(
-            (num_cycles + 1, len(self.COUNTERS)),
-            dtype=(np.int32 if num_cycles * self.num_cols < 2 ** 31
-                   else np.int64))
-        for pos in range(0, num_cycles, _TABLE_BLOCK):
-            stop = min(pos + _TABLE_BLOCK, num_cycles)
-            state[pos:stop], classes = self._idle_captures(
-                [column[pos:stop] for column in rows])
-            counts[pos + 1:stop + 1] = np.stack(
-                [mask.sum(axis=1) for mask in classes], axis=1)
-        np.cumsum(counts, axis=0, out=counts)
-        carried = np.zeros(num_cycles + 1, dtype=np.int64)
-        np.cumsum(state, out=carried[1:])
-        return PrefixTable(state=state, carried=carried, counts=counts)
-
     def state_free(self, starts: "np.ndarray",
                    cycles: "np.ndarray") -> "np.ndarray":
         """Per lane: does no background cycle in ``[starts, cycles)``
@@ -278,11 +336,6 @@ class _LaneMachineBase:
         for counter, total in zip(self.COUNTERS, totals.tolist()):
             counter.inc(total)
 
-    def _inc_counters(self, classes: "typing.Sequence[np.ndarray]",
-                      event: "np.ndarray") -> None:
-        for counter, mask in zip(self.COUNTERS, classes):
-            counter.inc(int((mask & event).sum()))
-
 
 class PipelineLaneMachine(_LaneMachineBase):
     """Vectorized borrow/select relay machine for the linear pipeline.
@@ -291,6 +344,8 @@ class PipelineLaneMachine(_LaneMachineBase):
     boundary ``i`` launches into ``i+1`` (circularly) with the time it
     borrowed, and the TIMBER relay hands ``select_out`` one boundary
     downstream per cycle — both are ``np.roll`` along the stage axis.
+    Rows are ``(delays, interesting)``; state is ``(borrow,
+    select_in)``, one column per stage.
     """
 
     kernel = "pipeline"
@@ -318,78 +373,37 @@ class PipelineLaneMachine(_LaneMachineBase):
         select_in, next_select_in = relay
         return not any(select_in) and not any(next_select_in)
 
-    def _idle_captures(self, rows: "typing.Any") -> tuple:
-        """Per-cycle ``(leaves state, counter classes)`` of a block of
-        ``(delays, interesting)`` rows, each cycle entered idle.
+    def _zero_state(self, count: int) -> tuple:
+        zero = np.zeros((count, self.num_cols), dtype=np.int64)
+        return zero, zero
 
-        A capture leaves state when it borrows time or relays a select.
-        """
-        late = rows[0] - self.period_ps
-        caps = capture_block(self.params, late,
-                             np.zeros(late.shape, dtype=np.int64))
-        state = ((caps.borrowed_ps != 0)
-                 | (caps.borrowed_intervals != 0)).any(axis=1)
-        return state, self._counter_classes(
-            caps.masked, caps.detected, caps.predicted, caps.flagged,
-            caps.failed)
-
-    def evaluate(self, lanes: LaneBlock, rows: "typing.Any") -> tuple:
-        """Advance every lane through its window in one batch.
-
-        ``rows`` is the trajectory's ``(delays, interesting)`` pair;
-        each lane reads its own window of background delay rows.
-        Returns :func:`_collect`'s per-lane outcome columns.
-        """
-        delays_all = rows[0]
-        cycles, delta, live = lanes.window(delays_all.shape[0])
-        delays = delays_all[cycles] + delta
-        count, width = live.shape
-        shape = (count, width, self.num_cols)
-        lateness = np.empty(shape, dtype=np.int64)
-        masked = np.empty(shape, dtype=bool)
-        detected = np.empty(shape, dtype=bool)
-        predicted = np.empty(shape, dtype=bool)
-        flagged = np.empty(shape, dtype=bool)
-        failed = np.empty(shape, dtype=bool)
-        intervals = np.empty(shape, dtype=np.int64)
-        borrow = np.zeros((count, self.num_cols), dtype=np.int64)
-        select_in = np.zeros((count, self.num_cols), dtype=np.int64)
-        for w in range(width):
-            late = (np.roll(borrow, 1, axis=1) + delays[:, w, :]
-                    - self.period_ps)
-            caps = capture_block(self.params, late, select_in)
-            lateness[:, w] = late
-            masked[:, w] = caps.masked
-            detected[:, w] = caps.detected
-            predicted[:, w] = caps.predicted
-            flagged[:, w] = caps.flagged
-            failed[:, w] = caps.failed
-            intervals[:, w] = caps.borrowed_intervals
-            borrow = caps.borrowed_ps
-            if self.params.kind == "timber-ff":
-                # select_out relays to the next boundary for the next
-                # cycle (borrowed intervals on a mask, else zero).
-                select_in = np.roll(caps.borrowed_intervals, 1, axis=1)
-        event = ((masked | detected | predicted | flagged | failed)
-                 & live[:, :, None])
-        if obs.REGISTRY.enabled:
-            self._inc_counters(self._counter_classes(
-                masked, detected, predicted, flagged, failed), event)
-            self._note_batched(count)
-        return _collect(event, lateness, masked, detected, predicted,
-                        flagged, failed, intervals)
+    def _step(self, step_rows, extra, state) -> tuple:
+        borrow, select_in = state
+        late = (np.roll(borrow, 1, axis=1) + step_rows[0] + extra
+                - self.period_ps)
+        caps = capture_block(self.params, late, select_in)
+        if self.params.kind == "timber-ff":
+            # select_out relays to the next boundary for the next
+            # cycle (borrowed intervals on a mask, else zero).
+            select_in = np.roll(caps.borrowed_intervals, 1, axis=1)
+        return late, caps, (caps.borrowed_ps, select_in)
 
     @staticmethod
-    def _counter_classes(masked, detected, predicted, flagged,
-                         failed) -> tuple:
+    def _leaves_state(caps: CaptureArrays) -> "np.ndarray":
+        """A capture leaves state when it borrows time or relays a select."""
+        return ((caps.borrowed_ps != 0)
+                | (caps.borrowed_intervals != 0)).any(axis=1)
+
+    @staticmethod
+    def _counter_classes(caps: CaptureArrays) -> tuple:
         """``_account``'s per-capture increments as one mask per
         :attr:`COUNTERS` entry, with its exact precedence: failed
         before masked, masked before detected before predicted."""
-        kept = ~failed
-        live_masked = masked & kept
-        rest = kept & ~masked
-        return (failed, live_masked, live_masked & flagged,
-                detected & rest, predicted & rest & ~detected)
+        kept = ~caps.failed
+        live_masked = caps.masked & kept
+        rest = kept & ~caps.masked
+        return (caps.failed, live_masked, live_masked & caps.flagged,
+                caps.detected & rest, caps.predicted & rest & ~caps.detected)
 
 
 class GraphLaneMachine(_LaneMachineBase):
@@ -399,7 +413,10 @@ class GraphLaneMachine(_LaneMachineBase):
     per-edge evaluation gates on carried launch offsets or
     sensitization, per-destination lateness is a segment max, protected
     endpoints capture with the scheme (relay select = max over relay
-    sources), the rest capture plain.
+    sources), the rest capture plain.  Rows are ``(sens, arrival,
+    interesting)``; state is ``(borrow, select)``, one column per
+    candidate destination plus one sentinel column (always zero)
+    standing in for every other FF name.
     """
 
     kernel = "graph"
@@ -416,7 +433,6 @@ class GraphLaneMachine(_LaneMachineBase):
                      for index, name in enumerate(dst_names)}
         self.num_cols = topology.num_dsts
         self.period_ps = period_ps
-        self._plain = CaptureParams(kind="plain")
 
     @staticmethod
     def state_is_idle(state: "typing.Any") -> bool:
@@ -424,15 +440,13 @@ class GraphLaneMachine(_LaneMachineBase):
         borrow, select_out = state
         return not borrow and not select_out
 
-    def _step(self, sens: "np.ndarray", arrival: "np.ndarray",
-              extra: "typing.Any", borrow: "np.ndarray",
-              select: "np.ndarray") -> tuple:
-        """One capture step from carried ``borrow``/``select`` columns
-        (sentinel column included).
+    def _zero_state(self, count: int) -> tuple:
+        return tuple(np.zeros((2, count, self.num_cols + 1),
+                              dtype=np.int64))
 
-        Returns per-destination ``(late, masked, flagged, failed,
-        failed_prot, intervals, borrowed_ps)``.
-        """
+    def _step(self, step_rows, extra, state) -> tuple:
+        sens, arrival = step_rows
+        borrow, select = state
         topo = self.topology
         prot = topo.protected
         offsets = borrow[:, topo.src_cols]
@@ -444,82 +458,43 @@ class GraphLaneMachine(_LaneMachineBase):
                         topo.per_dst_max(late_edge) + extra, _BIG_NEG)
         caps = capture_block(self.params, late,
                              topo.relay_select_in(select))
-        caps_plain = capture_block(self._plain, late)
         masked = caps.masked & prot
-        failed_prot = caps.failed & prot
-        return (late, masked, caps.flagged & prot,
-                failed_prot | (caps_plain.failed & ~prot), failed_prot,
-                np.where(masked, caps.borrowed_intervals, 0),
-                np.where(masked, caps.borrowed_ps, 0))
-
-    def _idle_captures(self, rows: "typing.Any") -> tuple:
-        """Per-cycle ``(leaves state, counter classes)`` of a block of
-        ``(sens, arrival, interesting)`` rows, each cycle entered idle.
-
-        Any masked capture leaves state (the scalar loop records its
-        borrow even when zero), so state-free cycles never observe the
-        relay-depth histogram and the table needs no column for it.
-        """
-        idle = np.zeros((rows[0].shape[0], self.num_cols + 1),
-                        dtype=np.int64)
-        _, masked, flagged, failed, failed_prot, intervals, _ = (
-            self._step(rows[0], rows[1], 0, idle, idle))
-        return masked.any(axis=1), self._counter_classes(
-            masked, flagged, failed_prot, failed, intervals)
-
-    def evaluate(self, lanes: LaneBlock, rows: "typing.Any") -> tuple:
-        """Advance every lane through its window in one batch.
-
-        ``rows`` is the trajectory's ``(sens, arrival, interesting)``
-        triple; each lane reads its own window of background rows.
-        Returns :func:`_collect`'s per-lane outcome columns.
-        """
-        sens_all, arrival_all = rows[0], rows[1]
-        cycles, extra, live = lanes.window(sens_all.shape[0])
-        sens = sens_all[cycles]
-        arrival = arrival_all[cycles]
-        count, width = live.shape
-        num_dsts = self.num_cols
-        shape = (count, width, num_dsts)
-        lateness = np.empty(shape, dtype=np.int64)
-        masked = np.empty(shape, dtype=bool)
-        flagged = np.empty(shape, dtype=bool)
-        failed = np.empty(shape, dtype=bool)
-        failed_prot = np.empty(shape, dtype=bool)
-        intervals = np.empty(shape, dtype=np.int64)
-        never = np.zeros(shape, dtype=bool)
-        # State columns are candidate destinations plus one sentinel
-        # column (always zero) standing in for every other FF name.
-        borrow = np.zeros((count, num_dsts + 1), dtype=np.int64)
-        select = np.zeros((count, num_dsts + 1), dtype=np.int64)
-        for w in range(width):
-            (lateness[:, w], masked[:, w], flagged[:, w], failed[:, w],
-             failed_prot[:, w], intervals[:, w], borrow[:, :num_dsts]) = (
-                self._step(sens[:, w, :], arrival[:, w, :],
-                           extra[:, w, :], borrow, select))
-            select[:, :num_dsts] = intervals[:, w]
-        # Every violating capture is an event (the graph observer has
-        # no clean filter to apply — it only ever sees violations).
-        event = (masked | failed) & live[:, :, None]
-        if obs.REGISTRY.enabled:
-            self._inc_counters(self._counter_classes(
-                masked, flagged, failed_prot, failed, intervals), event)
-            # The relay-depth histogram gets every masked event's
-            # depth, as the scalar loop observes them one by one.
-            _graph_sim.OBS_RELAY_DEPTH.observe_many(
-                intervals[masked & event & (intervals > 0)])
-            self._note_batched(count)
-        return _collect(event, lateness, masked, never, never, flagged,
-                        failed, intervals)
+        never = np.zeros(late.shape, dtype=bool)
+        caps = CaptureArrays(
+            masked=masked, detected=never, predicted=never,
+            flagged=caps.flagged & prot,
+            # Unprotected endpoints capture plain: any violation fails.
+            failed=(caps.failed & prot) | ((late > 0) & ~prot),
+            borrowed_ps=np.where(masked, caps.borrowed_ps, 0),
+            borrowed_intervals=np.where(masked, caps.borrowed_intervals,
+                                        0))
+        # Only masked protected captures borrow or relay (in place).
+        borrow[:, :self.num_cols] = caps.borrowed_ps
+        select[:, :self.num_cols] = caps.borrowed_intervals
+        return late, caps, state
 
     @staticmethod
-    def _counter_classes(masked, flagged, failed_prot, failed,
-                         intervals) -> tuple:
+    def _leaves_state(caps: CaptureArrays) -> "np.ndarray":
+        """Any masked capture leaves state (the scalar loop records its
+        borrow even when zero), so state-free cycles never observe the
+        relay-depth histogram and the table needs no column for it."""
+        return caps.masked.any(axis=1)
+
+    def _counter_classes(self, caps: CaptureArrays) -> tuple:
         """``_simulate_cycle``'s semantic increments as one mask per
         :attr:`COUNTERS` entry (order-free sums)."""
+        masked, flagged, failed = caps.masked, caps.flagged, caps.failed
+        failed_prot = failed & self.topology.protected
         return (masked & flagged, masked & ~flagged,
-                masked & (intervals >= 2), failed_prot,
+                masked & (caps.borrowed_intervals >= 2), failed_prot,
                 failed & ~failed_prot)
+
+    def _observe(self, caps: CaptureArrays, event: "np.ndarray") -> None:
+        # The relay-depth histogram gets every masked event's depth, as
+        # the scalar loop observes them one by one.
+        intervals = caps.borrowed_intervals
+        _graph_sim.OBS_RELAY_DEPTH.observe_many(
+            intervals[caps.masked & event & (intervals > 0)])
 
 
 def pipeline_machine(sim: "typing.Any") -> "PipelineLaneMachine | None":

@@ -47,10 +47,6 @@ class Span:
     end_ns: int = 0
     attrs: dict = dataclasses.field(default_factory=dict)
 
-    @property
-    def duration_ns(self) -> int:
-        return max(0, self.end_ns - self.start_ns)
-
     def to_record(self, anchor_ns: int | None = None) -> dict:
         """JSON-able projection (the JSONL line format).
 

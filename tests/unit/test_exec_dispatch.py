@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +21,9 @@ from repro.exec import (
     read_checkpoint,
 )
 from repro.exec.runner import execute_batch
-from repro.exec.worker import WarmCache
+from repro.exec.worker import WARM_CACHE_ENV, WarmCache
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 SQUARE = "repro.exec.testing:square_task"
 SLEEP = "repro.exec.testing:sleep_task"
@@ -76,13 +81,6 @@ class TestWarmCache:
         assert len(cache) == 0
         assert cache.counters() == {"k": [0, 3]}
 
-    def test_configure_shrinks(self):
-        cache = WarmCache(capacity=8)
-        for key in "abcdef":
-            cache.get_or_build("k", key, lambda k=key: k)
-        cache.configure(2)
-        assert len(cache) == 2
-
     def test_stats_delta(self):
         cache = WarmCache(capacity=4)
         cache.get_or_build("k", "a", lambda: "a")
@@ -93,6 +91,34 @@ class TestWarmCache:
                                              "other": [0, 1]}
         # No activity -> empty delta, nothing to ship.
         assert cache.stats_delta(cache.counters()) == {}
+
+    @staticmethod
+    def _serial_sweep_warm(tmp_path, capacity) -> dict:
+        """``warm_cache`` block of a ``--workers 1`` CLI sweep run with
+        ``REPRO_WARM_CACHE_SIZE`` set to ``capacity`` (unset on None)."""
+        env = dict(os.environ)
+        env.pop(WARM_CACHE_ENV, None)
+        if capacity is not None:
+            env[WARM_CACHE_ENV] = str(capacity)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        summary = tmp_path / f"summary-{capacity}.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "shootout",
+             "--cycles", "100", "--workers", "1", "--no-cache",
+             "--summary", str(summary)],
+            cwd=REPO_ROOT, env=env, check=True, capture_output=True)
+        return json.loads(summary.read_text())["warm_cache"]
+
+    def test_env_sizes_the_serial_parent(self, tmp_path):
+        # Serial runs evaluate every task in the parent, so the
+        # environment is what sizes its cache: 0 must leave no hits.
+        default = self._serial_sweep_warm(tmp_path, None)
+        assert sum(kind["hits"] for kind in default.values()) > 0
+        disabled = self._serial_sweep_warm(tmp_path, 0)
+        assert disabled.keys() == default.keys()
+        assert all(kind["hits"] == 0 for kind in disabled.values())
 
 
 class TestDispatchSizer:
