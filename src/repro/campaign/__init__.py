@@ -48,6 +48,7 @@ from repro.campaign.outcomes import (
     RELAYED,
     CaptureEvent,
     FaultOutcome,
+    OutcomeColumns,
     classify_events,
     classify_flags,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "RELAYED",
     "CaptureEvent",
     "FaultOutcome",
+    "OutcomeColumns",
     "classify_events",
     "classify_flags",
     "CoverageReport",

@@ -42,20 +42,20 @@ batches every lane it can prove equivalent through the lane machine
 (:mod:`repro.kernels.fault_batch`) and replays the rest one fork at a
 time.  Faults travel that path as columns: a chunk is drawn as one
 :class:`~repro.campaign.faults.FaultColumns` block, planned and run as
-arrays, and folded into outcome columns; :class:`FaultSpec` records
-are built only for forked replays and the netlist target, and each
-:class:`~repro.campaign.outcomes.FaultOutcome` once, from the folded
-columns.  The full-run evaluators live in :mod:`repro.campaign.reference`
-as the executable spec both paths are pinned against (hypothesis
-properties and a golden campaign capture); no runtime path imports
-them.  The netlist target has no cycle-level carried-state snapshot
-and simulates every fault from time 0 (its stimulus is rebuilt per
-fault anyway).
+arrays, and folded into an :class:`~repro.campaign.outcomes.
+OutcomeColumns` block, which stays columns through the report, the
+result store and the soak journal.  :class:`FaultSpec` and
+:class:`~repro.campaign.outcomes.FaultOutcome` records are built only
+for forked replays and the netlist target.  The full-run evaluators
+live in :mod:`repro.campaign.reference` as the executable spec both
+paths are pinned against (hypothesis properties and a golden campaign
+capture); no runtime path imports them.  The netlist target has no
+cycle-level carried-state snapshot and simulates every fault from time
+0 (its stimulus is rebuilt per fault anyway).
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import itertools
 import time
@@ -80,9 +80,11 @@ from repro.campaign.trajectory import (
     trajectory_rows_for,
 )
 from repro.campaign.outcomes import (
+    FOLDED,
     SEVERITY_LADDER,
     CaptureEvent,
     FaultOutcome,
+    OutcomeColumns,
     outcome_from_events,
 )
 from repro.core.checking_period import CheckingPeriod
@@ -468,31 +470,30 @@ class ChunkResult(tuple):
 
     units: list[int]
 
-    def __new__(cls, outcomes: list[FaultOutcome],
+    def __new__(cls, outcomes: OutcomeColumns,
                 units: list[int]) -> "ChunkResult":
         result = super().__new__(cls, (outcomes, sum(units)))
         result.units = units
         return result
 
 
-def _finish_chunk(config: CampaignConfig, outcomes: list[FaultOutcome],
+def _finish_chunk(config: CampaignConfig, outcomes: OutcomeColumns,
                   units: list[int], started: float) -> ChunkResult:
     """Per-fault obs for one classified chunk; its :class:`ChunkResult`.
 
     The chunk shares one wall clock, so the per-fault latency is the
     amortized share; the outcome counter gets one increment per class
-    and the latency histogram one bulk observe.
+    (one ``bincount``) and the latency histogram one bulk observe.
     """
-    if obs.REGISTRY.enabled and outcomes:
+    if obs.REGISTRY.enabled and len(outcomes):
         elapsed = (time.perf_counter() - started) / len(outcomes)
         _OBS_FAULT_SECONDS.observe_many(np.full(len(outcomes), elapsed))
-        tally = collections.Counter(
-            outcome.classification for outcome in outcomes)
-        for classification, count in tally.items():
-            _OBS_OUTCOMES.labels(
-                target=config.target, scheme=config.scheme,
-                classification=classification,
-            ).inc(count)
+        for classification, count in outcomes.class_counts().items():
+            if count:
+                _OBS_OUTCOMES.labels(
+                    target=config.target, scheme=config.scheme,
+                    classification=classification,
+                ).inc(count)
     return ChunkResult(outcomes, units)
 
 
@@ -508,9 +509,11 @@ class _NetlistEvaluator:
         started = time.perf_counter()
         results = [full_run_netlist_fault(self.config, spec)
                    for spec in specs]
-        return _finish_chunk(self.config,
-                             [outcome for outcome, _ in results],
-                             [units for _, units in results], started)
+        return _finish_chunk(
+            self.config,
+            OutcomeColumns.from_records(
+                [outcome for outcome, _ in results], self.config.sites()),
+            [units for _, units in results], started)
 
 
 class _CycleEvaluator:
@@ -538,10 +541,11 @@ class _CycleEvaluator:
     kernels leave the background rows ``None``; logical masking and
     soft-edge have no array semantics) — goes through :meth:`replay`,
     the per-fault fork the batch is pinned against, and the only place
-    a :class:`FaultSpec` is built.  Outcomes become
-    :class:`FaultOutcome` records once, from the chunk's columns.
-    ``lanes_batched``/``lanes_replayed`` mirror the obs lane counters
-    for in-process callers.
+    a :class:`FaultSpec` is built.  Both write the same
+    :class:`~repro.campaign.outcomes.OutcomeColumns` block, which is
+    what the chunk returns: no per-fault record is built for a batched
+    lane.  ``lanes_batched``/``lanes_replayed`` mirror the obs lane
+    counters for in-process callers.
     """
 
     def __init__(self, config: CampaignConfig) -> None:
@@ -629,19 +633,21 @@ class _CycleEvaluator:
         a time: a lane's fork snapshot decides only whether it
         qualifies, never what it computes, and big batches amortize
         the per-call setup.  Replays run in ascending snapshot order so
-        restores stay cache-warm.  Both fill the same outcome columns.
+        restores stay cache-warm.  Both fill the classified rows of the
+        chunk's :class:`~repro.campaign.outcomes.OutcomeColumns` block.
         """
         started = time.perf_counter()
-        faults = FaultColumns.from_specs(specs, self.sites)
+        faults = FaultColumns.from_records(specs, self.sites)
         config = self.config
         cycle = faults.cycle
         snapshot = self.trajectory.fork_indices(cycle)
         start = snapshot * self.trajectory.stride
         end = np.minimum(config.num_cycles - 1,
                          faults.last_cycle + config.relay_horizon)
-        # Outcome columns: class (a SEVERITY_LADDER index), events,
-        # worst lateness, max borrowed intervals; then work units.
-        folded = np.zeros((4, len(faults)), dtype=np.int64)
+        # The classified rows: class (a SEVERITY_LADDER index),
+        # events, worst lateness, max borrowed intervals.
+        outcomes = OutcomeColumns.for_faults(faults)
+        folded = outcomes.table[FOLDED:]
         units = (end + 1 - start) * self._units_per_cycle
         batch = self._batchable(snapshot, start, cycle, end)
         lanes = np.flatnonzero(batch)
@@ -666,8 +672,7 @@ class _CycleEvaluator:
                     SEVERITY_LADDER.index(outcome.classification),
                     outcome.events, outcome.worst_lateness_ps,
                     outcome.max_borrowed_intervals)
-        return _finish_chunk(config, _outcomes(faults, folded),
-                             units.tolist(), started)
+        return _finish_chunk(config, outcomes, units.tolist(), started)
 
     def _batchable(self, snapshot: np.ndarray, start: np.ndarray,
                    cycle: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -713,23 +718,6 @@ class _CycleEvaluator:
                 block[first:first + size], self.rows)
 
 
-def _outcomes(faults: FaultColumns,
-              folded: np.ndarray) -> list[FaultOutcome]:
-    """One :class:`FaultOutcome` per fault, from the chunk's columns
-    (plain ``int``/``str`` fields)."""
-    sites = faults.sites
-    return [
-        FaultOutcome(fault_id, FAULT_KINDS[kind], sites[site], cycle,
-                     magnitude, SEVERITY_LADDER[classification], events,
-                     worst, intervals)
-        for (fault_id, kind, site, cycle, magnitude, classification,
-             events, worst, intervals) in zip(
-            faults.fault_id.tolist(), faults.kind.tolist(),
-            faults.site.tolist(), faults.cycle.tolist(),
-            faults.magnitude_ps.tolist(), *folded.tolist())
-    ]
-
-
 def fault_runner(
         config: CampaignConfig) -> "_CycleEvaluator | _NetlistEvaluator":
     """The campaign evaluator for ``config``.
@@ -753,7 +741,8 @@ def chunk_payloads(result: ChunkResult,
     """Split one classified chunk back into per-task payloads.
 
     ``sizes`` are the tasks' fault counts in chunk order; each task gets
-    its own slice of the outcomes and the work of exactly its faults.
+    its own slice of the outcome block and the work of exactly its
+    faults.
     """
     outcomes, _ = result
     payloads: list[TaskPayload] = []
@@ -847,7 +836,7 @@ class CampaignResult:
     """Classified population plus the coverage report and run summary."""
 
     config: CampaignConfig
-    outcomes: list[FaultOutcome]
+    outcomes: OutcomeColumns
     report: "typing.Any"
     summary: dict
 
@@ -872,10 +861,9 @@ def run_campaign(config: CampaignConfig, *,
                         scheme=config.scheme,
                         faults=config.num_faults):
         run = runner.run(campaign_tasks(config))
-    outcomes: list[FaultOutcome] = []
-    for value in run.values:
-        if value is not None:  # None = chunk quarantined as poisoned
-            outcomes.extend(value)
+    # None = chunk quarantined as poisoned.
+    outcomes = OutcomeColumns.concat(
+        [value for value in run.values if value is not None])
     return CampaignResult(
         config=config,
         outcomes=outcomes,

@@ -36,12 +36,12 @@ scalar replay path.
 from __future__ import annotations
 
 import bisect
-import collections.abc
 import dataclasses
 import typing
 
 import numpy as np
 
+from repro.columns import ColumnBlock
 from repro.errors import ConfigurationError
 from repro.kernels.rng import M32, key_id, mix32, mix32_batch, split64
 
@@ -115,56 +115,19 @@ class FaultSpec:
         return [self.site]
 
 
-#: The per-fault columns of a :class:`FaultColumns` block, in
-#: :class:`FaultSpec` field order.
-_COLUMNS = ("fault_id", "kind", "site", "cycle", "duration_cycles",
-            "magnitude_ps", "span")
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class FaultColumns(collections.abc.Sequence):
-    """A block of faults as columns: one int64 array per
-    :class:`FaultSpec` field.
+class FaultColumns(ColumnBlock):
+    """A block of faults as columns: one int64 row per
+    :class:`FaultSpec` field (:class:`~repro.columns.ColumnBlock`).
 
     ``kind`` holds indices into :data:`FAULT_KINDS` and ``site`` indices
-    into ``sites``; every other column holds the field's value.  The
+    into ``sites``; every other row holds the field's value.  The
     block is also a sequence of :class:`FaultSpec` — indexing or
     iterating builds the records, with plain ``int``/``str`` fields —
     and compares equal to any sequence holding the same specs.
     """
 
-    sites: tuple[str, ...]
-    fault_id: np.ndarray
-    kind: np.ndarray
-    site: np.ndarray
-    cycle: np.ndarray
-    duration_cycles: np.ndarray
-    magnitude_ps: np.ndarray
-    span: np.ndarray
-
-    @classmethod
-    def from_specs(cls, specs: typing.Iterable[FaultSpec],
-                   sites: typing.Sequence[str]) -> "FaultColumns":
-        """The block holding ``specs``, sites indexed into ``sites``."""
-        if isinstance(specs, FaultColumns) and specs.sites == tuple(sites):
-            return specs
-        slot = {name: index for index, name in enumerate(sites)}
-        table = np.array(
-            [(spec.fault_id, FAULT_KINDS.index(spec.kind), slot[spec.site],
-              spec.cycle, spec.duration_cycles, spec.magnitude_ps,
-              spec.span) for spec in specs],
-            dtype=np.int64).reshape(-1, len(_COLUMNS))
-        return cls(tuple(sites), *table.T.copy())
-
-    @classmethod
-    def concat(cls, blocks: typing.Sequence["FaultColumns"]
-               ) -> "FaultColumns":
-        """``blocks`` (one site list) joined in order."""
-        if len(blocks) == 1:
-            return blocks[0]
-        return cls(blocks[0].sites, *(
-            np.concatenate([getattr(block, name) for block in blocks])
-            for name in _COLUMNS))
+    record = FaultSpec
+    labels = {"kind": FAULT_KINDS}
 
     @property
     def last_cycle(self) -> np.ndarray:
@@ -178,27 +141,6 @@ class FaultColumns(collections.abc.Sequence):
         width = np.where(self.kind == _CORRELATED, self.span, 1)[:, None]
         return ((self.kind == _DROOP)[:, None]
                 | ((column >= first) & (column < first + width)))
-
-    def __len__(self) -> int:
-        return len(self.fault_id)
-
-    def __getitem__(self, index: int) -> FaultSpec:
-        fault_id, kind, site, *rest = (
-            int(getattr(self, name)[index]) for name in _COLUMNS)
-        return FaultSpec(fault_id, FAULT_KINDS[kind], self.sites[site],
-                         *rest)
-
-    def __iter__(self) -> typing.Iterator[FaultSpec]:
-        sites = self.sites
-        for fault_id, kind, site, *rest in zip(
-                *(getattr(self, name).tolist() for name in _COLUMNS)):
-            yield FaultSpec(fault_id, FAULT_KINDS[kind], sites[site], *rest)
-
-    def __eq__(self, other: object) -> bool:
-        if (not isinstance(other, collections.abc.Sequence)
-                or isinstance(other, str)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
 
 
 def _draw(seed_lanes: tuple[int, int], fault_id: int, field: int) -> int:
@@ -367,9 +309,9 @@ def draw_specs(
         span = np.where(kind == _CORRELATED,
                         np.minimum(2 + span_h % (max_span - 1), len(sites)),
                         1)
-    return FaultColumns(
-        sites=tuple(sites),
-        fault_id=np.asarray(fault_ids, dtype=np.int64),
+    return FaultColumns.from_rows(
+        sites,
+        fault_id=fault_ids,
         kind=kind,
         site=site_h % (len(sites) - span + 1),
         cycle=1 + cycle_h % (last_start - 1),

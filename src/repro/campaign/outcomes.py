@@ -33,6 +33,11 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+import numpy as np
+
+from repro.campaign.faults import FAULT_KINDS
+from repro.columns import ColumnBlock
+
 MASKED_TB = "masked_tb"
 MASKED_ED = "masked_ed"
 RELAYED = "relayed"
@@ -83,6 +88,43 @@ class FaultOutcome:
     events: int = 0
     worst_lateness_ps: int = 0
     max_borrowed_intervals: int = 0
+
+
+class OutcomeColumns(ColumnBlock):
+    """Classified faults as columns: one int64 row per
+    :class:`FaultOutcome` field (:class:`~repro.columns.ColumnBlock`).
+
+    ``kind`` holds indices into :data:`~repro.campaign.faults.
+    FAULT_KINDS`, ``site`` into ``sites`` and ``classification`` into
+    :data:`SEVERITY_LADDER`.  Campaign and soak outcomes stay in this
+    form from the evaluator to the report, the result store and the
+    soak journal; it is also a sequence of :class:`FaultOutcome`.
+    """
+
+    record = FaultOutcome
+    labels = {"kind": FAULT_KINDS, "classification": SEVERITY_LADDER}
+
+    @classmethod
+    def for_faults(cls, faults: typing.Any) -> "OutcomeColumns":
+        """The outcome block of a :class:`~repro.campaign.faults.
+        FaultColumns` block: its identity rows copied, the classified
+        rows (``classification`` onwards) zero for the caller to fill."""
+        table = np.zeros((len(cls.fields), len(faults)), dtype=np.int64)
+        for row, name in enumerate(cls.fields[:FOLDED]):
+            table[row] = getattr(faults, name)
+        return cls(faults.sites, table)
+
+    def class_counts(self) -> dict[str, int]:
+        """Faults per class, :data:`OUTCOME_CLASSES` order."""
+        tally = np.bincount(self.classification,
+                            minlength=len(SEVERITY_LADDER)).tolist()
+        return {name: tally[SEVERITY_LADDER.index(name)]
+                for name in OUTCOME_CLASSES}
+
+
+#: :class:`OutcomeColumns` rows from ``classification`` on: what
+#: evaluating a fault adds to its identity.
+FOLDED = OutcomeColumns.fields.index("classification")
 
 
 def classify_flags(*, any_failed: bool, any_relayed: bool,

@@ -22,6 +22,7 @@ from repro.campaign.outcomes import (
     MASKED_TB,
     OUTCOME_CLASSES,
     RELAYED,
+    OutcomeColumns,
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -95,10 +96,13 @@ class CoverageReport:
 def build_report(config: "CampaignConfig",
                  outcomes: "typing.Sequence[FaultOutcome]",
                  ) -> CoverageReport:
-    """Aggregate classified faults into the campaign's coverage report."""
-    counts = {name: 0 for name in OUTCOME_CLASSES}
-    for outcome in outcomes:
-        counts[outcome.classification] += 1
+    """Aggregate classified faults into the campaign's coverage report.
+
+    ``outcomes`` is an :class:`~repro.campaign.outcomes.OutcomeColumns`
+    block (counted with one ``bincount``) or any sequence of
+    :class:`~repro.campaign.outcomes.FaultOutcome` (made into one).
+    """
+    counts = OutcomeColumns.concat([outcomes]).class_counts()
     return CoverageReport(
         target=config.target,
         scheme=config.scheme,

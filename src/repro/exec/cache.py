@@ -7,9 +7,11 @@ input silently invalidates stale entries.  Result values are experiment
 dataclasses; they round-trip through a small tagged JSON encoding that
 reconstructs the exact dataclass types on load.  The store form
 (:func:`encode_stored`) additionally writes a list of one scalar-field
-dataclass — a campaign chunk's outcomes — as columns, and is serialized
-once per task: the runner hands the same text to the cache and the
-sweep checkpoint.
+dataclass, or a :class:`~repro.columns.ColumnBlock` of them — a
+campaign chunk's outcomes — as columns, and is serialized once per
+task: the runner hands the same text to the cache and the sweep
+checkpoint.  Stored columns of a block's record type decode straight
+into a block.
 
 Entries live in an append-only *pack*: ``pack-<pid>.jsonl`` segments,
 one per writer process, so pool workers never contend for a lock.  Each
@@ -39,6 +41,7 @@ import pathlib
 import re
 import typing
 
+from repro.columns import ColumnBlock
 from repro.errors import ConfigurationError
 from repro.exec.recordlog import encode_line, frame_lines
 
@@ -86,7 +89,9 @@ def encode_result(value: typing.Any) -> typing.Any:
 
     Dataclass instances become ``{"__dataclass__": "module:QualName",
     "fields": {...}}``; tuples are tagged so they survive the round trip
-    as tuples; dicts must have string keys.
+    as tuples; dicts must have string keys.  A
+    :class:`~repro.columns.ColumnBlock` encodes as the list of its
+    records.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
@@ -99,7 +104,7 @@ def encode_result(value: typing.Any) -> typing.Any:
         }
     if isinstance(value, tuple):
         return {"__tuple__": [encode_result(item) for item in value]}
-    if isinstance(value, list):
+    if isinstance(value, (list, ColumnBlock)):
         return [encode_result(item) for item in value]
     if isinstance(value, dict):
         for key in value:
@@ -132,11 +137,17 @@ def encode_stored(value: typing.Any) -> str:
 
     A non-empty list of instances of one dataclass whose fields all hold
     scalars becomes ``{"__columns__": "module:QualName", "fields":
-    {name: [values...]}}``; every other value is :func:`encode_result`.
-    :func:`decode_result` reads both.
+    {name: [values...]}}``, and so does a non-empty
+    :class:`~repro.columns.ColumnBlock`, straight from its columns and
+    with the same bytes as the list of its records; every other value
+    is :func:`encode_result`.  :func:`decode_result` reads both.
     """
     encoded: typing.Any = None
-    if isinstance(value, list) and value:
+    if isinstance(value, ColumnBlock) and len(value):
+        cls = value.record
+        encoded = {"__columns__": f"{cls.__module__}:{cls.__qualname__}",
+                   "fields": value.columns()}
+    elif isinstance(value, list) and value:
         cls = type(value[0])
         names = _column_fields(cls)
         if names is not None and all(type(item) is cls for item in value):
@@ -163,7 +174,12 @@ def _dataclass_named(tag: str) -> typing.Any:
 
 
 def decode_result(data: typing.Any) -> typing.Any:
-    """Inverse of :func:`encode_result` (and of :func:`encode_stored`)."""
+    """Inverse of :func:`encode_result` (and of :func:`encode_stored`).
+
+    Stored columns of a record type with a
+    :class:`~repro.columns.ColumnBlock` decode into that block when
+    every value fits it, into the list of records otherwise.
+    """
     if isinstance(data, dict):
         if "__dataclass__" in data:
             cls = _dataclass_named(data["__dataclass__"])
@@ -172,6 +188,11 @@ def decode_result(data: typing.Any) -> typing.Any:
             return cls(**fields)
         if "__columns__" in data:
             cls = _dataclass_named(data["__columns__"])
+            block = ColumnBlock.for_record(cls)
+            if block is not None:
+                decoded = block.from_columns(data["fields"])
+                if decoded is not None:
+                    return decoded
             names = tuple(data["fields"])
             return [cls(**dict(zip(names, row)))
                     for row in zip(*data["fields"].values())]

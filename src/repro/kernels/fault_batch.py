@@ -20,9 +20,11 @@ magnitude, perturbed-column mask) and builds its deltas in one
 broadcast; :meth:`~_LaneMachineBase.evaluate` returns per-lane
 outcome columns — class as an index into
 :data:`~repro.campaign.outcomes.SEVERITY_LADDER`, events, worst
-lateness, max borrowed intervals — which the campaign evaluator turns
-into :class:`~repro.campaign.outcomes.FaultOutcome` records once per
-fault.
+lateness, max borrowed intervals — which the campaign evaluator writes
+straight into the classified rows of the chunk's
+:class:`~repro.campaign.outcomes.OutcomeColumns` block.  The outcomes
+stay columns from there to the report, the result store and the soak
+journal; no per-fault record is built for a batched lane.
 
 A lane is only batched when its equivalence to the per-fault forked
 path is *provable*:

@@ -42,6 +42,7 @@ never changes what any round contains.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -55,7 +56,7 @@ from repro.campaign.engine import (
     chunk_payloads,
     fault_runner,
 )
-from repro.campaign.outcomes import FaultOutcome
+from repro.campaign.outcomes import OutcomeColumns
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec.cache import _code_version, stable_key
 from repro.exec.checkpoint import atomic_write_json
@@ -357,20 +358,18 @@ def _round_draws(strata: typing.Sequence[Stratum],
             fault_id += 1
 
 
-def _outcome_digest_payload(outcome: FaultOutcome) -> list:
-    """The per-fault fields the round digest commits to."""
-    return [
-        outcome.fault_id, outcome.kind, outcome.site, outcome.cycle,
-        outcome.magnitude_ps, outcome.classification,
-        outcome.worst_lateness_ps, outcome.max_borrowed_intervals,
-    ]
+#: The per-fault fields the round digest commits to.
+_DIGEST_FIELDS = ("fault_id", "kind", "site", "cycle", "magnitude_ps",
+                  "classification", "worst_lateness_ps",
+                  "max_borrowed_intervals")
 
 
 def _run_round(config: CampaignConfig, runner: SweepRunner,
                strata: typing.Sequence[Stratum], shared: dict,
                state: dict, alloc: typing.Mapping[str, int],
-               ) -> tuple[list[tuple[str, FaultOutcome]], int]:
-    """Dispatch one round's draws; returns (keyed outcomes, work units).
+               ) -> tuple[list[str], OutcomeColumns, int]:
+    """Dispatch one round's draws; returns (each draw's stratum key,
+    the outcome block in draw order, work units).
 
     ``shared`` holds the chunk-task params every round shares — the
     config and strata params, computed once per run.  Raises
@@ -399,9 +398,8 @@ def _run_round(config: CampaignConfig, runner: SweepRunner,
         for index, chunk in enumerate(chunks)
     ]
     run = runner.run(tasks)
-    keyed: list[tuple[str, FaultOutcome]] = []
     work = 0
-    for chunk, task_outcome in zip(chunks, run.outcomes):
+    for task_outcome in run.outcomes:
         if task_outcome.value is None:
             # A poisoned chunk cannot be skipped: dropping its draws
             # would fork the journal from the deterministic stream.
@@ -410,23 +408,27 @@ def _run_round(config: CampaignConfig, runner: SweepRunner,
                 f"as poisoned; the stream cannot continue "
                 f"deterministically")
         work += task_outcome.events_processed
-        for (key, _counter, _fault_id), outcome in zip(
-                chunk, task_outcome.value):
-            keyed.append((key, outcome))
-    return keyed, work
+    outcomes = OutcomeColumns.concat([task_outcome.value
+                                      for task_outcome in run.outcomes])
+    return [key for key, _counter, _fault_id in draws], outcomes, work
 
 
-def _round_tally(prev_digest: str,
-                 keyed: typing.Sequence[tuple[str, FaultOutcome]]
+def _round_tally(prev_digest: str, keys: typing.Sequence[str],
+                 outcomes: OutcomeColumns,
                  ) -> tuple[dict[str, dict[str, int]], str]:
-    """A round's per-stratum class counts and its chained digest."""
+    """A round's per-stratum class counts and its chained digest.
+
+    ``keys[i]`` is the stratum of ``outcomes[i]``.  The counts and the
+    digest payload are read from the block's column lists; strata and
+    classes keep their order of first appearance.
+    """
+    columns = outcomes.columns()
     counts: dict[str, dict[str, int]] = {}
-    for key, outcome in keyed:
-        row = counts.setdefault(key, {})
-        row[outcome.classification] = row.get(
-            outcome.classification, 0) + 1
-    digest = record_digest(prev_digest, [
-        _outcome_digest_payload(outcome) for _key, outcome in keyed])
+    for (key, classification), count in collections.Counter(
+            zip(keys, columns["classification"])).items():
+        counts.setdefault(key, {})[classification] = count
+    digest = record_digest(prev_digest, list(zip(
+        *(columns[name] for name in _DIGEST_FIELDS))))
     return counts, digest
 
 
@@ -450,8 +452,8 @@ def replay_round(soak: SoakConfig, record: dict,
              for offset in range(int(count))]
     outcomes, _work = fault_runner(config).evaluate_chunk(
         specs_for_draws(config, strata, draws))
-    counts, digest = _round_tally(prev_digest, [
-        (key, outcome) for (key, _, _), outcome in zip(draws, outcomes)])
+    counts, digest = _round_tally(
+        prev_digest, [key for key, _, _ in draws], outcomes)
     return {"counts": counts, "digest": digest, "outcomes": outcomes}
 
 
@@ -614,15 +616,15 @@ def run_soak(
             weights, alloc = sampler.allocate(estimator,
                                               soak.faults_per_round)
             try:
-                keyed, _work = _run_round(soak.campaign, runner, strata,
-                                          shared, state, alloc)
+                keys, outcomes, _work = _run_round(
+                    soak.campaign, runner, strata, shared, state, alloc)
             except SweepDrained:
                 # Partial round: journal untouched (prefix-stable);
                 # the identical round re-runs after resume.
                 drained = True
                 stop = "drained"
                 break
-            counts, digest = _round_tally(state["digest"], keyed)
+            counts, digest = _round_tally(state["digest"], keys, outcomes)
             record = {
                 "type": "round",
                 "round": state["round"],
@@ -639,7 +641,7 @@ def run_soak(
             _apply_record(state, record)
             for key, row in counts.items():
                 estimator.update_counts(key, row)
-            evaluated += len(keyed)
+            evaluated += len(outcomes)
             widest = estimator.widest()
             if obs.REGISTRY.enabled:
                 _OBS_ROUNDS.inc()

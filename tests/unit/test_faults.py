@@ -179,3 +179,35 @@ class TestSeuRestoreYields:
             sim.run(400)
         assert any("yields" in record.message
                    for record in caplog.records)
+
+
+class TestFaultColumnsSequence:
+    """A campaign fault block behaves as the list of its specs."""
+
+    @pytest.fixture
+    def block(self):
+        from repro.campaign import CampaignConfig
+
+        return CampaignConfig(num_faults=40, num_cycles=400).fault_columns()
+
+    def test_slice_is_a_block_of_the_same_specs(self, block):
+        from repro.campaign import FaultColumns
+
+        specs = list(block)
+        for part, expected in ((block[3:9], specs[3:9]),
+                               (block[-5:], specs[-5:]),
+                               (block[::7], specs[::7]),
+                               (block[9:3], [])):
+            assert isinstance(part, FaultColumns)
+            assert part.sites == block.sites
+            assert part == expected
+            assert list(part) == expected
+
+    def test_negative_and_out_of_range_indices(self, block):
+        specs = list(block)
+        assert block[-1] == specs[-1]
+        assert block[-len(specs)] == specs[0]
+        with pytest.raises(IndexError):
+            block[len(specs)]
+        with pytest.raises(TypeError):
+            block["0"]
