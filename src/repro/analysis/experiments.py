@@ -331,13 +331,11 @@ def _build_variability(spec: list[dict]) -> object:
     return models[0] if len(models) == 1 else CompositeVariation(models)
 
 
-def pipeline_point_task(params: dict) -> TaskPayload:
-    """Sweep task: one (technique, stress, frequency) pipeline run.
+def pipeline_point_simulation(params: dict) -> PipelineSimulation:
+    """The simulation of one pipeline grid point, ready to run.
 
-    The shared grid point of the resilience, throughput, and shoot-out
-    sweeps: builds the stages, capture policy, controller, and
-    variability stack from primitive parameters and runs the
-    cycle-accurate simulation.
+    Builds the stages, capture policy, central controller and
+    variability stack from the point's primitive parameters.
     """
     stage_spec = params["stage"]
     stages = [
@@ -357,11 +355,19 @@ def pipeline_point_task(params: dict) -> TaskPayload:
     controller = CentralErrorController(
         period_ps=period, consolidation_latency_ps=period,
     )
-    simulation = PipelineSimulation(
+    return PipelineSimulation(
         stages, policy, period_ps=period, controller=controller,
         variability=_variability_from_spec(params["variability"]),
     )
-    result = simulation.run(params["num_cycles"])
+
+
+def pipeline_point_task(params: dict) -> TaskPayload:
+    """Sweep task: one (technique, stress, frequency) pipeline run.
+
+    The shared grid point of the resilience, throughput, and shoot-out
+    sweeps: the cycle-accurate run of :func:`pipeline_point_simulation`.
+    """
+    result = pipeline_point_simulation(params).run(params["num_cycles"])
     return TaskPayload(value=result, events_processed=result.captures)
 
 

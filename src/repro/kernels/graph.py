@@ -20,7 +20,13 @@ import typing
 
 import numpy as np
 
-from repro.kernels.rng import cycle_lanes, key_id, mix32_batch, split64
+from repro.kernels.rng import (
+    cycle_lanes,
+    key_id,
+    mix32,
+    mix32_batch,
+    split64,
+)
 from repro.kernels.schedule import WalkCounters
 
 #: Domain-separation salt for the graph edge-sensitization stream (must
@@ -61,7 +67,8 @@ class CompiledEdges:
         self.keys = np.array([key_id(key) for _, key, _ in entries],
                              dtype=np.uint32)[None, :]
         self.paths = [path for _, _, path in entries]
-        self.seed_lo, self.seed_hi = split64(seed)
+        #: Mixer state after the salt and seed lanes every edge shares.
+        self.prefix = mix32(GRAPH_SENS_SALT, *split64(seed))
 
     @classmethod
     def for_entries(
@@ -97,11 +104,9 @@ class CompiledEdges:
         offset.  A cycle with borrowed launches adds the offset to the
         same ``arrival`` row, so the values are shared by both states.
         """
-        c_lo, c_hi = cycle_lanes(cycles)
-        digests = mix32_batch([
-            GRAPH_SENS_SALT, self.seed_lo, self.seed_hi,
-            c_lo[:, None], c_hi[:, None], self.keys,
-        ])
+        per_cycle = mix32_batch(list(cycle_lanes(cycles)),
+                                state=self.prefix)
+        digests = mix32_batch([self.keys], state=per_cycle[:, None])
         sens = digests.astype(np.int64) < thresholds[:, None]
         factor = variability.factor_batch(cycles, self.paths)
         arrival = np.rint(self.delays * factor).astype(np.int64)

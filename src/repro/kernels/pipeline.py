@@ -1,10 +1,11 @@
 """Compiled array form of the linear-pipeline Monte-Carlo loop.
 
 :class:`CompiledStages` freezes a stage list into flat numpy arrays
-(nominal delays, sensitization probabilities, per-stage seed/key lanes)
-and evaluates the *data-independent* part of the simulation — which
-nominal path each stage exercises and the variability-scaled delay — for
-a whole block of cycles in a handful of vector operations.
+(nominal delays, sensitization probabilities, each stage's mixer state
+after its constant lanes) and evaluates the *data-independent* part of
+the simulation — which nominal path each stage exercises and the
+variability-scaled delay — for a whole block of cycles in a handful of
+vector operations.
 
 Delays are everything the scalar loop computes outside of capture
 bookkeeping, and they are produced with the exact arithmetic of
@@ -29,6 +30,7 @@ from repro.errors import ConfigurationError
 from repro.kernels.rng import (
     cycle_lanes,
     key_id,
+    mix32,
     mix32_batch,
     split64,
     uniform01_batch,
@@ -74,12 +76,14 @@ class CompiledStages:
             [stage.sensitization_prob for stage in stages],
             dtype=np.float64)[None, :]
         lanes = [split64(stage.seed) for stage in stages]
-        self.seed_lo = np.array([lo for lo, _ in lanes],
-                                dtype=np.uint32)[None, :]
-        self.seed_hi = np.array([hi for _, hi in lanes],
-                                dtype=np.uint32)[None, :]
-        self.keys = np.array([key_id(stage.name) for stage in stages],
-                             dtype=np.uint32)[None, :]
+        seed_lo = np.array([lo for lo, _ in lanes], dtype=np.uint32)
+        seed_hi = np.array([hi for _, hi in lanes], dtype=np.uint32)
+        keys = np.array([key_id(stage.name) for stage in stages],
+                        dtype=np.uint32)
+        #: ``(1, S)`` mixer state after each stage's constant lanes;
+        #: lane order mirrors ``PipelineStage.sensitized`` exactly.
+        self.sens_state = mix32_batch([seed_lo, seed_hi, keys],
+                                      state=mix32(SENS_SALT))[None, :]
 
     @classmethod
     def for_stages(
@@ -109,11 +113,8 @@ class CompiledStages:
     ) -> "np.ndarray":
         """``(C, S)`` int64 stage delays, bit-equal to ``delay_ps``."""
         c_lo, c_hi = cycle_lanes(cycles)
-        # Lane order mirrors PipelineStage.sensitized exactly.
-        u = uniform01_batch(mix32_batch([
-            SENS_SALT, self.seed_lo, self.seed_hi, self.keys,
-            c_lo[:, None], c_hi[:, None],
-        ]))
+        u = uniform01_batch(mix32_batch([c_lo[:, None], c_hi[:, None]],
+                                        state=self.sens_state))
         nominal = np.where(u < self.prob, self.critical, self.typical)
         factor = variability.factor_batch(cycles, self.names)
         delays = np.rint(nominal * factor)

@@ -20,8 +20,18 @@ The two are bit-identical by construction, not by testing luck:
 * the Gaussian is an Irwin-Hall sum of 12 such uniforms minus 6.  Each
   partial sum needs at most 37 mantissa bits (33 fractional + 4
   integral), so *every* addition is exact and the result is independent
-  of summation order — numpy's pairwise reduction and Python's running
-  loop agree to the last bit.
+  of summation order.  The batch twin therefore sums the 12 ``uint32``
+  hashes as ``int64`` and converts once: ``(sum(h) + 6) * 2**-32 - 6``
+  is the same float64 as Python's running loop over ``(h + 0.5) *
+  2**-32``, to the last bit.
+
+The mixer folds lanes left to right, so lanes shared by many draws are
+mixed once and the result carried as a *prefix state*:
+``mix32_batch(rest, state=mix32(*prefix))`` equals ``mix32(*prefix,
+*rest)``, and likewise for :func:`std_gauss_batch`.  The draw kernels
+mix their salt and seed lanes (and fixed stage or edge keys) once at
+model or compile time, and a block's cycle lanes once per block; a
+Gaussian then costs one mix step per Irwin-Hall term.
 
 String path identifiers are interned once to 32-bit ids with
 :func:`key_id` (CRC-32, cached); the hot loops only ever mix integers.
@@ -115,7 +125,8 @@ def mix32_batch(lanes: typing.Sequence[LaneLike],
 
     ``state`` continues an earlier mix: ``mix32_batch(rest,
     state=mix32(*prefix))`` equals ``mix32(*prefix, *rest)``, so lanes
-    shared by many draws are mixed once.
+    shared by many draws are mixed once.  ``state`` itself is never
+    modified.
     """
     _require_numpy()
     with np.errstate(over="ignore"):
@@ -127,11 +138,13 @@ def mix32_batch(lanes: typing.Sequence[LaneLike],
                 lane = np.uint32(lane & M32)
             elif lane.dtype != np.uint32:
                 lane = lane.astype(np.uint32)
+            # A fresh array, so ``state`` stays intact; the rest of the
+            # step reuses its buffer.
             h = h ^ lane
-            h = h * mul1
-            h = h ^ (h >> np.uint32(13))
-            h = h * mul2
-            h = h ^ (h >> np.uint32(16))
+            h *= mul1
+            h ^= h >> np.uint32(13)
+            h *= mul2
+            h ^= h >> np.uint32(16)
     return h
 
 
@@ -140,16 +153,22 @@ def uniform01_batch(h: "np.ndarray") -> "np.ndarray":
     return (h.astype(np.float64) + 0.5) * 2.0**-32
 
 
-def std_gauss_batch(lanes: typing.Sequence[LaneLike]) -> "np.ndarray":
-    """Vector :func:`std_gauss`; exact sums make order irrelevant."""
+def std_gauss_batch(lanes: typing.Sequence[LaneLike],
+                    state: LaneLike = _SEED0) -> "np.ndarray":
+    """Vector :func:`std_gauss`, continuing from ``state`` like
+    :func:`mix32_batch`: ``std_gauss_batch(rest, state=mix32(*prefix))``
+    equals ``std_gauss(*prefix, *rest)``.
+
+    The lanes are mixed once; each Irwin-Hall term is one mix step from
+    there.  The 12 hashes are summed exactly as ``int64`` and converted
+    once (see the module docstring for why that is bit-equal).
+    """
     _require_numpy()
-    total: "np.ndarray | None" = None
-    lanes = list(lanes)
+    h = mix32_batch(lanes, state)
+    total = np.zeros(np.shape(h), dtype=np.int64)
     for term in range(GAUSS_TERMS):
-        u = uniform01_batch(mix32_batch([*lanes, term]))
-        total = u if total is None else total + u
-    assert total is not None
-    return total - 6.0
+        total += mix32_batch([term], state=h)
+    return (total + GAUSS_TERMS // 2).astype(np.float64) * 2.0**-32 - 6.0
 
 
 def cycle_lanes(cycles: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:

@@ -23,9 +23,10 @@ too:
   bumped once per walked block.
 * :func:`stitch_rows` — a simulator's background rows over
   ``[0, num_cycles)``, built from :data:`MAX_BLOCK`-cycle blocks.
-* :func:`slow_cycles_between` — exact count of slowed cycles inside a
-  bulk-skipped range, from the controller's (non-overlapping, sorted)
-  slowdown windows, without calling ``period_at`` per cycle.
+* :func:`slow_cycles_between` and :func:`window_at` — exact count of
+  slowed cycles inside a bulk-skipped range, and the window covering a
+  cycle, by bisecting the controller's (non-overlapping, sorted)
+  slowdown windows instead of calling ``period_at`` per cycle.
 """
 
 from __future__ import annotations
@@ -125,9 +126,10 @@ class WalkCounters:
     """One kernel's walk counters, bound once, bumped once per block.
 
     Every walked cycle lands in exactly one series: ``screened`` (retired
-    in bulk), ``replayed{reason="screen"}`` (a replay point: screen hit
-    or forced fault cycle) or ``replayed{reason="carryover"}`` (a clean
-    screen, replayed because borrow or relay state carried over from a
+    in bulk, screen hits found clean at the slowed period included),
+    ``replayed{reason="screen"}`` (a replay point: screen hit or forced
+    fault cycle) or ``replayed{reason="carryover"}`` (a clean screen,
+    replayed because borrow or relay state carried over from a
     violating predecessor).  Background-row builds walk nothing.
     """
 
@@ -165,6 +167,29 @@ def stitch_rows(
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _first_window_ending_after(
+    windows: "typing.Sequence[SlowdownWindow]",
+    cycle: int,
+) -> int:
+    """Index of the first window with ``end_cycle > cycle``.
+
+    The windows are sorted and disjoint, so their ends are sorted too.
+    """
+    return bisect.bisect_right(windows, cycle,
+                               key=lambda window: window.end_cycle)
+
+
+def window_at(
+    windows: "typing.Sequence[SlowdownWindow]",
+    cycle: int,
+) -> "SlowdownWindow | None":
+    """The slowdown window covering ``cycle``, or ``None``."""
+    index = _first_window_ending_after(windows, cycle)
+    if index < len(windows) and windows[index].start_cycle <= cycle:
+        return windows[index]
+    return None
+
+
 def slow_cycles_between(
     windows: "typing.Sequence[SlowdownWindow]",
     start: int,
@@ -173,15 +198,56 @@ def slow_cycles_between(
     """Cycles of ``[start, stop)`` covered by any slowdown window.
 
     ``notify_flag`` merges adjacent episodes, so the windows are sorted
-    and disjoint and the overlaps simply add up.
+    and disjoint: the overlaps simply add up, and only the windows from
+    the first one ending after ``start`` can overlap.
     """
     total = 0
-    for window in windows:
-        lo = max(start, window.start_cycle)
-        hi = min(stop, window.end_cycle)
-        if hi > lo:
-            total += hi - lo
+    for index in range(_first_window_ending_after(windows, start),
+                       len(windows)):
+        window = windows[index]
+        if window.start_cycle >= stop:
+            break
+        total += min(stop, window.end_cycle) - max(start, window.start_cycle)
     return total
+
+
+def _relax(
+    sim: "CycleSimulation",
+    block: tuple,
+    pos: int,
+    points: list[int],
+    nxt: int,
+    slowed: "dict[int, list[int]]",
+) -> int:
+    """The first cycle from replay point ``nxt`` on that an idle walk
+    must replay at the period in effect.
+
+    A point inside a slowdown window is screened again at the window's
+    (longer) period, from ``slowed``, the block's replay points per
+    slowed period, built on first use.  A point that is clean there
+    leaves an idle machine idle, raises no flag and changes no window,
+    so the walk can retire it with the clean run around it.  The slowed
+    points go through :func:`replay_points` too, so fault cycles are
+    never relaxed.
+    """
+    windows = sim.controller.windows
+    count = len(block[-1])
+    while nxt < count:
+        window = window_at(windows, pos + nxt)
+        if window is None:
+            return nxt
+        period = sim.controller.period_at(pos + nxt)
+        must = slowed.get(period)
+        if must is None:
+            must = slowed[period] = replay_points(
+                sim._screen(block[:-1], period), pos, sim.faults)
+        end = min(count, window.end_cycle - pos)
+        index = bisect.bisect_left(must, nxt)
+        if index < len(must) and must[index] < end:
+            return must[index]
+        index = bisect.bisect_left(points, end)
+        nxt = points[index] if index < len(points) else count
+    return nxt
 
 
 def screened_walk(
@@ -198,7 +264,11 @@ def screened_walk(
     machine is idle, the walk retires the clean run up to the next
     replay point in bulk — its slowed cycles here, the rest through
     ``sim._retire_clean``; every other cycle replays through
-    ``sim._simulate_cycle``, fed the block and its index in it.
+    ``sim._simulate_cycle``, fed the block and its index in it.  The
+    block screen uses the nominal period; with a controller attached,
+    a replay point inside a slowdown window is screened again at the
+    slowed period (:func:`_relax`) and retired with the run when clean
+    there.
     """
     controller = sim.controller
     simulate = sim._simulate_cycle
@@ -209,24 +279,30 @@ def screened_walk(
         block = (sim._block(pos, count) if rows is None
                  else tuple(column[pos:pos + count] for column in rows))
         points = replay_points(block[-1], pos, sim.faults)
-        point = replayed = k = 0
+        slowed: dict[int, list[int]] = {}
+        point = replayed = relaxed = k = 0
         while k < count:
             if idle():
                 point = bisect.bisect_left(points, k, point)
                 nxt = points[point] if point < len(points) else count
+                if controller is not None and nxt < count:
+                    nxt = _relax(sim, block, pos, points, nxt, slowed)
                 if nxt > k:
                     slow = (slow_cycles_between(controller.windows,
                                                 pos + k, pos + nxt)
                             if controller is not None else 0)
                     result.slow_cycles += slow
                     sim._retire_clean(result, nxt - k, slow)
+                    skipped = bisect.bisect_left(points, nxt, point)
+                    relaxed += skipped - point
+                    point = skipped
                     k = nxt
                     if k >= count:
                         break
             simulate(pos + k, result, block, k)
             replayed += 1
             k += 1
-        walk.block(count, len(points), replayed)
+        walk.block(count, len(points) - relaxed, replayed)
         # Size on the cycles actually replayed: carryover replays
         # escape the screen, and an error storm that degrades to
         # scalar stepping should shrink the blocks.

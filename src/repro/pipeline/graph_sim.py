@@ -403,13 +403,14 @@ class GraphPipelineSimulation(CycleSimulation[GraphPipelineResult]):
         """Fault-free ``(sens, arrival, interesting)`` for ``count``
         cycles.
 
-        Screened against the *nominal* period: a slowdown only makes
-        arrivals less late, so this marks a superset of the cycles with
-        any idle-state violation.
+        ``interesting`` is :meth:`_screen` at the *nominal* period: a
+        slowdown only makes arrivals less late, so it marks a superset
+        of the cycles with any idle-state violation.  The walk screens
+        the hits inside a slowdown window again at the slowed period.
         """
         import numpy as np
 
-        from repro.kernels.graph import CompiledEdges, screen_block
+        from repro.kernels.graph import CompiledEdges
 
         if self._compiled is None:
             self._compiled = CompiledEdges.for_entries(
@@ -429,4 +430,13 @@ class GraphPipelineSimulation(CycleSimulation[GraphPipelineResult]):
                  for cycle in range(pos, pos + count)], dtype=np.int64)
         sens, arrival = self._compiled.block(cycles, self.variability,
                                              thresholds)
-        return sens, arrival, screen_block(sens, arrival, self.period_ps)
+        return sens, arrival, self._screen((sens, arrival),
+                                           self.period_ps)
+
+    def _screen(self, rows, period_ps: int):
+        """Cycles of ``rows`` with any idle-state violation at
+        ``period_ps``."""
+        from repro.kernels.graph import screen_block
+
+        sens, arrival = rows
+        return screen_block(sens, arrival, period_ps)

@@ -72,6 +72,10 @@ class CycleSimulation(typing.Generic[ResultT]):
       bit-identical;
     * ``_block(pos, count)`` — fault-free ``(*rows, interesting)``
       columns for a block of cycles, and ``_walk``, its walk counters;
+    * ``_screen(rows, period_ps)`` — which cycles of those rows could
+      capture anything but CLEAN from an idle state at ``period_ps``.
+      ``_block`` builds ``interesting`` with it at the nominal period;
+      the walk calls it again at a slowdown window's period;
     * ``_idle()`` — no borrow or relay state carried, so every capture
       of a screen-clean cycle is clean — and ``_retire_clean``, its
       bulk accounting of such a run;

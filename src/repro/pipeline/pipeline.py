@@ -267,21 +267,30 @@ class PipelineSimulation(CycleSimulation[PipelineResult]):
     def _block(self, pos: int, count: int):
         """Fault-free ``(delays, interesting)`` for ``count`` cycles.
 
-        Screened against the *nominal* period: slowdown windows only
-        lengthen the period, so this marks a superset of the cycles
-        that could capture anything but CLEAN while idle.
+        ``interesting`` is :meth:`_screen` at the *nominal* period:
+        slowdown windows only lengthen the period, so it marks a
+        superset of the cycles that could capture anything but CLEAN
+        while idle.  The walk screens the hits inside a slowdown window
+        again at the slowed period.
         """
         import numpy as np
 
-        from repro.kernels.pipeline import CompiledStages, screen_block
+        from repro.kernels.pipeline import CompiledStages
 
         if self._compiled is None:
             self._compiled = CompiledStages.for_stages(self.stages)
         delays = self._compiled.delay_block(
             np.arange(pos, pos + count, dtype=np.int64), self.variability)
-        return delays, screen_block(
-            delays, self.period_ps,
-            self.policy.clean_lateness_threshold_ps())
+        return delays, self._screen((delays,), self.period_ps)
+
+    def _screen(self, rows, period_ps: int):
+        """Cycles of ``rows`` that could capture anything but CLEAN
+        from an idle state at ``period_ps``."""
+        from repro.kernels.pipeline import screen_block
+
+        (delays,) = rows
+        return screen_block(delays, period_ps,
+                            self.policy.clean_lateness_threshold_ps())
 
     @staticmethod
     def _account(result: PipelineResult, outcome: CaptureOutcome) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.kernels.rng import key_id, split64, std_gauss
+from repro.kernels.rng import key_id, mix32, split64, std_gauss
 
 #: Domain-separation salt so local draws never collide with the other
 #: stochastic streams sharing a (seed, cycle, path) tuple.
@@ -22,7 +22,9 @@ class LocalVariation:
 
     The draw is an Irwin-Hall Gaussian over the integer-lane mixer of
     :mod:`repro.kernels.rng`, so :meth:`factor_batch` reproduces the
-    scalar stream bit for bit.
+    scalar stream bit for bit.  It mixes the salt and seed lanes once
+    (at construction) and a block's cycle lanes once per cycle, then
+    the path keys and the Gaussian terms.
     """
 
     def __init__(
@@ -50,6 +52,8 @@ class LocalVariation:
         self.max_factor = max_factor
         self.seed = seed
         self._seed_lanes = split64(seed)
+        #: Mixer state after the (salt, seed) lanes every draw shares.
+        self._prefix = mix32(_SALT, *self._seed_lanes)
 
     def factor(self, cycle: int, path_id: str) -> float:
         if self.sigma == 0:
@@ -66,17 +70,16 @@ class LocalVariation:
     def factor_batch(self, cycles, path_ids):
         import numpy as np
 
-        from repro.kernels.rng import cycle_lanes, std_gauss_batch
+        from repro.kernels.rng import cycle_lanes, mix32_batch, \
+            std_gauss_batch
 
         cycles = np.asarray(cycles, dtype=np.int64)
         if self.sigma == 0:
             return np.full((1, 1), self.mean)
-        lo, hi = self._seed_lanes
         c_lo, c_hi = cycle_lanes(cycles)
         keys = np.array([key_id(p) for p in path_ids], dtype=np.uint32)
-        z = std_gauss_batch([
-            _SALT, lo, hi, c_lo[:, None], c_hi[:, None], keys[None, :],
-        ])
+        per_cycle = mix32_batch([c_lo, c_hi], state=self._prefix)
+        z = std_gauss_batch([keys[None, :]], state=per_cycle[:, None])
         value = self.mean + self.sigma * z
         value = np.maximum(self.min_factor, value)
         if self.max_factor is not None:

@@ -12,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.analysis.experiments import pipeline_point_task
+from repro.analysis.experiments import (
+    pipeline_point_simulation,
+    pipeline_point_task,
+)
+from repro.campaign.faults import FaultOverlay, FaultSpec
 from repro.kernels.rng import (
     key_id,
     mix32,
@@ -23,6 +27,7 @@ from repro.kernels.rng import (
     uniform01,
     uniform01_batch,
 )
+from repro.kernels.schedule import replay_points, window_at
 from repro.pipeline.controller import CentralErrorController
 from repro.pipeline.graph_sim import GraphPipelineSimulation
 from repro.processor.trace import Phase, WorkloadTrace
@@ -211,6 +216,84 @@ class TestPipelineEquivalence:
         assert vector.clean > 0
 
 
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_controller_state_identical(self, monkeypatch, technique):
+        scalar, vector = run_both_modes(
+            monkeypatch, lambda: _controlled_run(technique))
+        assert scalar == vector
+
+    def test_screen_hits_retired_inside_windows(self, monkeypatch):
+        # Guard against a vacuous pass of the slowed-period screen: some
+        # nominal screen hit must fall inside a slowdown window, be
+        # clean at the slowed period and so never reach the scalar
+        # machine.
+        monkeypatch.delenv(kernels.SCALAR_ENV, raising=False)
+        params = _pipeline_params("canary")
+        hits = _nominal_points(params, None)
+        sim = pipeline_point_simulation(params)
+        replayed = _record_replays(sim)
+        sim.run(params["num_cycles"])
+        windows = sim.controller.windows
+        relaxed = {cycle for cycle in hits
+                   if window_at(windows, cycle) is not None} - replayed
+        assert relaxed
+
+    def test_fault_cycle_inside_window_replays(self, monkeypatch):
+        # A fault cycle is forced onto the scalar machine even where
+        # the slowed-period screen would retire it.
+        params = _pipeline_params("canary")
+        monkeypatch.delenv(kernels.SCALAR_ENV, raising=False)
+        clean = pipeline_point_simulation(params)
+        clean.run(params["num_cycles"])
+        hits = _nominal_points(params, None)
+        window = next(w for w in clean.controller.windows
+                      if w.end_cycle - w.start_cycle > 4)
+        cycle = next(c for c in range(window.start_cycle + 2,
+                                      window.end_cycle) if c not in hits)
+        overlay = FaultOverlay(
+            [FaultSpec(fault_id=0, kind="delay", site="kq1", cycle=cycle,
+                       duration_cycles=1, magnitude_ps=20)], ["kq1"])
+        scalar, vector = run_both_modes(
+            monkeypatch, lambda: _controlled_run("canary", overlay))
+        assert scalar == vector
+        sim = pipeline_point_simulation(params)
+        sim.faults = overlay
+        replayed = _record_replays(sim)
+        sim.run(params["num_cycles"])
+        assert window_at(sim.controller.windows, cycle) is not None
+        assert cycle in replayed
+
+
+def _record_replays(sim) -> set[int]:
+    """Record every cycle ``sim`` replays through the scalar machine."""
+    replayed: set[int] = set()
+    simulate = sim._simulate_cycle
+
+    def recording(cycle, *args):
+        replayed.add(cycle)
+        return simulate(cycle, *args)
+
+    sim._simulate_cycle = recording
+    return replayed
+
+
+def _nominal_points(params, overlay) -> set[int]:
+    """The nominal-period replay points of a whole grid-point run."""
+    sim = pipeline_point_simulation(params)
+    block = sim._block(0, params["num_cycles"])
+    return set(replay_points(block[-1], 0, overlay))
+
+
+def _controlled_run(technique, faults=None):
+    """A grid-point run with its controller's windows and flag count."""
+    params = _pipeline_params(technique)
+    sim = pipeline_point_simulation(params)
+    sim.faults = faults
+    result = sim.run(params["num_cycles"])
+    return (result, sim.controller.windows,
+            sim.controller.flags_received)
+
+
 class TestScalarFallback:
     """Configurations the block kernel cannot express take the scalar
     loop even when vectorization is enabled."""
@@ -323,10 +406,13 @@ class TestGraphEquivalence:
                 controller=CentralErrorController(
                     period_ps=1000, consolidation_latency_ps=1000),
                 trace=trace, seed=2)
-            return sim.run(900)
+            result = sim.run(900)
+            return (result, sim.controller.windows,
+                    sim.controller.flags_received)
 
         scalar, vector = run_both_modes(monkeypatch, run)
         assert scalar == vector
+        assert vector[1]
 
     def test_unit_trace_matches_untraced_run(self, monkeypatch):
         # Regression for the per-cycle threshold hoist in
