@@ -42,6 +42,7 @@ from repro.timing.distribution import (
     CriticalPathDistribution,
     distribution_sweep,
 )
+from repro.timing.graph import TimingGraph
 from repro.variability import (
     CompositeVariation,
     LocalVariation,
@@ -80,11 +81,37 @@ def _point_from_params(params: dict) -> PerformancePoint:
 # Fig. 1 — critical-path distribution
 # ---------------------------------------------------------------------------
 
+#: Generator shape of the Figs. 1/8 processor (part of its warm key).
+_PROCESSOR_SHAPE = {"num_stages": 10, "ffs_per_stage": 200, "fanin": 6}
+
+
+def _shared_processor(point: PerformancePoint, seed: int) -> TimingGraph:
+    """The Figs. 1/8 processor graph at one point and seed, warm-cached.
+
+    Generated once per process (warm kind ``"processor"``, keyed on the
+    point's params, the seed and the generator shape) and shared by
+    every Fig. 1 and Fig. 8 task at that point and seed, so callers
+    must only read it.  :func:`generate_processor` itself stays
+    uncached and returns a fresh graph on every call.
+    """
+    from repro.exec.cache import stable_key
+    from repro.exec.worker import WARM
+
+    key = stable_key("processor", _point_params(point), seed,
+                     _PROCESSOR_SHAPE)
+    return WARM.get_or_build(
+        "processor", key,
+        lambda: generate_processor(point, seed=seed, **_PROCESSOR_SHAPE))
+
+
 def fig1_point_task(params: dict) -> list[CriticalPathDistribution]:
-    """Sweep task: Fig. 1 distributions for one performance point."""
+    """Sweep task: Fig. 1 distributions for one performance point.
+
+    Reads the process's shared processor graph for the point and seed
+    (see :func:`_shared_processor`), which Fig. 8 tasks reuse.
+    """
     point = _point_from_params(params["point"])
-    graph = generate_processor(point, seed=params["seed"])
-    return distribution_sweep(graph)
+    return distribution_sweep(_shared_processor(point, params["seed"]))
 
 
 def fig1_experiment(
@@ -130,9 +157,14 @@ class Fig8Row:
 
 
 def fig8_point_task(params: dict) -> list[Fig8Row]:
-    """Sweep task: every Fig. 8 row of one performance point."""
+    """Sweep task: every Fig. 8 row of one performance point.
+
+    Every row's :class:`TimberDesign` reads the process's shared
+    processor graph for the point and seed (see
+    :func:`_shared_processor`), the one Fig. 1 tasks read.
+    """
     point = _point_from_params(params["point"])
-    graph = generate_processor(point, seed=params["seed"])
+    graph = _shared_processor(point, params["seed"])
     rows: list[Fig8Row] = []
     for percent in params["checking_percents"]:
         for style in (TimberStyle.FLIP_FLOP, TimberStyle.LATCH):

@@ -21,16 +21,19 @@ The cache capacity comes from ``REPRO_WARM_CACHE_SIZE`` (default 64
 entries; ``0`` disables retention), the one setting for it: every
 process reads it when it builds its cache, and pool workers inherit it
 with the environment.  Hit/miss counters are kept per *kind* (``task-func``,
-``compiled``, ``variability``, ``criticality``, ``trajectory``,
-``evaluator``) so the exec layer can ship per-batch deltas back to the
-parent's telemetry.
+``compiled``, ``variability``, ``criticality``, ``processor``,
+``trajectory``, ``evaluator``) so the exec layer can ship per-batch
+deltas back to the parent's telemetry.
 Campaign populations are not cached: a dispatch batch of campaign
 chunks draws its faults once, as one vector draw, through the task's
 batch form.  ``trajectory`` entries — fault-free campaign
 background trajectories with their stride snapshots — follow the same
 invalidation discipline as ``criticality``: the key is a content hash
 of everything the trajectory depends on, so a changed configuration
-can never alias a stale entry.
+can never alias a stale entry.  ``processor`` entries are the
+Figs. 1/8 synthetic processor graphs, keyed on the performance point's
+params, the seed and the generator shape; the graph is mutable, so the
+tasks that share it only read it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ timing errors.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import math
 import random
 
@@ -58,15 +60,17 @@ def _cone_quantile(point: PerformancePoint):
     for percent, fraction in zip(ANCHOR_PERCENTS, point.endpoint_fractions):
         knots.append((fraction, 1.0 - percent / 100.0))
     knots.append((1.0, point.floor_frac))
+    ranks = [rank for rank, _delay in knots]
 
     def quantile(rank_from_top: float) -> float:
-        for (p0, d0), (p1, d1) in zip(knots, knots[1:]):
-            if rank_from_top <= p1:
-                if p1 == p0:
-                    return d1
-                t = (rank_from_top - p0) / (p1 - p0)
-                return d0 + (d1 - d0) * t
-        return knots[-1][1]
+        # The first segment whose upper knot is at or above the rank
+        # (the last knot sits at rank 1, the largest rank there is).
+        upper = bisect.bisect_left(ranks, rank_from_top, 1)
+        (p0, d0), (p1, d1) = knots[upper - 1], knots[upper]
+        if p1 == p0:
+            return d1
+        t = (rank_from_top - p0) / (p1 - p0)
+        return d0 + (d1 - d0) * t
 
     return quantile
 
@@ -88,7 +92,13 @@ def generate_processor(
     fanin: int = 6,
     seed: int = 2010,
 ) -> TimingGraph:
-    """Generate the synthetic processor at one performance point."""
+    """Generate the synthetic processor at one performance point.
+
+    Uncached: every call draws and returns a fresh graph that the
+    caller may mutate.  The Figs. 1/8 sweep tasks share one read-only
+    graph per point and seed through the process warm cache instead
+    (:mod:`repro.analysis.experiments`).
+    """
     return generate_processor_detailed(
         point, num_stages=num_stages, ffs_per_stage=ffs_per_stage,
         fanin=fanin, seed=seed,
@@ -130,25 +140,27 @@ def generate_processor_detailed(
         stage_ffs.append(names)
 
     gap_lo, gap_hi = point.gap_range
+    period = point.period_ps
+    triples: list[tuple[str, str, int]] = []
     for stage in range(num_stages):
         sources = stage_ffs[(stage - 1) % num_stages]
-        hub_weights = [
+        # The same draws as ``weights=``, without re-summing per FF.
+        hub_cum_weights = list(itertools.accumulate(
             start_latent[src] ** point.hub_gamma for src in sources
-        ]
+        ))
         for dst in stage_ffs[stage]:
             worst_frac = cone[dst]
-            primary = rng.choices(sources, weights=hub_weights, k=1)[0]
-            graph.add_edge(
+            primary = rng.choices(sources, cum_weights=hub_cum_weights,
+                                  k=1)[0]
+            triples.append((
                 primary, dst,
-                min(int(round(worst_frac * point.period_ps)),
-                    point.period_ps),
-            )
+                min(int(round(worst_frac * period)), period),
+            ))
             for src in rng.sample(sources, fanin - 1):
                 gap = rng.uniform(gap_lo, gap_hi)
                 frac = max(point.floor_frac * 0.6, worst_frac - gap)
-                graph.add_edge(
-                    src, dst, int(round(frac * point.period_ps)),
-                )
+                triples.append((src, dst, int(round(frac * period))))
+    graph.add_edges(triples)
     return GeneratedProcessor(graph=graph, cone_delay_frac=cone,
                               start_latent=start_latent)
 

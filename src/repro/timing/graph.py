@@ -65,20 +65,37 @@ class TimingGraph:
         return name
 
     def add_edge(self, src: str, dst: str, delay_ps: int) -> TimingEdge:
-        for ff in (src, dst):
-            if ff not in self._ffs:
-                raise ConfigurationError(f"unknown flip-flop {ff!r}")
-        if delay_ps > self.period_ps:
-            raise ConfigurationError(
-                f"path {src}->{dst} delay {delay_ps} ps violates the "
-                f"sign-off period {self.period_ps} ps; the static design "
-                f"must meet timing"
-            )
-        edge = TimingEdge(src, dst, delay_ps)
-        self._out[src].append(edge)
-        self._in[dst].append(edge)
+        return self.add_edges([(src, dst, delay_ps)])[0]
+
+    def add_edges(self, triples: Iterable[tuple[str, str, int]],
+                  ) -> list[TimingEdge]:
+        """Add ``(src, dst, delay_ps)`` paths in order, all or none.
+
+        The whole batch is validated before any edge is added, so a
+        bad triple leaves the graph unchanged; the error is the one the
+        first bad triple raises.  Edges join each flip-flop's fanout and
+        fanin lists in batch order, and the criticality index is
+        invalidated as by any mutation.
+        """
+        ffs, period = self._ffs, self.period_ps
+        edges: list[TimingEdge] = []
+        for src, dst, delay_ps in triples:
+            for ff in (src, dst):
+                if ff not in ffs:
+                    raise ConfigurationError(f"unknown flip-flop {ff!r}")
+            if delay_ps > period:
+                raise ConfigurationError(
+                    f"path {src}->{dst} delay {delay_ps} ps violates the "
+                    f"sign-off period {period} ps; the static design "
+                    f"must meet timing"
+                )
+            edges.append(TimingEdge(src, dst, delay_ps))
+        out, into = self._out, self._in
+        for edge in edges:
+            out[edge.src].append(edge)
+            into[edge.dst].append(edge)
         self._criticality = None
-        return edge
+        return edges
 
     # -- queries -------------------------------------------------------------
     @property
@@ -121,7 +138,8 @@ class TimingGraph:
         """The memoized criticality index for the graph's current edges.
 
         Compiled once (delay-sorted edge order, shared per worker via
-        the warm cache) and invalidated by ``add_ff``/``add_edge``;
+        the warm cache) and invalidated by ``add_ff``/``add_edge``/
+        ``add_edges``;
         every ``critical_*`` query below is served from it.
         """
         if self._criticality is None:
@@ -210,13 +228,10 @@ class TimingGraph:
                    ) -> "TimingGraph":
         """Build a graph from ``(src, dst, delay_ps)`` triples."""
         graph = cls(name, period_ps)
-        seen: set[str] = set()
         triples = list(edges)
         for src, dst, _delay in triples:
             for ff in (src, dst):
-                if ff not in seen:
+                if ff not in graph._ffs:
                     graph.add_ff(ff)
-                    seen.add(ff)
-        for src, dst, delay in triples:
-            graph.add_edge(src, dst, delay)
+        graph.add_edges(triples)
         return graph

@@ -1,11 +1,21 @@
 """Unit tests for the synthetic processor generator."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
+from repro.analysis.experiments import (
+    _shared_processor,
+    fig1_experiment,
+    fig8_experiment,
+)
 from repro.errors import ConfigurationError
+from repro.exec import worker
+from repro.exec.runner import SweepRunner
 from repro.processor.generator import (
+    _cone_quantile,
     calibrate_base,
     generate_processor,
     generate_processor_detailed,
@@ -153,3 +163,78 @@ class TestDetailedOutput:
             expected = int(round(
                 detailed.cone_delay_frac[ff] * point.period_ps))
             assert graph.max_in_delay(ff) == min(expected, point.period_ps)
+
+
+#: SHA-256 of each point's seed-2010 graph (FFs with stages, then edges
+#: in ``edges()`` order): a changed draw or edge order changes it.
+PINNED_DIGESTS = {
+    "low": "c1ac709e73e16d7695f042cf051814827c1d35d90ccea00d657ff7d14eba568f",
+    "medium":
+        "44abdf480dccf8512ad7f375f097bd022e0d059d036cea7fc48f9c444f729592",
+    "high": "a5de6ae67e765eb1ea07b946b66af759e847cfa99156dbe8384d935636e1854a",
+}
+
+
+def graph_digest(graph) -> str:
+    """Draw-for-draw fingerprint of a generated graph."""
+    payload = json.dumps({
+        "ffs": [[ff, graph.stage_of(ff)] for ff in graph.ffs],
+        "edges": [[e.src, e.dst, e.delay_ps] for e in graph.edges()],
+    }, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("point", PERFORMANCE_POINTS,
+                             ids=lambda p: p.name)
+    def test_graph_matches_pinned_digest(self, point):
+        graph = generate_processor(point, seed=2010)
+        assert graph_digest(graph) == PINNED_DIGESTS[point.name]
+
+    @pytest.mark.parametrize("point", [
+        *PERFORMANCE_POINTS,
+        # Repeated anchors: zero-width segments return their upper knot.
+        dataclasses.replace(MEDIUM_PERFORMANCE,
+                            endpoint_fractions=(0.3, 0.3, 0.5, 0.5)),
+    ], ids=lambda p: f"{p.name}-{p.endpoint_fractions}")
+    def test_quantile_matches_linear_scan(self, point):
+        knots = [(0.0, point.wall_frac),
+                 *zip(point.endpoint_fractions, (0.9, 0.8, 0.7, 0.6)),
+                 (1.0, point.floor_frac)]
+
+        def linear(rank):
+            for (p0, d0), (p1, d1) in zip(knots, knots[1:]):
+                if rank <= p1:
+                    if p1 == p0:
+                        return d1
+                    return d0 + (d1 - d0) * ((rank - p0) / (p1 - p0))
+            return knots[-1][1]
+
+        quantile = _cone_quantile(point)
+        ranks = [rank for rank, _ in knots]
+        ranks += [i / 997 for i in range(998)]
+        ranks += [r + d for r in ranks[:6] for d in (-1e-12, 1e-12)
+                  if 0.0 <= r + d <= 1.0]
+        for rank in ranks:
+            assert quantile(rank) == linear(rank), rank
+
+    def test_fig1_and_fig8_share_the_pinned_graphs(self, monkeypatch):
+        # A fresh warm cache, so earlier tests' entries cannot count.
+        warm = worker.WarmCache(capacity=64)
+        monkeypatch.setattr(worker, "WARM", warm)
+        runner = SweepRunner(workers=1, cache=None)
+        fig1_experiment(seed=2010, runner=runner)
+        fig8_experiment(seed=2010, runner=runner)
+        assert warm.counters()["processor"] == [3, 3]
+        # Another seed is another graph.
+        fig1_experiment(points=(MEDIUM_PERFORMANCE,), seed=7, runner=runner)
+        assert warm.counters()["processor"] == [3, 4]
+        for point in PERFORMANCE_POINTS:
+            # Neither figure's readers changed the shared graph.
+            shared = _shared_processor(point, 2010)
+            assert graph_digest(shared) == PINNED_DIGESTS[point.name]
+        fresh = generate_processor(MEDIUM_PERFORMANCE, seed=2010)
+        again = generate_processor(MEDIUM_PERFORMANCE, seed=2010)
+        assert fresh is not again
+        assert fresh is not _shared_processor(MEDIUM_PERFORMANCE, 2010)
+        assert graph_digest(fresh) == graph_digest(again)
