@@ -177,8 +177,9 @@ HEALTH_KEYS = (
 
 def _check_monitor_roundtrip(tmp: pathlib.Path) -> None:
     spool = tmp / "events.jsonl"
+    summary_path = tmp / "summary.json"
     _cli("sweep", "fig1", "--cycles", "300", "--no-cache",
-         "--events", str(spool))
+         "--events", str(spool), "--summary", str(summary_path))
     if not spool.exists():
         raise SystemExit(f"{spool}: sweep wrote no event stream")
     out = _cli("monitor", str(spool), "--once", "--json")
@@ -195,6 +196,15 @@ def _check_monitor_roundtrip(tmp: pathlib.Path) -> None:
     if health["done"] != health["total"] or not health["done"]:
         raise SystemExit(
             f"monitor counted {health['done']}/{health['total']} tasks")
+    # The run summary and the monitor are two projections of one fold
+    # of the same exec events, so their shared counts must agree.
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    projected = {"done": summary["tasks"], "cached": summary["cache_hits"],
+                 "events_processed": summary["events_processed"]}
+    folded = {key: health[key] for key in projected}
+    if folded != projected:
+        raise SystemExit(f"monitor counts {folded} disagree with the "
+                         f"run summary's {projected}")
 
 
 def main() -> int:

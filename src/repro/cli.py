@@ -622,7 +622,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         args, "soak", observing,
         meta={"target": args.target, "scheme": args.scheme},
         progress_lines=False)
-    publisher.attach(runner.telemetry, track_phases=False)
+    publisher.attach(runner.telemetry)
     publisher.run_start(unit="faults", total=args.max_faults,
                         scheme=args.scheme, target=args.target)
 

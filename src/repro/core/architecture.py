@@ -117,7 +117,7 @@ class TimberDesign:
     def summary(self) -> dict[str, float]:
         """Key figures for reporting (benchmarks use this)."""
         over = self.overhead()
-        cost = self.relay()
+        cost = over.relay  # priced once, by the overhead report
         return {
             "checking_percent": self.percent_checking,
             "margin_percent": self.recovered_margin_percent,

@@ -29,10 +29,11 @@ substrate those sweeps run on.  Six layers:
 * :mod:`repro.exec.checkpoint` — append-only persistence of completed
   outcomes on that log, so a sweep killed mid-run resumes where it left
   off with byte-identical results.
-* :mod:`repro.exec.telemetry` — per-task wall time, events processed,
-  cache hit/miss counts, batch sizes, warm-cache hit rates,
-  retries/backoff, crashes, and worker utilization, emitted as
-  structured logging records and a machine-readable run summary.
+* :mod:`repro.exec.telemetry` — one exec event per task outcome,
+  batch, retry, crash and fallback, folded once into the run's tally;
+  the structured logging records, the registry mirrors and the
+  machine-readable run summary (wall time, hit/miss counts, batch
+  sizes, warm-cache hit rates, worker utilization) all read it.
 """
 
 from repro.exec.cache import (

@@ -1,17 +1,25 @@
-"""Run telemetry: structured logging plus a machine-readable summary.
+"""Run telemetry: one fold over exec events, and the summary it projects.
 
-Every sweep run records, per task: wall time, events processed, cache
-hit/miss, attempts, and the worker that ran it.  The aggregate summary
-adds run wall time, cache hit rate, and worker utilization (busy task
-seconds divided by ``run wall time x workers`` — 1.0 means the pool
-never idled).  Records are emitted through the ``repro.exec`` logger
-with the raw fields attached under ``extra`` so log processors can
-consume them without parsing message strings.
+Each exec fact (a run start, a task outcome, a batch round-trip, a
+warm-cache delta, a retry, a worker crash, a serial fallback, a run
+finish) is recorded once, by one ``RunTelemetry.record_*`` call, as an
+*exec event*: a flat JSON-able dict.  That event is
+
+* folded by :func:`fold_exec` into the run's :class:`ExecTally`, which
+  also bumps the ``repro_exec_*`` registry mirrors;
+* handed to every listener as ``listener(kind, event)`` (the obs event
+  publisher folds it into its own tally through the same function);
+* the ``extra=`` payload of its ``repro.exec`` log line, so log
+  processors consume the raw fields without parsing message strings.
+
+:meth:`RunTelemetry.summary` is a projection of the tally: run wall
+time, cache hits and misses, events processed by the tasks executed in
+this process, and worker utilization (busy task seconds divided by
+``run wall time x workers``; 1.0 means the pool never idled).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -20,31 +28,33 @@ import time
 import typing
 
 from repro import obs
+from repro.obs.health import ALERT_COUNTS, EXEC_COUNTS
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.exec.runner import SweepTask, TaskOutcome
 
 logger = logging.getLogger("repro.exec")
 
-# Shared-registry mirrors of the summary's aggregates: record_* feeds
-# both from the same call sites, so ``summary()`` and the obs exporters
-# can never drift apart.  (``repro_exec_`` metrics depend on cache and
-# checkpoint state, so they sit outside the determinism contract.)
+# Registry mirrors of the tally, bumped inside :func:`fold_exec`.
+# (``repro_exec_`` metrics depend on cache and checkpoint state, so they
+# sit outside the determinism contract.)
 _OBS_TASKS = obs.REGISTRY.counter(
     "repro_exec_tasks_total",
     "Sweep task outcomes by disposition",
     labelnames=("status",))
-_OBS_EXECUTED = _OBS_TASKS.labels(status="executed")
-_OBS_CACHED = _OBS_TASKS.labels(status="cached")
-_OBS_RESUMED = _OBS_TASKS.labels(status="resumed")
-_OBS_POISONED = _OBS_TASKS.labels(status="poisoned")
-_OBS_RETRIES = obs.REGISTRY.counter(
-    "repro_exec_retries_total", "Task retry attempts").labels()
-_OBS_CRASHES = obs.REGISTRY.counter(
-    "repro_exec_crashes_total", "Definite worker deaths").labels()
-_OBS_FALLBACKS = obs.REGISTRY.counter(
-    "repro_exec_serial_fallbacks_total",
-    "Process-pool failures that fell back to serial execution").labels()
+_OBS_BY_DISPOSITION = {
+    status: _OBS_TASKS.labels(status=status)
+    for status in ("executed", "cached", "resumed", "poisoned")}
+_OBS_ALERTS = {
+    "retry": obs.REGISTRY.counter(
+        "repro_exec_retries_total", "Task retry attempts").labels(),
+    "crash": obs.REGISTRY.counter(
+        "repro_exec_crashes_total", "Definite worker deaths").labels(),
+    "fallback": obs.REGISTRY.counter(
+        "repro_exec_serial_fallbacks_total",
+        "Process-pool failures that fell back to serial execution",
+    ).labels(),
+}
 _OBS_EVENTS = obs.REGISTRY.counter(
     "repro_exec_events_processed_total",
     "Simulated-work units reported by executed tasks").labels()
@@ -68,188 +78,199 @@ _OBS_WARM = obs.REGISTRY.counter(
     "Warm-cache lookups inside workers, by artefact kind and result",
     labelnames=("kind", "result"))
 
+#: Log verb per task disposition.
+_VERBS = {"poisoned": "poisoned", "resumed": "resumed from checkpoint",
+          "cached": "cache hit", "executed": "executed"}
 
-@dataclasses.dataclass
-class TaskRecord:
-    """Telemetry for one executed (or cache-served) task."""
-
-    key: str
-    index: int
-    wall_time_s: float
-    events_processed: int
-    cached: bool
-    attempts: int
-    worker_pid: int
-    status: str = "done"
-    resumed: bool = False
-
-    def to_json(self) -> dict:
-        """The record as a dict, in field order (what ``asdict`` gives
-        for these flat fields, without its recursive deep copy)."""
-        return {name: getattr(self, name) for name in _RECORD_FIELDS}
+#: ``extra=`` attribute name of each event kind's log line.
+_LOG_EXTRA = {"start": "repro_sweep", "task": "repro_task",
+              "batch": "repro_batch", "retry": "repro_retry",
+              "crash": "repro_crash", "fallback": "repro_fallback",
+              "finish": "repro_summary"}
 
 
-_RECORD_FIELDS = tuple(field.name
-                       for field in dataclasses.fields(TaskRecord))
+def _disposition(task: typing.Mapping) -> str:
+    """A task event's one disposition: poisoned, resumed, cached or
+    executed, in that precedence."""
+    if task["status"] == "poisoned":
+        return "poisoned"
+    if task["resumed"]:
+        return "resumed"
+    return "cached" if task["cached"] else "executed"
+
+
+class ExecTally:
+    """What a fold of exec events holds.
+
+    ``counts`` carries :data:`~repro.obs.health.EXEC_COUNTS`, the
+    counters a ``progress`` event ships and ``RunHealth`` reports;
+    ``busy_s`` sums the wall time of executed tasks.  Both accumulate
+    for as long as the tally lives, as do the ``warm`` hit and miss
+    counts.  The lists are per run: a ``start`` event clears them, so a
+    tally that outlives one run (the publisher's) holds no more than
+    the current run's records.
+    """
+
+    def __init__(self) -> None:
+        self.counts = dict.fromkeys(EXEC_COUNTS, 0)
+        self.busy_s = 0.0
+        self.workers = 1
+        self.num_tasks = 0
+        self.tasks: list[dict] = []
+        self.batch_sizes: list[int] = []
+        self.warm: dict[str, dict[str, int]] = {}
+        #: ``retry``, ``crash`` and ``fallback`` events, by kind.
+        self.alerts: dict[str, list[dict]] = {
+            "retry": [], "crash": [], "fallback": []}
+
+
+def fold_exec(tally: ExecTally, kind: str, event: dict, *,
+              mirror: bool = False) -> None:
+    """Fold one exec event into ``tally``.
+
+    ``mirror`` also bumps the ``repro_exec_*`` registry series; only the
+    recording :class:`RunTelemetry` sets it, so a second fold of the
+    same event (the publisher's) never counts it twice there.
+    """
+    counts = tally.counts
+    if kind == "task":
+        tally.tasks.append(event)
+        counts["done"] += 1
+        status = _disposition(event)
+        counts[status] += 1
+        if status == "executed":
+            counts["events_processed"] += event["events_processed"]
+            tally.busy_s += event["wall_time_s"]
+            if mirror:
+                _OBS_EVENTS.inc(event["events_processed"])
+                _OBS_TASK_SECONDS.observe(event["wall_time_s"])
+        if mirror:
+            _OBS_BY_DISPOSITION[status].inc()
+    elif kind in ("batch", "warm"):
+        if kind == "batch":
+            counts["batches"] += 1
+            tally.batch_sizes.append(event["size"])
+            if mirror:
+                _OBS_BATCHES.inc()
+                _OBS_BATCH_TASKS.observe(event["size"])
+        for warm_kind, (hits, misses) in event["warm"].items():
+            entry = tally.warm.setdefault(warm_kind,
+                                          {"hits": 0, "misses": 0})
+            entry["hits"] += hits
+            entry["misses"] += misses
+            if mirror and hits:
+                _OBS_WARM.labels(kind=warm_kind, result="hit").inc(hits)
+            if mirror and misses:
+                _OBS_WARM.labels(kind=warm_kind, result="miss").inc(misses)
+    elif kind in tally.alerts:
+        counts[ALERT_COUNTS[kind]] += 1
+        tally.alerts[kind].append(event)
+        if mirror:
+            _OBS_ALERTS[kind].inc()
+    elif kind == "checkpoint":
+        counts["checkpoints"] += 1
+    elif kind == "start":
+        tally.workers = event["workers"]
+        tally.num_tasks = event["num_tasks"]
+        for records in (tally.tasks, tally.batch_sizes,
+                        *tally.alerts.values()):
+            records.clear()
+        if mirror:
+            _OBS_WORKERS.set(event["workers"])
+    # ``finish`` (the summary) changes no count.
 
 
 class RunTelemetry:
-    """Collects task records for one sweep run and summarises them."""
+    """Records one sweep run's exec events and summarises them."""
 
     def __init__(self) -> None:
-        self.records: list[TaskRecord] = []
-        self.retries: list[dict] = []
-        self.fallbacks: list[str] = []
-        self.crashes: list[dict] = []
-        self.batch_sizes: list[int] = []
-        self.warm: dict[str, dict[str, int]] = {}
-        self.workers = 1
-        self.num_tasks = 0
+        self.tally = ExecTally()
         self.kernel_mode: str | None = None
         self._started: float | None = None
         self._wall_time_s = 0.0
-        #: Live observers: ``listener(kind, payload)`` called from the
-        #: same sites that feed the summary, so a subscriber (the obs
-        #: event publisher) sees exactly what the summary will say.
-        #: Kinds: ``start`` (dict), ``task`` (:class:`TaskRecord`),
-        #: ``batch``/``retry``/``crash``/``fallback`` (dict),
-        #: ``finish`` (summary dict).  A listener that raises is
-        #: logged and skipped — telemetry fan-out must never abort
-        #: the run it narrates.
-        self.listeners: list[typing.Callable[[str, typing.Any],
-                                             None]] = []
+        #: Live observers, called as ``listener(kind, event)`` with
+        #: every event this telemetry folds (``start``, ``task``,
+        #: ``batch``, ``warm``, ``retry``, ``crash``, ``fallback``, and
+        #: ``finish``, whose event is the summary).  A listener that
+        #: raises is logged and skipped: telemetry fan-out must never
+        #: abort the run it narrates.
+        self.listeners: list[typing.Callable[[str, dict], None]] = []
 
-    def _notify(self, kind: str, payload: typing.Any) -> None:
+    def _record(self, kind: str, event: dict, level: int = logging.NOTSET,
+                message: str = "", *args: typing.Any) -> None:
+        """Fold ``event``, hand it to the listeners, and log it."""
+        fold_exec(self.tally, kind, event, mirror=True)
         for listener in list(self.listeners):
             try:
-                listener(kind, payload)
+                listener(kind, event)
             except Exception:  # pragma: no cover - defensive
                 logger.warning("telemetry listener failed on %r", kind,
                                exc_info=True)
+        if message and logger.isEnabledFor(level):
+            logger.log(level, message, *args,
+                       extra={_LOG_EXTRA[kind]: event})
 
     # -- lifecycle ---------------------------------------------------------
     def start(self, *, workers: int, num_tasks: int) -> None:
         from repro.kernels import kernel_mode
 
-        self.records = []
-        self.retries = []
-        self.fallbacks = []
-        self.crashes = []
-        self.batch_sizes = []
-        self.warm = {}
-        self.workers = workers
-        self.num_tasks = num_tasks
+        self.tally = ExecTally()
         # Capture once: kernel_mode() reads the environment, which a
         # long-running process may mutate between run and summary.
         self.kernel_mode = kernel_mode()
-        _OBS_WORKERS.set(workers)
         self._started = time.perf_counter()
-        self._notify("start", {"workers": workers,
-                               "num_tasks": num_tasks})
-        logger.info(
-            "sweep start: %d task(s) on %d worker(s)", num_tasks, workers,
-            extra={"repro_sweep": {"tasks": num_tasks,
-                                   "workers": workers}},
-        )
+        self._record("start", {"workers": workers, "num_tasks": num_tasks},
+                     logging.INFO, "sweep start: %d task(s) on %d worker(s)",
+                     num_tasks, workers)
 
     def record_task(self, outcome: "TaskOutcome") -> None:
-        record = TaskRecord(
-            key=outcome.task.key,
-            index=outcome.task.index,
-            wall_time_s=outcome.wall_time_s,
-            events_processed=outcome.events_processed,
-            cached=outcome.cached,
-            attempts=outcome.attempts,
-            worker_pid=outcome.worker_pid,
-            status=outcome.status,
-            resumed=outcome.resumed,
-        )
-        self.records.append(record)
-        if record.status == "poisoned":
-            verb = "poisoned"
-            _OBS_POISONED.inc()
-        elif record.resumed:
-            verb = "resumed from checkpoint"
-            _OBS_RESUMED.inc()
-        elif record.cached:
-            verb = "cache hit"
-            _OBS_CACHED.inc()
-        else:
-            verb = "executed"
-            _OBS_EXECUTED.inc()
-            _OBS_EVENTS.inc(record.events_processed)
-            _OBS_TASK_SECONDS.observe(record.wall_time_s)
-        self._notify("task", record)
-        if logger.isEnabledFor(logging.INFO):
-            logger.info(
-                "task %s: %s in %.3fs (%d events, attempt %d, pid %d)",
-                record.key, verb,
-                record.wall_time_s, record.events_processed,
-                record.attempts, record.worker_pid,
-                extra={"repro_task": record.to_json()},
-            )
+        event = {
+            "key": outcome.task.key,
+            "index": outcome.task.index,
+            "wall_time_s": outcome.wall_time_s,
+            "events_processed": outcome.events_processed,
+            "cached": outcome.cached,
+            "attempts": outcome.attempts,
+            "worker_pid": outcome.worker_pid,
+            "status": outcome.status,
+            "resumed": outcome.resumed,
+        }
+        self._record("task", event, logging.INFO,
+                     "task %s: %s in %.3fs (%d events, attempt %d, pid %d)",
+                     event["key"], _VERBS[_disposition(event)],
+                     event["wall_time_s"], event["events_processed"],
+                     event["attempts"], event["worker_pid"])
 
     def record_batch(self, *, size: int,
                      warm: dict | None = None) -> None:
         """One batch round-trip completed (``size`` tasks dispatched)."""
-        self.batch_sizes.append(size)
-        _OBS_BATCHES.inc()
-        _OBS_BATCH_TASKS.observe(size)
-        self._notify("batch", {"size": size})
-        logger.debug(
-            "batch of %d task(s) returned", size,
-            extra={"repro_batch": {"size": size, "warm": warm or {}}},
-        )
-        self.record_warm(warm)
+        self._record("batch", {"size": size, "warm": warm or {}},
+                     logging.DEBUG, "batch of %d task(s) returned", size)
 
     def record_warm(self, delta: dict | None) -> None:
         """Fold a worker's warm-cache ``{kind: [hits, misses]}`` delta."""
-        if not delta:
-            return
-        for kind, (hits, misses) in delta.items():
-            entry = self.warm.setdefault(kind, {"hits": 0, "misses": 0})
-            entry["hits"] += hits
-            entry["misses"] += misses
-            if hits:
-                _OBS_WARM.labels(kind=kind, result="hit").inc(hits)
-            if misses:
-                _OBS_WARM.labels(kind=kind, result="miss").inc(misses)
+        if delta:
+            self._record("warm", {"warm": delta})
 
     def record_retry(self, task: "SweepTask", error: BaseException, *,
                      backoff_s: float = 0.0) -> None:
-        self.retries.append({"key": task.key, "error": repr(error),
-                             "backoff_s": backoff_s})
-        _OBS_RETRIES.inc()
-        self._notify("retry", self.retries[-1])
-        logger.warning(
-            "task %s failed (%s); retrying after %.3fs backoff",
-            task.key, error, backoff_s,
-            extra={"repro_retry": {"key": task.key,
-                                   "error": repr(error),
-                                   "backoff_s": backoff_s}},
-        )
+        self._record("retry", {"key": task.key, "error": repr(error),
+                               "backoff_s": backoff_s},
+                     logging.WARNING,
+                     "task %s failed (%s); retrying after %.3fs backoff",
+                     task.key, error, backoff_s)
 
     def record_crash(self, task: "SweepTask",
                      error: BaseException) -> None:
         """One definite worker death attributed to ``task``."""
-        self.crashes.append({"key": task.key, "error": repr(error)})
-        _OBS_CRASHES.inc()
-        self._notify("crash", self.crashes[-1])
-        logger.warning(
-            "task %s killed its worker (%s)", task.key, error,
-            extra={"repro_crash": {"key": task.key,
-                                   "error": repr(error)}},
-        )
+        self._record("crash", {"key": task.key, "error": repr(error)},
+                     logging.WARNING, "task %s killed its worker (%s)",
+                     task.key, error)
 
     def record_fallback(self, error: BaseException) -> None:
-        self.fallbacks.append(repr(error))
-        _OBS_FALLBACKS.inc()
-        self._notify("fallback", {"error": repr(error)})
-        logger.warning(
-            "process pool unavailable (%s); falling back to serial",
-            error,
-            extra={"repro_fallback": {"error": repr(error)}},
-        )
+        self._record("fallback", {"error": repr(error)}, logging.WARNING,
+                     "process pool unavailable (%s); falling back to "
+                     "serial", error)
 
     def finish(self) -> dict:
         """Freeze the run and return the machine-readable summary."""
@@ -257,65 +278,65 @@ class RunTelemetry:
             self._wall_time_s = time.perf_counter() - self._started
             self._started = None
         summary = self.summary()
-        self._notify("finish", summary)
-        logger.info(
-            "sweep done: %d task(s) in %.3fs — %d cache hit(s), "
-            "%d miss(es), %.0f%% worker utilization",
-            summary["tasks"], summary["wall_time_s"],
-            summary["cache_hits"], summary["cache_misses"],
-            100.0 * summary["worker_utilization"],
-            extra={"repro_summary": summary},
-        )
+        self._record("finish", summary, logging.INFO,
+                     "sweep done: %d task(s) in %.3fs — %d cache hit(s), "
+                     "%d miss(es), %.0f%% worker utilization",
+                     summary["tasks"], summary["wall_time_s"],
+                     summary["cache_hits"], summary["cache_misses"],
+                     100.0 * summary["worker_utilization"])
         return summary
 
-    # -- aggregation -------------------------------------------------------
+    # -- projection --------------------------------------------------------
     def summary(self) -> dict:
-        """Aggregate view of the run (JSON-able)."""
+        """The tally as the run's JSON-able summary."""
         if self.kernel_mode is None:  # summary before any start()
             from repro.kernels import kernel_mode
 
             self.kernel_mode = kernel_mode()
-        executed = [r for r in self.records
-                    if not r.cached and not r.resumed]
-        busy = sum(r.wall_time_s for r in executed)
+        tally = self.tally
+        counts = tally.counts
+        # Poisoned tasks count as misses: the cache could not serve them.
+        misses = counts["executed"] + counts["poisoned"]
+        busy = tally.busy_s
         wall = self._wall_time_s
         if self._started is not None:  # summary of a still-running sweep
             wall = time.perf_counter() - self._started
-        utilization = (busy / (wall * self.workers)
-                       if wall > 0 and executed else 0.0)
+        utilization = (busy / (wall * tally.workers)
+                       if wall > 0 and misses else 0.0)
+        sizes = tally.batch_sizes
+        retries = tally.alerts["retry"]
         return {
-            "tasks": len(self.records),
-            "workers": self.workers,
+            "tasks": counts["done"],
+            "workers": tally.workers,
             "kernel_mode": self.kernel_mode,
             "wall_time_s": wall,
-            "cache_hits": sum(1 for r in self.records if r.cached),
-            "cache_misses": len(executed),
-            "events_processed": sum(r.events_processed
-                                    for r in self.records),
+            "cache_hits": counts["cached"],
+            "cache_misses": misses,
+            "events_processed": counts["events_processed"],
             "task_wall_time_s": {
                 "total": busy,
-                "max": max((r.wall_time_s for r in executed),
+                "max": max((task["wall_time_s"] for task in tally.tasks
+                            if _disposition(task) == "executed"),
                            default=0.0),
-                "mean": busy / len(executed) if executed else 0.0,
+                "mean": busy / misses if misses else 0.0,
             },
             "worker_utilization": min(1.0, utilization),
-            "batches": len(self.batch_sizes),
+            "batches": counts["batches"],
             "batch_tasks": {
-                "max": max(self.batch_sizes, default=0),
-                "mean": (sum(self.batch_sizes) / len(self.batch_sizes)
-                         if self.batch_sizes else 0.0),
+                "max": max(sizes, default=0),
+                "mean": sum(sizes) / len(sizes) if sizes else 0.0,
             },
-            "warm_cache": {kind: dict(self.warm[kind])
-                           for kind in sorted(self.warm)},
-            "retries": list(self.retries),
-            "backoff_s_total": sum(r.get("backoff_s", 0.0)
-                                   for r in self.retries),
-            "serial_fallbacks": list(self.fallbacks),
-            "crashes": list(self.crashes),
-            "poisoned": [r.key for r in self.records
-                         if r.status == "poisoned"],
-            "resumed_tasks": sum(1 for r in self.records if r.resumed),
-            "per_task": [r.to_json() for r in self.records],
+            "warm_cache": {kind: dict(tally.warm[kind])
+                           for kind in sorted(tally.warm)},
+            "retries": list(retries),
+            "backoff_s_total": sum(retry["backoff_s"] for retry in retries),
+            "serial_fallbacks": [fallback["error"]
+                                 for fallback in tally.alerts["fallback"]],
+            "crashes": list(tally.alerts["crash"]),
+            "poisoned": [task["key"] for task in tally.tasks
+                         if task["status"] == "poisoned"],
+            "resumed_tasks": counts["resumed"],
+            "per_task": [dict(task) for task in tally.tasks],
         }
 
     def write_summary(self, path: str | os.PathLike) -> None:

@@ -56,6 +56,17 @@ _COLLAPSE_FRACTION = 0.25
 #: ... after at least this many rate samples (warmup guard).
 _COLLAPSE_MIN_SAMPLES = 5
 
+#: The cumulative exec counters a ``progress`` event ships.  They are
+#: the counts of :func:`repro.exec.telemetry.fold_exec`'s tally, which
+#: the publisher and the run summary fold from the same events.
+EXEC_COUNTS = ("done", "executed", "cached", "resumed", "poisoned",
+               "retries", "crashes", "fallbacks", "batches",
+               "checkpoints", "events_processed")
+
+#: The counter each alert event's cumulative ``total`` reports.
+ALERT_COUNTS = {"retry": "retries", "crash": "crashes",
+                "fallback": "fallbacks", "quarantine": "poisoned"}
+
 #: ``retry_storm`` needs at least this many retries ...
 _RETRY_STORM_MIN = 10
 
@@ -142,7 +153,7 @@ class HealthFold:
         self._unit = "tasks"
         self._total: int | None = None
         self._phase_totals = 0
-        self._counts: dict[str, int] = {}
+        self._counts = dict.fromkeys(EXEC_COUNTS, 0)
         self._busy_s = 0.0
         self._workers = 0
         # Rate estimation: (units, mono_ns) of the previous sample.
@@ -186,22 +197,19 @@ class HealthFold:
             if event.get("total") is not None:
                 self._phase_totals += event["total"]
         elif etype == "progress":
-            for key in ("done", "executed", "cached", "resumed",
-                        "poisoned", "retries", "crashes", "fallbacks",
-                        "batches", "checkpoints", "events_processed"):
+            for key in EXEC_COUNTS:
                 if key in event:
                     # All counters are monotone and cumulative; max
                     # keeps an immediate retry/crash event from being
                     # rolled back by a progress snapshot taken before
                     # it.
-                    self._counts[key] = max(self._counts.get(key, 0),
-                                            event[key])
+                    self._counts[key] = max(self._counts[key], event[key])
             self._busy_s = event.get("busy_s", self._busy_s)
             self._workers = event.get("workers", self._workers)
             if event.get("phase") is not None:
                 self._phase = event["phase"]
             if not self._uses_rounds:
-                self._rate_sample(self._counts.get("done", 0),
+                self._rate_sample(self._counts["done"],
                                   event.get("mono_ns"))
         elif etype == "round":
             # Soak progress: faults, not runner tasks, are the unit.
@@ -223,15 +231,13 @@ class HealthFold:
             }
             if event.get("faults") is not None:
                 self._rate_sample(event["faults"], event.get("mono_ns"))
-        elif etype in ("retry", "crash", "quarantine", "fallback"):
-            key = {"retry": "retries", "crash": "crashes",
-                   "quarantine": "poisoned",
-                   "fallback": "fallbacks"}[etype]
+        elif etype in ALERT_COUNTS:
+            key = ALERT_COUNTS[etype]
             total = event.get("total")
             if total is not None:
-                self._counts[key] = max(self._counts.get(key, 0), total)
+                self._counts[key] = max(self._counts[key], total)
             else:  # pragma: no cover - defensive
-                self._counts[key] = self._counts.get(key, 0) + 1
+                self._counts[key] += 1
         elif etype == "metrics":
             # Metrics events ship snapshot *deltas*; each outcome
             # counter increment is one classified fault, whatever the
@@ -285,14 +291,12 @@ class HealthFold:
         deterministic tests over finished streams).
         """
         counts = self._counts
-        done = counts.get("done", 0)
-        executed = counts.get("executed", 0)
-        cached = counts.get("cached", 0)
-        retries = counts.get("retries", 0)
+        executed, cached = counts["executed"], counts["cached"]
+        retries = counts["retries"]
         total = self._total
         if total is None and self._phase_totals:
             total = self._phase_totals
-        unit_count = done
+        unit_count = counts["done"]
         if self._uses_rounds and self._soak:
             unit_count = self._soak.get("faults") or 0
         elapsed_s = 0.0
@@ -348,17 +352,7 @@ class HealthFold:
             phase=self._phase,
             unit=self._unit,
             total=total,
-            done=unit_count,
-            executed=executed,
-            cached=cached,
-            resumed=counts.get("resumed", 0),
-            poisoned=counts.get("poisoned", 0),
-            retries=retries,
-            crashes=counts.get("crashes", 0),
-            fallbacks=counts.get("fallbacks", 0),
-            batches=counts.get("batches", 0),
-            checkpoints=counts.get("checkpoints", 0),
-            events_processed=counts.get("events_processed", 0),
+            **{**counts, "done": unit_count},
             workers=self._workers,
             busy_s=self._busy_s,
             elapsed_s=elapsed_s,

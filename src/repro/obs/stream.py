@@ -50,6 +50,8 @@ import time
 import typing
 
 from repro.exec.recordlog import RecordLog, RecordLogCorrupt, parse_lines
+from repro.exec.telemetry import ExecTally, fold_exec
+from repro.obs.health import ALERT_COUNTS
 
 logger = logging.getLogger("repro.obs")
 
@@ -134,18 +136,14 @@ class EventPublisher:
         self._stop = threading.Event()
         self._pending_drain: int | None = None
         self._ended = False
-        # Cumulative run counters fed by the telemetry bridge; shipped
-        # whole in every progress event so any prefix is self-contained.
-        self._counts = {
-            "done": 0, "executed": 0, "cached": 0, "resumed": 0,
-            "poisoned": 0, "retries": 0, "crashes": 0, "fallbacks": 0,
-            "batches": 0, "events_processed": 0, "checkpoints": 0,
-        }
-        self._busy_s = 0.0
-        self._workers = 0
+        # The telemetry bridge's fold of every exec event, over the
+        # publisher's life (so across a campaign's scheme phases); its
+        # counts ship whole in every progress event, so any prefix is
+        # self-contained.
+        self._tally = ExecTally()
         self._phase: str | None = None
-        self._phase_total: int | None = None
         self._total_units: int | None = None
+        self._unit = "tasks"
         self._dirty = False
         self._last_progress_ns = 0
         self._last_metrics_ns = time.perf_counter_ns()
@@ -253,6 +251,7 @@ class EventPublisher:
                   **fields: typing.Any) -> None:
         with self._lock:
             self._total_units = total
+            self._unit = unit
             self.emit("run_start", kind=self.kind, total=total,
                       unit=unit, **fields)
 
@@ -264,9 +263,9 @@ class EventPublisher:
 
     def checkpoint(self, **fields: typing.Any) -> None:
         with self._lock:
-            self._counts["checkpoints"] += 1
+            fold_exec(self._tally, "checkpoint", fields)
             self.emit("checkpoint",
-                      total=self._counts["checkpoints"], **fields)
+                      total=self._tally.counts["checkpoints"], **fields)
 
     def note_drain(self, signum: int) -> None:
         """Record a drain request from a signal handler.
@@ -282,74 +281,46 @@ class EventPublisher:
             self.emit("drain", signum=signum)
 
     # -- telemetry bridge --------------------------------------------------
-    def attach(self, telemetry: typing.Any, *,
-               track_phases: bool = True) -> "EventPublisher":
+    def attach(self, telemetry: typing.Any) -> "EventPublisher":
         """Subscribe to a :class:`~repro.exec.telemetry.RunTelemetry`.
 
-        Batch completions, task outcomes, retries, crashes, and
-        quarantines flow into the spool without the runner knowing the
-        publisher exists.  ``track_phases=False`` suppresses
-        ``phase_start``/``phase_end`` for callers whose unit of
-        progress is not the runner's (soak emits ``round`` events and
-        would otherwise open a phase per round).
+        Its exec events flow into the spool without the runner knowing
+        the publisher exists.  Each runner run is a phase
+        (``phase_start``/``phase_end``) when the run's unit is the
+        runner's tasks; a soak, whose unit is faults, reports ``round``
+        events instead.
         """
-        self._track_phases = track_phases
         telemetry.listeners.append(self._on_telemetry)
         self._attached.append(telemetry)
         return self
 
-    def _on_telemetry(self, kind: str, payload: typing.Any) -> None:
+    def _on_telemetry(self, kind: str, event: dict) -> None:
         with self._lock:
             self._emit_pending_drain()
+            tally = self._tally
+            fold_exec(tally, kind, event)
+            phases = self._unit == "tasks"
             if kind == "start":
-                self._workers = payload["workers"]
-                self._phase_total = payload["num_tasks"]
-                if getattr(self, "_track_phases", True):
-                    self._phase = payload.get("phase") or self._phase
+                if phases:
                     self.emit("phase_start", phase=self._phase,
-                              total=payload["num_tasks"],
-                              workers=payload["workers"])
-            elif kind == "task":
-                counts = self._counts
-                counts["done"] += 1
-                if payload.status == "poisoned":
-                    counts["poisoned"] += 1
-                    self.emit("quarantine", key=payload.key,
-                              total=counts["poisoned"])
-                elif payload.resumed:
-                    counts["resumed"] += 1
-                elif payload.cached:
-                    counts["cached"] += 1
-                else:
-                    counts["executed"] += 1
-                    counts["events_processed"] += payload.events_processed
-                    self._busy_s += payload.wall_time_s
-                self._dirty = True
-                self._maybe_progress()
-            elif kind == "batch":
-                self._counts["batches"] += 1
-                self._dirty = True
-                self._maybe_progress()
-            elif kind == "retry":
-                self._counts["retries"] += 1
-                self.emit("retry", key=payload["key"],
-                          error=payload["error"],
-                          backoff_s=payload["backoff_s"],
-                          total=self._counts["retries"])
-            elif kind == "crash":
-                self._counts["crashes"] += 1
-                self.emit("crash", key=payload["key"],
-                          error=payload["error"],
-                          total=self._counts["crashes"])
-            elif kind == "fallback":
-                self._counts["fallbacks"] += 1
-                self.emit("fallback", error=payload["error"],
-                          total=self._counts["fallbacks"])
+                              total=event["num_tasks"],
+                              workers=event["workers"])
             elif kind == "finish":
                 self._maybe_progress(force=True)
-                if getattr(self, "_track_phases", True):
+                if phases:
                     self.emit("phase_end", phase=self._phase,
-                              wall_time_s=payload.get("wall_time_s"))
+                              wall_time_s=event.get("wall_time_s"))
+            elif kind in ALERT_COUNTS:
+                # Alerts go out at once; the next progress carries them.
+                self._dirty = True
+                self.emit(kind, **event,
+                          total=tally.counts[ALERT_COUNTS[kind]])
+            else:
+                if kind == "task" and event["status"] == "poisoned":
+                    self.emit("quarantine", key=event["key"],
+                              total=tally.counts["poisoned"])
+                self._dirty = True
+                self._maybe_progress()
 
     def set_phase(self, phase: str | None) -> None:
         """Name the next phase (e.g. the campaign scheme about to run)."""
@@ -363,12 +334,13 @@ class EventPublisher:
                 >= self.progress_every_s * 1e9):
             self._dirty = False
             self._last_progress_ns = now_ns
+            tally = self._tally
             self.emit("progress", phase=self._phase,
-                      phase_total=self._phase_total,
+                      phase_total=tally.num_tasks,
                       total=self._total_units,
-                      workers=self._workers,
-                      busy_s=round(self._busy_s, 6),
-                      **self._counts)
+                      workers=tally.workers,
+                      busy_s=round(tally.busy_s, 6),
+                      **tally.counts)
         if (self.registry is not None
                 and self._metrics_before is not None
                 and (force or (now_ns - self._last_metrics_ns)

@@ -55,7 +55,7 @@ def _both_modes(workload) -> tuple[str, str]:
         with SweepRunner(workers=2, batch_target_s=5.0,
                          max_batch=16) as runner:
             batched = workload(runner)
-            assert runner.telemetry.batch_sizes, \
+            assert runner.telemetry.summary()["batches"], \
                 "expected at least one dispatched batch"
     finally:
         _restore_env(saved)

@@ -54,8 +54,9 @@ def test_exhausted_task_records_one_retry_per_retry(tmp_path, workers,
                      batch_target_s=5.0) as runner:
         with pytest.raises(ExecutionError) as excinfo:
             runner.run(tasks)
-    assert len(runner.telemetry.retries) == retries
-    assert {r["key"] for r in runner.telemetry.retries} <= {guilty.key}
+    logged = runner.telemetry.summary()["retries"]
+    assert len(logged) == retries
+    assert {r["key"] for r in logged} <= {guilty.key}
     assert re.search(
         rf"task {re.escape(guilty.key)} failed after {retries + 1} "
         r"attempt\(s\)", str(excinfo.value))
@@ -133,7 +134,7 @@ class TestAttemptHandOffs:
             with pytest.raises(ExecutionError,
                                match=r"failed after 2 attempt\(s\)"):
                 runner.run([_flaky(tmp_path, 2)])
-        assert len(runner.telemetry.retries) == 1
+        assert len(runner.telemetry.summary()["retries"]) == 1
 
     def test_crash_suspect_keeps_its_attempt(self, tmp_path, monkeypatch):
         # The retry (attempt 2) is in flight when the pool dies; its

@@ -1,6 +1,5 @@
 """Unit tests for sweep run telemetry."""
 
-import dataclasses
 import json
 import logging
 
@@ -46,11 +45,13 @@ class TestSummary:
     def test_summary_is_json_able(self):
         json.dumps(_run().last_run.summary)
 
-    def test_per_task_encodes_like_asdict(self):
-        telemetry = _run().telemetry
+    def test_per_task_is_the_logged_task_events(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.exec"):
+            telemetry = _run().telemetry
+        logged = [r.repro_task for r in caplog.records
+                  if hasattr(r, "repro_task")]
         assert (json.dumps(telemetry.summary()["per_task"])
-                == json.dumps([dataclasses.asdict(record)
-                               for record in telemetry.records]))
+                == json.dumps(logged))
 
     def test_write_summary(self, tmp_path):
         runner = _run()
@@ -75,6 +76,44 @@ class TestSummary:
         started_mode = kernel_mode()
         monkeypatch.setenv(SCALAR_ENV, "1")
         assert telemetry.summary()["kernel_mode"] == started_mode
+
+
+class TestResumedRun:
+    def test_resumed_run_counts_no_events_anywhere(self, tmp_path):
+        """A sweep fully resumed from its checkpoint executed nothing in
+        this process: the summary, the registry mirror and the folded
+        ``RunHealth`` all report zero events processed."""
+        from repro import obs
+        from repro.exec import SweepCheckpoint
+        from repro.obs.health import fold_events
+        from repro.obs.stream import EventPublisher, read_events
+
+        path = tmp_path / "cp.jsonl"
+        tasks = expand_grid(SQUARE, {"x": (1, 2, 3)})
+        SweepRunner(checkpoint=SweepCheckpoint(path)).run(tasks)
+        runner = SweepRunner(
+            checkpoint=SweepCheckpoint(path, resume=True))
+        spool = tmp_path / "events.jsonl"
+        was_enabled = obs.enabled()
+        obs.enable()
+        try:
+            before = obs.REGISTRY.snapshot()
+            with EventPublisher(spool, kind="sweep",
+                                heartbeat_s=60.0) as publisher:
+                publisher.attach(runner.telemetry)
+                publisher.run_start(unit="tasks")
+                runner.run(tasks)
+                publisher.run_end("ok")
+            delta = obs.snapshot_delta(before, obs.REGISTRY.snapshot())
+        finally:
+            if not was_enabled:
+                obs.disable()
+        summary = runner.telemetry.summary()
+        header, events = read_events(spool)
+        health = fold_events([header, *events])
+        assert summary["resumed_tasks"] == health.resumed == 3
+        assert summary["events_processed"] == health.events_processed == 0
+        assert "repro_exec_events_processed_total" not in delta
 
 
 class TestLoggingAndRendering:

@@ -1,6 +1,5 @@
 """Unit tests for repro.obs.stream: publisher, reader, spool framing."""
 
-import dataclasses
 import json
 import time
 import types
@@ -18,14 +17,13 @@ from repro.obs.stream import (
 )
 
 
-@dataclasses.dataclass
-class FakeTask:
-    key: str = "t0"
-    status: str = "done"
-    resumed: bool = False
-    cached: bool = False
-    events_processed: int = 7
-    wall_time_s: float = 0.01
+def fake_task(key="t0", status="done", resumed=False, cached=False,
+              events_processed=7, wall_time_s=0.01):
+    """A task exec event, as ``RunTelemetry.record_task`` builds it."""
+    return {"key": key, "index": 0, "wall_time_s": wall_time_s,
+            "events_processed": events_processed, "cached": cached,
+            "attempts": 1, "worker_pid": 1, "status": status,
+            "resumed": resumed}
 
 
 def make_publisher(tmp_path, **kwargs):
@@ -133,9 +131,9 @@ class TestTelemetryBridge:
         with pub:
             pub.run_start(total=3)
             notify("start", {"workers": 2, "num_tasks": 3})
-            notify("task", FakeTask(key="a"))
-            notify("task", FakeTask(key="b", cached=True))
-            notify("task", FakeTask(key="c", status="poisoned"))
+            notify("task", fake_task(key="a"))
+            notify("task", fake_task(key="b", cached=True))
+            notify("task", fake_task(key="c", status="poisoned"))
             notify("finish", {"wall_time_s": 0.5})
             pub.run_end("ok")
         _, events = read_events(tmp_path / EVENTS_FILENAME)
@@ -151,12 +149,13 @@ class TestTelemetryBridge:
         assert last_progress["workers"] == 2
         assert last_progress["events_processed"] == 7
 
-    def test_track_phases_false_suppresses_phase_events(self, tmp_path):
+    def test_fault_unit_suppresses_phase_events(self, tmp_path):
         pub = make_publisher(tmp_path, progress_every_s=0.0)
         telemetry = types.SimpleNamespace(listeners=[])
-        pub.attach(telemetry, track_phases=False)
+        pub.attach(telemetry)
         notify = telemetry.listeners[0]
         with pub:
+            pub.run_start(unit="faults")
             notify("start", {"workers": 1, "num_tasks": 5})
             notify("finish", {"wall_time_s": 0.1})
         _, events = read_events(tmp_path / EVENTS_FILENAME)
