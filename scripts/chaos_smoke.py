@@ -462,9 +462,10 @@ def main() -> int:
 
         print("[4/6] corrupting the cached trajectory record")
         # The CLI points REPRO_TRAJECTORY_CACHE_DIR here whenever
-        # --cache-dir is given; the crashed run's workers persisted the
-        # background snapshots before the kill landed.  Rewriting a
-        # segment makes it the newest, so its record is the one served.
+        # --cache-dir is given; the crashed run's parent persisted the
+        # background snapshots while it built them for its forked
+        # workers, before the pool started.  Rewriting a segment makes
+        # it the newest, so its record is the one served.
         trajectory_dir = cache_dir / "trajectories"
         assert list(trajectory_dir.glob("pack-*.jsonl")), \
             "crashed run left no cached trajectory (snapshots not warm)"

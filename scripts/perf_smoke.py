@@ -31,7 +31,7 @@ arm on a fixed round budget (adaptive must end with a strictly
 narrower widest CI, with compatible overall estimates), writing
 ``BENCH_soak.json``.  An event-stream gate finally re-times the sweep
 with a live ``EventPublisher`` spooling to disk, alternating bare and
-streamed passes until each arm covers ``GATE_ARM_MIN_S`` (the median
+streamed arms of ``MONITOR_SWEEPS_PER_ARM`` sweeps each (the median
 per-pair overhead must stay < 2% of sweep wall time), writing
 ``BENCH_monitor.json``.  Every timed gate records each sample and the
 quartiles of its arms.  CI runs this on every push; it is also a
@@ -133,11 +133,17 @@ SOAK_CI_ROUNDS = 20
 SOAK_CI_FAULTS_PER_ROUND = 100
 
 #: Event-stream overhead gate: the same sweep with and without a live
-#: ``EventPublisher`` spooling to disk, in back-to-back pairs (at least
-#: ``MONITOR_MIN_PAIRS``, and until each arm covers ``GATE_ARM_MIN_S``),
-#: alternating which arm runs first; the median per-pair overhead must
-#: stay under this percent of sweep wall time.
+#: ``EventPublisher`` spooling to disk, in ``MONITOR_MIN_PAIRS`` pairs of
+#: arms of ``MONITOR_SWEEPS_PER_ARM`` sweeps each (one runner per arm,
+#: the streamed arm with one publisher for all of its sweeps).  The two
+#: arms take turns sweep by sweep, alternating which goes first, and the
+#: median overhead of a streamed sweep over the bare sweep next to it,
+#: over every turn, must stay under this percent of sweep wall time.
+#: One sweep takes ~0.06 s, so 2% of it is about a millisecond: whole
+#: arms timed one after the other drifted apart by more than that on a
+#: shared host, and a dozen pairs of single sweeps did not resolve it.
 MONITOR_MIN_PAIRS = 9
+MONITOR_SWEEPS_PER_ARM = 12
 MONITOR_OVERHEAD_LIMIT_PERCENT = 2.0
 
 
@@ -707,12 +713,15 @@ def _soak_bench(now: str) -> tuple[dict | None, str | None]:
 def _monitor_bench(now: str) -> tuple[dict | None, str | None]:
     """Event-stream overhead gate on the perf-smoke sweep.
 
-    Runs the standard resilience sweep in bare/streamed pairs, the
-    streamed pass with a live :class:`EventPublisher` attached to the
+    Runs the standard resilience sweep in bare/streamed pairs of arms,
+    each arm ``MONITOR_SWEEPS_PER_ARM`` sweeps on one runner, the
+    streamed arm with a live :class:`EventPublisher` attached to the
     runner's telemetry and spooling to a real file (flush per event,
-    heartbeat thread running — the exact ``--events`` configuration),
-    and gates the median per-pair overhead at
-    ``MONITOR_OVERHEAD_LIMIT_PERCENT`` of sweep wall time.
+    heartbeat thread running — the exact ``--events`` configuration).
+    A pair's two arms take turns sweep by sweep, and the gate holds the
+    median, over every turn, of a streamed sweep's overhead on the bare
+    sweep next to it to ``MONITOR_OVERHEAD_LIMIT_PERCENT``: drift of
+    the host hits both sides of a turn alike.
     Returns ``(bench_payload, failure_message)`` for
     ``BENCH_monitor.json``.
     """
@@ -722,42 +731,47 @@ def _monitor_bench(now: str) -> tuple[dict | None, str | None]:
     from repro.exec.runner import SweepRunner
     from repro.obs.stream import EventPublisher
 
-    def run_once(spool: pathlib.Path | None) -> float:
-        with SweepRunner(workers=1, cache=None) as runner:
-            publisher = None
-            if spool is not None:
-                publisher = EventPublisher(spool, kind="sweep")
-                publisher.attach(runner.telemetry)
-                publisher.open()
-                publisher.run_start(unit="tasks")
-            start = time.perf_counter()
-            resilience_sweep(
-                techniques=TECHNIQUES,
-                droop_amplitudes=AMPLITUDES,
-                num_cycles=NUM_CYCLES,
-                runner=runner,
-            )
-            wall = time.perf_counter() - start
-            if publisher is not None:
-                publisher.run_end("ok")
-                publisher.close()
-        return wall
+    def sweep(runner: SweepRunner) -> float:
+        start = time.perf_counter()
+        resilience_sweep(
+            techniques=TECHNIQUES,
+            droop_amplitudes=AMPLITUDES,
+            num_cycles=NUM_CYCLES,
+            runner=runner,
+        )
+        return time.perf_counter() - start
+
+    def run_pair(spool: pathlib.Path,
+                 first: int) -> list[tuple[float, float]]:
+        """``(bare, streamed)`` sweep walls of each turn of one pair."""
+        turns = []
+        with SweepRunner(workers=1, cache=None) as off_runner, \
+                SweepRunner(workers=1, cache=None) as on_runner:
+            publisher = EventPublisher(spool, kind="sweep")
+            publisher.attach(on_runner.telemetry)
+            publisher.open()
+            publisher.run_start(unit="tasks")
+            for turn in range(first, first + MONITOR_SWEEPS_PER_ARM):
+                # Alternate which arm goes first, so drift hits both.
+                if turn % 2:
+                    on = sweep(on_runner)
+                    off = sweep(off_runner)
+                else:
+                    off = sweep(off_runner)
+                    on = sweep(on_runner)
+                turns.append((off, on))
+            publisher.run_end("ok")
+            publisher.close()
+        return turns
 
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="monitor-bench-"))
-    bare: list[float] = []
-    streamed: list[float] = []
+    pairs: list[list[tuple[float, float]]] = []
     try:
-        run_once(None)  # warm both arms' imports and kernel caches
-        while (len(bare) < MONITOR_MIN_PAIRS
-               or min(sum(bare), sum(streamed)) < GATE_ARM_MIN_S):
-            spool = workdir / f"events-{len(bare)}.jsonl"
-            # Alternate which arm goes first, so drift hits both alike.
-            if len(bare) % 2:
-                streamed.append(run_once(spool))
-                bare.append(run_once(None))
-            else:
-                bare.append(run_once(None))
-                streamed.append(run_once(spool))
+        with SweepRunner(workers=1, cache=None) as runner:
+            sweep(runner)  # warm imports and kernel caches
+        for pair in range(MONITOR_MIN_PAIRS):
+            pairs.append(run_pair(workdir / f"events-{pair}.jsonl",
+                                  first=pair))
         spool_bytes = max(path.stat().st_size
                           for path in workdir.glob("events-*.jsonl"))
     finally:
@@ -765,17 +779,23 @@ def _monitor_bench(now: str) -> tuple[dict | None, str | None]:
 
         shutil.rmtree(workdir, ignore_errors=True)
 
-    pair_overheads = [100.0 * (on - off) / off
-                      for off, on in zip(bare, streamed) if off > 0]
-    overhead = statistics.median(pair_overheads)
+    # Each streamed sweep against the bare sweep next to it: slow drift
+    # of the host cancels within a turn, and the median over every turn
+    # of every pair resolves well under the limit.
+    turn_overheads = [100.0 * (on - off) / off
+                      for turns in pairs for off, on in turns if off > 0]
+    overhead = statistics.median(turn_overheads)
+    bare = [sum(off for off, _ in turns) for turns in pairs]
+    streamed = [sum(on for _, on in turns) for turns in pairs]
     payload = {
         "bench": "monitor",
         "schema_version": 1,
         "recorded_at": now,
         "overhead_percent": round(overhead, 3),
         "overhead_limit_percent": MONITOR_OVERHEAD_LIMIT_PERCENT,
-        "pairs": len(bare),
-        "pair_overhead_percent": _spread(pair_overheads, 3),
+        "pairs": len(pairs),
+        "sweeps_per_arm": MONITOR_SWEEPS_PER_ARM,
+        "turn_overhead_percent": _spread(turn_overheads, 3),
         "spool_bytes": spool_bytes,
         "runs": [
             {"events": False, "wall_time_s": _spread(bare, 4)},
@@ -785,8 +805,9 @@ def _monitor_bench(now: str) -> tuple[dict | None, str | None]:
     if overhead > MONITOR_OVERHEAD_LIMIT_PERCENT:
         return payload, (
             f"event stream costs {overhead:.2f}% of sweep wall time "
-            f"(median of {len(bare)} pairs; limit "
-            f"{MONITOR_OVERHEAD_LIMIT_PERCENT:.0f}%; median bare "
+            f"(median of {len(turn_overheads)} sweep turns; limit "
+            f"{MONITOR_OVERHEAD_LIMIT_PERCENT:.0f}%; median arm of "
+            f"{MONITOR_SWEEPS_PER_ARM} sweeps bare "
             f"{statistics.median(bare):.3f}s, streamed "
             f"{statistics.median(streamed):.3f}s)")
     return payload, None
@@ -999,7 +1020,8 @@ def main() -> int:
           f"{SOAK_CI_ROUNDS} rounds")
     print(f"  event stream: {monitor['overhead_percent']:+.2f}% sweep "
           f"overhead (limit {MONITOR_OVERHEAD_LIMIT_PERCENT:.0f}%, "
-          f"median of {monitor['pairs']} pairs, spool "
+          f"median of {monitor['turn_overhead_percent']['n']} sweep "
+          f"turns, spool "
           f"{monitor['spool_bytes']} bytes)")
     print(f"  trajectories written to {path.name}, {obs_path.name}, "
           "BENCH_dispatch.json, BENCH_fig8_relay.json, "

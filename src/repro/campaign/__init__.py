@@ -23,6 +23,7 @@ from repro.campaign.engine import (
     campaign_chunk_task,
     fault_runner,
     run_campaign,
+    warm_backgrounds,
 )
 from repro.campaign.faults import (
     FAULT_KINDS,
@@ -66,6 +67,7 @@ __all__ = [
     "campaign_chunk_task",
     "fault_runner",
     "run_campaign",
+    "warm_backgrounds",
     "FAULT_KINDS",
     "FaultColumns",
     "FaultOverlay",

@@ -831,6 +831,22 @@ def campaign_tasks(config: CampaignConfig) -> list[SweepTask]:
     return tasks
 
 
+def warm_backgrounds(configs: typing.Sequence[CampaignConfig]) -> None:
+    """Build every config's background in this process.
+
+    The campaign CLI makes this its runner's
+    :attr:`~repro.exec.runner.SweepRunner.before_fork`: each config's
+    evaluator is built through :func:`fault_runner`, which fills the
+    warm ``"trajectory"`` entries — stride snapshots, background rows
+    and the lane machine's prefix table — and imports the evaluation
+    path.  Fork-started workers inherit both, so none of them builds a
+    background or imports the lane machine.  Serial runs, spawn pools
+    and runs with nothing to execute (no pool starts) never call it.
+    """
+    for config in configs:
+        fault_runner(config)
+
+
 @dataclasses.dataclass
 class CampaignResult:
     """Classified population plus the coverage report and run summary."""

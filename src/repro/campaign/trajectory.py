@@ -150,6 +150,8 @@ def trajectory_for(
             except OSError as error:  # best-effort persistence
                 logger.warning("could not persist trajectory %s: %s",
                                key[:12], error)
+            finally:
+                disk.close()
         return trajectory
 
     return WARM.get_or_build("trajectory", key, load_or_build)

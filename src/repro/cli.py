@@ -348,15 +348,24 @@ class _LiveStatus:
         self.fold = HealthFold()
         self._quiet = quiet
         self._progress = progress
+        self._after_progress_line = False
 
     def __call__(self, event: dict) -> None:
         self.fold.apply(event)
         if self._quiet:
             return
         etype = event.get("type")
-        if (etype in self._PRINT_ON
-                or (self._progress and etype == "progress")):
+        shown = (etype in self._PRINT_ON
+                 or (self._progress and etype == "progress"))
+        # A run's finish forces a ``progress`` and then emits its
+        # ``phase_end``: both fold to the phase's last line, printed
+        # once (for the progress).  Unprinted events between them, such
+        # as a registry's ``metrics``, do not break the pair.
+        if not shown:
+            return
+        if not (etype == "phase_end" and self._after_progress_line):
             print(self.line(), file=sys.stderr, flush=True)
+        self._after_progress_line = etype == "progress"
 
     def line(self) -> str:
         import time
@@ -487,9 +496,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         CampaignConfig,
         render_reports,
         run_campaign,
+        warm_backgrounds,
         write_campaign_bench,
     )
     from repro.errors import ConfigurationError
+    from repro.exec.worker import WARM
 
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
@@ -529,6 +540,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     drained_exit: int | None = None
     try:
         with _graceful_drain(runner, publisher) as drain:
+            # Built when the first phase with work starts the pool, so
+            # forked workers inherit every background they will need.
+            runner.before_fork = lambda: warm_backgrounds(configs)
             for config in configs:
                 scheme = config.scheme
                 runner.checkpoint = None
@@ -554,6 +568,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     break
                 reports.append(result.report)
                 summary = result.summary
+                # No later phase reads this scheme's background, and a
+                # forked pool's workers hold their own copies of every
+                # scheme's: this process's copies only raise its peak
+                # memory.
+                WARM.discard("trajectory")
                 # Scheme-boundary result line: campaign domain facts up
                 # front, then the shared RunHealth status (the same fold
                 # ``monitor`` renders — see _LiveStatus).

@@ -9,16 +9,18 @@ reconstructs the exact dataclass types on load.  The store form
 (:func:`encode_stored`) additionally writes a list of one scalar-field
 dataclass, or a :class:`~repro.columns.ColumnBlock` of them — a
 campaign chunk's outcomes — as columns, and is serialized once per
-task: the runner hands the same text to the cache and the sweep
-checkpoint.  Stored columns of a block's record type decode straight
-into a block.
+task, by the pool worker that computed it or else by the runner, which
+hands the same text to the cache and the sweep checkpoint.  Stored
+columns of a block's record type decode straight into a block.
 
 Entries live in an append-only *pack*: ``pack-<pid>.jsonl`` segments,
 one per writer process, so pool workers never contend for a lock.  Each
 entry is one line (:func:`repro.exec.recordlog.encode_line`) that starts
 with its key; the first :meth:`ResultCache.get` indexes every segment
 (key → segment, offset, length; the newest record for a key wins) and
-each lookup reads and verifies only its own slice.
+each lookup reads and verifies only its own slice.  A cache appends
+through one handle on its segment, opened by the first put of the
+process and held until :meth:`ResultCache.close`.
 
 Every record ends in a SHA-256 checksum of all its other bytes; a
 truncated, corrupted, or tampered record fails verification (when the
@@ -255,6 +257,9 @@ class ResultCache:
         #: key -> (segment, offset, length) of its newest intact record;
         #: built on the first lookup, then kept current by our puts.
         self._index: dict[str, tuple[pathlib.Path, int, int]] | None = None
+        #: ``(pid, segment, handle)`` puts append through; a forked child
+        #: sees another pid and opens its own segment.
+        self._writer: tuple[int, pathlib.Path, typing.BinaryIO] | None = None
 
     # -- keys --------------------------------------------------------------
     def key_for(self, experiment: str, params: typing.Mapping,
@@ -354,7 +359,8 @@ class ResultCache:
 
         ``encoded`` is ``value``'s :func:`encode_stored` text when the
         caller already has it.  The line is flushed, not ``fsync``\\ ed:
-        a torn record is a miss, never a wrong value.
+        a torn record is a miss, never a wrong value.  The segment's
+        tail is checked once, when this process first opens it.
         """
         if not _KEY.fullmatch(key):
             raise ConfigurationError(f"invalid cache key {key!r}")
@@ -366,21 +372,38 @@ class ResultCache:
             "experiment": experiment,
             "meta": meta or {},
         }, result=encoded)[:-2])
+        segment, handle = self._open_segment()
+        handle.write(line)
+        handle.flush()
+        if self._index is not None:
+            # Appends land at the end of the file, so the record starts
+            # its own length before where the write left the handle.
+            self._index[key] = (segment, handle.tell() - len(line),
+                                len(line) - 1)
+
+    def _open_segment(self) -> tuple[pathlib.Path, typing.BinaryIO]:
+        """This process's segment and the handle puts append through."""
+        pid = os.getpid()
+        if self._writer is not None and self._writer[0] == pid:
+            return self._writer[1], self._writer[2]
         self.directory.mkdir(parents=True, exist_ok=True)
         segment = self._segment()
-        length = len(line) - 1
-        with open(segment, "ab+") as handle:
-            offset = handle.seek(0, os.SEEK_END)
-            if offset:
-                # A writer killed mid-line (an earlier process with
-                # this pid) left a torn tail: start on a fresh line.
-                handle.seek(offset - 1)
-                if handle.read(1) != b"\n":
-                    line = b"\n" + line
-                    offset += 1
-            handle.write(line)
-        if self._index is not None:
-            self._index[key] = (segment, offset, length)
+        handle = open(segment, "ab+")
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            # A writer killed mid-line (an earlier process with this
+            # pid) left a torn tail: start on a fresh line.
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+        self._writer = (pid, segment, handle)
+        return segment, handle
+
+    def close(self) -> None:
+        """Release the segment handle (a later put reopens it)."""
+        writer, self._writer = self._writer, None
+        if writer is not None and writer[0] == os.getpid():
+            writer[2].close()
 
     # -- task-level convenience -------------------------------------------
     def get_task(self, task: "SweepTask") -> tuple[bool, typing.Any]:
@@ -402,6 +425,7 @@ class ResultCache:
         ``*.tmp`` files orphaned by a writer killed mid-store.
         """
         removed = len(self)
+        self.close()
         for pattern in ("pack-*.jsonl", "*.json", "*.tmp"):
             for path in self.directory.glob(pattern):
                 try:

@@ -18,7 +18,9 @@ every sweep's cache misses, whatever executes them:
   :meth:`SweepRunner.run` calls, so multi-phase drivers (the campaign
   CLI runs one sweep per scheme) pay pool construction once.  Any
   multi-worker run uses the pool even for a single miss: crash-prone
-  tasks never execute in the parent while a pool exists.
+  tasks never execute in the parent while a pool exists.  A fork pool
+  is built after :attr:`SweepRunner.before_fork` has run, so whatever
+  that hook builds in the parent every worker inherits.
 * ``workers <= 1`` (the default), or a pool that cannot be created or
   rebuilt, executes batches in this process, one at a time: the same
   loop submits to an in-parent executor whose results come back
@@ -32,7 +34,8 @@ every sweep's cache misses, whatever executes them:
   recording, retries, or checkpointing — and are re-ordered in the
   parent, which is free because outcomes are keyed by task index.
   Worker-side metric deltas, spans, and warm-cache stats ship once per
-  batch.
+  batch, and so does each value's store encoding when the parent has a
+  cache or a checkpoint to put it in.
 * A task function may carry a ``batch(params_list)`` form that returns
   exactly what mapping the function over the list would.  Consecutive
   tasks of such a function in one batch then run as one group in one
@@ -412,18 +415,28 @@ def _run_batch(tasks: typing.Sequence[SweepTask]) -> dict:
     }
 
 
-def execute_batch(payloads: list[dict]) -> dict:
+def execute_batch(payloads: list[dict], encode: bool = False) -> dict:
     """Run a batch of tasks in one pool round-trip (worker entry point).
 
     :func:`_run_batch` over the payloads, with each error rendered by
     ``repr`` (exception types may not pickle) and the batch's metric
-    deltas and spans captured for the parent to merge.
+    deltas and spans captured for the parent to merge.  With ``encode``
+    (the parent stores values) each successful entry also carries its
+    value's :func:`~repro.exec.cache.encode_stored` text under
+    ``"encoded"``, so the parent stores it without encoding; a value
+    that does not encode ships without it, and the parent's own encode
+    raises the error.
     """
     token = obs.begin_capture()
     out = _run_batch([SweepTask(**payload) for payload in payloads])
     for entry in out["results"]:
         if not entry["ok"]:
             entry["error"] = repr(entry["error"])
+        elif encode:
+            try:
+                entry["encoded"] = encode_stored(entry["value"])
+            except Exception:  # noqa: BLE001 — raised again in the parent
+                pass
     if token is not None:
         out["obs"], out["obs_spans"] = obs.end_capture(token)
     return out
@@ -525,9 +538,14 @@ class _Dispatcher:
     """
 
     def __init__(self, runner: "SweepRunner",
-                 record: typing.Callable[[TaskOutcome], None]) -> None:
+                 record: typing.Callable[[TaskOutcome, str | None],
+                                         None]) -> None:
         self.runner = runner
         self.record = record
+        #: Whether workers ship each value's store encoding (the parent
+        #: only needs it when it has somewhere to store the value).
+        self.encode = (runner.cache is not None
+                       or runner.checkpoint is not None)
         self.pending: collections.deque[tuple[SweepTask, int]] = \
             collections.deque()
         self.retries: list[tuple[float, int, SweepTask, int]] = []
@@ -582,13 +600,18 @@ class _Dispatcher:
         """Dispatch batches onto free slots; True if the pool broke."""
         pool = self.runner._pool
         free = self._free_slots()
+        if not self.pending or free <= 0:
+            return False
+        # Each worker's share of what is left — queued plus in flight —
+        # capped by the sizer's wall-time target, so the first worker
+        # back does not take the tail of a sweep while the others
+        # finish their batches and then idle.
+        left = len(self.pending) + sum(
+            len(flight.batch) for flight in self.in_flight.values())
+        slots = self.runner.workers if pool is not None else 1
+        limit = max(1, min(self.runner._sizer.size(),
+                           math.ceil(left / slots)))
         while self.pending and free > 0:
-            # Split what's left across the free workers, capped by the
-            # sizer's wall-time target, so the tail of a sweep doesn't
-            # pile onto one worker while others idle.
-            limit = max(1, min(
-                self.runner._sizer.size(),
-                math.ceil(len(self.pending) / free)))
             batch = self._take(limit, inline=pool is None)
             if not batch:
                 continue
@@ -598,7 +621,8 @@ class _Dispatcher:
             else:
                 payloads = [_task_payload(task) for task, _ in batch]
                 try:
-                    future = pool.submit(execute_batch, payloads)
+                    future = pool.submit(execute_batch, payloads,
+                                         self.encode)
                 except (BrokenProcessPool, RuntimeError):
                     # Never dispatched — requeue untouched (not
                     # suspects, no attempt charged) and let the
@@ -716,7 +740,7 @@ class _Dispatcher:
             wall_time_s=entry["wall_time_s"],
             events_processed=entry["events_processed"],
             cached=False, attempts=attempt, worker_pid=worker_pid,
-        ))
+        ), entry.get("encoded"))
 
     def _after_failure(self, task: SweepTask, attempt: int,
                        error: BaseException) -> None:
@@ -804,7 +828,8 @@ class _Dispatcher:
                 runner.telemetry.record_fallback(error)
                 break
             with pool:
-                future = pool.submit(execute_batch, [_task_payload(task)])
+                future = pool.submit(execute_batch, [_task_payload(task)],
+                                     self.encode)
                 try:
                     raw = future.result(timeout=runner.task_timeout_s)
                 except BrokenProcessPool as error:
@@ -827,7 +852,7 @@ class _Dispatcher:
             task=task, value=None, wall_time_s=0.0,
             events_processed=0, cached=False, attempts=attempt,
             worker_pid=os.getpid(), status="poisoned",
-        ))
+        ), None)
 
 
 class SweepRunner:
@@ -878,6 +903,12 @@ class SweepRunner:
         self.batch_target_s = batch_target_s
         self.max_batch = max_batch
         self.mp_start = mp_start
+        #: Called just before the dispatch pool is built when its workers
+        #: fork this process: what it builds — warm-cache entries,
+        #: imported modules — every worker inherits.  A fully cached or
+        #: resumed run builds no pool and never calls it; an exception
+        #: it raises is logged and the pool starts anyway.
+        self.before_fork: typing.Callable[[], None] | None = None
         #: Result of the most recent :meth:`run` (telemetry access for
         #: callers that only see the experiment's return value).
         self.last_run: SweepRunResult | None = None
@@ -921,6 +952,14 @@ class SweepRunner:
         """
         if self._pool is not None:
             return self._pool
+        if self.before_fork is not None and self._forks():
+            try:
+                self.before_fork()
+            except Exception as error:  # noqa: BLE001 — a warm-up only
+                # Workers then build what the hook did not, and a task
+                # that fails the same way takes the usual retry path.
+                logger.warning("before_fork hook failed; workers build "
+                               "lazily: %r", error)
         try:
             pool = self._new_pool(self.workers)
         except (OSError, ValueError, ImportError) as error:
@@ -930,6 +969,14 @@ class SweepRunner:
         self._pool_finalizer = weakref.finalize(self, _shutdown_pool,
                                                 pool)
         return pool
+
+    def _forks(self) -> bool:
+        """Whether this runner's pools start their workers by fork."""
+        try:
+            method = exec_mp_context(self.mp_start).get_start_method()
+        except ValueError:  # no such start method: no pool either
+            return False
+        return method == "fork"
 
     def _new_pool(self, workers: int
                   ) -> concurrent.futures.ProcessPoolExecutor:
@@ -941,11 +988,14 @@ class SweepRunner:
 
     def close(self, *, wait: bool = False) -> None:
         """Shut the persistent worker pool down (also how a crashed
-        pool is dropped before its rebuild).
+        pool is dropped before its rebuild) and release the cache's
+        segment handle.
 
         ``wait=True`` blocks until the workers exit; the default lets
         them finish their current batch and exit on their own.
         """
+        if self.cache is not None:
+            self.cache.close()
         if self._pool is None:
             return
         if self._pool_finalizer is not None:
@@ -976,6 +1026,8 @@ class SweepRunner:
             resumed_records = self.checkpoint.load(tasks, _code_version())
 
         misses: list[SweepTask] = []
+        # Cache key of every miss, hashed once for its get and its put.
+        keys: dict[int, str] = {}
         for task in tasks:
             record = resumed_records.get(task.index)
             if record is not None:
@@ -983,7 +1035,11 @@ class SweepRunner:
                 outcomes[task.index] = outcome
                 self.telemetry.record_task(outcome)
                 continue
-            hit, value = self._cache_get(task)
+            hit, value = False, None
+            if self.cache is not None:
+                keys[task.index] = key = self.cache.key_for(
+                    task.experiment, task.params, task.seed)
+                hit, value = self.cache.get(key)
             if hit:
                 outcome = TaskOutcome(
                     task=task, value=value, wall_time_s=0.0,
@@ -1001,19 +1057,22 @@ class SweepRunner:
         # completion order, not batch order — so a crash mid-sweep
         # leaves the checkpoint and cache holding every task finished
         # so far, even when its batch-mates were still running.
-        def record(outcome: TaskOutcome) -> None:
+        def record(outcome: TaskOutcome, encoded: str | None) -> None:
             outcomes[outcome.task.index] = outcome
             self.telemetry.record_task(outcome)
-            # One encoding serves both durable stores.
+            # One encoding serves both durable stores: the worker's,
+            # or else this process's.
             cacheable = self._cacheable(outcome)
             if not cacheable and self.checkpoint is None:
                 return
-            encoded = encode_stored(outcome.value)
+            if encoded is None:
+                encoded = encode_stored(outcome.value)
             if cacheable:
-                self.cache.put_task(outcome.task, outcome.value, meta={
-                    "wall_time_s": outcome.wall_time_s,
-                    "events_processed": outcome.events_processed,
-                }, encoded=encoded)
+                meta = {"wall_time_s": outcome.wall_time_s,
+                        "events_processed": outcome.events_processed}
+                self.cache.put(keys[outcome.task.index], outcome.value,
+                               experiment=outcome.task.experiment,
+                               meta=meta, encoded=encoded)
             if self.checkpoint is not None:
                 self.checkpoint.record(outcome, encoded)
 
@@ -1067,11 +1126,6 @@ class SweepRunner:
             obs.REGISTRY.merge(raw["obs"])
         if raw.get("obs_spans"):
             obs.TRACER.add_records(raw["obs_spans"])
-
-    def _cache_get(self, task: SweepTask) -> tuple[bool, typing.Any]:
-        if self.cache is None:
-            return False, None
-        return self.cache.get_task(task)
 
     def _cacheable(self, outcome: TaskOutcome) -> bool:
         return (self.cache is not None and not outcome.cached

@@ -11,8 +11,10 @@ from __future__ import annotations
 import os
 import signal
 import time
+import typing
 
 from repro.errors import ExecutionError
+from repro.exec.cache import decode_result
 from repro.exec.runner import TaskPayload
 
 
@@ -46,6 +48,16 @@ def _batched_squares(params_list: list[dict]) -> list[TaskPayload]:
 
 
 batched_square_task.batch = _batched_squares  # type: ignore[attr-defined]
+
+
+def stored_value_task(params: dict) -> typing.Any:
+    """Return the value stored as ``params['stored']`` (its decoded
+    :func:`~repro.exec.cache.encode_stored` form), or, with
+    ``params['unencodable']``, a set of its items: a value that crosses
+    the pool but has no store encoding."""
+    if "unencodable" in params:
+        return set(params["unencodable"])
+    return decode_result(params["stored"])
 
 
 def sleep_task(params: dict) -> float:

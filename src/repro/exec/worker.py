@@ -121,6 +121,11 @@ class WarmCache:
     def stats_delta(self, before: dict[str, list[int]]) -> dict:
         return self.delta(before, self.counters())
 
+    def discard(self, kind: str) -> None:
+        """Drop every entry of ``kind`` (the counters stay)."""
+        for full in [full for full in self._entries if full[0] == kind]:
+            del self._entries[full]
+
     def clear(self) -> None:
         """Drop every entry and zero the counters."""
         self._entries.clear()

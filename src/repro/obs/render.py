@@ -11,7 +11,6 @@ and add no information of their own.
 
 from __future__ import annotations
 
-import html as _html
 import json
 import os
 import pathlib
@@ -162,9 +161,12 @@ def render_html(health: "RunHealth",
                 events: typing.Sequence[dict] | None = None, *,
                 tail: int = 30) -> str:
     """A static, dependency-free HTML report for one run."""
+    # Imported here: ``html`` loads a 2,000-entry entity table that the
+    # status line, which every run prints, never needs.
+    import html
 
     def esc(value: typing.Any) -> str:
-        return _html.escape(str(value))
+        return html.escape(str(value))
 
     rows = []
     for label, value in [

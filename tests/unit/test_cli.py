@@ -175,3 +175,38 @@ class TestCampaignConfigErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
+
+
+class TestCampaignStatusLines:
+    @pytest.fixture(params=[False, True], ids=["plain", "obs-out"])
+    def obs_argv(self, request, tmp_path, monkeypatch):
+        # ``--obs-out`` attaches a registry, whose ``metrics`` event
+        # (not printed) falls between the finish's forced ``progress``
+        # and its ``phase_end``.
+        if not request.param:
+            yield []
+            return
+        from repro import obs
+
+        monkeypatch.setenv(obs.OBS_ENV, "0")
+        obs.reset()
+        try:
+            yield ["--obs-out", str(tmp_path / "obs")]
+        finally:
+            obs.disable()
+            obs.reset()
+
+    def test_phase_end_line_prints_once(self, capsys, obs_argv):
+        # A phase's finishing ``progress`` and its ``phase_end`` fold to
+        # the same status line; stderr carries it once per phase.
+        code = main(["campaign", "--schemes", "plain,timber-ff",
+                     "--faults", "40", "--cycles", "200", "--chunk", "10",
+                     "--no-cache", *obs_argv])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("campaign  ") for line in lines)
+        assert all(a != b for a, b in zip(lines, lines[1:])), lines
+        for done in ("4/4", "8/8"):
+            assert sum(f"  running  {done} tasks" in line
+                       for line in lines) == 1, lines
+        assert lines[-1].startswith("campaign  done  8/8 tasks")

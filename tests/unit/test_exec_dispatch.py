@@ -1,5 +1,6 @@
 """Unit tests for the batched warm-worker dispatch layer."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -7,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.exec import (
     expand_grid,
     read_checkpoint,
 )
-from repro.exec.runner import execute_batch
+from repro.exec.runner import _Dispatcher, _Flight, execute_batch
 from repro.exec.worker import WARM_CACHE_ENV, WarmCache
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -80,6 +82,18 @@ class TestWarmCache:
         assert len(built) == 3
         assert len(cache) == 0
         assert cache.counters() == {"k": [0, 3]}
+
+    def test_discard_drops_one_kind(self):
+        cache = WarmCache(capacity=4)
+        for kind, key in (("trajectory", "a"), ("compiled", "a"),
+                          ("trajectory", "b")):
+            cache.get_or_build(kind, key, lambda: key)
+        cache.discard("trajectory")
+        assert len(cache) == 1
+        cache.get_or_build("compiled", "a", lambda: "a")
+        cache.get_or_build("trajectory", "a", lambda: "a")
+        assert cache.counters() == {"trajectory": [0, 3],
+                                    "compiled": [1, 1]}
 
     def test_stats_delta(self):
         cache = WarmCache(capacity=4)
@@ -356,6 +370,51 @@ class TestBatchBoundaries:
             assert runner._sizer.observed_task_s != prior
             runner.run(_square_tasks(tuple(range(4, 8))))
             assert runner._sizer is sizer
+
+
+class _HeldPool:
+    """A pool stand-in that records each batch and never resolves it."""
+
+    def __init__(self) -> None:
+        self.batch_sizes: list[int] = []
+
+    def submit(self, fn, payloads, *args):
+        self.batch_sizes.append(len(payloads))
+        return concurrent.futures.Future()
+
+
+class TestTailSplit:
+    """What is left is shared by the pool's workers, not by the slots
+    that happen to be free when a batch comes back."""
+
+    def _dispatcher(self, workers: int):
+        runner = SweepRunner(workers=workers, batch_target_s=10.0)
+        for _ in range(40):  # fast tasks: the sizer allows max_batch
+            runner._sizer.observe(1e-6)
+        assert runner._sizer.size() == runner.max_batch
+        pool = _HeldPool()
+        runner._pool = pool
+        return _Dispatcher(runner, lambda outcome, encoded: None), pool
+
+    def test_first_worker_back_takes_its_share(self):
+        dispatcher, pool = self._dispatcher(workers=2)
+        tasks = _square_tasks(tuple(range(72)))
+        # One worker still runs 8 tasks; the other is back.  The 64
+        # queued tasks are not all its: each worker's share of the 72
+        # left is 36.
+        dispatcher.in_flight[concurrent.futures.Future()] = _Flight(
+            [(task, 1) for task in tasks[:8]], None)
+        dispatcher.pending.extend((task, 1) for task in tasks[8:])
+        dispatcher._fill(time.monotonic())
+        assert pool.batch_sizes == [36]
+        assert len(dispatcher.pending) == 28
+
+    def test_free_workers_split_evenly(self):
+        dispatcher, pool = self._dispatcher(workers=2)
+        dispatcher.pending.extend(
+            (task, 1) for task in _square_tasks(tuple(range(80))))
+        dispatcher._fill(time.monotonic())
+        assert pool.batch_sizes == [40, 40]
 
 
 class TestTelemetryAggregation:
