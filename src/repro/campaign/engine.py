@@ -524,20 +524,21 @@ class _CycleEvaluator:
     production entry point — runs every lane it can prove equivalent
     to a fork as one numpy batch.  A chunk is planned as columns: each
     fault's fork snapshot, window end and *eligibility* (idle fork
-    snapshot, state-free prefix, window within the lane cap) are array
-    expressions over its :class:`~repro.campaign.faults.FaultColumns`,
-    and every lane that qualifies runs in as few calls of the lane
-    machine (:mod:`repro.kernels.fault_batch`) as the batch cap allows:
+    snapshot, state-free prefix) are array expressions over its
+    :class:`~repro.campaign.faults.FaultColumns`, and every lane that
+    qualifies runs in as few calls of the lane machine
+    (:mod:`repro.kernels.fault_batch`) as the batch cap allows:
     per-lane disturbance deltas on the shared background rows, a
-    vectorized borrow/select/relay machine, per-lane folds returned as
-    outcome columns.  Lanes carry absolute cycle indices into the one
-    background, so batch composition changes arithmetic shape only,
-    never lane semantics.  The semantic counters the forked prefixes
-    would have bumped come from the machine's prefix table, one
-    vectorized sum per chunk.
+    vectorized borrow/select/relay machine that retires a batch once
+    its faults are spent — so windows of any length batch — and
+    per-lane folds returned as outcome columns.  Lanes carry absolute
+    cycle indices into the one background, so batch composition
+    changes arithmetic shape only, never lane semantics.  The semantic
+    counters the forked prefixes would have bumped come from the
+    machine's prefix table, one vectorized sum per chunk.
 
-    Everything else — a lane whose prefix carries state or whose window
-    is oversized, and every lane when there is no machine (scalar
+    Everything else — a lane whose fork snapshot or prefix carries
+    state, and every lane when there is no machine (scalar
     kernels leave the background rows ``None``; logical masking and
     soft-edge have no array semantics) — goes through :meth:`replay`,
     the per-fault fork the batch is pinned against, and the only place
@@ -649,7 +650,7 @@ class _CycleEvaluator:
         outcomes = OutcomeColumns.for_faults(faults)
         folded = outcomes.table[FOLDED:]
         units = (end + 1 - start) * self._units_per_cycle
-        batch = self._batchable(snapshot, start, cycle, end)
+        batch = self._batchable(snapshot, start, cycle)
         lanes = np.flatnonzero(batch)
         if lanes.size:
             self._run_lanes(faults, lanes, end, folded)
@@ -675,7 +676,7 @@ class _CycleEvaluator:
         return _finish_chunk(config, outcomes, units.tolist(), started)
 
     def _batchable(self, snapshot: np.ndarray, start: np.ndarray,
-                   cycle: np.ndarray, end: np.ndarray) -> np.ndarray:
+                   cycle: np.ndarray) -> np.ndarray:
         """Which faults the lane machine provably evaluates like a fork.
 
         A lane is equivalent to its forked replay when its fork
@@ -686,8 +687,9 @@ class _CycleEvaluator:
         predictions — outside the fault's observer window; their
         counter increments come from the table.  State *inside* the
         window is fine: the machine models the real rows and those
-        events belong to the outcome on every path.  The window must
-        also fit :data:`~repro.kernels.fault_batch.MAX_LANE_WINDOW`.
+        events belong to the outcome on every path.  The window may
+        have any length: the machine retires a batch once its faults
+        are spent.
         """
         machine = self.machine
         if machine is None:
@@ -696,9 +698,7 @@ class _CycleEvaluator:
         idle = np.array([
             machine.state_is_idle(self.trajectory.snapshots[index])
             for index in used.tolist()], dtype=bool)
-        return (idle[which.reshape(-1)]
-                & machine.state_free(start, cycle)
-                & (end + 1 - cycle <= self._fault_batch.MAX_LANE_WINDOW))
+        return idle[which.reshape(-1)] & machine.state_free(start, cycle)
 
     def _run_lanes(self, faults: FaultColumns, lanes: np.ndarray,
                    end: np.ndarray, folded: np.ndarray) -> None:

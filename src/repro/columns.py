@@ -27,8 +27,6 @@ import typing
 
 import numpy as np
 
-_INT64 = (-2 ** 63, 2 ** 63)
-
 #: Record dataclass → the block class holding it.
 _BLOCKS: dict[type, type["ColumnBlock"]] = {}
 
@@ -110,19 +108,21 @@ class ColumnBlock(collections.abc.Sequence):
                           if sites is None else sites)
         rows = []
         for values, names in zip(columns.values(), block._names()):
-            if names is None:
-                if not all(type(value) is int
-                           and _INT64[0] <= value < _INT64[1]
-                           for value in values):
-                    return None
-                rows.append(values)
-                continue
-            slot = {name: index for index, name in enumerate(names)}
-            if not all(type(value) is str and value in slot
-                       for value in values):
+            # One type check per column; ``bool`` is not ``int`` here.
+            if set(map(type, values)) - {int if names is None else str}:
                 return None
-            rows.append([slot[value] for value in values])
-        block.table = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+            if names is not None:
+                slot = {name: index for index, name in enumerate(names)}
+                try:
+                    values = [slot[value] for value in values]
+                except KeyError:
+                    return None
+            rows.append(values)
+        try:
+            table = np.array(rows, dtype=np.int64)
+        except OverflowError:  # a number outside int64
+            return None
+        block.table = table.reshape(len(rows), -1)
         return block
 
     @classmethod

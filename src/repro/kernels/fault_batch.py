@@ -27,22 +27,29 @@ stay columns from there to the report, the result store and the soak
 journal; no per-fault record is built for a batched lane.
 
 A lane is only batched when its equivalence to the per-fault forked
-path is *provable*:
+path is *provable*: its fork snapshot must be idle (zero borrow, zero
+relay selects) and the prefix ``[fork start, injection cycle)`` must be
+*state-free*: no background cycle in it, entered idle, leaves borrow or
+relay state behind (:class:`PrefixTable`,
+:meth:`~_LaneMachineBase.state_free`).  By induction the forked run
+then enters every prefix cycle idle and the lane's window with exactly
+zero carried state; the prefix may still capture non-clean outcomes (a
+canary's standing guard-band predictions), but those fall outside the
+fault's observer window and only bump semantic counters, which the
+table holds as cumulative sums.
 
-* its fork snapshot must be idle (zero borrow, zero relay selects) and
-  the prefix ``[fork start, injection cycle)`` must be *state-free*:
-  no background cycle in it, entered idle, leaves borrow or relay state
-  behind (:class:`PrefixTable`, :meth:`~_LaneMachineBase.state_free`).
-  By induction the forked run then enters every prefix cycle idle and
-  the lane's window with exactly zero carried state; the prefix may
-  still capture non-clean outcomes (a canary's standing guard-band
-  predictions), but those fall outside the fault's observer window and
-  only bump semantic counters, which the table holds as cumulative
-  sums;
-* its window must fit :data:`MAX_LANE_WINDOW` steps.
+Windows of any length batch.  A fault's effect is spent a few cycles
+after injection, so a batch **retires** once every lane still inside
+its window is idle, past its fault-active steps and facing only quiet
+background — cycles that, entered idle, capture nothing and leave no
+state (the table's cumulative ``busy`` count).  Such a lane would
+enter every remaining cycle idle and capture nothing, so stopping
+changes no outcome and no counter.  Long windows step in segments of
+:data:`_SEGMENT` steps, state carried across, so the per-step buffers
+stay bounded; a window that fits one segment runs as one plain loop.
 
-Lanes that fail these checks drop to the existing per-fault forked
-path, which is preserved as the executable spec — the same
+Lanes that fail the eligibility checks drop to the existing per-fault
+forked path, which is preserved as the executable spec — the same
 screen-plus-scalar-replay discipline the cycle kernels use, now applied
 along the fault dimension.  Inside the batch, every semantic counter
 increment the scalar state machine would have made is reproduced
@@ -65,18 +72,17 @@ from repro.kernels.pipeline import CaptureArrays, CaptureParams, capture_block
 from repro.pipeline import graph_sim as _graph_sim
 from repro.pipeline import pipeline as _pipeline_sim
 
-#: Longest fork window (in cycles from the injection cycle to the
-#: window end, inclusive) a lane may occupy in a batch.  Longer windows
-#: — pathological relay horizons — replay through the forked path; the
-#: batch buffers stay small and dense.
-MAX_LANE_WINDOW = 64
-
 #: Most lanes one :meth:`evaluate` call advances.  A campaign chunk
 #: evaluated for a whole dispatch batch can hold thousands of lanes;
 #: the evaluator feeds them through in slices of this size, which keeps
 #: the ``(lanes, window, columns)`` buffers — and so peak memory —
 #: bounded while amortizing the per-call numpy overhead.
 MAX_BATCH_LANES = 256
+
+#: Window steps per pre-gathered segment.  :meth:`~_LaneMachineBase.
+#: evaluate` steps a longer window a segment at a time, which bounds
+#: its ``(lanes, segment, columns)`` buffers however long the window.
+_SEGMENT = 16
 
 #: Background cycles per array call when building a prefix table.
 _TABLE_BLOCK = 512
@@ -94,6 +100,10 @@ _BIG_NEG = -(2 ** 60)
 _OBS_LANES = obs.REGISTRY.counter(
     "repro_kernel_fault_lanes_total",
     "Campaign fault lanes by evaluation path",
+    labelnames=("kernel", "path"))
+_OBS_STEPS = obs.REGISTRY.counter(
+    "repro_kernel_lane_steps_total",
+    "Batched fault-lane window steps the lane machine ran or retired",
     labelnames=("kernel", "path"))
 _OBS_GROUP = obs.REGISTRY.histogram(
     "repro_kernel_lane_group_faults",
@@ -128,8 +138,9 @@ class LaneBlock:
         return LaneBlock(*(getattr(self, field.name)[index]
                            for field in dataclasses.fields(self)))
 
-    def window(self, num_rows: int) -> tuple:
-        """The batch's ``(cycles, delta, live)`` over its widest window.
+    def window(self, num_rows: int, start: int, stop: int) -> tuple:
+        """The batch's ``(cycles, delta, live)`` over window steps
+        ``[start, stop)``.
 
         ``cycles`` is the ``(L, W)`` background row of each lane step,
         clipped to the rows (dead steps past a lane's window read a
@@ -139,7 +150,7 @@ class LaneBlock:
         in one broadcast; ``live`` the ``(L, W)`` mask of steps inside
         each lane's own window.
         """
-        step = np.arange(int(self.steps.max()), dtype=np.int64)
+        step = np.arange(start, stop, dtype=np.int64)
         cycles = np.minimum(self.cycle[:, None] + step, num_rows - 1)
         active = step < self.duration[:, None]
         delta = np.where(active[:, :, None] & self.mask[:, None, :],
@@ -147,36 +158,50 @@ class LaneBlock:
         return cycles, delta, step < self.steps[:, None]
 
 
-def _collect(event: "np.ndarray", lateness: "np.ndarray",
-             caps: CaptureArrays) -> tuple:
-    """Fold the stacked ``(lanes, window, columns)`` captures into
-    per-lane outcome columns.
+def _fold(event: "np.ndarray", lateness: "np.ndarray",
+          caps: CaptureArrays) -> list:
+    """Fold the stacked ``(lanes, steps, columns)`` captures of one
+    window segment into per-lane aggregates.
 
-    Returns ``(classes, events, worst_lateness_ps,
-    max_borrowed_intervals)``, one entry per lane, with ``classes`` as
-    indices into :data:`~repro.campaign.outcomes.SEVERITY_LADDER`.
-    ``event`` must already be masked to live steps; aggregation is
+    Returns ``[events, worst, max_intervals, failed, relayed,
+    masked_ed, masked, warned]``, one entry per lane: the event count,
+    the worst evaluated lateness of an event (:data:`_BIG_NEG` if none),
+    the most borrowed intervals of an event, and the five severity
+    flags of :data:`~repro.campaign.outcomes.SEVERITY_LADDER`.
+    ``event`` must already be masked to live steps; every aggregate is
     order-free, exactly like ``outcome_from_events`` over the observer
-    stream.
+    stream, so segments combine with :data:`_COMBINE`.
     """
     axes = (1, 2)
     masked, intervals = caps.masked, caps.borrowed_intervals
-    events = event.sum(axes)
-    worst = np.where(event, lateness, _BIG_NEG).max(axes)
-    worst = np.where(events > 0, worst, 0)
-    max_intervals = np.where(event, intervals, 0).max(axes)
-    any_failed = (caps.failed & event).any(axes)
-    any_relayed = (masked & (intervals >= 2) & event).any(axes)
-    any_masked_ed = (((masked & caps.flagged) | caps.detected)
-                     & event).any(axes)
-    any_masked = (masked & event).any(axes)
-    any_warned = ((caps.predicted | caps.flagged) & event).any(axes)
-    # classify_flags, vectorized: one np.select down the same severity
-    # ladder instead of a python call per lane.
-    classes = np.select(
-        [any_failed, any_relayed, any_masked_ed, any_masked, any_warned],
-        [0, 1, 2, 3, 4], default=5)
-    return classes, events, worst, max_intervals
+    return [
+        event.sum(axes),
+        np.where(event, lateness, _BIG_NEG).max(axes),
+        np.where(event, intervals, 0).max(axes),
+        (caps.failed & event).any(axes),
+        (masked & (intervals >= 2) & event).any(axes),
+        (((masked & caps.flagged) | caps.detected) & event).any(axes),
+        (masked & event).any(axes),
+        ((caps.predicted | caps.flagged) & event).any(axes),
+    ]
+
+
+#: How two segments' :func:`_fold` aggregates combine, entry by entry.
+_COMBINE = (np.add, np.maximum, np.maximum) + (np.logical_or,) * 5
+
+
+def _classify(events: "np.ndarray", worst: "np.ndarray",
+              max_intervals: "np.ndarray", *flags: "np.ndarray") -> tuple:
+    """Per-lane outcome columns from a whole window's :func:`_fold`.
+
+    Returns ``(classes, events, worst_lateness_ps,
+    max_borrowed_intervals)``, with ``classes`` as indices into
+    :data:`~repro.campaign.outcomes.SEVERITY_LADDER`: classify_flags,
+    vectorized — one np.select down the same severity ladder instead
+    of a python call per lane.
+    """
+    classes = np.select(list(flags), [0, 1, 2, 3, 4], default=5)
+    return classes, events, np.where(events > 0, worst, 0), max_intervals
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,15 +212,19 @@ class PrefixTable:
     :meth:`~_LaneMachineBase.prefix_table`.  ``state[c]`` tells
     whether cycle ``c``'s captures, entered with zero borrow and relay
     state, leave any behind, and ``carried[c]`` counts such cycles in
-    ``[0, c)``.  ``counts[c]`` holds the machine's semantic-counter
-    increments (one column per entry of its ``COUNTERS``) summed over
-    cycles ``[0, c)``, each entered idle — so a state-free prefix
-    ``[start, cycle)`` contributed exactly ``counts[cycle] -
-    counts[start]``.
+    ``[0, c)``; ``busy[c]`` counts the cycles in ``[0, c)`` that
+    capture an event or leave state, so ``[c, end)`` is *quiet* — each
+    cycle, entered idle, captures nothing and stays idle — exactly when
+    ``busy[c] == busy[end]``.  ``counts[c]`` holds the machine's
+    semantic-counter increments (one column per entry of its
+    ``COUNTERS``) summed over cycles ``[0, c)``, each entered idle — so
+    a state-free prefix ``[start, cycle)`` contributed exactly
+    ``counts[cycle] - counts[start]``.
     """
 
     state: "np.ndarray"
     carried: "np.ndarray"
+    busy: "np.ndarray"
     counts: "np.ndarray"
 
 
@@ -239,23 +268,68 @@ class _LaneMachineBase:
 
         ``rows`` is the trajectory's block columns (the screen's
         verdicts last, unread).  Each lane steps its own window of them
-        plus its delta through :meth:`_step`, into preallocated ``(lanes,
-        window, columns)`` buffers.  Returns :func:`_collect`'s per-lane
-        outcome columns.
+        plus its delta through :meth:`_step`, a segment of at most
+        :data:`_SEGMENT` steps at a time into preallocated ``(lanes,
+        segment, columns)`` buffers, with state carried across
+        segments.  A window longer than one segment retires from
+        :meth:`_ready_step` on, after the first step that leaves every
+        lane still inside its window idle: the steps left would capture
+        nothing.  Returns :func:`_classify`'s per-lane outcome columns.
         """
-        cycles, extra, live = lanes.window(rows[0].shape[0])
+        width = int(lanes.steps.max())
+        ready = self._ready_step(lanes) if width > _SEGMENT else None
+        state = self._zero_state(len(lanes))
+        totals = None
+        done, retired = 0, False
+        while done < width and not retired:
+            part, state, done, retired = self._segment(
+                lanes, rows, done, min(width, done + _SEGMENT), ready,
+                state)
+            totals = (part if totals is None else
+                      [combine(total, value) for combine, total, value
+                       in zip(_COMBINE, totals, part)])
+        if obs.REGISTRY.enabled:
+            run = int(np.minimum(lanes.steps, done).sum())
+            _OBS_STEPS.labels(kernel=self.kernel, path="run").inc(run)
+            _OBS_STEPS.labels(kernel=self.kernel, path="retired").inc(
+                int(lanes.steps.sum()) - run)
+            _OBS_LANES.labels(kernel=self.kernel,
+                              path="batched").inc(len(lanes))
+            _OBS_GROUP.labels(kernel=self.kernel).observe(len(lanes))
+        return _classify(*totals)
+
+    def _segment(self, lanes: LaneBlock, rows: "typing.Any", start: int,
+                 stop: int, ready: "int | None",
+                 state: "typing.Any") -> tuple:
+        """Step every lane through window steps ``[start, stop)`` from
+        ``state``, or up to the first step at or past ``ready`` (if
+        any) that leaves every lane still inside its window idle.
+
+        Returns the steps' :func:`_fold` aggregates, the carried-out
+        state, the window step the segment ended at and whether the
+        batch retired there.
+        """
+        cycles, extra, live = lanes.window(rows[0].shape[0], start, stop)
         window = [column[cycles] for column in rows[:-1]]
-        count, width = live.shape
-        shape = (count, width, self.num_cols)
+        shape = (len(lanes), stop - start, self.num_cols)
         lateness = np.empty(shape, dtype=np.int64)
         kept = {name: np.empty(shape, dtype) for name, dtype in _KEPT.items()}
-        state = self._zero_state(count)
-        for w in range(width):
+        retired = False
+        for w in range(stop - start):
             late, caps, state = self._step(
                 [column[:, w] for column in window], extra[:, w], state)
             lateness[:, w] = late
             for name, buffer in kept.items():
                 buffer[:, w] = getattr(caps, name)
+            done = start + w + 1
+            if (ready is not None and done >= ready
+                    and self._spent(state, lanes.steps > done)):
+                retired = True
+                ran = slice(0, w + 1)
+                lateness, live = lateness[:, ran], live[:, ran]
+                kept = {name: buffer[:, ran]
+                        for name, buffer in kept.items()}
+                break
         caps = CaptureArrays(borrowed_ps=None, **kept)
         event = caps.event & live[:, :, None]
         if obs.REGISTRY.enabled:
@@ -263,9 +337,23 @@ class _LaneMachineBase:
                                      self._counter_classes(caps)):
                 counter.inc(int((mask & event).sum()))
             self._observe(caps, event)
-            _OBS_LANES.labels(kernel=self.kernel, path="batched").inc(count)
-            _OBS_GROUP.labels(kernel=self.kernel).observe(count)
-        return _collect(event, lateness, caps)
+        return _fold(event, lateness, caps), state, done, retired
+
+    def _ready_step(self, lanes: LaneBlock) -> int:
+        """The first window step at which every lane is past its
+        fault-active steps and faces only quiet background to its
+        window's end (clamped to the window): one ``searchsorted`` of
+        the table's ``busy`` count per lane."""
+        busy = self.table.busy
+        end = lanes.cycle + lanes.steps
+        quiet = np.searchsorted(busy, busy[end]) - lanes.cycle
+        return int(np.minimum(np.maximum(quiet, lanes.duration),
+                              lanes.steps).max())
+
+    @staticmethod
+    def _spent(state: "typing.Any", alive: "np.ndarray") -> bool:
+        """Is every ``alive`` lane's carried state zero?"""
+        return not any((part.any(axis=1) & alive).any() for part in state)
 
     def prefix_table(self, rows: "typing.Any") -> PrefixTable:
         """The :class:`PrefixTable` of background ``rows``.
@@ -282,18 +370,22 @@ class _LaneMachineBase:
             (num_cycles + 1, len(self.COUNTERS)),
             dtype=(np.int32 if num_cycles * self.num_cols < 2 ** 31
                    else np.int64))
+        busy = np.empty(num_cycles, dtype=bool)
         for pos in range(0, num_cycles, _TABLE_BLOCK):
             stop = min(pos + _TABLE_BLOCK, num_cycles)
             _, caps, _ = self._step(
                 [column[pos:stop] for column in rows[:-1]], 0,
                 self._zero_state(stop - pos))
             state[pos:stop] = self._leaves_state(caps)
+            busy[pos:stop] = caps.event.any(axis=1) | state[pos:stop]
             counts[pos + 1:stop + 1] = np.stack(
                 self._counter_classes(caps), axis=-1).sum(axis=1)
         np.cumsum(counts, axis=0, out=counts)
-        carried = np.zeros(num_cycles + 1, dtype=np.int64)
+        carried, busy_count = np.zeros((2, num_cycles + 1), dtype=np.int64)
         np.cumsum(state, out=carried[1:])
-        return PrefixTable(state=state, carried=carried, counts=counts)
+        np.cumsum(busy, out=busy_count[1:])
+        return PrefixTable(state=state, carried=carried, busy=busy_count,
+                           counts=counts)
 
     def note_replayed(self, count: int) -> None:
         """Account lanes that dropped to the per-fault forked path."""

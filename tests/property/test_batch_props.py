@@ -3,8 +3,8 @@
 The campaign evaluator groups a chunk's faults by shared fork window
 and advances whole groups through a vectorized borrow/select/relay
 machine; lanes it cannot prove equivalent (non-idle fork state, noisy
-background prefix, oversized window, no array semantics for the
-policy) drop to the per-fault forked ``replay``.  Whatever mix of paths
+background prefix, no array semantics for the policy) drop to the
+per-fault forked ``replay``.  Whatever mix of paths
 a chunk takes, the encoded :class:`FaultOutcome` stream must match both
 the forked replays and the full-run reference byte for byte — across targets,
 schemes, snapshot strides, and relay horizons, including forced
@@ -21,7 +21,6 @@ from repro.campaign.engine import _window_end
 from repro.campaign.reference import FULL_RUN_TARGETS
 from repro.exec.cache import encode_result
 from repro.kernels import HAVE_NUMPY
-from repro.kernels.fault_batch import MAX_LANE_WINDOW
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="lane batching needs the vector kernels")
@@ -109,28 +108,28 @@ def test_stride_boundary_fault_matches(configuration, seed, stride,
     ]),
     seed=st.integers(min_value=0, max_value=2 ** 16),
 )
-def test_oversized_windows_fall_back_and_still_match(configuration,
-                                                     seed):
-    # A relay horizon past MAX_LANE_WINDOW makes every lane's window
-    # too long to batch: the evaluator must replay everything through
-    # the forked path and still match it byte for byte.
+def test_long_windows_batch_and_still_match(configuration, seed):
+    # A relay horizon of 104 gives most lanes a window far longer than
+    # the fault's effect: idle, state-free lanes still batch (the lane
+    # machine retires them once spent) and must match the forked path
+    # byte for byte.
     target, scheme = configuration
     config = CampaignConfig(
         target=target, scheme=scheme, num_faults=8, num_cycles=300,
-        seed=seed, snapshot_stride=64,
-        relay_horizon=MAX_LANE_WINDOW + 40,
+        seed=seed, snapshot_stride=64, relay_horizon=104,
     )
     specs = config.population()
     batched = fault_runner(config)
+    machine = batched.machine
+    for spec in specs:
+        start, state = batched.trajectory.fork_point(spec.cycle)
+        assert machine.state_is_idle(state)
+        assert not machine.table.state[start:spec.cycle].any()
+    assert any(_window_end(config, spec) + 1 - spec.cycle > 64
+               for spec in specs)
     batched_outcomes, _ = batched.evaluate_chunk(specs)
-    # Late faults clamp their window at num_cycles and may still fit
-    # the lane cap; everything with an oversized window must replay.
-    oversized = sum(
-        1 for spec in specs
-        if _window_end(config, spec) + 1 - spec.cycle > MAX_LANE_WINDOW)
-    assert oversized > 0
-    assert batched.lanes_replayed >= oversized
-    assert batched.lanes_batched <= len(specs) - oversized
+    assert batched.lanes_replayed == 0
+    assert batched.lanes_batched == len(specs)
     forked_outcomes = [batched.replay(spec)[0] for spec in specs]
     assert _encoded(batched_outcomes) == _encoded(forked_outcomes)
 

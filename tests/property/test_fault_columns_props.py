@@ -12,9 +12,8 @@ optimization only if it is invisible, so:
    :func:`~repro.soak.generator.spec_for_draw` loops field by field,
    across the 32-bit counter wrap included;
 2. vectorized planning batches exactly the lanes the per-spec rule
-   picks (idle fork snapshot, state-free prefix, window within
-   :data:`~repro.kernels.fault_batch.MAX_LANE_WINDOW`), with windows of
-   63–65 steps and snapshots that carry state;
+   picks (idle fork snapshot, state-free prefix, any window length),
+   with windows of 63–65 steps and snapshots that carry state;
 3. ``evaluate_chunk`` on a column block equals ``evaluate_chunk`` on the
    same :class:`FaultSpec` list: outcomes, per-fault work units and the
    semantic obs snapshot;
@@ -30,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.campaign import CampaignConfig, FaultSpec, fault_runner
-from repro.campaign.engine import _window_end
 from repro.campaign.faults import (
     FAULT_KINDS,
     FaultColumns,
@@ -41,7 +39,6 @@ from repro.campaign.outcomes import outcome_from_events
 from repro.exec.cache import encode_result
 from repro.exec.worker import WARM
 from repro.kernels import HAVE_NUMPY
-from repro.kernels.fault_batch import MAX_LANE_WINDOW
 from repro.kernels.rng import split64
 from repro.soak import build_strata, spec_for_draw
 from repro.soak.generator import specs_for_draws
@@ -190,10 +187,8 @@ def _per_spec_rule(evaluator, config, spec) -> bool:
     """The lane rule stated for one spec, with scalar calls only."""
     machine = evaluator.machine
     start, state = evaluator.trajectory.fork_point(spec.cycle)
-    steps = _window_end(config, spec) + 1 - spec.cycle
     return (machine.state_is_idle(state)
-            and not machine.table.state[start:spec.cycle].any()
-            and steps <= MAX_LANE_WINDOW)
+            and not machine.table.state[start:spec.cycle].any())
 
 
 @settings(max_examples=25, deadline=None)

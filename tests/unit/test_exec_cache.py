@@ -71,14 +71,33 @@ class TestEncoding:
 def _put_many(directory, writer: int, count: int) -> None:
     """Pool-worker stand-in: store ``count`` entries, some shared."""
     cache = ResultCache(directory)
-    for i in range(count):
-        cache.put(cache.key_for("exp", {"i": i}, seed=writer), [writer, i])
-        cache.put(cache.key_for("shared", {"i": i}, seed=0), i)
+    try:
+        for i in range(count):
+            cache.put(cache.key_for("exp", {"i": i}, seed=writer),
+                      [writer, i])
+            cache.put(cache.key_for("shared", {"i": i}, seed=0), i)
+    finally:
+        cache.close()
+
+
+@pytest.fixture
+def open_cache():
+    """``ResultCache(...)`` that closes every cache it made when the
+    test ends, so no pack segment handle outlives its test."""
+    caches = []
+
+    def make(*args, **kwargs) -> ResultCache:
+        caches.append(ResultCache(*args, **kwargs))
+        return caches[-1]
+
+    yield make
+    for cache in caches:
+        cache.close()
 
 
 class TestResultCache:
-    def test_miss_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_miss_then_hit(self, open_cache, tmp_path):
+        cache = open_cache(tmp_path)
         key = cache.key_for("exp", {"x": 1}, seed=3)
         assert cache.get(key) == (False, None)
         cache.put(key, _pipeline_result(), experiment="exp")
@@ -86,70 +105,71 @@ class TestResultCache:
         assert hit and value == _pipeline_result()
         assert len(cache) == 1
 
-    def test_key_depends_on_config_and_seed(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_key_depends_on_config_and_seed(self, open_cache, tmp_path):
+        cache = open_cache(tmp_path)
         base = cache.key_for("exp", {"x": 1}, seed=3)
         assert cache.key_for("exp", {"x": 2}, seed=3) != base
         assert cache.key_for("exp", {"x": 1}, seed=4) != base
         assert cache.key_for("other", {"x": 1}, seed=3) != base
 
-    def test_code_version_invalidates(self, tmp_path):
-        old = ResultCache(tmp_path, version="v1")
+    def test_code_version_invalidates(self, open_cache, tmp_path):
+        old = open_cache(tmp_path, version="v1")
         key = old.key_for("exp", {}, seed=0)
         old.put(key, _pipeline_result())
         # Same key hashed under the new version differs...
-        new = ResultCache(tmp_path, version="v2")
+        new = open_cache(tmp_path, version="v2")
         assert new.key_for("exp", {}, seed=0) != key
         # ...and even a colliding key is rejected by the entry check.
         assert new.get(key) == (False, None)
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_corrupt_entry_is_a_miss(self, open_cache, tmp_path):
+        cache = open_cache(tmp_path)
         key = cache.key_for("exp", {}, seed=0)
         cache.put(key, _pipeline_result())
         _replace_record(cache, key, b"{not json")
-        assert ResultCache(tmp_path).get(key) == (False, None)
+        assert open_cache(tmp_path).get(key) == (False, None)
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_clear(self, open_cache, tmp_path):
+        cache = open_cache(tmp_path)
         for i in range(3):
             cache.put(cache.key_for("exp", {"i": i}, seed=0), i)
         assert cache.clear() == 3
         assert len(cache) == 0
         assert cache.clear() == 0
 
-    def test_clear_removes_legacy_entries_and_orphans(self, tmp_path):
+    def test_clear_removes_legacy_entries_and_orphans(self, open_cache,
+                                                      tmp_path):
         # A schema-2 entry file and the temp file of a store killed
         # between create and rename must not outlive clear().
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         cache.put(cache.key_for("exp", {}, seed=0), 1)
         (tmp_path / "deadbeef.json").write_text("{}", encoding="utf-8")
         (tmp_path / "tmpabc123.tmp").write_text("{", encoding="utf-8")
         assert cache.clear() == 2
         assert list(tmp_path.iterdir()) == []
-        assert len(ResultCache(tmp_path)) == 0
+        assert len(open_cache(tmp_path)) == 0
 
-    def test_len_counts_live_keys(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_len_counts_live_keys(self, open_cache, tmp_path):
+        cache = open_cache(tmp_path)
         key = cache.key_for("exp", {}, seed=0)
         cache.put(key, 1)
         cache.put(key, 2)  # superseded, not a second entry
         cache.put(cache.key_for("exp", {}, seed=1), 3)
-        assert len(cache) == len(ResultCache(tmp_path)) == 2
-        assert ResultCache(tmp_path).get(key) == (True, 2)
+        assert len(cache) == len(open_cache(tmp_path)) == 2
+        assert open_cache(tmp_path).get(key) == (True, 2)
 
-    def test_entries_share_one_segment_per_process(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_entries_share_one_segment_per_process(self, open_cache, tmp_path):
+        cache = open_cache(tmp_path)
         keys = [cache.key_for("exp", {"i": i}, seed=0) for i in range(4)]
         for i, key in enumerate(keys):
             cache.put(key, i)
         assert [p.name for p in tmp_path.iterdir()] == [
             cache._path(keys[0]).name]
-        fresh = ResultCache(tmp_path)
+        fresh = open_cache(tmp_path)
         assert [fresh.get(key) for key in keys] == [
             (True, i) for i in range(4)]
 
-    def test_concurrent_writers_lose_nothing(self, tmp_path):
+    def test_concurrent_writers_lose_nothing(self, open_cache, tmp_path):
         # More writer processes than cores, all appending at once: each
         # owns its segment, so every record of every writer survives.
         writers, count = 6, 150
@@ -163,7 +183,7 @@ class TestResultCache:
             proc.join(timeout=60)
         assert [proc.exitcode for proc in procs] == [0] * writers
         assert len(list(tmp_path.glob("pack-*.jsonl"))) == writers
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         assert len(cache) == writers * count + count
         for writer in range(writers):
             for i in range(count):
@@ -173,9 +193,9 @@ class TestResultCache:
         assert all(cache.get(cache.key_for("shared", {"i": i}, seed=0))
                    == (True, i) for i in range(count))
 
-    def test_invalid_key_rejected(self, tmp_path):
+    def test_invalid_key_rejected(self, open_cache, tmp_path):
         with pytest.raises(ConfigurationError):
-            ResultCache(tmp_path).put('a"b', 1)
+            open_cache(tmp_path).put('a"b', 1)
 
 
 def _replace_record(cache, key, line: bytes) -> None:
@@ -203,14 +223,14 @@ class TestCorruptionInjection:
     the record from the index and the next put supersedes it.
     """
 
-    def _stored(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def _stored(self, open_cache, tmp_path):
+        cache = open_cache(tmp_path)
         key = cache.key_for("exp", {"x": 1}, seed=0)
         cache.put(key, _pipeline_result(), experiment="exp")
         return cache, key
 
-    def _assert_logged_miss(self, tmp_path, key, caplog):
-        reader = ResultCache(tmp_path)
+    def _assert_logged_miss(self, open_cache, tmp_path, key, caplog):
+        reader = open_cache(tmp_path)
         with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
             assert reader.get(key) == (False, None)
         assert any("corrupted" in record.message
@@ -218,70 +238,73 @@ class TestCorruptionInjection:
         assert reader.locate(key) is None  # never served again
         return reader
 
-    def test_truncated_entry_deleted_and_logged(self, tmp_path, caplog):
-        cache, key = self._stored(tmp_path)
+    def test_truncated_entry_deleted_and_logged(self, open_cache, tmp_path,
+                                                caplog):
+        cache, key = self._stored(open_cache, tmp_path)
         segment, offset, length = cache.locate(key)
         record = segment.read_bytes()[offset:offset + length]
         _replace_record(cache, key, record[:37])
-        self._assert_logged_miss(tmp_path, key, caplog)
+        self._assert_logged_miss(open_cache, tmp_path, key, caplog)
         # A record cut after its key is a logged miss too.
         _replace_record(cache, key, record[:length // 2])
-        self._assert_logged_miss(tmp_path, key, caplog)
+        self._assert_logged_miss(open_cache, tmp_path, key, caplog)
 
-    def test_non_json_entry_deleted(self, tmp_path, caplog):
-        cache, key = self._stored(tmp_path)
+    def test_non_json_entry_deleted(self, open_cache, tmp_path, caplog):
+        cache, key = self._stored(open_cache, tmp_path)
         _replace_record(cache, key, b"\x00\xffgarbage")
-        self._assert_logged_miss(tmp_path, key, caplog)
+        self._assert_logged_miss(open_cache, tmp_path, key, caplog)
         # Garbage behind an intact key prefix fails the parse instead.
         _replace_record(cache, key, b'{"key":"' + key.encode() + b'",\xff')
-        self._assert_logged_miss(tmp_path, key, caplog)
+        self._assert_logged_miss(open_cache, tmp_path, key, caplog)
 
-    def test_json_non_object_entry_deleted(self, tmp_path, caplog):
-        cache, key = self._stored(tmp_path)
+    def test_json_non_object_entry_deleted(self, open_cache, tmp_path, caplog):
+        cache, key = self._stored(open_cache, tmp_path)
         _replace_record(cache, key, b"[1, 2, 3]")
-        self._assert_logged_miss(tmp_path, key, caplog)
+        self._assert_logged_miss(open_cache, tmp_path, key, caplog)
 
-    def test_tampered_result_fails_checksum(self, tmp_path, caplog):
-        cache, key = self._stored(tmp_path)
+    def test_tampered_result_fails_checksum(self, open_cache, tmp_path,
+                                            caplog):
+        cache, key = self._stored(open_cache, tmp_path)
         entry = _record(cache, key)
         entry["result"]["fields"]["failed"] = 999  # silent bit-flip
         _replace_record(cache, key, _encode(entry))
-        self._assert_logged_miss(tmp_path, key, caplog)
+        self._assert_logged_miss(open_cache, tmp_path, key, caplog)
 
-    def test_missing_checksum_field_deleted(self, tmp_path, caplog):
-        cache, key = self._stored(tmp_path)
+    def test_missing_checksum_field_deleted(self, open_cache, tmp_path,
+                                            caplog):
+        cache, key = self._stored(open_cache, tmp_path)
         entry = _record(cache, key)
         del entry["checksum"]
         _replace_record(cache, key, _encode(entry))
-        self._assert_logged_miss(tmp_path, key, caplog)
+        self._assert_logged_miss(open_cache, tmp_path, key, caplog)
 
-    def test_stale_version_is_plain_miss_not_deleted(self, tmp_path,
-                                                     caplog):
+    def test_stale_version_is_plain_miss_not_deleted(self, open_cache,
+                                                     tmp_path, caplog):
         # A version mismatch is legitimate staleness, not corruption.
-        old = ResultCache(tmp_path, version="v1")
+        old = open_cache(tmp_path, version="v1")
         key = old.key_for("exp", {}, seed=0)
         old.put(key, _pipeline_result())
-        new = ResultCache(tmp_path, version="v2")
+        new = open_cache(tmp_path, version="v2")
         with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
             assert new.get(key) == (False, None)
         assert not caplog.records
         assert new.locate(key) is not None  # left on disk, still indexed
-        assert ResultCache(tmp_path, version="v1").get(key) == (
+        assert open_cache(tmp_path, version="v1").get(key) == (
             True, _pipeline_result())
 
-    def test_rebuild_after_corruption(self, tmp_path, caplog):
-        cache, key = self._stored(tmp_path)
+    def test_rebuild_after_corruption(self, open_cache, tmp_path, caplog):
+        cache, key = self._stored(open_cache, tmp_path)
         _replace_record(cache, key, b"oops")
-        reader = self._assert_logged_miss(tmp_path, key, caplog)
+        reader = self._assert_logged_miss(open_cache, tmp_path, key, caplog)
         reader.put(key, _pipeline_result(), experiment="exp")
         hit, value = reader.get(key)
         assert hit and value == _pipeline_result()
         # The rebuilt record wins for every later reader too.
-        assert ResultCache(tmp_path).get(key) == (True, _pipeline_result())
+        assert open_cache(tmp_path).get(key) == (True, _pipeline_result())
 
-    def test_mid_segment_damage_keeps_later_records(self, tmp_path,
+    def test_mid_segment_damage_keeps_later_records(self, open_cache, tmp_path,
                                                     caplog):
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         keys = [cache.key_for("exp", {"i": i}, seed=0) for i in range(5)]
         for i, key in enumerate(keys):
             cache.put(key, [_pipeline_result()] * (i + 1))
@@ -289,7 +312,8 @@ class TestCorruptionInjection:
         for column in entry["result"]["fields"].values():
             column.pop()  # one outcome dropped from the column record
         _replace_record(cache, keys[2], _encode(entry))
-        reader = self._assert_logged_miss(tmp_path, keys[2], caplog)
+        reader = self._assert_logged_miss(open_cache, tmp_path, keys[2],
+                                          caplog)
         for i in (0, 1, 3, 4):
             assert reader.get(keys[i]) == (
                 True, [_pipeline_result()] * (i + 1))

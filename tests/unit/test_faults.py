@@ -211,3 +211,24 @@ class TestFaultColumnsSequence:
             block[len(specs)]
         with pytest.raises(TypeError):
             block["0"]
+
+    def test_from_columns_round_trips_and_refuses_non_int64(self, block):
+        from repro.campaign import FaultColumns
+
+        columns = block.columns()
+        assert FaultColumns.from_columns(columns) == block
+        assert FaultColumns.from_columns(
+            {name: [] for name in FaultColumns.fields}) == []
+        for bound in (-2 ** 63, 2 ** 63 - 1):
+            fitting = dict(columns, cycle=[bound] * len(block))
+            assert FaultColumns.from_columns(fitting).cycle.tolist() == [
+                bound] * len(block)
+        # Every other value has no int64 column form: the store then
+        # decodes the record list instead.
+        for field, value in (("cycle", True), ("cycle", 1.0),
+                             ("cycle", 2 ** 63), ("cycle", -2 ** 63 - 1),
+                             ("kind", "no-such-kind"), ("kind", 1),
+                             ("site", "no-such-site")):
+            bad = dict(columns, **{field: [value] + columns[field][1:]})
+            assert FaultColumns.from_columns(bad, block.sites) is None, (
+                field, value)
