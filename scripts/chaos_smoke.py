@@ -516,7 +516,7 @@ def main() -> int:
             print("      trajectory corruption detected and logged")
         from repro.exec import ResultCache
 
-        hit, _ = ResultCache(trajectory_dir).get(trajectory_key)
+        hit, _, _ = ResultCache(trajectory_dir).get(trajectory_key)
         assert hit, "corrupted trajectory record was not rebuilt"
         print("      trajectory record rebuilt with a valid checksum")
 

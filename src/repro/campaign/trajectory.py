@@ -138,7 +138,7 @@ def trajectory_for(
     def load_or_build() -> BackgroundTrajectory:
         disk = _disk_cache()
         if disk is not None:
-            hit, value = disk.get(key)
+            hit, value, _stored = disk.get(key)
             if hit and isinstance(value, BackgroundTrajectory):
                 return value
         trajectory = builder()

@@ -24,6 +24,7 @@ import collections.abc
 import dataclasses
 import operator
 import typing
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -156,6 +157,26 @@ class ColumnBlock(collections.abc.Sequence):
                        else [names[index] for index in row])
                 for name, row, names in zip(self.fields, self.table.tolist(),
                                             self._names())}
+
+    def json_rows(self, fields: typing.Sequence[str]) -> str:
+        """``json.dumps`` text (``(",", ":")`` separators, ASCII) of one
+        list of ``fields`` per record, labels as their names.
+
+        Equal to encoding the :meth:`columns` lists zipped into rows,
+        but filled in by one ``%`` format over every cell.
+        """
+        labels = dict(zip(self.fields, self._names()))
+        width = len(fields)
+        cells: list = [None] * (width * len(self))
+        for position, name in enumerate(fields):
+            values = getattr(self, name).tolist()
+            if labels[name] is not None:
+                quoted = {index: encode_basestring_ascii(labels[name][index])
+                          for index in set(values)}
+                values = [quoted[index] for index in values]
+            cells[position::width] = values
+        row = "[" + ",".join(["%s"] * width) + "],"
+        return "[" + (row * len(self))[:-1] % tuple(cells) + "]"
 
     def __len__(self) -> int:
         return self.table.shape[1]

@@ -319,38 +319,46 @@ class ResultCache:
         return self._index
 
     # -- storage -----------------------------------------------------------
-    def get(self, key: str) -> tuple[bool, typing.Any]:
-        """Return ``(hit, value)``; damaged records count as misses.
+    def get(self, key: str) -> tuple[bool, typing.Any, str | None]:
+        """Return ``(hit, value, stored)``; damaged records count as
+        misses.
 
-        Indexing checks every record's checksum, and a lookup checks its
-        own slice again.  A record that fails (truncated write, disk
-        corruption, manual tampering) is logged, never served, and
-        reported as a miss so the task recomputes and the next put
-        supersedes it.
+        ``stored`` is the hit's :func:`encode_stored` text as the record
+        holds it, so a caller that stores the value again (the sweep
+        checkpoint) need not re-encode it.  Indexing checks every
+        record's checksum, and a lookup checks its own slice again.  A
+        record that fails (truncated write, disk corruption, manual
+        tampering) is logged, never served, and reported as a miss so
+        the task recomputes and the next put supersedes it.
         """
         location = self.locate(key)
         if location is None:
-            return False, None
+            return False, None, None
         segment, offset, length = location
         try:
             with open(segment, "rb") as handle:
                 handle.seek(offset)
                 entry = _unseal(handle.read(length))
         except OSError:
-            return False, None
+            return False, None, None
         if entry is None or not entry.startswith(
                 _KEY_PREFIX + key.encode("ascii") + b'"'):
             self._index.pop(key)
             logger.warning(
                 "cache entry %s at %s:%d corrupted (checksum mismatch); "
                 "recomputing", key[:16], segment.name, offset)
-            return False, None
+            return False, None, None
         record = json.loads(entry)
         if record["version"] != self.version:
             # Legitimately stale (older code / schema); a plain miss,
             # not corruption — leave the record for inspection.
-            return False, None
-        return True, decode_result(record["result"])
+            return False, None, None
+        # :meth:`put` spliced the stored text in as the last field.
+        head = encode_line({name: field for name, field in record.items()
+                            if name != "result"})[:-2] + b',"result":'
+        stored = (entry[len(head):-1].decode("utf-8")
+                  if entry.startswith(head) else None)
+        return True, decode_result(record["result"]), stored
 
     def put(self, key: str, value: typing.Any, *,
             experiment: str = "", meta: dict | None = None,
@@ -406,7 +414,8 @@ class ResultCache:
             writer[2].close()
 
     # -- task-level convenience -------------------------------------------
-    def get_task(self, task: "SweepTask") -> tuple[bool, typing.Any]:
+    def get_task(self, task: "SweepTask",
+                 ) -> tuple[bool, typing.Any, str | None]:
         return self.get(self.key_for(task.experiment, task.params,
                                      task.seed))
 

@@ -143,6 +143,11 @@ def exec_mp_context(method: str | None = None):
     return multiprocessing.get_context(name)
 
 
+#: The canonical JSON encoding seeds hash (sorted keys, no spaces).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=str)
+
+
 def derive_seed(root_seed: int, *parts: typing.Any) -> int:
     """Derive a deterministic 63-bit seed from ``root_seed`` and a key.
 
@@ -150,8 +155,7 @@ def derive_seed(root_seed: int, *parts: typing.Any) -> int:
     across processes, platforms, and Python versions (unlike ``hash()``,
     which is salted per process).
     """
-    payload = json.dumps([root_seed, *parts], sort_keys=True,
-                         separators=(",", ":"), default=str)
+    payload = _CANONICAL.encode([root_seed, *parts])
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -1035,11 +1039,11 @@ class SweepRunner:
                 outcomes[task.index] = outcome
                 self.telemetry.record_task(outcome)
                 continue
-            hit, value = False, None
+            hit, value, stored = False, None, None
             if self.cache is not None:
                 keys[task.index] = key = self.cache.key_for(
                     task.experiment, task.params, task.seed)
-                hit, value = self.cache.get(key)
+                hit, value, stored = self.cache.get(key)
             if hit:
                 outcome = TaskOutcome(
                     task=task, value=value, wall_time_s=0.0,
@@ -1049,7 +1053,8 @@ class SweepRunner:
                 outcomes[task.index] = outcome
                 self.telemetry.record_task(outcome)
                 if self.checkpoint is not None:
-                    self.checkpoint.record(outcome)
+                    # The hit's own stored text: no re-encode.
+                    self.checkpoint.record(outcome, stored)
             else:
                 misses.append(task)
 

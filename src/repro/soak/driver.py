@@ -5,15 +5,13 @@ One soak *round* is the unit of determinism and durability:
 1. the sampler computes stratum weights from the estimator state after
    all previous rounds (pure function, logged to the journal);
 2. the round's ``faults_per_round`` draws are allocated across strata
-   (largest remainder, no RNG) and minted as ``(stratum, counter,
-   fault_id)`` descriptors from per-stratum monotone counters;
-3. descriptors are cut into chunk tasks, in draw order, and go out
-   over the exec layer (:class:`~repro.exec.runner.SweepRunner` —
-   the same warm pool, retry, timeout-watchdog, and crash-quarantine
-   machinery batch campaigns use; workers share the campaign's
-   background trajectories because
-   :meth:`~repro.campaign.engine.CampaignConfig.background_params`
-   excludes fault parameters);
+   (largest remainder, no RNG) as one draw *run* ``(stratum,
+   counter_start, count, fault_id_start)`` per funded stratum, from
+   per-stratum monotone counters;
+3. the runs are cut into chunk tasks, in draw order, and go out over
+   the exec layer (:class:`~repro.exec.runner.SweepRunner`: the warm
+   pool, retry, timeout-watchdog and crash-quarantine machinery batch
+   campaigns use);
 4. classified outcomes update the estimator, and one journal record —
    weights, draws, per-stratum class counts, chained outcome digest —
    is appended and flushed; the round has then happened.  The journal
@@ -42,7 +40,6 @@ never changes what any round contains.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
 import itertools
@@ -50,13 +47,15 @@ import json
 import time
 import typing
 
+import numpy as np
+
 from repro import kernels, obs
 from repro.campaign.engine import (
     CampaignConfig,
     chunk_payloads,
     fault_runner,
 )
-from repro.campaign.outcomes import OutcomeColumns
+from repro.campaign.outcomes import SEVERITY_LADDER, OutcomeColumns
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec.cache import _code_version, stable_key
 from repro.exec.checkpoint import atomic_write_json
@@ -284,8 +283,8 @@ def soak_state_from_journal(soak: SoakConfig,
 def soak_chunks(params_list: typing.Sequence[dict]) -> list[TaskPayload]:
     """Batch form of :func:`soak_chunk_task` (``.batch``).
 
-    Consecutive chunks of one configuration regenerate every draw as
-    one column block (:func:`specs_for_draws`, equal to a
+    Consecutive chunks of one configuration regenerate every draw run
+    as one column block (:func:`specs_for_draws`, equal to a
     :func:`spec_for_draw` loop) and classify them all in one
     ``evaluate_chunk``; outcomes and work then split back per chunk,
     equal to mapping the task over the list.  The evaluator comes from
@@ -297,43 +296,44 @@ def soak_chunks(params_list: typing.Sequence[dict]) -> list[TaskPayload]:
     for _, group in itertools.groupby(
             params_list,
             key=lambda params: (params["config"], params["strata"])):
-        run = list(group)
-        evaluator = _evaluator(run[0]["config"])
+        chunks = list(group)
+        evaluator, strata = _run_context(chunks[0])
         config = evaluator.config
-        strata = {key: Stratum.from_params(key, stratum_params)
-                  for key, stratum_params in run[0]["strata"].items()}
-        draws = [draw for params in run for draw in params["draws"]]
+        sizes = [sum(run[2] for run in params["draws"])
+                 for params in chunks]
         with obs.trace_span("soak.chunk", target=config.target,
-                            scheme=config.scheme, draws=len(draws)):
-            result = evaluator.evaluate_chunk(
-                specs_for_draws(config, strata, draws))
-        payloads.extend(chunk_payloads(
-            result, [len(params["draws"]) for params in run]))
+                            scheme=config.scheme, draws=sum(sizes)):
+            result = evaluator.evaluate_chunk(specs_for_draws(
+                config, strata,
+                [run for params in chunks for run in params["draws"]]))
+        payloads.extend(chunk_payloads(result, sizes))
     return payloads
 
 
-def _evaluator(config_params: dict):
-    """The campaign evaluator of ``config_params``, one per process.
+def _run_context(params: dict):
+    """The campaign evaluator and the strata of a chunk's run, built
+    once per process.
 
     The key holds the kernel mode too: it decides whether the
     evaluator gets a lane machine.
     """
-    key = stable_key("soak-evaluator", config_params, kernels.kernel_mode())
-    return WARM.get_or_build(
-        "evaluator", key,
-        lambda: fault_runner(CampaignConfig.from_params(config_params)))
+    key = stable_key("soak-evaluator", params["config"], params["strata"],
+                     kernels.kernel_mode())
+    return WARM.get_or_build("evaluator", key, lambda: (
+        fault_runner(CampaignConfig.from_params(params["config"])),
+        {name: Stratum.from_params(name, stratum_params)
+         for name, stratum_params in params["strata"].items()}))
 
 
 def soak_chunk_task(params: dict) -> TaskPayload:
     """Sweep task: evaluate one chunk of stratified soak draws.
 
-    Regenerates each draw's spec (:func:`spec_for_draw`, vectorized)
-    and classifies the chunk through the campaign evaluator's
-    ``evaluate_chunk`` — the identical (lane-batched, when enabled)
-    path a batch campaign chunk takes, which is what makes soak
-    outcomes bit-comparable to campaign outcomes.  Outcomes come back
-    scattered to draw order.  The exec layer runs a dispatch batch of
-    chunks through the batch form, :func:`soak_chunks`.
+    ``params["draws"]`` holds draw runs ``[stratum, counter_start,
+    count, fault_id_start]``; their specs (:func:`spec_for_draw`,
+    vectorized) go through the batch campaign's ``evaluate_chunk``
+    path, so soak outcomes are bit-comparable to campaign outcomes.
+    The exec layer runs a dispatch batch of chunks through the batch
+    form, :func:`soak_chunks`.
     """
     return soak_chunks([params])[0]
 
@@ -345,17 +345,32 @@ soak_chunk_task.batch = soak_chunks  # type: ignore[attr-defined]
 # Round mechanics
 # ---------------------------------------------------------------------------
 
-def _round_draws(strata: typing.Sequence[Stratum],
-                 alloc: typing.Mapping[str, int],
-                 counters: typing.Mapping[str, int],
-                 seq_start: int) -> typing.Iterator[tuple[str, int, int]]:
-    """The round's draw descriptors, in canonical (strata) order."""
-    fault_id = seq_start
-    for stratum in strata:
-        base = counters[stratum.key]
-        for offset in range(alloc[stratum.key]):
-            yield stratum.key, base + offset, fault_id
-            fault_id += 1
+def _numbered(draws: typing.Iterable[typing.Sequence],
+              fault_id: int) -> list[list]:
+    """Journal draw runs ``[stratum, counter_start, count]`` with each
+    run's first fault id appended; ids run on from ``fault_id``."""
+    runs = []
+    for key, counter_start, count in draws:
+        runs.append([key, int(counter_start), int(count), fault_id])
+        fault_id += int(count)
+    return runs
+
+
+def _chunked(runs: typing.Sequence[list], size: int) -> list[list[list]]:
+    """``runs`` cut into chunks of ``size`` draws, in draw order (the
+    last chunk may be short); a run that straddles a cut splits."""
+    chunks: list[list[list]] = []
+    room = 0
+    for key, counter, count, fault_id in runs:
+        while count:
+            if not room:
+                chunks.append([])
+                room = size
+            take = min(count, room)
+            chunks[-1].append([key, counter, take, fault_id])
+            counter, fault_id, count, room = (
+                counter + take, fault_id + take, count - take, room - take)
+    return chunks
 
 
 #: The per-fault fields the round digest commits to.
@@ -364,41 +379,38 @@ _DIGEST_FIELDS = ("fault_id", "kind", "site", "cycle", "magnitude_ps",
                   "max_borrowed_intervals")
 
 
-def _run_round(config: CampaignConfig, runner: SweepRunner,
-               strata: typing.Sequence[Stratum], shared: dict,
-               state: dict, alloc: typing.Mapping[str, int],
-               ) -> tuple[list[str], OutcomeColumns, int]:
-    """Dispatch one round's draws; returns (each draw's stratum key,
-    the outcome block in draw order, work units).
+def _round_tasks(config: CampaignConfig, shared: dict, round_index: int,
+                 runs: typing.Sequence[list]) -> list[SweepTask]:
+    """One round's chunk tasks: ``runs`` cut into chunks of
+    ``faults_per_task`` draws.
 
     ``shared`` holds the chunk-task params every round shares — the
-    config and strata params, computed once per run.  Raises
-    :class:`~repro.exec.runner.SweepDrained` through from the exec
-    layer when a graceful drain interrupts the round — the caller must
-    then *not* journal it (a partial round is not replayable; the
-    re-run after resume is identical anyway).
+    config and strata params, computed once per run.
     """
-    draws = list(_round_draws(strata, alloc, state["counters"],
-                              state["seq"]))
-    size = config.faults_per_task
-    chunks = [draws[start:start + size]
-              for start in range(0, len(draws), size)]
-    tasks = [
+    return [
         SweepTask(
             experiment=SOAK_TASK,
-            params={**shared, "draws": [list(draw) for draw in chunk]},
+            params={**shared, "draws": chunk},
             index=index,
-            seed=derive_seed(config.seed, SOAK_TASK, state["round"],
-                             index),
+            seed=derive_seed(config.seed, SOAK_TASK, round_index, index),
             key=task_key(SOAK_TASK, {
                 "target": config.target, "scheme": config.scheme,
-                "round": state["round"], "chunk": index,
+                "round": round_index, "chunk": index,
             }),
         )
-        for index, chunk in enumerate(chunks)
+        for index, chunk in enumerate(_chunked(runs,
+                                               config.faults_per_task))
     ]
+
+
+def _run_round(runner: SweepRunner, tasks: typing.Sequence[SweepTask]
+               ) -> OutcomeColumns:
+    """Dispatch one round's chunk tasks; the outcome block in draw
+    order.  A graceful drain raises :class:`~repro.exec.runner.
+    SweepDrained` through: the caller must then *not* journal the
+    partial round (its re-run after resume is identical anyway).
+    """
     run = runner.run(tasks)
-    work = 0
     for task_outcome in run.outcomes:
         if task_outcome.value is None:
             # A poisoned chunk cannot be skipped: dropping its draws
@@ -407,36 +419,40 @@ def _run_round(config: CampaignConfig, runner: SweepRunner,
                 f"soak chunk {task_outcome.task.key} was quarantined "
                 f"as poisoned; the stream cannot continue "
                 f"deterministically")
-        work += task_outcome.events_processed
-    outcomes = OutcomeColumns.concat([task_outcome.value
-                                      for task_outcome in run.outcomes])
-    return [key for key, _counter, _fault_id in draws], outcomes, work
+    return OutcomeColumns.concat([task_outcome.value
+                                  for task_outcome in run.outcomes])
 
 
-def _round_tally(prev_digest: str, keys: typing.Sequence[str],
+def _round_tally(prev_digest: str, runs: typing.Sequence[list],
                  outcomes: OutcomeColumns,
                  ) -> tuple[dict[str, dict[str, int]], str]:
     """A round's per-stratum class counts and its chained digest.
 
-    ``keys[i]`` is the stratum of ``outcomes[i]``.  The counts and the
-    digest payload are read from the block's column lists; strata and
-    classes keep their order of first appearance.
+    ``outcomes`` holds the draws of ``runs`` in order.  Each draw's
+    (run, class) pair is one integer code, counted in one
+    ``bincount``; strata and classes keep their order of first
+    appearance.  The digest hashes the block's JSON rows.
     """
-    columns = outcomes.columns()
+    width = len(SEVERITY_LADDER)
+    codes = (np.repeat(np.arange(len(runs)) * width,
+                       [run[2] for run in runs])
+             + outcomes.classification).tolist()
+    tally = np.bincount(codes).tolist() if codes else []
     counts: dict[str, dict[str, int]] = {}
-    for (key, classification), count in collections.Counter(
-            zip(keys, columns["classification"])).items():
-        counts.setdefault(key, {})[classification] = count
-    digest = record_digest(prev_digest, list(zip(
-        *(columns[name] for name in _DIGEST_FIELDS))))
-    return counts, digest
+    for code in dict.fromkeys(codes):
+        run, classification = divmod(code, width)
+        row = counts.setdefault(runs[run][0], {})
+        name = SEVERITY_LADDER[classification]
+        row[name] = row.get(name, 0) + tally[code]
+    return counts, record_digest(prev_digest,
+                                 outcomes.json_rows(_DIGEST_FIELDS))
 
 
 def replay_round(soak: SoakConfig, record: dict,
                  prev_digest: str) -> dict:
     """Re-derive one journal record's outcomes in-process.
 
-    Regenerates every draw from the record's descriptors as one column
+    Regenerates every draw from the record's draw runs as one column
     block (:func:`specs_for_draws`, the chunk task's path), classifies
     them as one chunk through the batch-campaign evaluator path, and
     recomputes the per-stratum counts and the chained digest.  Used by
@@ -446,14 +462,10 @@ def replay_round(soak: SoakConfig, record: dict,
     """
     config = soak.campaign
     strata = {stratum.key: stratum for stratum in soak.strata()}
-    fault_ids = itertools.count(int(record["seq_start"]))
-    draws = [(key, int(counter_start) + offset, next(fault_ids))
-             for key, counter_start, count in record["draws"]
-             for offset in range(int(count))]
+    runs = _numbered(record["draws"], int(record["seq_start"]))
     outcomes, _work = fault_runner(config).evaluate_chunk(
-        specs_for_draws(config, strata, draws))
-    counts, digest = _round_tally(
-        prev_digest, [key for key, _, _ in draws], outcomes)
+        specs_for_draws(config, strata, runs))
+    counts, digest = _round_tally(prev_digest, runs, outcomes)
     return {"counts": counts, "digest": digest, "outcomes": outcomes}
 
 
@@ -615,25 +627,26 @@ def run_soak(
             round_started = time.perf_counter()
             weights, alloc = sampler.allocate(estimator,
                                               soak.faults_per_round)
+            draws = [[stratum.key, state["counters"][stratum.key],
+                      alloc[stratum.key]]
+                     for stratum in strata if alloc[stratum.key] > 0]
+            runs = _numbered(draws, state["seq"])
             try:
-                keys, outcomes, _work = _run_round(
-                    soak.campaign, runner, strata, shared, state, alloc)
+                outcomes = _run_round(runner, _round_tasks(
+                    soak.campaign, shared, state["round"], runs))
             except SweepDrained:
                 # Partial round: journal untouched (prefix-stable);
                 # the identical round re-runs after resume.
                 drained = True
                 stop = "drained"
                 break
-            counts, digest = _round_tally(state["digest"], keys, outcomes)
+            counts, digest = _round_tally(state["digest"], runs, outcomes)
             record = {
                 "type": "round",
                 "round": state["round"],
                 "seq_start": state["seq"],
                 "weights": weights,
-                "draws": [[stratum.key, state["counters"][stratum.key],
-                           alloc[stratum.key]]
-                          for stratum in strata
-                          if alloc[stratum.key] > 0],
+                "draws": draws,
                 "counts": counts,
                 "digest": digest,
             }
@@ -642,25 +655,31 @@ def run_soak(
             for key, row in counts.items():
                 estimator.update_counts(key, row)
             evaluated += len(outcomes)
-            widest = estimator.widest()
+            # The estimator keeps one stats pass until its next update:
+            # the widest stratum, the overall estimate, the event, the
+            # status line and the next round's sampler weights all read
+            # it.
             if obs.REGISTRY.enabled:
                 _OBS_ROUNDS.inc()
                 for key, row in counts.items():
                     _OBS_FAULTS.labels(stratum=key).inc(
                         sum(row.values()))
-                _OBS_WIDEST_CI.set(widest.ci_width)
+                _OBS_WIDEST_CI.set(estimator.widest().ci_width)
                 _OBS_ROUND_SECONDS.observe(
                     time.perf_counter() - round_started)
             now = time.monotonic()
             if now - last_commit >= COMMIT_INTERVAL_S:
                 _commit(journal, checkpoint, publisher, state, estimator)
                 committed, last_commit = state["round"], now
+            if publisher is None and status is None:
+                continue
+            widest = estimator.widest()
+            overall = estimator.overall()
             if publisher is not None:
-                overall = estimator.overall()
                 publisher.emit(
                     "round",
                     round=state["round"],
-                    faults=estimator.total_faults(),
+                    faults=overall["n"],
                     escape_rate=overall["escape_rate"],
                     ci_low=overall["ci_low"],
                     ci_high=overall["ci_high"],
@@ -674,10 +693,9 @@ def run_soak(
             if status is not None:
                 elapsed = time.monotonic() - started
                 rate = evaluated / elapsed if elapsed > 0 else 0.0
-                overall = estimator.overall()
                 status(
                     f"soak round={state['round']} "
-                    f"faults={estimator.total_faults()} "
+                    f"faults={overall['n']} "
                     f"escape={overall['escape_rate']:.4f} "
                     f"widest={widest.key}:{widest.ci_width:.4f} "
                     f"{rate:.1f} f/s")

@@ -98,22 +98,29 @@ class EscapeEstimator:
         self.keys: tuple[str, ...] = tuple(strata_keys)
         self._counts: dict[str, dict[str, int]] = {
             key: {} for key in self.keys}
+        #: :meth:`all_stats` of the current counts (dropped on update).
+        self._stats: tuple[StratumStats, ...] | None = None
 
     # -- updates -----------------------------------------------------------
     def update(self, key: str, classification: str,
                count: int = 1) -> None:
         """Add ``count`` outcomes of one class to one stratum."""
-        if classification not in OUTCOME_CLASSES:
-            raise ConfigurationError(
-                f"unknown outcome class {classification!r}")
-        row = self._counts[key]
-        row[classification] = row.get(classification, 0) + count
+        self.update_counts(key, {classification: count})
 
     def update_counts(self, key: str,
                       counts: typing.Mapping[str, int]) -> None:
-        """Merge a per-class count table (journal replay fast path)."""
+        """Merge a per-class count table (journal replay fast path).
+
+        An unknown class raises before any count of the table merges.
+        """
+        row = self._counts[key]
+        for classification in counts:
+            if classification not in OUTCOME_CLASSES:
+                raise ConfigurationError(
+                    f"unknown outcome class {classification!r}")
         for classification, count in counts.items():
-            self.update(key, classification, int(count))
+            row[classification] = row.get(classification, 0) + int(count)
+        self._stats = None
 
     # -- derived -----------------------------------------------------------
     def stats(self, key: str) -> StratumStats:
@@ -128,19 +135,18 @@ class EscapeEstimator:
         )
 
     def all_stats(self) -> list[StratumStats]:
-        return [self.stats(key) for key in self.keys]
+        """Every stratum's stats, computed once per count change (the
+        same :class:`StratumStats` objects until then: read-only)."""
+        if self._stats is None:
+            self._stats = tuple(self.stats(key) for key in self.keys)
+        return list(self._stats)
 
     def total_faults(self) -> int:
         return sum(sum(row.values()) for row in self._counts.values())
 
     def widest(self) -> StratumStats:
         """The stratum with the widest interval (ties: key order)."""
-        best = None
-        for stats in self.all_stats():
-            if best is None or stats.ci_width > best.ci_width:
-                best = stats
-        assert best is not None  # keys is non-empty
-        return best
+        return max(self.all_stats(), key=lambda stats: stats.ci_width)
 
     def overall(self) -> dict:
         """Uniform-weight stratified escape estimate (see module doc).

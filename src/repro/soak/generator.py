@@ -16,9 +16,9 @@ unresolved ones.  Two invariants make the stream replayable:
   range to its bin.  The global ``fault_id`` (injection sequence
   number) is passed separately, so the id a fault gets depends on when
   the sampler scheduled it while its *shape* depends only on its
-  stratum and counter.  A journal record of ``(stratum, counter,
-  fault_id)`` triples therefore regenerates the exact specs with no
-  stored fault data.
+  stratum and counter.  A journal record's draw runs ``(stratum,
+  counter start, count)``, numbered from its first fault id, therefore
+  regenerate the exact specs with no stored fault data.
 
 Strata are equal-probability cells of the batch population's
 distribution: kinds are drawn uniformly there, and the magnitude bins
@@ -163,33 +163,33 @@ def spec_for_draw(config: CampaignConfig, stratum: Stratum,
 
 def specs_for_draws(config: CampaignConfig,
                     strata: typing.Mapping[str, Stratum],
-                    draws: typing.Iterable[typing.Sequence]
+                    runs: typing.Iterable[typing.Sequence]
                     ) -> FaultColumns:
-    """:func:`spec_for_draw` over ``(stratum, counter, fault_id)``
-    descriptors, as one column block.
+    """:func:`spec_for_draw` over draw runs, as one column block.
 
-    One :func:`~repro.campaign.faults.draw_specs` call draws them all,
-    each with its own stratum's seed lanes, kind and magnitude bin; it
-    is bit-identical to the scalar :func:`~repro.campaign.faults.
+    A run ``(stratum, counter_start, count, fault_id_start)`` stands
+    for ``count`` draws of one stratum with consecutive counters and
+    fault ids — the form a round allocates and journals its draws in.
+    The runs expand with ``np.repeat`` into one
+    :func:`~repro.campaign.faults.draw_specs` call, each draw with its
+    own stratum's seed lanes, kind and magnitude bin; it is
+    bit-identical to the scalar :func:`~repro.campaign.faults.
     draw_spec` loop that :func:`spec_for_draw` runs.
     """
-    keys: list[str] = []
-    counters: list[int] = []
-    fault_ids: list[int] = []
-    for key, counter, fault_id in draws:
-        keys.append(key)
-        counters.append(int(counter))
-        fault_ids.append(int(fault_id))
-    slots = {key: slot for slot, key in enumerate(dict.fromkeys(keys))}
-    # Per stratum: seed lanes, kind index, magnitude bin.
-    table = np.array(
+    # Per run: seed lanes, kind index, magnitude bin, and the run.
+    rows = np.array(
         [(*stratum_lanes(config, key), FAULT_KINDS.index(strata[key].kind),
-          strata[key].lo_ps, strata[key].hi_ps) for key in slots],
-        dtype=np.int64).reshape(-1, 5)[[slots[key] for key in keys]]
+          strata[key].lo_ps, strata[key].hi_ps, counter, count, fault_id)
+         for key, counter, count, fault_id in runs],
+        dtype=np.int64).reshape(-1, 8)
+    count = rows[:, 6]
+    offsets = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                 count)
+    table = np.repeat(rows, count, axis=0)
     return draw_specs(
         (table[:, 0], table[:, 1]),
-        np.array(counters, dtype=np.int64),
-        np.array(fault_ids, dtype=np.int64),
+        table[:, 5] + offsets,
+        table[:, 7] + offsets,
         sites=config.sites(),
         kinds=table[:, 2:3],
         lo_ps=table[:, 3],

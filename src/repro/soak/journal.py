@@ -26,8 +26,6 @@ stream is a pure function of (configuration, rounds).
 from __future__ import annotations
 
 import hashlib
-import json
-import typing
 
 from repro.exec.recordlog import RecordLog, RecordLogCorrupt
 
@@ -38,12 +36,11 @@ class JournalCorrupt(RecordLogCorrupt):
     """The journal is damaged in a way a crash cannot explain."""
 
 
-def record_digest(prev_digest: str, payload: typing.Any) -> str:
-    """Chained SHA-256 over a canonical JSON encoding of ``payload``."""
-    encoded = json.dumps(payload, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
+def record_digest(prev_digest: str, encoded: str) -> str:
+    """Chained SHA-256 over ``encoded``, a payload's canonical JSON
+    text (sorted keys, ``(",", ":")`` separators, ASCII)."""
     return hashlib.sha256(prev_digest.encode("ascii")
-                          + encoded).hexdigest()
+                          + encoded.encode("utf-8")).hexdigest()
 
 
 class SoakJournal(RecordLog):

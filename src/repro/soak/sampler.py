@@ -87,7 +87,8 @@ class AdaptiveSampler:
         uniform = 1.0 / len(self.keys)
         if not self.adaptive:
             return {key: uniform for key in self.keys}
-        widths = [estimator.stats(key).ci_width for key in self.keys]
+        width = {stats.key: stats.ci_width for stats in estimator.all_stats()}
+        widths = [width[key] for key in self.keys]
         scale = sum(widths)
         if scale <= 0.0:
             return {key: uniform for key in self.keys}

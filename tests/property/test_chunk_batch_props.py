@@ -11,8 +11,9 @@ optimization if it is invisible, so:
    :func:`~repro.campaign.faults.draw_spec` for any seed, site list,
    kind list, magnitude range, cycle budget and slice — fault ids past
    ``2**32`` included — and the vector soak draw
-   (:func:`repro.soak.generator.specs_for_draws`) equals a loop of
-   :func:`~repro.soak.generator.spec_for_draw`;
+   (:func:`repro.soak.generator.specs_for_draws`) of any draw runs,
+   and of the runs a round's chunk tasks carry for any allocation,
+   equals a loop of :func:`~repro.soak.generator.spec_for_draw`;
 2. ``campaign_chunk_task.batch`` and ``soak_chunk_task.batch`` return,
    for any split of the chunks into batches, exactly what mapping the
    task over the chunks returns: the same values, the same per-chunk
@@ -34,10 +35,17 @@ from repro.campaign.faults import (
     iter_population,
 )
 from repro.exec.cache import encode_result
+from repro.exec.runner import derive_seed, task_key
 from repro.exec.worker import WARM
 from repro.kernels import HAVE_NUMPY
 from repro.kernels.rng import split64
-from repro.soak import build_strata, soak_chunk_task, spec_for_draw
+from repro.soak import (
+    SOAK_TASK,
+    build_strata,
+    soak_chunk_task,
+    spec_for_draw,
+)
+from repro.soak.driver import _numbered, _round_tasks
 from repro.soak.generator import specs_for_draws
 
 pytestmark = pytest.mark.skipif(
@@ -104,25 +112,34 @@ def test_vector_draw_equals_scalar_loop(seed, sites, kinds, lo_ps,
 
 
 def _soak_draws(data, strata, chunks: int) -> list[list]:
-    """``chunks`` lists of ``[stratum, counter, fault_id]`` draws.
+    """``chunks`` lists of ``[stratum, counter_start, count,
+    fault_id_start]`` draw runs.
 
-    Draws come in runs of consecutive counters of one stratum (how a
-    round allocates them), some of them across the 32-bit wrap."""
+    A run is consecutive counters of one stratum (how a round allocates
+    them), some of them across the 32-bit wrap; fault ids run on from
+    chunk to chunk."""
     fault_id = data.draw(st.integers(min_value=0, max_value=2 ** 33))
     out = []
     for _ in range(chunks):
-        draws = []
+        runs = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             stratum = data.draw(st.sampled_from(strata))
             counter = data.draw(st.one_of(
                 st.integers(min_value=0, max_value=60),
                 st.integers(min_value=_WRAP - 4, max_value=_WRAP + 4)))
-            for offset in range(data.draw(st.integers(min_value=1,
-                                                      max_value=5))):
-                draws.append([stratum.key, counter + offset, fault_id])
-                fault_id += 1
-        out.append(draws)
+            count = data.draw(st.integers(min_value=1, max_value=5))
+            runs.append([stratum.key, counter, count, fault_id])
+            fault_id += count
+        out.append(runs)
     return out
+
+
+def _scalar_loop(config, strata, runs) -> list:
+    """:func:`spec_for_draw` for every draw of ``runs``, one by one."""
+    return [spec_for_draw(config, strata[key], counter + offset,
+                          fault_id + offset)
+            for key, counter, count, fault_id in runs
+            for offset in range(count)]
 
 
 def _split(items: list, cuts: list[int]) -> list[list]:
@@ -240,7 +257,60 @@ def test_vector_soak_draw_equals_scalar_loop(configuration, seed, bins,
                                              data):
     config = _config(configuration, seed, 1, 1)
     strata = {s.key: s for s in build_strata(config, bins)}
-    (draws,) = _soak_draws(data, list(strata.values()), 1)
-    expected = [spec_for_draw(config, strata[key], counter, fault_id)
-                for key, counter, fault_id in draws]
-    assert specs_for_draws(config, strata, draws) == expected
+    (runs,) = _soak_draws(data, list(strata.values()), 1)
+    assert (specs_for_draws(config, strata, runs)
+            == _scalar_loop(config, strata, runs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    configuration=st.sampled_from(CONFIGURATIONS),
+    seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+    bins=st.integers(min_value=1, max_value=4),
+    chunk=st.integers(min_value=1, max_value=30),
+    round_index=st.integers(min_value=0, max_value=10 ** 6),
+    data=st.data(),
+)
+def test_round_draw_runs_equal_scalar_loop(configuration, seed, bins,
+                                           chunk, round_index, data):
+    """A round's chunk tasks carry its allocation as draw runs; the run
+    form of the chunks equals the scalar draw loop, draw for draw."""
+    config = _config(configuration, seed, 1, chunk)
+    strata = build_strata(config, bins)
+    by_key = {s.key: s for s in strata}
+    # A random allocation over the strata, each stratum's counter
+    # somewhere along its stream (the 32-bit wrap included).
+    alloc = data.draw(st.lists(st.integers(min_value=0, max_value=60),
+                               min_size=len(strata), max_size=len(strata)))
+    counters = data.draw(st.lists(
+        st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                  st.integers(min_value=_WRAP - 40, max_value=_WRAP + 4)),
+        min_size=len(strata), max_size=len(strata)))
+    seq_start = data.draw(st.integers(min_value=0, max_value=2 ** 33))
+    draws = [[s.key, counter, count]
+             for s, counter, count in zip(strata, counters, alloc) if count]
+    tasks = _round_tasks(config, {}, round_index,
+                         _numbered(draws, seq_start))
+    expected = []
+    fault_id = seq_start
+    for key, counter, count in draws:
+        for offset in range(count):
+            expected.append(spec_for_draw(config, by_key[key],
+                                          counter + offset, fault_id))
+            fault_id += 1
+    chunks = [task.params["draws"] for task in tasks]
+    sizes = [sum(run[2] for run in runs) for runs in chunks]
+    assert sum(sizes) == len(expected)
+    assert all(size == chunk for size in sizes[:-1])
+    assert [task.index for task in tasks] == list(range(len(tasks)))
+    # Seeds and keys as every soak run has named its chunk tasks.
+    assert [(task.seed, task.key) for task in tasks] == [
+        (derive_seed(config.seed, SOAK_TASK, round_index, index),
+         task_key(SOAK_TASK, {"target": config.target,
+                              "scheme": config.scheme,
+                              "round": round_index, "chunk": index}))
+        for index in range(len(tasks))]
+    assert [spec for runs in chunks
+            for spec in specs_for_draws(config, by_key, runs)] == expected
+    assert [spec for runs in chunks
+            for spec in _scalar_loop(config, by_key, runs)] == expected

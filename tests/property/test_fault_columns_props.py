@@ -134,19 +134,20 @@ def test_soak_column_draw_equals_scalar_loop(target, seed, bins, data):
         num_cycles=60 if target == "netlist" else 300, seed=seed)
     strata = {s.key: s for s in build_strata(config, bins)}
     fault_id = data.draw(st.integers(min_value=0, max_value=2 ** 33))
-    draws = []
+    runs = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         key = data.draw(st.sampled_from(sorted(strata)))
         counter = data.draw(st.one_of(
             st.integers(min_value=0, max_value=50),
             st.integers(min_value=_WRAP - 5, max_value=_WRAP + 5)))
-        for offset in range(data.draw(st.integers(min_value=1,
-                                                  max_value=6))):
-            draws.append([key, counter + offset, fault_id])
-            fault_id += 1
-    expected = [spec_for_draw(config, strata[key], counter, fault_id)
-                for key, counter, fault_id in draws]
-    block = specs_for_draws(config, strata, draws)
+        count = data.draw(st.integers(min_value=1, max_value=6))
+        runs.append([key, counter, count, fault_id])
+        fault_id += count
+    expected = [spec_for_draw(config, strata[key], counter + offset,
+                              first + offset)
+                for key, counter, count, first in runs
+                for offset in range(count)]
+    block = specs_for_draws(config, strata, runs)
     _assert_columns_match(block, expected)
     for index, spec in enumerate(expected):
         assert block[index] == spec

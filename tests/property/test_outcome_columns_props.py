@@ -15,7 +15,10 @@ lane-machine scheme, and the netlist target):
    block and for the list, and :func:`~repro.exec.cache.decode_result`
    gives back a block equal to both;
 3. :func:`~repro.campaign.report.build_report` gives the same
-   ``to_json()`` for the block and for the list.
+   ``to_json()`` for the block and for the list;
+4. :meth:`~repro.columns.ColumnBlock.json_rows` (the text the soak round
+   digest hashes) equals ``json.dumps`` of the :meth:`columns` lists
+   zipped into rows, for any fields, site names and int64 values.
 """
 
 import json
@@ -120,3 +123,30 @@ def test_concat_of_slices_and_decoded_parts_is_the_block(configuration,
     joined = OutcomeColumns.concat(mixed)
     assert joined == block and list(joined) == list(block)
     assert OutcomeColumns.concat([]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sites=st.lists(st.text(min_size=1, max_size=6), min_size=1,
+                   max_size=5, unique=True),
+    count=st.integers(min_value=0, max_value=30),
+    data=st.data(),
+)
+def test_json_rows_is_canonical_json(sites, count, data):
+    rows = {}
+    for name in OutcomeColumns.fields:
+        labels = (sites if name == "site"
+                  else OutcomeColumns.labels.get(name))
+        values = (st.integers(min_value=0, max_value=len(labels) - 1)
+                  if labels is not None
+                  else st.integers(min_value=-(2 ** 63),
+                                   max_value=2 ** 63 - 1))
+        rows[name] = data.draw(st.lists(values, min_size=count,
+                                        max_size=count))
+    block = OutcomeColumns.from_rows(sites, **rows)
+    fields = data.draw(st.lists(st.sampled_from(OutcomeColumns.fields),
+                                min_size=1, max_size=9))
+    columns = block.columns()
+    assert block.json_rows(fields) == json.dumps(
+        [list(row) for row in zip(*(columns[name] for name in fields))],
+        sort_keys=True, separators=(",", ":"))

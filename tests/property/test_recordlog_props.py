@@ -240,13 +240,13 @@ def test_cache_pack_cut_anywhere_serves_the_complete_prefix(values, cut):
         segment.write_bytes(raw[:at])
         kept = _complete(raw, at)
         reader = ResultCache(directory)
-        assert [reader.get(key) for key in keys] == (
+        assert [reader.get(key)[:2] for key in keys] == (
             [(True, value) for value in values[:kept]]
             + [(False, None)] * (len(values) - kept))
         # Appending after the torn tail loses nothing, for any reader.
         for key, value in list(zip(keys, values))[kept:]:
             reader.put(key, value)
-        assert [ResultCache(directory).get(key) for key in keys] == [
+        assert [ResultCache(directory).get(key)[:2] for key in keys] == [
             (True, value) for value in values]
 
 
@@ -271,7 +271,7 @@ def test_cache_byte_flip_is_a_logged_miss(values, data):
         handler.emit = lambda record: seen.append(record.getMessage())
         logger.addHandler(handler)
         try:
-            got = [reader.get(key) for key in keys]
+            got = [reader.get(key)[:2] for key in keys]
         finally:
             logger.removeHandler(handler)
         assert got == [(False, None) if i == victim else (True, value)

@@ -12,7 +12,12 @@ from repro.analysis.experiments import (
     ThroughputPoint,
 )
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache, decode_result, encode_result
+from repro.exec.cache import (
+    ResultCache,
+    decode_result,
+    encode_result,
+    encode_stored,
+)
 from repro.pipeline.pipeline import PipelineResult
 from repro.timing.distribution import CriticalPathDistribution
 
@@ -99,10 +104,11 @@ class TestResultCache:
     def test_miss_then_hit(self, open_cache, tmp_path):
         cache = open_cache(tmp_path)
         key = cache.key_for("exp", {"x": 1}, seed=3)
-        assert cache.get(key) == (False, None)
+        assert cache.get(key) == (False, None, None)
         cache.put(key, _pipeline_result(), experiment="exp")
-        hit, value = cache.get(key)
+        hit, value, stored = cache.get(key)
         assert hit and value == _pipeline_result()
+        assert stored == encode_stored(_pipeline_result())
         assert len(cache) == 1
 
     def test_key_depends_on_config_and_seed(self, open_cache, tmp_path):
@@ -120,14 +126,14 @@ class TestResultCache:
         new = open_cache(tmp_path, version="v2")
         assert new.key_for("exp", {}, seed=0) != key
         # ...and even a colliding key is rejected by the entry check.
-        assert new.get(key) == (False, None)
+        assert new.get(key) == (False, None, None)
 
     def test_corrupt_entry_is_a_miss(self, open_cache, tmp_path):
         cache = open_cache(tmp_path)
         key = cache.key_for("exp", {}, seed=0)
         cache.put(key, _pipeline_result())
         _replace_record(cache, key, b"{not json")
-        assert open_cache(tmp_path).get(key) == (False, None)
+        assert open_cache(tmp_path).get(key) == (False, None, None)
 
     def test_clear(self, open_cache, tmp_path):
         cache = open_cache(tmp_path)
@@ -156,7 +162,7 @@ class TestResultCache:
         cache.put(key, 2)  # superseded, not a second entry
         cache.put(cache.key_for("exp", {}, seed=1), 3)
         assert len(cache) == len(open_cache(tmp_path)) == 2
-        assert open_cache(tmp_path).get(key) == (True, 2)
+        assert open_cache(tmp_path).get(key)[:2] == (True, 2)
 
     def test_entries_share_one_segment_per_process(self, open_cache, tmp_path):
         cache = open_cache(tmp_path)
@@ -166,7 +172,7 @@ class TestResultCache:
         assert [p.name for p in tmp_path.iterdir()] == [
             cache._path(keys[0]).name]
         fresh = open_cache(tmp_path)
-        assert [fresh.get(key) for key in keys] == [
+        assert [fresh.get(key)[:2] for key in keys] == [
             (True, i) for i in range(4)]
 
     def test_concurrent_writers_lose_nothing(self, open_cache, tmp_path):
@@ -188,9 +194,9 @@ class TestResultCache:
         for writer in range(writers):
             for i in range(count):
                 assert cache.get(cache.key_for("exp", {"i": i},
-                                               seed=writer)) == (
+                                               seed=writer))[:2] == (
                     True, [writer, i])
-        assert all(cache.get(cache.key_for("shared", {"i": i}, seed=0))
+        assert all(cache.get(cache.key_for("shared", {"i": i}, seed=0))[:2]
                    == (True, i) for i in range(count))
 
     def test_invalid_key_rejected(self, open_cache, tmp_path):
@@ -232,7 +238,7 @@ class TestCorruptionInjection:
     def _assert_logged_miss(self, open_cache, tmp_path, key, caplog):
         reader = open_cache(tmp_path)
         with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
-            assert reader.get(key) == (False, None)
+            assert reader.get(key) == (False, None, None)
         assert any("corrupted" in record.message
                    for record in caplog.records)
         assert reader.locate(key) is None  # never served again
@@ -286,10 +292,10 @@ class TestCorruptionInjection:
         old.put(key, _pipeline_result())
         new = open_cache(tmp_path, version="v2")
         with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
-            assert new.get(key) == (False, None)
+            assert new.get(key) == (False, None, None)
         assert not caplog.records
         assert new.locate(key) is not None  # left on disk, still indexed
-        assert open_cache(tmp_path, version="v1").get(key) == (
+        assert open_cache(tmp_path, version="v1").get(key)[:2] == (
             True, _pipeline_result())
 
     def test_rebuild_after_corruption(self, open_cache, tmp_path, caplog):
@@ -297,10 +303,10 @@ class TestCorruptionInjection:
         _replace_record(cache, key, b"oops")
         reader = self._assert_logged_miss(open_cache, tmp_path, key, caplog)
         reader.put(key, _pipeline_result(), experiment="exp")
-        hit, value = reader.get(key)
+        hit, value, _stored = reader.get(key)
         assert hit and value == _pipeline_result()
         # The rebuilt record wins for every later reader too.
-        assert open_cache(tmp_path).get(key) == (True, _pipeline_result())
+        assert open_cache(tmp_path).get(key)[:2] == (True, _pipeline_result())
 
     def test_mid_segment_damage_keeps_later_records(self, open_cache, tmp_path,
                                                     caplog):
@@ -315,5 +321,5 @@ class TestCorruptionInjection:
         reader = self._assert_logged_miss(open_cache, tmp_path, keys[2],
                                           caplog)
         for i in (0, 1, 3, 4):
-            assert reader.get(keys[i]) == (
+            assert reader.get(keys[i])[:2] == (
                 True, [_pipeline_result()] * (i + 1))

@@ -304,3 +304,57 @@ class TestPoisonedResume:
         assert resumed.outcomes[0].status == "poisoned"
         assert resumed.outcomes[0].value is None
         assert resumed.summary["crashes"] == []
+
+
+class TestCachedRerun:
+    """A cache hit goes into the checkpoint as the text the cache holds."""
+
+    def _run(self, tmp_path, name, hits):
+        from repro.campaign import CampaignConfig
+        from repro.campaign.engine import campaign_tasks
+        from repro.exec import ResultCache
+
+        config = CampaignConfig(target="pipeline", scheme="timber-ff",
+                                num_faults=40, num_cycles=300,
+                                faults_per_task=10, seed=3)
+        path = tmp_path / name
+        with SweepRunner(cache=ResultCache(tmp_path / "cache"),
+                         checkpoint=SweepCheckpoint(path)) as runner:
+            run = runner.run(campaign_tasks(config))
+        assert run.summary["cache_hits"] == hits
+        return path.read_bytes()
+
+    def test_hits_are_recorded_without_re_encoding(self, tmp_path,
+                                                   monkeypatch):
+        from repro.exec import cache, checkpoint, runner
+        from repro.exec.cache import ResultCache
+
+        cold = self._run(tmp_path, "cold.json", hits=0)
+        # The old path: the hit's text dropped, so the checkpoint
+        # re-encodes the decoded value.
+        get = ResultCache.get
+        monkeypatch.setattr(
+            ResultCache, "get",
+            lambda self, key: (*get(self, key)[:2], None))
+        re_encoded = self._run(tmp_path, "re-encoded.json", hits=4)
+        monkeypatch.setattr(ResultCache, "get", get)
+
+        calls = []
+        encode_stored = cache.encode_stored
+
+        def counting(value):
+            calls.append(value)
+            return encode_stored(value)
+
+        for module in (cache, checkpoint, runner):
+            monkeypatch.setattr(module, "encode_stored", counting,
+                                raising=False)
+        warm = self._run(tmp_path, "warm.json", hits=4)
+        assert calls == []
+        assert warm == re_encoded
+        # Same values as the cold run's records, byte for byte.
+        assert ([record["value"] for record in
+                 RecordLog.read(tmp_path / "warm.json")[1]]
+                == [record["value"] for record in
+                    RecordLog.read(tmp_path / "cold.json")[1]])
+        assert cold != warm  # hits carry no wall time or attempts

@@ -276,7 +276,7 @@ class TestCrashQuarantine:
         cache = ResultCache(tmp_path / "cache")
         task = self._killer(tmp_path, kill_times=99)
         SweepRunner(workers=2, cache=cache, poison_after=2).run([task])
-        assert cache.get_task(task) == (False, None)
+        assert cache.get_task(task) == (False, None, None)
 
     def test_invalid_poison_after_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -162,6 +162,25 @@ class TestEstimator:
         with pytest.raises(ConfigurationError):
             estimator.update("a", "exploded")
 
+    def test_rejected_table_merges_nothing(self):
+        estimator = EscapeEstimator(["a", "b"])
+        estimator.update("a", "escaped", count=2)
+        before = estimator.all_stats()
+        with pytest.raises(ConfigurationError):
+            estimator.update_counts("a", {"benign": 5, "exploded": 1})
+        assert estimator.snapshot() == {"a": {"escaped": 2}, "b": {}}
+        assert estimator.all_stats() == before
+        assert estimator.stats("a").n == 2
+
+    def test_stats_pass_follows_updates(self):
+        estimator = EscapeEstimator(["a", "b"])
+        estimator.update("a", "benign", count=100)
+        assert estimator.widest().key == "b"
+        estimator.update_counts("b", {"benign": 1000})
+        assert estimator.widest().key == "a"
+        assert estimator.all_stats() == [estimator.stats("a"),
+                                         estimator.stats("b")]
+
 
 class TestSampler:
     def test_allocate_counts_sums_and_is_deterministic(self):
