@@ -11,9 +11,13 @@ exec layer, and classifies every outcome into the TB/ED taxonomy of
 keyed to the recovered timing margin ``c/k``.
 
 Every campaign and soak outcome comes out of one evaluator per target
-(:func:`fault_runner`, entry point ``evaluate_chunk``).  The full-run
-oracle it is pinned against lives in :mod:`repro.campaign.reference`,
-which only tests and benchmarks import.
+(:func:`fault_runner`, entry point ``evaluate_chunk``).  Cycle-level
+evaluators fork every fault from one fault-free background per
+configuration (:mod:`repro.campaign.trajectory`), built once per
+process and held in the warm cache; nothing of it goes to disk.  The
+full-run oracle the evaluators are pinned against lives in
+:mod:`repro.campaign.reference`, which only tests and benchmarks
+import.
 """
 
 from repro.campaign.engine import (
@@ -34,11 +38,7 @@ from repro.campaign.faults import (
     generate_population,
     iter_population,
 )
-from repro.campaign.trajectory import (
-    BackgroundTrajectory,
-    build_trajectory,
-    trajectory_for,
-)
+from repro.campaign.trajectory import BackgroundTrajectory, build_trajectory
 from repro.campaign.outcomes import (
     BENIGN,
     ESCAPED,
@@ -77,7 +77,6 @@ __all__ = [
     "iter_population",
     "BackgroundTrajectory",
     "build_trajectory",
-    "trajectory_for",
     "BENIGN",
     "ESCAPED",
     "FALSE_POSITIVE",

@@ -32,9 +32,11 @@ injected cycles always replay through the scalar state machine (see
 :mod:`repro.pipeline.hooks`).
 
 Cycle-level targets evaluate faults by **snapshot forking**: the
-fault-free background trajectory is simulated once per configuration
-(:mod:`repro.campaign.trajectory`, warm-cache kind ``"trajectory"``),
-and each fault restores the nearest stride snapshot at or before its
+fault-free background is built once per configuration and kernel mode
+into one warm entry (:mod:`repro.campaign.trajectory`, warm-cache kind
+``"trajectory"``) — its stride snapshots and, with the vector kernels,
+its background rows and the lane machine's prefix table — and each
+fault restores the nearest stride snapshot at or before its
 injection cycle and simulates only ``[snapshot, window_end]`` instead
 of the whole prefix from cycle 0 — O(window) per fault instead of
 O(num_cycles).  One evaluator serves both cycle-level targets: it
@@ -63,7 +65,7 @@ import typing
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.baselines.architectures import architecture_by_key
 from repro.campaign.faults import (
     FAULT_KINDS,
@@ -74,11 +76,7 @@ from repro.campaign.faults import (
     iter_population,
     population_columns,
 )
-from repro.campaign.trajectory import (
-    build_trajectory,
-    trajectory_for,
-    trajectory_rows_for,
-)
+from repro.campaign.trajectory import build_trajectory, trajectory_rows_for
 from repro.campaign.outcomes import (
     FOLDED,
     SEVERITY_LADDER,
@@ -255,9 +253,9 @@ class CampaignConfig:
     def background_params(self) -> dict:
         """Everything the fault-free background trajectory depends on.
 
-        The content-hash key of warm-cache kind ``"trajectory"`` (and
-        the on-disk trajectory cache) — any change to these parameters
-        hashes to a new key, so stale trajectories can never alias.
+        The content-hash key of warm-cache kind ``"trajectory"`` (with
+        the kernel mode) — any change to these parameters hashes to a
+        new key, so stale trajectories can never alias.
         Fault and chunking parameters are deliberately absent: the
         background is fault-free and shared by the whole population.
         """
@@ -554,24 +552,8 @@ class _CycleEvaluator:
         self.sites = config.sites()
         self.site_names = (self.sites if config.target == "pipeline"
                            else None)
-        build = _SIM_BUILDERS[config.target]
-        self.sim = build(config)
-        self.trajectory = trajectory_for(
-            config.background_params(),
-            lambda: build_trajectory(
-                lambda: build(config),
-                num_cycles=config.num_cycles,
-                stride=config.snapshot_stride,
-            ),
-        )
-        # Shared fault-free background rows (delay/sensitization plus
-        # the screen's verdicts): forks index precomputed arrays and
-        # the lane machine perturbs them.  The machine's prefix table
-        # shares the rows' warm-cache entry.  Scalar mode skips all
-        # three, so every lane replays through the row-free scalar
-        # path.
-        from repro import kernels
-        self.rows = self.machine = None
+        self.sim = _SIM_BUILDERS[config.target](config)
+        machine = None
         if kernels.vectorized_enabled():
             from repro.kernels import fault_batch
 
@@ -579,22 +561,39 @@ class _CycleEvaluator:
             machine = (fault_batch.pipeline_machine(self.sim)
                        if config.target == "pipeline"
                        else fault_batch.graph_machine(self.sim))
-
-            def build_rows() -> tuple:
-                rows = self.sim.background_rows(config.num_cycles)
-                return rows, (machine.prefix_table(rows)
-                              if machine is not None else None)
-
-            self.rows, table = trajectory_rows_for(
-                config.background_params(), build_rows)
-            if machine is not None:
-                machine.table = table
-                self.machine = machine
+        self.trajectory, self.rows, table = trajectory_rows_for(
+            dict(config.background_params(), kernel=kernels.kernel_mode()),
+            lambda: self._build_background(machine))
+        self.machine = machine
+        if machine is not None:
+            machine.table = table
         self._units_per_cycle = (len(self.sim.stages)
                                  if config.target == "pipeline"
                                  else self.sim.graph.num_ffs)
         self.lanes_batched = 0
         self.lanes_replayed = 0
+
+    def _build_background(self, machine) -> tuple:
+        """``(trajectory, rows, table)``: one background's warm entry.
+
+        With the vector kernels, the shared fault-free rows
+        (delay/sensitization plus the screen's verdicts) come first —
+        forks index them and the lane machine perturbs them — then the
+        machine's prefix table, and the snapshot walk slices the same
+        rows.  Scalar mode keeps only the snapshots, so every lane
+        replays through the row-free scalar path.
+        """
+        config = self.config
+        rows = table = None
+        if kernels.vectorized_enabled():
+            rows = self.sim.background_rows(config.num_cycles)
+            if machine is not None:
+                table = machine.prefix_table(rows)
+        trajectory = build_trajectory(
+            lambda: _SIM_BUILDERS[config.target](config),
+            num_cycles=config.num_cycles, stride=config.snapshot_stride,
+            rows=rows)
+        return trajectory, rows, table
 
     def replay(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:
         """Evaluate one fault by forking the background simulation.
@@ -837,7 +836,7 @@ def warm_backgrounds(configs: typing.Sequence[CampaignConfig]) -> None:
     The campaign CLI makes this its runner's
     :attr:`~repro.exec.runner.SweepRunner.before_fork`: each config's
     evaluator is built through :func:`fault_runner`, which fills the
-    warm ``"trajectory"`` entries — stride snapshots, background rows
+    warm ``"trajectory"`` entry — stride snapshots, background rows
     and the lane machine's prefix table — and imports the evaluation
     path.  Fork-started workers inherit both, so none of them builds a
     background or imports the lane machine.  Serial runs, spawn pools

@@ -16,38 +16,28 @@ prefix advance itself reuses the vectorized block screen (the builder
 simply calls ``sim.run`` stride by stride), so reaching snapshot
 points costs a handful of numpy calls per stride.
 
-Trajectories are shared two ways, both content-addressed by a
-``stable_key`` over every parameter the background depends on:
-
-* in-process via the warm worker cache (kind ``"trajectory"``, same
-  invalidation discipline as ``"criticality"`` — a changed config
-  hashes to a new key, so stale entries can never alias);
-* optionally on disk through :class:`repro.exec.cache.ResultCache`
-  when ``REPRO_TRAJECTORY_CACHE_DIR`` is set (the campaign CLI sets it
-  under ``--cache-dir``), with the cache's checksum-on-read corruption
-  handling: a tampered or truncated entry is logged, deleted, and
-  rebuilt from simulation.
+Each background is built once per process and kept in the warm worker
+cache (kind ``"trajectory"``, same invalidation discipline as
+``"criticality"``): :func:`trajectory_rows_for` keys the entry by a
+``stable_key`` over every parameter the background depends on, so a
+changed config hashes to a new key and stale entries can never alias.
+The campaign evaluator keeps one entry per background and kernel mode —
+the snapshots, plus its background rows and lane-machine prefix table —
+and walks the snapshots over those rows.  Nothing is persisted: each
+process builds the backgrounds it needs, and fork-started workers
+inherit their parent's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
-import os
 import typing
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache, stable_key
+from repro.exec.cache import stable_key
 from repro.exec.worker import WARM
-
-logger = logging.getLogger("repro.campaign.trajectory")
-
-#: Environment variable naming a directory for the on-disk trajectory
-#: cache (unset = in-process warm cache only).  Pool workers inherit it
-#: from the parent's environment.
-TRAJECTORY_CACHE_ENV = "REPRO_TRAJECTORY_CACHE_DIR"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,7 +73,8 @@ class BackgroundTrajectory:
 
 
 def build_trajectory(make_sim: "typing.Callable[[], typing.Any]", *,
-                     num_cycles: int, stride: int) -> BackgroundTrajectory:
+                     num_cycles: int, stride: int,
+                     rows: "tuple | None" = None) -> BackgroundTrajectory:
     """Run the fault-free background once, snapshotting every stride.
 
     ``make_sim`` must build a fresh simulator with **no fault overlay
@@ -91,6 +82,9 @@ def build_trajectory(make_sim: "typing.Callable[[], typing.Any]", *,
     faulty run.  Each stride advances through the simulator's normal
     ``run`` entry point, so the vectorized block screen does the heavy
     lifting and the snapshots are bit-identical to scalar-mode ones.
+    ``rows`` (the simulator's ``background_rows`` over at least
+    ``num_cycles``) go to every stride's ``run``, whose walk then slices
+    them instead of evaluating its blocks again.
     """
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
@@ -103,7 +97,7 @@ def build_trajectory(make_sim: "typing.Callable[[], typing.Any]", *,
             "background trajectories must be fault-free")
     snapshots = [sim.snapshot()]
     for boundary in range(stride, num_cycles, stride):
-        sim.run(boundary, start_cycle=boundary - stride)
+        sim.run(boundary, start_cycle=boundary - stride, rows=rows)
         snapshots.append(sim.snapshot())
     return BackgroundTrajectory(stride=stride, num_cycles=num_cycles,
                                 snapshots=tuple(snapshots))
@@ -114,63 +108,15 @@ def trajectory_key(params: "typing.Mapping[str, typing.Any]") -> str:
     return stable_key("campaign-trajectory", dict(params))
 
 
-def _disk_cache() -> "ResultCache | None":
-    directory = os.environ.get(TRAJECTORY_CACHE_ENV, "")
-    if not directory:
-        return None
-    return ResultCache(directory)
-
-
-def trajectory_for(
-    params: "typing.Mapping[str, typing.Any]",
-    builder: "typing.Callable[[], BackgroundTrajectory]",
-) -> BackgroundTrajectory:
-    """The trajectory for ``params``, via warm (and optional disk) cache.
-
-    Lookup order: per-process warm cache, then the on-disk cache named
-    by ``REPRO_TRAJECTORY_CACHE_ENV`` (checksum-verified on read — a
-    corrupted entry logs a warning, is deleted, and falls through to a
-    rebuild), then ``builder()``.  Fresh builds are written back to the
-    disk cache best-effort.
-    """
-    key = trajectory_key(params)
-
-    def load_or_build() -> BackgroundTrajectory:
-        disk = _disk_cache()
-        if disk is not None:
-            hit, value, _stored = disk.get(key)
-            if hit and isinstance(value, BackgroundTrajectory):
-                return value
-        trajectory = builder()
-        if disk is not None:
-            try:
-                disk.put(key, trajectory, experiment="campaign-trajectory",
-                         meta={"stride": trajectory.stride,
-                               "num_cycles": trajectory.num_cycles})
-            except OSError as error:  # best-effort persistence
-                logger.warning("could not persist trajectory %s: %s",
-                               key[:12], error)
-            finally:
-                disk.close()
-        return trajectory
-
-    return WARM.get_or_build("trajectory", key, load_or_build)
-
-
 def trajectory_rows_for(
     params: "typing.Mapping[str, typing.Any]",
     builder: "typing.Callable[[], typing.Any]",
 ) -> "typing.Any":
-    """Precomputed background rows for ``params``, via the warm cache.
+    """The warm ``"trajectory"`` entry for ``params``; ``builder()``
+    fills it on a miss.
 
     ``builder`` returns whatever the caller keeps per background — the
-    campaign evaluator stores the rows together with its lane
-    machine's prefix table, so one lookup serves both.  Same
-    content-addressed kind (``"trajectory"``) and invalidation
-    discipline as the snapshots, distinct salt so the two entries never
-    collide.  Rows are immutable numpy arrays rebuilt by one cheap
-    vectorized pass, so they stay in-process only — unlike the
-    snapshots they are never persisted to disk.
+    campaign evaluator stores its snapshots, background rows and lane
+    machine's prefix table together, so one lookup serves all three.
     """
-    key = stable_key("campaign-trajectory-rows", dict(params))
-    return WARM.get_or_build("trajectory", key, builder)
+    return WARM.get_or_build("trajectory", trajectory_key(params), builder)

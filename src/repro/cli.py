@@ -226,16 +226,18 @@ def _positive_int(text: str) -> int:
 
 
 def _make_runner(args: argparse.Namespace, *,
-                 checkpoint_path: str | None = None):
+                 checkpoint_path: str | None = None, cached: bool = True):
     """Build a :class:`SweepRunner` from the shared execution flags.
 
     Callers that run multiple phases (the campaign command) reassign
     ``runner.checkpoint`` per phase instead of building a runner — and
-    hence a worker pool — per phase.
+    hence a worker pool — per phase.  ``cached=False`` builds it with
+    no result cache, whatever the cache flags say.
     """
     from repro.exec import ResultCache, SweepCheckpoint, SweepRunner
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = (ResultCache(args.cache_dir)
+             if cached and not args.no_cache else None)
     checkpoint = None
     path = (checkpoint_path if checkpoint_path is not None
             else args.checkpoint)
@@ -249,23 +251,6 @@ def _make_runner(args: argparse.Namespace, *,
         checkpoint=checkpoint,
         batch_target_s=max(0.0, args.batch_target_ms / 1000.0),
     )
-
-
-def _trajectory_cache_begin(args: argparse.Namespace) -> None:
-    """Persist background trajectories next to the result cache.
-
-    A later run (or another worker pool) then forks from disk instead
-    of re-simulating; workers inherit the setting through the
-    environment.  An explicit ``REPRO_TRAJECTORY_CACHE_DIR`` wins.
-    """
-    if not args.cache_dir or args.no_cache:
-        return
-    import os
-
-    from repro.campaign.trajectory import TRAJECTORY_CACHE_ENV
-
-    os.environ.setdefault(TRAJECTORY_CACHE_ENV,
-                          os.path.join(args.cache_dir, "trajectories"))
 
 
 class _DrainState:
@@ -537,7 +522,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     reports = []
     config = None
     summary: dict | None = None
-    _trajectory_cache_begin(args)
     # One runner — hence one warm worker pool and one adaptive sizer —
     # shared across every scheme phase; only the checkpoint is
     # per-scheme, so each phase stays independently resumable.
@@ -620,7 +604,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.soak import SoakConfig, run_soak
 
     observing = _obs_begin(args)
-    _trajectory_cache_begin(args)
     try:
         campaign = CampaignConfig(
             target=args.target, scheme=args.scheme,
@@ -645,8 +628,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     # names it); the sweep-level checkpoint machinery stays off, and so
     # does the result cache — soak draws never repeat, so caching them
     # would only burn disk.
-    runner = _make_runner(args, checkpoint_path="")
-    runner.cache = None
+    runner = _make_runner(args, checkpoint_path="", cached=False)
     # The per-round status line is the RunHealth fold over the soak's
     # own ``round`` events (not runner-task progress — a soak's unit
     # is faults), printed by the publisher's listener.
@@ -914,6 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "file (fsync'd JSONL log)"),
         resume_help: str = ("replay completed tasks from the "
                             "checkpoint file instead of re-running"),
+        cache_dir_help: str = ("result-cache directory (default: "
+                               "$REPRO_CACHE_DIR or .repro-cache)"),
+        no_cache_help: str = "bypass the on-disk result cache",
     ) -> None:
         cmd.add_argument("--workers", type=_positive_int, default=1,
                          help="process-pool size (1 = serial, default)")
@@ -928,10 +913,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "task durations (0 = one task per "
                               "dispatch; default 250)")
         cmd.add_argument("--cache-dir", default=None, metavar="PATH",
-                         help="result-cache directory (default: "
-                              "$REPRO_CACHE_DIR or .repro-cache)")
+                         help=cache_dir_help)
         cmd.add_argument("--no-cache", action="store_true",
-                         help="bypass the on-disk result cache")
+                         help=no_cache_help)
         cmd.add_argument("--retries", type=int, default=1,
                          help="extra attempts per failing task "
                               "(default 1)")
@@ -1068,7 +1052,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "once a second and on exit); speeds up "
                          "--resume"),
         resume_help=("continue a previous soak from its journal "
-                     "(and checkpoint, if given) byte-identically"))
+                     "(and checkpoint, if given) byte-identically"),
+        cache_dir_help=("accepted and ignored: a soak keeps no result "
+                        "cache"),
+        no_cache_help="accepted and ignored, as --cache-dir")
     soak.add_argument("--out", metavar="PATH",
                       help="write the machine-readable soak result "
                            "JSON")

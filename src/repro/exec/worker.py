@@ -26,11 +26,11 @@ with the environment.  Hit/miss counters are kept per *kind* (``task-func``,
 deltas back to the parent's telemetry.
 Campaign populations are not cached: a dispatch batch of campaign
 chunks draws its faults once, as one vector draw, through the task's
-batch form.  ``trajectory`` entries — fault-free campaign
-background trajectories with their stride snapshots — follow the same
-invalidation discipline as ``criticality``: the key is a content hash
-of everything the trajectory depends on, so a changed configuration
-can never alias a stale entry.  ``processor`` entries are the
+batch form.  ``trajectory`` entries — one per fault-free campaign
+background and kernel mode: its stride snapshots, background rows and
+lane-machine prefix table — follow the same invalidation discipline as
+``criticality``: the key is a content hash of everything the background
+depends on, so a changed configuration can never alias a stale entry.  ``processor`` entries are the
 Figs. 1/8 synthetic processor graphs, keyed on the performance point's
 params, the seed and the generator shape; the graph is mutable, so the
 tasks that share it only read it.

@@ -4,10 +4,10 @@ Before a multi-scheme campaign starts a fork pool, the parent builds the
 background of every scheme, so no worker builds one; and pool workers
 ship each value's store encoding, so the parent encodes nothing it
 stores.  Neither may change what the run computes or stores: a fork
-pool's reports and checkpoint values equal a serial run's, the
-trajectory cache holds one record per scheme, a fully cached rerun
-builds no background at all, and a warm-up that fails leaves the
-workers to build lazily.
+pool's reports and checkpoint values equal a serial run's, the parent
+builds each scheme's background once and no worker builds one, a fully
+cached rerun builds no background at all, and a warm-up that fails
+leaves the workers to build lazily.
 """
 
 import json
@@ -17,7 +17,6 @@ import subprocess
 import sys
 
 from repro.campaign import engine
-from repro.campaign.trajectory import TRAJECTORY_CACHE_ENV
 from repro.cli import main
 from repro.exec import read_checkpoint
 from repro.exec.runner import MP_START_ENV
@@ -30,6 +29,29 @@ ARGV = ["campaign", "--schemes", ",".join(SCHEMES), "--faults", "120",
         "--cache-dir", "cache"]
 
 
+#: Runs the CLI with every ``engine.build_trajectory`` call appending
+#: its process id to ``builds.txt``; the first line is the CLI's own.
+_RECORDING_CLI = """
+import os, sys
+from repro.campaign import engine
+from repro.cli import main
+
+def log_pid():
+    with open("builds.txt", "a") as log:
+        log.write(f"{os.getpid()}\\n")
+
+build = engine.build_trajectory
+
+def recorded(*args, **kwargs):
+    log_pid()
+    return build(*args, **kwargs)
+
+log_pid()
+engine.build_trajectory = recorded
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def _cli(workdir: pathlib.Path, workers: int, argv=ARGV) -> dict:
     """One CLI run in ``workdir`` (default start method); its out.json."""
     env = {key: value for key, value in os.environ.items()
@@ -38,11 +60,17 @@ def _cli(workdir: pathlib.Path, workers: int, argv=ARGV) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, env.get("PYTHONPATH"))))
     subprocess.run(
-        [sys.executable, "-m", "repro.cli", *argv,
+        [sys.executable, "-c", _RECORDING_CLI, *argv,
          "--workers", str(workers), "--checkpoint", "cp.json",
          "--out", "out.json"],
         cwd=workdir, env=env, check=True, capture_output=True)
     return json.loads((workdir / "out.json").read_text())
+
+
+def _build_pids(workdir: pathlib.Path) -> tuple[str, list[str]]:
+    """The CLI's process id and that of each background build."""
+    cli, *builds = (workdir / "builds.txt").read_text().split()
+    return cli, builds
 
 
 def _checkpoint_values(workdir: pathlib.Path, scheme: str) -> dict:
@@ -64,19 +92,15 @@ def test_fork_pool_matches_a_serial_run(tmp_path):
         assert len(values) == 12
         assert values == _checkpoint_values(serial_dir, scheme)
     # The parent built every background once, before the fork; no
-    # worker wrote one.
-    records = [line
-               for segment in (pooled_dir / "cache" / "trajectories")
-               .glob("pack-*.jsonl")
-               for line in segment.read_bytes().splitlines()]
-    assert len(records) == len(SCHEMES)
+    # worker built one.
+    cli, builds = _build_pids(pooled_dir)
+    assert builds == [cli] * len(SCHEMES)
+    assert not (pooled_dir / "cache" / "trajectories").exists()
 
 
 def test_fully_cached_rerun_builds_no_background(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(MP_START_ENV, raising=False)
-    monkeypatch.setenv(TRAJECTORY_CACHE_ENV,
-                       str(tmp_path / "cache" / "trajectories"))
     built: list[str] = []
     evaluator = engine.fault_runner
 
@@ -108,8 +132,6 @@ def test_failed_warm_up_leaves_workers_to_build(tmp_path, monkeypatch,
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(MP_START_ENV, raising=False)
-    monkeypatch.setenv(TRAJECTORY_CACHE_ENV,
-                       str(tmp_path / "cache" / "trajectories"))
     parent = os.getpid()
     evaluator = engine.fault_runner
 

@@ -1,20 +1,10 @@
 """Unit tests for simulation snapshots and background trajectories."""
 
-import logging
-
 import pytest
 
-from repro.campaign import (
-    BackgroundTrajectory,
-    CampaignConfig,
-    build_trajectory,
-    trajectory_for,
-)
+from repro.campaign import CampaignConfig, build_trajectory, fault_runner
 from repro.campaign.engine import _build_graph_sim
-from repro.campaign.trajectory import (
-    TRAJECTORY_CACHE_ENV,
-    trajectory_key,
-)
+from repro.campaign.trajectory import trajectory_key, trajectory_rows_for
 from repro.errors import ConfigurationError
 from repro.exec.worker import WARM
 from repro.pipeline.controller import CentralErrorController
@@ -200,8 +190,8 @@ class TestTrajectoryCaching:
                                     num_cycles=config.num_cycles,
                                     stride=config.snapshot_stride)
 
-        first = trajectory_for(params, build)
-        second = trajectory_for(params, build)
+        first = trajectory_rows_for(params, build)
+        second = trajectory_rows_for(params, build)
         assert first is second
         assert len(builds) == 1
         delta = WARM.delta(before, WARM.counters())
@@ -215,40 +205,26 @@ class TestTrajectoryCaching:
             changed[field] = value
             assert trajectory_key(changed) != trajectory_key(base), field
 
-    def test_disk_roundtrip_and_corruption_rebuild(self, tmp_path,
-                                                   monkeypatch, caplog):
-        config = _config(seed=777)
-        params = config.background_params()
-        monkeypatch.setenv(TRAJECTORY_CACHE_ENV, str(tmp_path))
-
-        def build():
-            return build_trajectory(lambda: _build_graph_sim(config),
-                                    num_cycles=config.num_cycles,
-                                    stride=config.snapshot_stride)
-
+    @pytest.mark.parametrize("target,scheme", [("pipeline", "timber-ff"),
+                                               ("pipeline", "logical"),
+                                               ("graph", "timber-latch")])
+    def test_second_evaluator_is_one_warm_hit(self, target, scheme):
+        configs = [_config(target=target, scheme=scheme, seed=seed)
+                   for seed in (31, 32)]
         WARM.clear()
-        first = trajectory_for(params, build)
-        segments = list(tmp_path.glob("pack-*.jsonl"))
-        assert len(segments) == 1
-        assert len(segments[0].read_bytes().splitlines()) == 1
-        # A fresh process (cleared warm cache) loads from disk.
-        WARM.clear()
-        loaded = trajectory_for(params, build)
-        assert isinstance(loaded, BackgroundTrajectory)
-        assert loaded == first
-        # Corrupt the record: checksum-on-read logs, skips, rebuilds.
-        segments[0].write_text(segments[0].read_text().replace(
-            '"result"', '"resolt"', 1))
-        WARM.clear()
-        with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
-            rebuilt = trajectory_for(params, build)
-        assert rebuilt == first
-        assert any("corrupted" in record.message
-                   for record in caplog.records)
-        # The rebuild appended a valid record that now wins.
-        assert len(segments[0].read_bytes().splitlines()) == 2
-        WARM.clear()
-        assert trajectory_for(params, build) == first
+        first = [fault_runner(config) for config in configs]
+        before = WARM.counters()
+        second = fault_runner(configs[0])
+        # Snapshots, rows and prefix table come from one entry.
+        assert WARM.delta(before, WARM.counters())["trajectory"] == [1, 0]
+        assert second.trajectory is first[0].trajectory
+        assert second.rows is first[0].rows
+        if second.machine is not None:
+            assert second.machine.table is first[0].machine.table
+        # The cache holds one entry per background.
+        held = len(WARM)
+        WARM.discard("trajectory")
+        assert held - len(WARM) == len(configs)
 
 
 class TestForkedEvaluatorFallbacks:
