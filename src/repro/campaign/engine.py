@@ -579,20 +579,21 @@ class _CycleEvaluator:
         With the vector kernels, the shared fault-free rows
         (delay/sensitization plus the screen's verdicts) come first —
         forks index them and the lane machine perturbs them — then the
-        machine's prefix table, and the snapshot walk slices the same
-        rows.  Scalar mode keeps only the snapshots, so every lane
-        replays through the row-free scalar path.
+        machine's prefix table, which lets the snapshot walk skip
+        state-free strides and slice the same rows.  Scalar mode keeps
+        only the snapshots, so every lane replays through the row-free
+        scalar path.
         """
         config = self.config
         rows = table = None
         if kernels.vectorized_enabled():
             rows = self.sim.background_rows(config.num_cycles)
             if machine is not None:
-                table = machine.prefix_table(rows)
+                table = machine.table = machine.prefix_table(rows)
         trajectory = build_trajectory(
             lambda: _SIM_BUILDERS[config.target](config),
             num_cycles=config.num_cycles, stride=config.snapshot_stride,
-            rows=rows)
+            rows=rows, machine=machine)
         return trajectory, rows, table
 
     def replay(self, spec: FaultSpec) -> tuple[FaultOutcome, int]:

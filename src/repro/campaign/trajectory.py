@@ -11,10 +11,12 @@ configuration and checkpoints at stride boundaries.
 A :class:`BackgroundTrajectory` is just the stride plus the snapshot
 tuple; evaluating a fault then means restoring the nearest snapshot at
 or before ``spec.cycle`` and simulating only the fault's influence
-window instead of re-running the whole prefix from cycle 0.  The
-prefix advance itself reuses the vectorized block screen (the builder
-simply calls ``sim.run`` stride by stride), so reaching snapshot
-points costs a handful of numpy calls per stride.
+window instead of re-running the whole prefix from cycle 0.  A
+snapshot only holds carried borrow and relay state, so the builder
+walks (``sim.run``, the screened walk) only strides that may carry
+some: given the lane machine's prefix table, a stride entered idle in
+which no cycle leaves state ends idle, and its counters come off the
+table.
 
 Each background is built once per process and kept in the warm worker
 cache (kind ``"trajectory"``, same invalidation discipline as
@@ -35,6 +37,7 @@ import typing
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.exec.cache import stable_key
 from repro.exec.worker import WARM
@@ -74,17 +77,20 @@ class BackgroundTrajectory:
 
 def build_trajectory(make_sim: "typing.Callable[[], typing.Any]", *,
                      num_cycles: int, stride: int,
-                     rows: "tuple | None" = None) -> BackgroundTrajectory:
+                     rows: "tuple | None" = None,
+                     machine: "typing.Any" = None) -> BackgroundTrajectory:
     """Run the fault-free background once, snapshotting every stride.
 
     ``make_sim`` must build a fresh simulator with **no fault overlay
     and no observer** — the trajectory is the shared prefix of every
-    faulty run.  Each stride advances through the simulator's normal
-    ``run`` entry point, so the vectorized block screen does the heavy
-    lifting and the snapshots are bit-identical to scalar-mode ones.
-    ``rows`` (the simulator's ``background_rows`` over at least
-    ``num_cycles``) go to every stride's ``run``, whose walk then slices
-    them instead of evaluating its blocks again.
+    faulty run.  ``rows`` (the simulator's ``background_rows`` over at
+    least ``num_cycles``) go to every walked stride's ``run``, whose
+    walk then slices them instead of evaluating its blocks again.
+    ``machine``, the lane machine with the prefix table of those
+    ``rows``, skips each stride entered idle that its table shows
+    state-free: by induction every cycle in it is entered idle, so it
+    ends idle and the table holds its semantic counter increments.
+    Either way the snapshots are bit-identical to scalar-mode ones.
     """
     if stride < 1:
         raise ConfigurationError(f"stride must be >= 1, got {stride}")
@@ -96,9 +102,17 @@ def build_trajectory(make_sim: "typing.Callable[[], typing.Any]", *,
         raise ConfigurationError(
             "background trajectories must be fault-free")
     snapshots = [sim.snapshot()]
-    for boundary in range(stride, num_cycles, stride):
-        sim.run(boundary, start_cycle=boundary - stride, rows=rows)
+    skipped = []
+    for start in range(0, num_cycles - stride, stride):
+        if (machine is not None and machine.state_free(start, start + stride)
+                and machine.state_is_idle(snapshots[-1])):
+            skipped.append(start)
+        else:
+            sim.run(start + stride, start_cycle=start, rows=rows)
         snapshots.append(sim.snapshot())
+    if skipped and obs.REGISTRY.enabled:
+        starts = np.array(skipped)
+        machine.add_prefix_counters(starts, starts + stride)
     return BackgroundTrajectory(stride=stride, num_cycles=num_cycles,
                                 snapshots=tuple(snapshots))
 

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import obs
 from repro.campaign import CampaignConfig, build_trajectory, fault_runner
 from repro.campaign.engine import _build_graph_sim
 from repro.campaign.trajectory import trajectory_key, trajectory_rows_for
 from repro.errors import ConfigurationError
 from repro.exec.worker import WARM
+from repro.kernels import HAVE_NUMPY, SCALAR_ENV
 from repro.pipeline.controller import CentralErrorController
 from repro.pipeline.pipeline import PipelineSimulation
 from repro.pipeline.schemes import PlainPolicy, TimberFFPolicy
@@ -225,6 +227,61 @@ class TestTrajectoryCaching:
         held = len(WARM)
         WARM.discard("trajectory")
         assert held - len(WARM) == len(configs)
+
+
+class TestStateFreeBackground:
+    """A background no cycle of which leaves state builds with no walk:
+    every stride takes the idle snapshot off the prefix table."""
+
+    @staticmethod
+    def _walk_totals() -> list:
+        snapshot = obs.REGISTRY.snapshot()
+        return [series.get("value", series.get("sum"))
+                for name in ("repro_kernel_cycles_screened_total",
+                             "repro_kernel_cycles_replayed_total",
+                             "repro_kernel_batch_cycles")
+                for series in snapshot[name]["series"]]
+
+    @pytest.mark.skipif(not HAVE_NUMPY,
+                        reason="the prefix table needs the vector kernels")
+    @pytest.mark.parametrize("scheme", ["canary", "timber-ff"])
+    def test_vector_build_replays_and_walks_nothing(self, scheme,
+                                                    monkeypatch):
+        config = CampaignConfig(target="pipeline", scheme=scheme,
+                                num_faults=1, num_cycles=2000,
+                                snapshot_stride=256, seed=2010)
+        replayed = []
+        simulate = PipelineSimulation._simulate_cycle
+
+        def counting(self, cycle, *args, **kwargs):
+            replayed.append(cycle)
+            return simulate(self, cycle, *args, **kwargs)
+
+        monkeypatch.setattr(PipelineSimulation, "_simulate_cycle", counting)
+        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        was_enabled = obs.enabled()
+        obs.reset()
+        obs.enable()
+        try:
+            WARM.clear()
+            vector = fault_runner(config)
+            walked = self._walk_totals()
+        finally:
+            obs.reset()
+            if not was_enabled:
+                obs.disable()
+        assert not vector.machine.table.state.any()
+        assert replayed == []
+        assert not any(walked)
+
+        # The scalar oracle walks every cycle to the same snapshots.
+        monkeypatch.setenv(SCALAR_ENV, "1")
+        WARM.clear()
+        scalar = fault_runner(config)
+        assert scalar.machine is None
+        assert len(replayed) == (config.num_cycles
+                                 - config.num_cycles % config.snapshot_stride)
+        assert scalar.trajectory == vector.trajectory
 
 
 class TestForkedEvaluatorFallbacks:
