@@ -12,7 +12,10 @@ The drill (run from the repo root with ``PYTHONPATH=src``):
    chunk tasks into multi-task batches, mid-*batch* — one worker
    process is SIGKILLed (the runner must absorb the broken pool with the whole
    batch in flight), and then the campaign process itself is SIGKILLed
-   (a hard crash with a partial checkpoint on disk).
+   (a hard crash with a partial checkpoint on disk).  The run is frozen
+   (SIGSTOP) while its worker dies, and killed as soon as it forks the
+   fresh pool that shows it absorbed the death, so the kill lands with
+   most of the sweep still to run however fast the sweep is.
 3. One result-cache record in the middle of a pack segment is
    overwritten in place — the corruption the integrity check must
    catch rather than serve, without losing the records after it.
@@ -413,18 +416,25 @@ def main() -> int:
         orphans: list[int] = []
         while time.monotonic() < deadline and proc.poll() is None:
             if _completed_records(checkpoint) >= MIN_CHECKPOINTED:
-                for _ in range(20):  # workers may be between tasks
-                    for worker in _worker_pids(proc.pid)[:1]:
-                        try:
-                            os.kill(worker, signal.SIGKILL)
-                            worker_killed = True
-                            print(f"      killed worker {worker}")
-                        except OSError:
-                            pass
-                    if worker_killed or proc.poll() is not None:
-                        break
-                    time.sleep(0.01)
-                time.sleep(0.1)
+                # Frozen, the run records nothing more until the worker
+                # is dead, whatever its speed.
+                os.kill(proc.pid, signal.SIGSTOP)
+                workers = _worker_pids(proc.pid)
+                for worker in workers[:1]:
+                    try:
+                        os.kill(worker, signal.SIGKILL)
+                        worker_killed = True
+                        print(f"      killed worker {worker}")
+                    except OSError:
+                        pass
+                os.kill(proc.pid, signal.SIGCONT)
+                # A child that was not a worker at the kill is the pool
+                # the runner forks once it has absorbed the death (crash
+                # isolation or the rebuilt pool): kill the run then.
+                while (proc.poll() is None
+                       and time.monotonic() < deadline
+                       and not set(_worker_pids(proc.pid)) - set(workers)):
+                    time.sleep(0.002)
                 if proc.poll() is None:
                     # Workers get reparented to init by the SIGKILL and
                     # block forever on the dead pool's call queue (every

@@ -27,6 +27,11 @@ Public API tour:
 * ``repro.baselines`` — Table-1 taxonomy and architecture models.
 * ``repro.analysis`` — experiment runners and report rendering.
 
+Every package resolves its exported names on first use
+(:mod:`repro.exports`): ``import repro`` or ``import repro.core`` loads
+no submodule, and ``repro.core.TimberDesign`` imports
+``repro.core.architecture`` the first time it is read.
+
 Quickstart::
 
     from repro.core import CheckingPeriod, TimberDesign, TimberStyle
@@ -38,15 +43,11 @@ Quickstart::
     print(design.summary())
 """
 
-from repro.core.architecture import TimberDesign, TimberStyle
-from repro.core.checking_period import CheckingPeriod, IntervalKind
+from repro.exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CheckingPeriod",
-    "IntervalKind",
-    "TimberDesign",
-    "TimberStyle",
-    "__version__",
-]
+__all__ = lazy_exports(__name__, {
+    "core.architecture": ("TimberDesign", "TimberStyle"),
+    "core.checking_period": ("CheckingPeriod", "IntervalKind"),
+}) + ["__version__"]

@@ -1,48 +1,15 @@
 """Metrics, shared experiment runners, and table rendering."""
 
-from repro.analysis.tables import format_series, format_table
-from repro.analysis.report import (
-    ReportSection,
-    collect_sections,
-    generate_report,
-)
-from repro.analysis.sensitivity import (
-    SensitivityPoint,
-    SensitivityResult,
-    overhead_sensitivity,
-)
-from repro.analysis.metrics import (
-    energy_per_work,
-    failures_per_billion_cycles,
-    masked_fraction,
-    summarize_results,
-)
-from repro.analysis.experiments import (
-    ResiliencePoint,
-    fig1_experiment,
-    fig8_experiment,
-    resilience_sweep,
-    throughput_sweep,
-    two_stage_waveform_experiment,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "format_table",
-    "format_series",
-    "ReportSection",
-    "collect_sections",
-    "generate_report",
-    "SensitivityPoint",
-    "SensitivityResult",
-    "overhead_sensitivity",
-    "energy_per_work",
-    "failures_per_billion_cycles",
-    "masked_fraction",
-    "summarize_results",
-    "ResiliencePoint",
-    "fig1_experiment",
-    "fig8_experiment",
-    "resilience_sweep",
-    "throughput_sweep",
-    "two_stage_waveform_experiment",
-]
+__all__ = lazy_exports(__name__, {
+    "tables": ("format_table", "format_series"),
+    "report": ("ReportSection", "collect_sections", "generate_report"),
+    "sensitivity": ("SensitivityPoint", "SensitivityResult",
+                    "overhead_sensitivity"),
+    "metrics": ("energy_per_work", "failures_per_billion_cycles",
+                "masked_fraction", "summarize_results"),
+    "experiments": ("ResiliencePoint", "fig1_experiment", "fig8_experiment",
+                    "resilience_sweep", "throughput_sweep",
+                    "two_stage_waveform_experiment"),
+})

@@ -1,21 +1,9 @@
 """Baseline techniques for online timing-error resilience (Table 1)."""
 
-from repro.baselines.registry import (
-    TABLE1_CATEGORIES,
-    TechniqueCategory,
-    table1_rows,
-)
-from repro.baselines.architectures import (
-    ARCHITECTURES,
-    TechniqueArchitecture,
-    architecture_by_key,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "TechniqueCategory",
-    "TABLE1_CATEGORIES",
-    "table1_rows",
-    "TechniqueArchitecture",
-    "ARCHITECTURES",
-    "architecture_by_key",
-]
+__all__ = lazy_exports(__name__, {
+    "registry": ("TechniqueCategory", "TABLE1_CATEGORIES", "table1_rows"),
+    "architectures": ("TechniqueArchitecture", "ARCHITECTURES",
+                      "architecture_by_key"),
+})

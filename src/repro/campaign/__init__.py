@@ -20,77 +20,19 @@ full-run oracle the evaluators are pinned against lives in
 import.
 """
 
-from repro.campaign.engine import (
-    CAMPAIGN_TASK,
-    CampaignConfig,
-    CampaignResult,
-    campaign_chunk_task,
-    fault_runner,
-    run_campaign,
-    warm_backgrounds,
-)
-from repro.campaign.faults import (
-    FAULT_KINDS,
-    FaultColumns,
-    FaultOverlay,
-    FaultSpec,
-    draw_spec,
-    generate_population,
-    iter_population,
-)
-from repro.campaign.trajectory import BackgroundTrajectory, build_trajectory
-from repro.campaign.outcomes import (
-    BENIGN,
-    ESCAPED,
-    FALSE_POSITIVE,
-    MASKED_ED,
-    MASKED_TB,
-    OUTCOME_CLASSES,
-    RELAYED,
-    CaptureEvent,
-    FaultOutcome,
-    OutcomeColumns,
-    classify_events,
-    classify_flags,
-)
-from repro.campaign.report import (
-    CoverageReport,
-    build_report,
-    render_reports,
-    write_campaign_bench,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_TASK",
-    "CampaignConfig",
-    "CampaignResult",
-    "campaign_chunk_task",
-    "fault_runner",
-    "run_campaign",
-    "warm_backgrounds",
-    "FAULT_KINDS",
-    "FaultColumns",
-    "FaultOverlay",
-    "FaultSpec",
-    "draw_spec",
-    "generate_population",
-    "iter_population",
-    "BackgroundTrajectory",
-    "build_trajectory",
-    "BENIGN",
-    "ESCAPED",
-    "FALSE_POSITIVE",
-    "MASKED_ED",
-    "MASKED_TB",
-    "OUTCOME_CLASSES",
-    "RELAYED",
-    "CaptureEvent",
-    "FaultOutcome",
-    "OutcomeColumns",
-    "classify_events",
-    "classify_flags",
-    "CoverageReport",
-    "build_report",
-    "render_reports",
-    "write_campaign_bench",
-]
+__all__ = lazy_exports(__name__, {
+    "engine": ("CAMPAIGN_TASK", "CampaignConfig", "CampaignResult",
+               "campaign_chunk_task", "fault_runner", "run_campaign",
+               "warm_backgrounds"),
+    "faults": ("FAULT_KINDS", "FaultColumns", "FaultOverlay", "FaultSpec",
+               "draw_spec", "generate_population", "iter_population"),
+    "trajectory": ("BackgroundTrajectory", "build_trajectory"),
+    "outcomes": ("BENIGN", "ESCAPED", "FALSE_POSITIVE", "MASKED_ED",
+                 "MASKED_TB", "OUTCOME_CLASSES", "RELAYED", "CaptureEvent",
+                 "FaultOutcome", "OutcomeColumns", "classify_events",
+                 "classify_flags"),
+    "report": ("CoverageReport", "build_report", "render_reports",
+               "write_campaign_bench"),
+})

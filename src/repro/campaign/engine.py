@@ -67,6 +67,7 @@ import numpy as np
 
 from repro import kernels, obs
 from repro.baselines.architectures import architecture_by_key
+from repro.campaign import report as campaign_report
 from repro.campaign.faults import (
     FAULT_KINDS,
     FaultColumns,
@@ -94,6 +95,11 @@ from repro.exec.runner import (
     derive_seed,
     task_key,
 )
+from repro.kernels import fault_batch
+from repro.pipeline.graph_sim import GraphPipelineSimulation
+from repro.pipeline.pipeline import PipelineSimulation
+from repro.pipeline.stage import PipelineStage
+from repro.timing.graph import TimingGraph
 from repro.variability.base import ConstantVariation
 
 #: Dotted task-function name (module-level, worker-importable).
@@ -108,26 +114,16 @@ _NETLIST_KINDS = ("seu", "delay")
 # are a pure function of the seeded population and the simulators);
 # the latency histogram is wall-clock, hence the ``_seconds`` suffix
 # that excludes it from determinism checks.
-_OBS_OUTCOMES = obs.REGISTRY.counter(
-    "repro_campaign_outcomes_total",
-    "Classified fault outcomes",
-    labelnames=("target", "scheme", "classification"))
-_OBS_FAULT_SECONDS = obs.REGISTRY.histogram(
-    "repro_campaign_fault_seconds",
-    "Wall time to simulate and classify one fault",
-    buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-             0.25, 0.5, 1.0)).labels()
+_OBS_OUTCOMES = obs.REGISTRY.family("repro_campaign_outcomes_total")
+_OBS_FAULT_SECONDS = obs.REGISTRY.family(
+    "repro_campaign_fault_seconds").labels()
 # Snapshot-fork effectiveness: prefix cycles the fork skipped (the
 # work the full-run path would have re-simulated) and the length of
 # each actually-simulated fork window.
-_OBS_PREFIX_SAVED = obs.REGISTRY.counter(
-    "repro_campaign_prefix_cycles_saved_total",
-    "Fault-free prefix cycles skipped by forking from a trajectory "
-    "snapshot").labels()
-_OBS_FORK_WINDOW = obs.REGISTRY.histogram(
-    "repro_campaign_fork_window_cycles",
-    "Cycles simulated per snapshot-forked fault evaluation",
-    buckets=(8, 16, 32, 64, 128, 256, 512, 1024, 2048)).labels()
+_OBS_PREFIX_SAVED = obs.REGISTRY.family(
+    "repro_campaign_prefix_cycles_saved_total").labels()
+_OBS_FORK_WINDOW = obs.REGISTRY.family(
+    "repro_campaign_fork_window_cycles").labels()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -326,9 +322,6 @@ def _build_pipeline_sim(config: CampaignConfig, *,
                         faults: "FaultOverlay | None" = None,
                         capture_observer: typing.Callable | None = None):
     """A fresh linear-pipeline simulation for this campaign config."""
-    from repro.pipeline.pipeline import PipelineSimulation
-    from repro.pipeline.stage import PipelineStage
-
     stages = [
         PipelineStage(
             name=site,
@@ -354,9 +347,6 @@ def _build_graph_sim(config: CampaignConfig, *,
                      faults: "FaultOverlay | None" = None,
                      capture_observer: typing.Callable | None = None):
     """A fresh whole-graph simulation on the synthetic chain."""
-    from repro.pipeline.graph_sim import GraphPipelineSimulation
-    from repro.timing.graph import TimingGraph
-
     graph = TimingGraph("campaign-chain", config.period_ps)
     graph.add_ff("g0")
     for index in range(1, config.num_stages + 1):
@@ -555,9 +545,6 @@ class _CycleEvaluator:
         self.sim = _SIM_BUILDERS[config.target](config)
         machine = None
         if kernels.vectorized_enabled():
-            from repro.kernels import fault_batch
-
-            self._fault_batch = fault_batch
             machine = (fault_batch.pipeline_machine(self.sim)
                        if config.target == "pipeline"
                        else fault_batch.graph_machine(self.sim))
@@ -703,7 +690,6 @@ class _CycleEvaluator:
     def _run_lanes(self, faults: FaultColumns, lanes: np.ndarray,
                    end: np.ndarray, folded: np.ndarray) -> None:
         """Evaluate faults ``lanes`` on the machine into ``folded``."""
-        fault_batch = self._fault_batch
         cycle = faults.cycle[lanes]
         block = fault_batch.LaneBlock(
             cycle=cycle,
@@ -868,8 +854,6 @@ def run_campaign(config: CampaignConfig, *,
     runner's telemetry emits are labelled with the scheme boundary a
     multi-scheme campaign is crossing.
     """
-    from repro.campaign.report import build_report
-
     runner = runner or SweepRunner()
     if publisher is not None:
         publisher.set_phase(config.scheme)
@@ -883,6 +867,6 @@ def run_campaign(config: CampaignConfig, *,
     return CampaignResult(
         config=config,
         outcomes=outcomes,
-        report=build_report(config, outcomes),
+        report=campaign_report.build_report(config, outcomes),
         summary=run.summary,
     )

@@ -1,27 +1,11 @@
 """Gate-level circuit substrate: logic values, cells, netlists, generators."""
 
-from repro.circuit.logic import Logic, resolve_unknown
-from repro.circuit.cells import Cell, CellLibrary, default_library
-from repro.circuit.netlist import Gate, Net, Netlist
-from repro.circuit.verilog import to_verilog, write_verilog
-from repro.circuit.evaluate import (
-    check_equivalence,
-    evaluate,
-    random_vectors,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Logic",
-    "resolve_unknown",
-    "Cell",
-    "CellLibrary",
-    "default_library",
-    "Gate",
-    "Net",
-    "Netlist",
-    "to_verilog",
-    "write_verilog",
-    "check_equivalence",
-    "evaluate",
-    "random_vectors",
-]
+__all__ = lazy_exports(__name__, {
+    "logic": ("Logic", "resolve_unknown"),
+    "cells": ("Cell", "CellLibrary", "default_library"),
+    "netlist": ("Gate", "Net", "Netlist"),
+    "verilog": ("to_verilog", "write_verilog"),
+    "evaluate": ("check_equivalence", "evaluate", "random_vectors"),
+})

@@ -7,53 +7,17 @@
 * :mod:`repro.core.structural` — gate/latch-level TIMBER circuits.
 """
 
-from repro.core.checking_period import CheckingPeriod, IntervalKind
-from repro.core.masking import (
-    CaptureOutcome,
-    canary_capture,
-    clock_stall_capture,
-    plain_ff_capture,
-    razor_capture,
-    soft_edge_capture,
-    timber_ff_capture,
-    timber_latch_capture,
-)
-from repro.core.relay import ErrorRelay, RelayCost, relay_cost
-from repro.core.architecture import TimberDesign, TimberStyle
-from repro.core.ortree import OrTree, build_or_tree, consolidation_latency_ps
-from repro.core.testbench import TimberTestbench, build_timber_testbench
-from repro.core.selector import (
-    SelectionResult,
-    coverage_curve,
-    endpoint_weights,
-    select_all_critical,
-    select_budgeted,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "CheckingPeriod",
-    "IntervalKind",
-    "CaptureOutcome",
-    "timber_ff_capture",
-    "timber_latch_capture",
-    "plain_ff_capture",
-    "razor_capture",
-    "canary_capture",
-    "soft_edge_capture",
-    "clock_stall_capture",
-    "ErrorRelay",
-    "RelayCost",
-    "relay_cost",
-    "TimberDesign",
-    "TimberStyle",
-    "OrTree",
-    "build_or_tree",
-    "consolidation_latency_ps",
-    "SelectionResult",
-    "coverage_curve",
-    "endpoint_weights",
-    "select_all_critical",
-    "select_budgeted",
-    "TimberTestbench",
-    "build_timber_testbench",
-]
+__all__ = lazy_exports(__name__, {
+    "checking_period": ("CheckingPeriod", "IntervalKind"),
+    "masking": ("CaptureOutcome", "timber_ff_capture", "timber_latch_capture",
+                "plain_ff_capture", "razor_capture", "canary_capture",
+                "soft_edge_capture", "clock_stall_capture"),
+    "relay": ("ErrorRelay", "RelayCost", "relay_cost"),
+    "architecture": ("TimberDesign", "TimberStyle"),
+    "ortree": ("OrTree", "build_or_tree", "consolidation_latency_ps"),
+    "selector": ("SelectionResult", "coverage_curve", "endpoint_weights",
+                 "select_all_critical", "select_budgeted"),
+    "testbench": ("TimberTestbench", "build_timber_testbench"),
+})

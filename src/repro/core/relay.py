@@ -39,13 +39,10 @@ from repro.units import as_percent
 # Event-driven relay activity (deterministic: the simulator is).  Only
 # non-zero selects count — an idle relay applying zeros is the
 # error-free common case and would swamp the signal.
-_OBS_SELECTS = obs.REGISTRY.counter(
-    "repro_relay_selects_applied_total",
-    "Non-zero selects applied by the event-driven error relay").labels()
-_OBS_SELECT_DEPTH = obs.REGISTRY.histogram(
-    "repro_relay_select_depth_intervals",
-    "Select values applied by the event-driven relay (non-zero only)",
-    buckets=(1, 2, 3, 4, 6, 8)).labels()
+_OBS_SELECTS = obs.REGISTRY.family(
+    "repro_relay_selects_applied_total").labels()
+_OBS_SELECT_DEPTH = obs.REGISTRY.family(
+    "repro_relay_select_depth_intervals").labels()
 
 #: Gate-equivalents of one 2-bit max node (comparator + 2:1 muxes).
 MAX_NODE_AREA = 7.0

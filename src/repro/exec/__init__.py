@@ -36,58 +36,17 @@ substrate those sweeps run on.  Six layers:
   sizes, warm-cache hit rates, worker utilization) all read it.
 """
 
-from repro.exec.cache import (
-    ResultCache,
-    decode_result,
-    encode_result,
-    encode_stored,
-    stable_key,
-)
-from repro.exec.checkpoint import (
-    SweepCheckpoint,
-    atomic_write_json,
-    compute_run_key,
-    read_checkpoint,
-)
-from repro.exec.recordlog import RecordLog, RecordLogCorrupt
-from repro.exec.runner import (
-    DispatchSizer,
-    SweepDrained,
-    SweepRunner,
-    SweepRunResult,
-    SweepTask,
-    TaskOutcome,
-    TaskPayload,
-    derive_seed,
-    exec_mp_context,
-    expand_grid,
-)
-from repro.exec.telemetry import RunTelemetry
-from repro.exec.worker import WARM, WarmCache
+from repro.exports import lazy_exports
 
-__all__ = [
-    "DispatchSizer",
-    "RecordLog",
-    "RecordLogCorrupt",
-    "ResultCache",
-    "RunTelemetry",
-    "SweepCheckpoint",
-    "SweepDrained",
-    "SweepRunResult",
-    "SweepRunner",
-    "SweepTask",
-    "TaskOutcome",
-    "TaskPayload",
-    "WARM",
-    "WarmCache",
-    "atomic_write_json",
-    "compute_run_key",
-    "decode_result",
-    "derive_seed",
-    "encode_result",
-    "encode_stored",
-    "exec_mp_context",
-    "expand_grid",
-    "read_checkpoint",
-    "stable_key",
-]
+__all__ = lazy_exports(__name__, {
+    "cache": ("ResultCache", "decode_result", "encode_result",
+              "encode_stored", "stable_key"),
+    "checkpoint": ("SweepCheckpoint", "atomic_write_json",
+                   "compute_run_key", "read_checkpoint"),
+    "recordlog": ("RecordLog", "RecordLogCorrupt"),
+    "runner": ("DispatchSizer", "SweepDrained", "SweepRunner",
+               "SweepRunResult", "SweepTask", "TaskOutcome", "TaskPayload",
+               "derive_seed", "exec_mp_context", "expand_grid"),
+    "telemetry": ("RunTelemetry",),
+    "worker": ("WARM", "WarmCache"),
+})

@@ -14,7 +14,7 @@ every sweep's cache misses, whatever executes them:
 * ``workers > 1`` executes batches on one persistent
   ``concurrent.futures.ProcessPoolExecutor`` — created with an explicit
   multiprocessing context (:func:`exec_mp_context`) and a worker
-  initializer that sizes the per-worker warm cache — reused across
+  initializer that restores the default SIGTERM action — reused across
   :meth:`SweepRunner.run` calls, so multi-phase drivers (the campaign
   CLI runs one sweep per scheme) pay pool construction once.  Any
   multi-worker run uses the pool even for a single miss: crash-prone
@@ -94,6 +94,7 @@ import logging
 import math
 import multiprocessing
 import os
+import signal
 import time
 import typing
 import weakref
@@ -515,6 +516,18 @@ def _task_error(entry: dict) -> BaseException:
     error = entry["error"]
     return error if isinstance(error, BaseException) \
         else RemoteTaskError(error)
+
+
+def _init_worker() -> None:
+    """Give a pool worker the default SIGTERM action.
+
+    A fork worker inherits its parent's Python signal handlers, the
+    CLI's drain handler among them, which only sets a flag.  A worker
+    blocked on a queue lock that a killed sibling held would then
+    outlive the broken pool's ``terminate()``, and the pool's join
+    would wait on it forever.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _shutdown_pool(pool, *, wait: bool = False) -> None:
@@ -988,6 +1001,7 @@ class SweepRunner:
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             mp_context=exec_mp_context(self.mp_start),
+            initializer=_init_worker,
         )
 
     def close(self, *, wait: bool = False) -> None:

@@ -28,6 +28,7 @@ import time
 import typing
 
 from repro import obs
+from repro.kernels import kernel_mode
 from repro.obs.health import ALERT_COUNTS, EXEC_COUNTS
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -38,45 +39,22 @@ logger = logging.getLogger("repro.exec")
 # Registry mirrors of the tally, bumped inside :func:`fold_exec`.
 # (``repro_exec_`` metrics depend on cache and checkpoint state, so they
 # sit outside the determinism contract.)
-_OBS_TASKS = obs.REGISTRY.counter(
-    "repro_exec_tasks_total",
-    "Sweep task outcomes by disposition",
-    labelnames=("status",))
+_OBS_TASKS = obs.REGISTRY.family("repro_exec_tasks_total")
 _OBS_BY_DISPOSITION = {
     status: _OBS_TASKS.labels(status=status)
     for status in ("executed", "cached", "resumed", "poisoned")}
 _OBS_ALERTS = {
-    "retry": obs.REGISTRY.counter(
-        "repro_exec_retries_total", "Task retry attempts").labels(),
-    "crash": obs.REGISTRY.counter(
-        "repro_exec_crashes_total", "Definite worker deaths").labels(),
-    "fallback": obs.REGISTRY.counter(
-        "repro_exec_serial_fallbacks_total",
-        "Process-pool failures that fell back to serial execution",
-    ).labels(),
+    "retry": obs.REGISTRY.family("repro_exec_retries_total").labels(),
+    "crash": obs.REGISTRY.family("repro_exec_crashes_total").labels(),
+    "fallback": obs.REGISTRY.family(
+        "repro_exec_serial_fallbacks_total").labels(),
 }
-_OBS_EVENTS = obs.REGISTRY.counter(
-    "repro_exec_events_processed_total",
-    "Simulated-work units reported by executed tasks").labels()
-_OBS_WORKERS = obs.REGISTRY.gauge(
-    "repro_exec_workers", "Worker-pool size of the most recent sweep",
-).labels()
-_OBS_TASK_SECONDS = obs.REGISTRY.histogram(
-    "repro_exec_task_seconds",
-    "Wall time per executed (non-cached, non-resumed) task",
-    buckets=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-             30.0, 60.0)).labels()
-_OBS_BATCHES = obs.REGISTRY.counter(
-    "repro_exec_batches_total",
-    "Task batches dispatched, to pool workers or in-parent").labels()
-_OBS_BATCH_TASKS = obs.REGISTRY.histogram(
-    "repro_exec_batch_tasks",
-    "Tasks per dispatched batch",
-    buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256)).labels()
-_OBS_WARM = obs.REGISTRY.counter(
-    "repro_exec_warm_cache_total",
-    "Warm-cache lookups inside workers, by artefact kind and result",
-    labelnames=("kind", "result"))
+_OBS_EVENTS = obs.REGISTRY.family("repro_exec_events_processed_total").labels()
+_OBS_WORKERS = obs.REGISTRY.family("repro_exec_workers").labels()
+_OBS_TASK_SECONDS = obs.REGISTRY.family("repro_exec_task_seconds").labels()
+_OBS_BATCHES = obs.REGISTRY.family("repro_exec_batches_total").labels()
+_OBS_BATCH_TASKS = obs.REGISTRY.family("repro_exec_batch_tasks").labels()
+_OBS_WARM = obs.REGISTRY.family("repro_exec_warm_cache_total")
 
 #: Log verb per task disposition.
 _VERBS = {"poisoned": "poisoned", "resumed": "resumed from checkpoint",
@@ -212,8 +190,6 @@ class RunTelemetry:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self, *, workers: int, num_tasks: int) -> None:
-        from repro.kernels import kernel_mode
-
         self.tally = ExecTally()
         # Capture once: kernel_mode() reads the environment, which a
         # long-running process may mutate between run and summary.
@@ -290,8 +266,6 @@ class RunTelemetry:
     def summary(self) -> dict:
         """The tally as the run's JSON-able summary."""
         if self.kernel_mode is None:  # summary before any start()
-            from repro.kernels import kernel_mode
-
             self.kernel_mode = kernel_mode()
         tally = self.tally
         counts = tally.counts

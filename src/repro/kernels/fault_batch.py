@@ -97,19 +97,9 @@ _BIG_NEG = -(2 ** 60)
 # lanes went through the vectorized lane machine; ``replayed`` lanes
 # dropped to the per-fault forked path (divergent window, noisy
 # background, or non-idle fork state).
-_OBS_LANES = obs.REGISTRY.counter(
-    "repro_kernel_fault_lanes_total",
-    "Campaign fault lanes by evaluation path",
-    labelnames=("kernel", "path"))
-_OBS_STEPS = obs.REGISTRY.counter(
-    "repro_kernel_lane_steps_total",
-    "Batched fault-lane window steps the lane machine ran or retired",
-    labelnames=("kernel", "path"))
-_OBS_GROUP = obs.REGISTRY.histogram(
-    "repro_kernel_lane_group_faults",
-    "Fault lanes evaluated together per batched fork-window group",
-    labelnames=("kernel",),
-    buckets=(1, 2, 4, 8, 16, 32, 64))
+_OBS_LANES = obs.REGISTRY.family("repro_kernel_fault_lanes_total")
+_OBS_STEPS = obs.REGISTRY.family("repro_kernel_lane_steps_total")
+_OBS_GROUP = obs.REGISTRY.family("repro_kernel_lane_group_faults")
 
 
 @dataclasses.dataclass(frozen=True)

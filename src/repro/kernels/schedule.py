@@ -107,19 +107,9 @@ def replay_points(
 
 # Vector-path internals (``repro_kernel_`` namespace: zero on scalar
 # runs, excluded from cross-mode byte-identity checks).
-_SCREENED = obs.REGISTRY.counter(
-    "repro_kernel_cycles_screened_total",
-    "Cycles retired by the block screen without scalar replay",
-    labelnames=("kernel",))
-_REPLAYED = obs.REGISTRY.counter(
-    "repro_kernel_cycles_replayed_total",
-    "Cycles replayed through the scalar state machine, by reason",
-    labelnames=("kernel", "reason"))
-_BATCH = obs.REGISTRY.histogram(
-    "repro_kernel_batch_cycles",
-    "Block sizes fed to the screen (adaptive block sizer output)",
-    labelnames=("kernel",),
-    buckets=(64, 128, 256, 512, 1024, 2048, 4096, 8192))
+_SCREENED = obs.REGISTRY.family("repro_kernel_cycles_screened_total")
+_REPLAYED = obs.REGISTRY.family("repro_kernel_cycles_replayed_total")
+_BATCH = obs.REGISTRY.family("repro_kernel_batch_cycles")
 
 
 class WalkCounters:

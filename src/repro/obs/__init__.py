@@ -9,6 +9,11 @@ is **off by default**: disabled metric calls are a single flag check on
 a pre-bound series (no allocation), and disabled ``trace_span`` calls
 return a shared no-op context manager.
 
+Every metric family the program counts into is declared on
+:data:`REGISTRY` at import, from the one table in
+:mod:`repro.obs.families`, so the families a run exports do not depend
+on which instrumented modules it imported.
+
 Enablement is process-wide, via :func:`enable` or the ``REPRO_OBS=1``
 environment variable (checked at import, which is how process-pool
 workers inherit the setting — the CLI's ``--obs-out`` sets both).
@@ -35,6 +40,7 @@ from __future__ import annotations
 import os
 import typing
 
+from repro.obs.families import declare
 from repro.obs.health import (
     HEALTH_SCHEMA_VERSION,
     HealthFold,
@@ -53,6 +59,7 @@ OBS_ENV = "REPRO_OBS"
 
 #: The process-wide metrics registry every instrument site binds to.
 REGISTRY = MetricsRegistry()
+declare(REGISTRY)
 
 #: The process-wide span tracer behind :func:`trace_span`.
 TRACER = Tracer()

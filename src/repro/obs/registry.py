@@ -244,6 +244,14 @@ class MetricsRegistry:
             raise ConfigurationError("histogram needs at least one bucket")
         return self._register(name, "histogram", help, labelnames, edges)
 
+    def family(self, name: str) -> MetricFamily:
+        """The registered family ``name`` (the program's own families are
+        declared in :mod:`repro.obs.families`)."""
+        family = self._families.get(name)
+        if family is None:
+            raise ConfigurationError(f"metric {name!r} is not declared")
+        return family
+
     # -- inspection --------------------------------------------------------
     def families(self) -> list[MetricFamily]:
         """Every family, sorted by name (deterministic export order)."""

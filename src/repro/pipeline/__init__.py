@@ -8,44 +8,16 @@ the central error-control unit that reduces the clock frequency after a
 flagged error.
 """
 
-from repro.pipeline.stage import PipelineStage
-from repro.pipeline.schemes import (
-    CanaryPolicy,
-    ClockStallPolicy,
-    CapturePolicy,
-    DcfPolicy,
-    LogicalMaskingPolicy,
-    PlainPolicy,
-    RazorPolicy,
-    SoftEdgePolicy,
-    TimberFFPolicy,
-    TimberLatchPolicy,
-)
-from repro.pipeline.controller import CentralErrorController
-from repro.pipeline.pipeline import PipelineResult, PipelineSimulation
-from repro.pipeline.dvfs import AdaptiveVoltageScaler, VddStep
-from repro.pipeline.graph_sim import (
-    GraphPipelineResult,
-    GraphPipelineSimulation,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "PipelineStage",
-    "CapturePolicy",
-    "PlainPolicy",
-    "TimberFFPolicy",
-    "TimberLatchPolicy",
-    "RazorPolicy",
-    "CanaryPolicy",
-    "DcfPolicy",
-    "SoftEdgePolicy",
-    "ClockStallPolicy",
-    "LogicalMaskingPolicy",
-    "CentralErrorController",
-    "PipelineResult",
-    "PipelineSimulation",
-    "AdaptiveVoltageScaler",
-    "VddStep",
-    "GraphPipelineResult",
-    "GraphPipelineSimulation",
-]
+__all__ = lazy_exports(__name__, {
+    "stage": ("PipelineStage",),
+    "schemes": ("CapturePolicy", "PlainPolicy", "TimberFFPolicy",
+                "TimberLatchPolicy", "RazorPolicy", "CanaryPolicy",
+                "DcfPolicy", "SoftEdgePolicy", "ClockStallPolicy",
+                "LogicalMaskingPolicy"),
+    "controller": ("CentralErrorController",),
+    "pipeline": ("PipelineResult", "PipelineSimulation"),
+    "dvfs": ("AdaptiveVoltageScaler", "VddStep"),
+    "graph_sim": ("GraphPipelineResult", "GraphPipelineSimulation"),
+})

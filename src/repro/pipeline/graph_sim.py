@@ -67,26 +67,15 @@ _M32 = 0xFFFFFFFF
 # reached an error-detection interval and flagged the controller.  The
 # fault-lane machine (:mod:`repro.kernels.fault_batch`) bumps the same
 # bound series.
-OBS_MASKED = obs.REGISTRY.counter(
-    "repro_graph_masked_total",
-    "Masked graph captures by checking-period interval class",
-    labelnames=("interval",))
+OBS_MASKED = obs.REGISTRY.family("repro_graph_masked_total")
 OBS_MASKED_TB = OBS_MASKED.labels(interval="tb")
 OBS_MASKED_ED = OBS_MASKED.labels(interval="ed")
-OBS_RELAYED = obs.REGISTRY.counter(
-    "repro_graph_relayed_total",
-    "Masked captures whose >=2-interval borrow proves an upstream "
-    "relay increment").labels()
-OBS_ESCAPED = obs.REGISTRY.counter(
-    "repro_graph_escaped_total",
-    "Failed (unmasked) graph captures",
-    labelnames=("protected",))
+OBS_RELAYED = obs.REGISTRY.family("repro_graph_relayed_total").labels()
+OBS_ESCAPED = obs.REGISTRY.family("repro_graph_escaped_total")
 OBS_ESCAPED_PROT = OBS_ESCAPED.labels(protected="yes")
 OBS_ESCAPED_UNPROT = OBS_ESCAPED.labels(protected="no")
-OBS_RELAY_DEPTH = obs.REGISTRY.histogram(
-    "repro_graph_relay_depth_intervals",
-    "Borrowed intervals per masked capture (select-chain depth)",
-    buckets=(1, 2, 3, 4, 6, 8)).labels()
+OBS_RELAY_DEPTH = obs.REGISTRY.family(
+    "repro_graph_relay_depth_intervals").labels()
 
 
 class WorkloadTraceLike(typing.Protocol):

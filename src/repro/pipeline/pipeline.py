@@ -47,10 +47,7 @@ from repro.variability.base import ConstantVariation, VariabilityModel
 # capture through — so scalar and vector runs agree bit-for-bit.  The
 # fault-lane machine (:mod:`repro.kernels.fault_batch`) bumps the same
 # bound series.
-OBS_OUTCOMES = obs.REGISTRY.counter(
-    "repro_pipeline_outcomes_total",
-    "Non-clean pipeline capture outcomes",
-    labelnames=("outcome",))
+OBS_OUTCOMES = obs.REGISTRY.family("repro_pipeline_outcomes_total")
 OBS_MASKED = OBS_OUTCOMES.labels(outcome="masked")
 OBS_MASKED_FLAGGED = OBS_OUTCOMES.labels(outcome="masked_flagged")
 OBS_DETECTED = OBS_OUTCOMES.labels(outcome="detected")

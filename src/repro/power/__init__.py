@@ -1,19 +1,9 @@
 """Power and area models and design-level overhead computation."""
 
-from repro.power.models import DesignCostModel, DesignCosts
-from repro.power.overhead import DeploymentOverhead, deployment_overhead
-from repro.power.voltage import (
-    EnergySavings,
-    VoltageModel,
-    margin_to_energy_savings,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "DesignCostModel",
-    "DesignCosts",
-    "DeploymentOverhead",
-    "deployment_overhead",
-    "EnergySavings",
-    "VoltageModel",
-    "margin_to_energy_savings",
-]
+__all__ = lazy_exports(__name__, {
+    "models": ("DesignCostModel", "DesignCosts"),
+    "overhead": ("DeploymentOverhead", "deployment_overhead"),
+    "voltage": ("EnergySavings", "VoltageModel", "margin_to_energy_savings"),
+})

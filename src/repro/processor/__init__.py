@@ -7,31 +7,13 @@ distribution the paper reports (Fig. 1), plus the workload-driven path
 sensitization model behind the multi-stage error-rate argument (Sec. 3).
 """
 
-from repro.processor.perfpoints import (
-    HIGH_PERFORMANCE,
-    LOW_PERFORMANCE,
-    MEDIUM_PERFORMANCE,
-    PERFORMANCE_POINTS,
-    PerformancePoint,
-)
-from repro.processor.generator import generate_processor, calibrate_base
-from repro.processor.trace import Phase, WorkloadTrace, synthetic_trace
-from repro.processor.workload import (
-    SensitizationModel,
-    multi_stage_error_probability,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "PerformancePoint",
-    "LOW_PERFORMANCE",
-    "MEDIUM_PERFORMANCE",
-    "HIGH_PERFORMANCE",
-    "PERFORMANCE_POINTS",
-    "generate_processor",
-    "calibrate_base",
-    "SensitizationModel",
-    "multi_stage_error_probability",
-    "Phase",
-    "WorkloadTrace",
-    "synthetic_trace",
-]
+__all__ = lazy_exports(__name__, {
+    "perfpoints": ("PerformancePoint", "LOW_PERFORMANCE",
+                   "MEDIUM_PERFORMANCE", "HIGH_PERFORMANCE",
+                   "PERFORMANCE_POINTS"),
+    "generator": ("generate_processor", "calibrate_base"),
+    "workload": ("SensitizationModel", "multi_stage_error_probability"),
+    "trace": ("Phase", "WorkloadTrace", "synthetic_trace"),
+})

@@ -7,26 +7,16 @@ paper's Sec. 5 semantics; Razor, canary, and delay-compensation flip-flops
 implement the baselines of Table 1.
 """
 
-from repro.sequential.base import ClockedElement, TimingCheck
-from repro.sequential.flipflop import DFlipFlop
-from repro.sequential.latch import DLatch, PulseGatedLatch
-from repro.sequential.timber_ff import TimberFlipFlop
-from repro.sequential.timber_latch import TimberLatch
-from repro.sequential.razor import RazorFlipFlop
-from repro.sequential.canary import CanaryFlipFlop
-from repro.sequential.dcf import DelayCompensationFlipFlop
-from repro.sequential.softedge import SoftEdgeFlipFlop
+from repro.exports import lazy_exports
 
-__all__ = [
-    "ClockedElement",
-    "TimingCheck",
-    "DFlipFlop",
-    "DLatch",
-    "PulseGatedLatch",
-    "TimberFlipFlop",
-    "TimberLatch",
-    "RazorFlipFlop",
-    "CanaryFlipFlop",
-    "DelayCompensationFlipFlop",
-    "SoftEdgeFlipFlop",
-]
+__all__ = lazy_exports(__name__, {
+    "base": ("ClockedElement", "TimingCheck"),
+    "flipflop": ("DFlipFlop",),
+    "latch": ("DLatch", "PulseGatedLatch"),
+    "timber_ff": ("TimberFlipFlop",),
+    "timber_latch": ("TimberLatch",),
+    "razor": ("RazorFlipFlop",),
+    "canary": ("CanaryFlipFlop",),
+    "dcf": ("DelayCompensationFlipFlop",),
+    "softedge": ("SoftEdgeFlipFlop",),
+})

@@ -1,22 +1,12 @@
 """Event-driven digital timing simulation."""
 
-from repro.sim.events import Event, EventQueue
-from repro.sim.engine import Simulator
-from repro.sim.clocks import ClockGenerator, DelayedClock
-from repro.sim.waveform import Waveform, WaveformRecorder
-from repro.sim.faults import FaultInjector, InjectedFault
-from repro.sim.vcd import dump_vcd, write_vcd
+from repro.exports import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "ClockGenerator",
-    "DelayedClock",
-    "Waveform",
-    "WaveformRecorder",
-    "FaultInjector",
-    "InjectedFault",
-    "dump_vcd",
-    "write_vcd",
-]
+__all__ = lazy_exports(__name__, {
+    "events": ("Event", "EventQueue"),
+    "engine": ("Simulator",),
+    "clocks": ("ClockGenerator", "DelayedClock"),
+    "waveform": ("Waveform", "WaveformRecorder"),
+    "faults": ("FaultInjector", "InjectedFault"),
+    "vcd": ("dump_vcd", "write_vcd"),
+})

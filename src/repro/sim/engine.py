@@ -28,16 +28,9 @@ Listener = typing.Callable[["Simulator", str, Logic, int], None]
 
 # Observability series, bound once: metric cost in run() is one guarded
 # call per run() invocation, never per event.
-_OBS_EVENTS = obs.REGISTRY.counter(
-    "repro_sim_events_total",
-    "Events dispatched by Simulator.run()").labels()
-_OBS_TOGGLES = obs.REGISTRY.counter(
-    "repro_sim_toggles_total",
-    "Signal toggles applied (initial X->known settles excluded)",
-).labels()
-_OBS_QUEUE_DEPTH = obs.REGISTRY.gauge(
-    "repro_sim_queue_depth",
-    "Live events still queued after the most recent run()").labels()
+_OBS_EVENTS = obs.REGISTRY.family("repro_sim_events_total").labels()
+_OBS_TOGGLES = obs.REGISTRY.family("repro_sim_toggles_total").labels()
+_OBS_QUEUE_DEPTH = obs.REGISTRY.family("repro_sim_queue_depth").labels()
 
 
 @dataclasses.dataclass

@@ -35,48 +35,15 @@ Modules:
   through :class:`repro.exec.SweepRunner`, update, journal, checkpoint.
 """
 
-from repro.soak.driver import (
-    SOAK_TASK,
-    SoakCheckpoint,
-    SoakConfig,
-    SoakResult,
-    replay_round,
-    run_soak,
-    soak_chunk_task,
-    soak_state_from_journal,
-)
-from repro.soak.estimators import (
-    EscapeEstimator,
-    StratumStats,
-    wilson_interval,
-)
-from repro.soak.generator import (
-    Stratum,
-    build_strata,
-    spec_for_draw,
-    stratum_lanes,
-)
-from repro.soak.journal import JournalCorrupt, SoakJournal
-from repro.soak.sampler import AdaptiveSampler, allocate_counts
+from repro.exports import lazy_exports
 
-__all__ = [
-    "AdaptiveSampler",
-    "EscapeEstimator",
-    "JournalCorrupt",
-    "SOAK_TASK",
-    "SoakCheckpoint",
-    "SoakConfig",
-    "SoakJournal",
-    "SoakResult",
-    "Stratum",
-    "StratumStats",
-    "allocate_counts",
-    "build_strata",
-    "replay_round",
-    "run_soak",
-    "soak_chunk_task",
-    "soak_state_from_journal",
-    "spec_for_draw",
-    "stratum_lanes",
-    "wilson_interval",
-]
+__all__ = lazy_exports(__name__, {
+    "driver": ("SOAK_TASK", "SoakCheckpoint", "SoakConfig", "SoakResult",
+               "replay_round", "run_soak", "soak_chunk_task",
+               "soak_state_from_journal"),
+    "estimators": ("EscapeEstimator", "StratumStats", "wilson_interval"),
+    "generator": ("Stratum", "build_strata", "spec_for_draw",
+                  "stratum_lanes"),
+    "journal": ("JournalCorrupt", "SoakJournal"),
+    "sampler": ("AdaptiveSampler", "allocate_counts"),
+})

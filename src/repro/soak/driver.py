@@ -94,20 +94,10 @@ COMMIT_INTERVAL_S = 1.0
 # Soak observability.  Round/fault counters and the CI-width gauge are
 # semantic (pure functions of config and round count); wall-clock rates
 # live under the ``_seconds`` suffix, excluded from determinism checks.
-_OBS_ROUNDS = obs.REGISTRY.counter(
-    "repro_soak_rounds_total", "Completed soak rounds").labels()
-_OBS_FAULTS = obs.REGISTRY.counter(
-    "repro_soak_faults_total",
-    "Soak faults evaluated, by stratum",
-    labelnames=("stratum",))
-_OBS_WIDEST_CI = obs.REGISTRY.gauge(
-    "repro_soak_widest_ci_width",
-    "Widest per-stratum escape-rate Wilson CI width").labels()
-_OBS_ROUND_SECONDS = obs.REGISTRY.histogram(
-    "repro_soak_round_seconds",
-    "Wall time per soak round (draw + dispatch + update + journal)",
-    buckets=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-             10.0, 30.0)).labels()
+_OBS_ROUNDS = obs.REGISTRY.family("repro_soak_rounds_total").labels()
+_OBS_FAULTS = obs.REGISTRY.family("repro_soak_faults_total")
+_OBS_WIDEST_CI = obs.REGISTRY.family("repro_soak_widest_ci_width").labels()
+_OBS_ROUND_SECONDS = obs.REGISTRY.family("repro_soak_round_seconds").labels()
 
 
 @dataclasses.dataclass(frozen=True)

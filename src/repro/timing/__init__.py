@@ -1,71 +1,19 @@
 """Timing analysis: FF-level timing graphs, gate-level STA, constraints."""
 
-from repro.timing.graph import TimingEdge, TimingGraph
-from repro.timing.criticality import CriticalityIndex, CriticalityView
-from repro.timing.sta import (
-    StaResult,
-    netlist_to_timing_graph,
-    register_to_register_delays,
-    run_sta,
-)
-from repro.timing.paths import PathSet, TimingPath, enumerate_paths
-from repro.timing.constraints import (
-    HoldFix,
-    HoldFixPlan,
-    apply_hold_padding,
-    hold_padding_plan,
-    min_delay_by_capture,
-)
-from repro.timing.ssta import EndpointStatistics, SstaResult, run_ssta
-from repro.timing.exceptions import (
-    ExceptionKind,
-    ExceptionSet,
-    TimingException,
-    apply_exceptions,
-    false_path,
-    multicycle_path,
-)
-from repro.timing.skew import (
-    SkewSchedule,
-    schedule_useful_skew,
-    skewed_graph,
-)
-from repro.timing.distribution import (
-    CriticalPathDistribution,
-    critical_path_distribution,
-    distribution_sweep,
-)
+from repro.exports import lazy_exports
 
-__all__ = [
-    "TimingEdge",
-    "TimingGraph",
-    "CriticalityIndex",
-    "CriticalityView",
-    "StaResult",
-    "netlist_to_timing_graph",
-    "register_to_register_delays",
-    "run_sta",
-    "PathSet",
-    "TimingPath",
-    "enumerate_paths",
-    "HoldFix",
-    "HoldFixPlan",
-    "apply_hold_padding",
-    "hold_padding_plan",
-    "min_delay_by_capture",
-    "CriticalPathDistribution",
-    "critical_path_distribution",
-    "distribution_sweep",
-    "EndpointStatistics",
-    "SstaResult",
-    "run_ssta",
-    "SkewSchedule",
-    "schedule_useful_skew",
-    "skewed_graph",
-    "ExceptionKind",
-    "ExceptionSet",
-    "TimingException",
-    "apply_exceptions",
-    "false_path",
-    "multicycle_path",
-]
+__all__ = lazy_exports(__name__, {
+    "graph": ("TimingEdge", "TimingGraph"),
+    "criticality": ("CriticalityIndex", "CriticalityView"),
+    "sta": ("StaResult", "netlist_to_timing_graph",
+            "register_to_register_delays", "run_sta"),
+    "paths": ("PathSet", "TimingPath", "enumerate_paths"),
+    "constraints": ("HoldFix", "HoldFixPlan", "apply_hold_padding",
+                    "hold_padding_plan", "min_delay_by_capture"),
+    "distribution": ("CriticalPathDistribution",
+                     "critical_path_distribution", "distribution_sweep"),
+    "ssta": ("EndpointStatistics", "SstaResult", "run_ssta"),
+    "skew": ("SkewSchedule", "schedule_useful_skew", "skewed_graph"),
+    "exceptions": ("ExceptionKind", "ExceptionSet", "TimingException",
+                   "apply_exceptions", "false_path", "multicycle_path"),
+})

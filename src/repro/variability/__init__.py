@@ -15,27 +15,12 @@ factor.  The taxonomy follows the paper's Table 1:
   as context).
 """
 
-from repro.variability.base import (
-    CompositeVariation,
-    ConstantVariation,
-    VariabilityModel,
-)
-from repro.variability.local import LocalVariation
-from repro.variability.global_fast import DroopEvent, VoltageDroopVariation
-from repro.variability.global_slow import (
-    AgingVariation,
-    TemperatureDriftVariation,
-)
-from repro.variability.process import ProcessVariation
+from repro.exports import lazy_exports
 
-__all__ = [
-    "VariabilityModel",
-    "ConstantVariation",
-    "CompositeVariation",
-    "LocalVariation",
-    "DroopEvent",
-    "VoltageDroopVariation",
-    "TemperatureDriftVariation",
-    "AgingVariation",
-    "ProcessVariation",
-]
+__all__ = lazy_exports(__name__, {
+    "base": ("VariabilityModel", "ConstantVariation", "CompositeVariation"),
+    "local": ("LocalVariation",),
+    "global_fast": ("DroopEvent", "VoltageDroopVariation"),
+    "global_slow": ("TemperatureDriftVariation", "AgingVariation"),
+    "process": ("ProcessVariation",),
+})

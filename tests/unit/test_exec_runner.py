@@ -1,6 +1,7 @@
 """Unit tests for the parallel sweep runner."""
 
 import dataclasses
+import signal
 
 import pytest
 
@@ -281,6 +282,19 @@ class TestCrashQuarantine:
     def test_invalid_poison_after_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepRunner(poison_after=0)
+
+    def test_workers_take_the_default_sigterm_action(self):
+        # A fork worker must not keep its parent's flag-setting handler:
+        # a broken pool's terminate() has to end a worker stuck on a
+        # queue lock that a killed sibling held.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            with SweepRunner(workers=2)._new_pool(1) as pool:
+                handler = pool.submit(signal.getsignal,
+                                      signal.SIGTERM).result(timeout=60)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert handler == signal.SIG_DFL
 
 
 class TestTaskSpec:
