@@ -56,6 +56,10 @@ A third drill covers stale-run detection in the live event stream:
    the liveness contract a dashboard's "is it dead?" badge relies on.
    The killed spool must still read cleanly: no ``StreamCorrupt``,
    strictly increasing ``seq`` and no dropped events.
+
+Every driver a drill kills runs in its own session, and its whole
+process group is SIGKILLed once it is dead, so no pool worker outlives
+the drill.
 """
 
 from __future__ import annotations
@@ -194,6 +198,21 @@ def _worker_pids(pid: int) -> list[int]:
     return real
 
 
+def _reap_group(proc: subprocess.Popen) -> None:
+    """SIGKILL what is left of a killed driver's process group.
+
+    Each driver starts in its own session, so its group holds its pool
+    workers — also any the pool forked after a listing of them.
+    SIGKILLed with the driver, they would be reparented to init and
+    block forever on the dead pool's call queue (every fork worker
+    holds a write end, so no reader ever sees EOF).
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def _completed_records(checkpoint: pathlib.Path) -> int:
     """Distinct completed tasks in the checkpoint log (torn tail
     ignored, as ``--resume`` would)."""
@@ -248,11 +267,10 @@ def _soak_drill(workdir: pathlib.Path, env: dict) -> None:
     proc = subprocess.Popen(
         _soak_cli(journal, "--checkpoint", str(checkpoint)),
         cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
+        stderr=subprocess.DEVNULL, start_new_session=True)
     deadline = time.monotonic() + KILL_DEADLINE_S
     worker_killed = False
     interrupted = False
-    orphans: list[int] = []
     while time.monotonic() < deadline and proc.poll() is None:
         rounds = _journal_rounds(journal)
         if rounds >= 1 and not worker_killed:
@@ -264,7 +282,6 @@ def _soak_drill(workdir: pathlib.Path, env: dict) -> None:
                 except OSError:
                     pass
         if rounds >= SOAK_KILL_AT:
-            orphans = _worker_pids(proc.pid)
             proc.kill()
             interrupted = True
             print(f"      killed soak driver {proc.pid} after "
@@ -272,11 +289,7 @@ def _soak_drill(workdir: pathlib.Path, env: dict) -> None:
             break
         time.sleep(0.02)
     proc.wait()
-    for orphan in orphans:
-        try:
-            os.kill(orphan, signal.SIGKILL)
-        except OSError:
-            pass
+    _reap_group(proc)
     assert interrupted, "soak never journaled enough rounds to kill"
     if not worker_killed:
         print("      WARNING: no soak worker was killed")
@@ -327,7 +340,7 @@ def _stale_drill(workdir: pathlib.Path, env: dict) -> None:
         _soak_cli(journal, "--events", str(spool),
                   "--heartbeat", str(STALE_HEARTBEAT_S)),
         cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
+        stderr=subprocess.DEVNULL, start_new_session=True)
     try:
         deadline = time.monotonic() + KILL_DEADLINE_S
         health = None
@@ -345,15 +358,10 @@ def _stale_drill(workdir: pathlib.Path, env: dict) -> None:
               f"heartbeat={health['heartbeat_s']}s")
 
         print("[stale 2/3] SIGKILL the driver (no run_end written)")
-        orphans = _worker_pids(proc.pid)
         killed_at = time.monotonic()
         proc.kill()
         proc.wait()
-        for orphan in orphans:
-            try:
-                os.kill(orphan, signal.SIGKILL)
-            except OSError:
-                pass
+        _reap_group(proc)
 
         print("[stale 3/3] one heartbeat later the run must be stale")
         time.sleep(max(0.0, killed_at + STALE_HEARTBEAT_S + 0.3
@@ -379,6 +387,7 @@ def _stale_drill(workdir: pathlib.Path, env: dict) -> None:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        _reap_group(proc)
 
 
 def main() -> int:
@@ -409,11 +418,10 @@ def main() -> int:
             _cli(workdir, "--cache-dir", str(cache_dir),
                  "--checkpoint", str(checkpoint_base)),
             cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
+            stderr=subprocess.DEVNULL, start_new_session=True)
         deadline = time.monotonic() + KILL_DEADLINE_S
         interrupted = False
         worker_killed = False
-        orphans: list[int] = []
         while time.monotonic() < deadline and proc.poll() is None:
             if _completed_records(checkpoint) >= MIN_CHECKPOINTED:
                 # Frozen, the run records nothing more until the worker
@@ -436,22 +444,13 @@ def main() -> int:
                        and not set(_worker_pids(proc.pid)) - set(workers)):
                     time.sleep(0.002)
                 if proc.poll() is None:
-                    # Workers get reparented to init by the SIGKILL and
-                    # block forever on the dead pool's call queue (every
-                    # fork worker holds a write end, so no reader ever
-                    # sees EOF) — snapshot them first so we can reap.
-                    orphans = _worker_pids(proc.pid)
                     proc.kill()
                     interrupted = True
                     print(f"      killed campaign process {proc.pid}")
                 break
             time.sleep(0.01)
         proc.wait()
-        for orphan in orphans:
-            try:
-                os.kill(orphan, signal.SIGKILL)
-            except OSError:
-                pass
+        _reap_group(proc)
         if not interrupted:
             print("      WARNING: campaign finished before the kill "
                   "landed; resume will be a full replay")

@@ -617,8 +617,9 @@ class _CycleEvaluator:
         ``specs`` is a :class:`~repro.campaign.faults.FaultColumns`
         block or any sequence of :class:`FaultSpec` (turned into one).
         Eligible lanes, in population order, go through the lane
-        machine :data:`~repro.kernels.fault_batch.MAX_BATCH_LANES` at
-        a time: a lane's fork snapshot decides only whether it
+        machine :func:`~repro.kernels.fault_batch.lanes_per_call` at a
+        time — as many as :data:`~repro.kernels.fault_batch.LANE_STEPS`
+        lane-steps fit: a lane's fork snapshot decides only whether it
         qualifies, never what it computes, and big batches amortize
         the per-call setup.  Replays run in ascending snapshot order so
         restores stay cache-warm.  Both fill the classified rows of the
@@ -698,7 +699,7 @@ class _CycleEvaluator:
             magnitude_ps=faults.magnitude_ps[lanes],
             mask=self.machine.lane_mask(faults.sites,
                                         faults.site_mask()[lanes]))
-        size = fault_batch.MAX_BATCH_LANES
+        size = fault_batch.lanes_per_call(int(block.steps.max()))
         for first in range(0, len(block), size):
             folded[:, lanes[first:first + size]] = self.machine.evaluate(
                 block[first:first + size], self.rows)

@@ -342,7 +342,11 @@ class _LiveStatus:
     def __init__(self, *, quiet: bool = False,
                  progress: bool = True) -> None:
         from repro.obs.health import HealthFold
+        from repro.obs.render import format_status_line
 
+        # Imported here, before the run starts, so no status line pays
+        # a module import inside the timed run.
+        self._format = format_status_line
         self.fold = HealthFold()
         self._quiet = quiet
         self._progress = progress
@@ -368,10 +372,7 @@ class _LiveStatus:
     def line(self) -> str:
         import time
 
-        from repro.obs.render import format_status_line
-
-        return format_status_line(
-            self.fold.health(now_wall=time.time()))
+        return self._format(self.fold.health(now_wall=time.time()))
 
 
 def _publisher_begin(args: argparse.Namespace, kind: str,

@@ -44,9 +44,12 @@ its window is idle, past its fault-active steps and facing only quiet
 background — cycles that, entered idle, capture nothing and leave no
 state (the table's cumulative ``busy`` count).  Such a lane would
 enter every remaining cycle idle and capture nothing, so stopping
-changes no outcome and no counter.  Long windows step in segments of
-:data:`_SEGMENT` steps, state carried across, so the per-step buffers
-stay bounded; a window that fits one segment runs as one plain loop.
+changes no outcome and no counter.  Windows run in segments of
+:data:`_SEGMENT` steps, so the per-step buffers stay bounded.  A
+stateful scheme steps a segment one cycle at a time, state carried
+across; under a state-free one (:attr:`CaptureParams.state_free`) a
+segment's lane-steps capture as lanes of one idle-entered step, like
+the prefix table's cycles, and the window stops once every lane is spent.
 
 Lanes that fail the eligibility checks drop to the existing per-fault
 forked path, which is preserved as the executable spec — the same
@@ -72,17 +75,25 @@ from repro.kernels.pipeline import CaptureArrays, CaptureParams, capture_block
 from repro.pipeline import graph_sim as _graph_sim
 from repro.pipeline import pipeline as _pipeline_sim
 
-#: Most lanes one :meth:`evaluate` call advances.  A campaign chunk
-#: evaluated for a whole dispatch batch can hold thousands of lanes;
-#: the evaluator feeds them through in slices of this size, which keeps
-#: the ``(lanes, window, columns)`` buffers — and so peak memory —
-#: bounded while amortizing the per-call numpy overhead.
-MAX_BATCH_LANES = 256
-
 #: Window steps per pre-gathered segment.  :meth:`~_LaneMachineBase.
-#: evaluate` steps a longer window a segment at a time, which bounds
+#: evaluate` runs a longer window a segment at a time, which bounds
 #: its ``(lanes, segment, columns)`` buffers however long the window.
 _SEGMENT = 16
+
+#: Most lane-steps one :meth:`~_LaneMachineBase.evaluate` segment
+#: holds.  A campaign chunk evaluated for a whole dispatch batch can
+#: hold thousands of lanes; the evaluator feeds them through in slices
+#: of :func:`lanes_per_call`, which keeps the ``(lanes, segment,
+#: columns)`` buffers — and so peak memory — bounded while amortizing
+#: the per-call numpy overhead over as many lanes as short windows fit.
+LANE_STEPS = 256 * _SEGMENT
+
+
+def lanes_per_call(width: int) -> int:
+    """Lanes per :meth:`~_LaneMachineBase.evaluate` call for windows of
+    at most ``width`` steps: the :data:`LANE_STEPS` one segment holds."""
+    return LANE_STEPS // min(width, _SEGMENT)
+
 
 #: Background cycles per array call when building a prefix table.
 _TABLE_BLOCK = 512
@@ -231,7 +242,8 @@ class _LaneMachineBase:
     ``_step(step_rows, extra, state) -> (lateness, CaptureArrays,
     next_state)`` — one capture step of every lane's ``(lanes, ...)``
     background rows plus its per-column ``extra`` delay, from carried
-    ``state`` — with ``_zero_state(count)``, the per-lane
+    ``state`` — with its :class:`CaptureParams` ``params``,
+    ``_zero_state(count)``, the per-lane
     ``_leaves_state(caps)`` of an idle-entered step, the
     ``_counter_classes(caps)`` masks (one per :attr:`COUNTERS` entry)
     and ``state_is_idle``, plus :meth:`_observe` where it keeps a
@@ -248,6 +260,7 @@ class _LaneMachineBase:
     table: "PrefixTable | None" = None
     #: Site name -> machine column.
     _col: "dict[str, int]"
+    params: CaptureParams
     num_cols: int
 
     def _observe(self, caps: CaptureArrays, event: "np.ndarray") -> None:
@@ -257,17 +270,21 @@ class _LaneMachineBase:
         """Advance every lane through its window in one batch.
 
         ``rows`` is the trajectory's block columns (the screen's
-        verdicts last, unread).  Each lane steps its own window of them
-        plus its delta through :meth:`_step`, a segment of at most
-        :data:`_SEGMENT` steps at a time into preallocated ``(lanes,
-        segment, columns)`` buffers, with state carried across
-        segments.  A window longer than one segment retires from
+        verdicts last, unread).  Each lane runs its own window of them
+        plus its delta through :meth:`_step`, a :meth:`_segment` of at
+        most :data:`_SEGMENT` steps at a time.  A state-free scheme's
+        window stops at :meth:`_ready_step`, where every lane is spent.
+        A stateful scheme's window longer than one segment retires from
         :meth:`_ready_step` on, after the first step that leaves every
         lane still inside its window idle: the steps left would capture
         nothing.  Returns :func:`_classify`'s per-lane outcome columns.
         """
         width = int(lanes.steps.max())
-        ready = self._ready_step(lanes) if width > _SEGMENT else None
+        ready = None
+        if self.params.state_free:
+            width = self._ready_step(lanes)
+        elif width > _SEGMENT:
+            ready = self._ready_step(lanes)
         state = self._zero_state(len(lanes))
         totals = None
         done, retired = 0, False
@@ -291,35 +308,47 @@ class _LaneMachineBase:
     def _segment(self, lanes: LaneBlock, rows: "typing.Any", start: int,
                  stop: int, ready: "int | None",
                  state: "typing.Any") -> tuple:
-        """Step every lane through window steps ``[start, stop)`` from
+        """Run every lane through window steps ``[start, stop)`` from
         ``state``, or up to the first step at or past ``ready`` (if
         any) that leaves every lane still inside its window idle.
 
+        A state-free scheme's lane-steps capture as lanes of one
+        :meth:`_idle_step`; a stateful scheme steps one window step at
+        a time into preallocated ``(lanes, segment, columns)`` buffers.
         Returns the steps' :func:`_fold` aggregates, the carried-out
         state, the window step the segment ended at and whether the
         batch retired there.
         """
         cycles, extra, live = lanes.window(rows[0].shape[0], start, stop)
-        window = [column[cycles] for column in rows[:-1]]
         shape = (len(lanes), stop - start, self.num_cols)
-        lateness = np.empty(shape, dtype=np.int64)
-        kept = {name: np.empty(shape, dtype) for name, dtype in _KEPT.items()}
-        retired = False
-        for w in range(stop - start):
-            late, caps, state = self._step(
-                [column[:, w] for column in window], extra[:, w], state)
-            lateness[:, w] = late
-            for name, buffer in kept.items():
-                buffer[:, w] = getattr(caps, name)
-            done = start + w + 1
-            if (ready is not None and done >= ready
-                    and self._spent(state, lanes.steps > done)):
-                retired = True
-                ran = slice(0, w + 1)
-                lateness, live = lateness[:, ran], live[:, ran]
-                kept = {name: buffer[:, ran]
-                        for name, buffer in kept.items()}
-                break
+        retired, done = False, stop
+        if self.params.state_free:
+            lateness, caps = self._idle_step(
+                [column[cycles.ravel()] for column in rows[:-1]],
+                extra.reshape(-1, self.num_cols))
+            lateness = lateness.reshape(shape)
+            kept = {name: getattr(caps, name).reshape(shape)
+                    for name in _KEPT}
+        else:
+            window = [column[cycles] for column in rows[:-1]]
+            lateness = np.empty(shape, dtype=np.int64)
+            kept = {name: np.empty(shape, dtype)
+                    for name, dtype in _KEPT.items()}
+            for w in range(stop - start):
+                late, caps, state = self._step(
+                    [column[:, w] for column in window], extra[:, w], state)
+                lateness[:, w] = late
+                for name, buffer in kept.items():
+                    buffer[:, w] = getattr(caps, name)
+                done = start + w + 1
+                if (ready is not None and done >= ready
+                        and self._spent(state, lanes.steps > done)):
+                    retired = True
+                    ran = slice(0, w + 1)
+                    lateness, live = lateness[:, ran], live[:, ran]
+                    kept = {name: buffer[:, ran]
+                            for name, buffer in kept.items()}
+                    break
         caps = CaptureArrays(borrowed_ps=None, **kept)
         event = caps.event & live[:, :, None]
         if obs.REGISTRY.enabled:
@@ -345,14 +374,20 @@ class _LaneMachineBase:
         """Is every ``alive`` lane's carried state zero?"""
         return not any((part.any(axis=1) & alive).any() for part in state)
 
+    def _idle_step(self, step_rows: "typing.Any", extra: "typing.Any"
+                   ) -> tuple:
+        """``(lateness, CaptureArrays)`` of :meth:`_step` over
+        ``step_rows``, one lane per row, every lane entered idle."""
+        return self._step(step_rows, extra,
+                          self._zero_state(len(step_rows[0])))[:2]
+
     def prefix_table(self, rows: "typing.Any") -> PrefixTable:
         """The :class:`PrefixTable` of background ``rows``.
 
         Steps each block of :data:`_TABLE_BLOCK` background cycles once
-        through :meth:`_step`, cycles as lanes, each from
-        :meth:`_zero_state` — the state machine the lanes run.  The
-        counts are int32 whenever every total fits, halving the table's
-        memory.
+        through :meth:`_idle_step`, cycles as lanes — the state machine
+        the lanes run.  The counts are int32 whenever every total fits,
+        halving the table's memory.
         """
         num_cycles = rows[0].shape[0]
         state = np.empty(num_cycles, dtype=bool)
@@ -363,9 +398,8 @@ class _LaneMachineBase:
         busy = np.empty(num_cycles, dtype=bool)
         for pos in range(0, num_cycles, _TABLE_BLOCK):
             stop = min(pos + _TABLE_BLOCK, num_cycles)
-            _, caps, _ = self._step(
-                [column[pos:stop] for column in rows[:-1]], 0,
-                self._zero_state(stop - pos))
+            _, caps = self._idle_step(
+                [column[pos:stop] for column in rows[:-1]], 0)
             state[pos:stop] = self._leaves_state(caps)
             busy[pos:stop] = caps.event.any(axis=1) | state[pos:stop]
             counts[pos + 1:stop + 1] = np.stack(

@@ -154,6 +154,14 @@ class CaptureParams:
     resample_ps: int = 0
     consolidation_fits: bool = True
 
+    @property
+    def state_free(self) -> bool:
+        """Does :func:`capture_block` never borrow time or relay a
+        select under this scheme?  Then no capture depends on the cycle
+        before it.  dcf borrows its resample delay; both TIMBER
+        elements borrow, and timber-ff relays its select."""
+        return self.kind in ("plain", "razor", "canary", "clock-stall")
+
     @classmethod
     def from_checking_period(cls, kind: str,
                              cp: "CheckingPeriod") -> "CaptureParams":

@@ -1,7 +1,14 @@
 """Unit tests for the command-line interface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -210,3 +217,30 @@ class TestCampaignStatusLines:
             assert sum(f"  running  {done} tasks" in line
                        for line in lines) == 1, lines
         assert lines[-1].startswith("campaign  done  8/8 tasks")
+
+
+_STATUS_PROBE = """
+import argparse, json, sys
+from repro.cli import _publisher_begin
+publisher, _ = _publisher_begin(argparse.Namespace(quiet=True),
+                                "campaign", False)
+loaded = "repro.obs.render" in sys.modules
+publisher.close()
+print(json.dumps(loaded))
+"""
+
+
+class TestLiveStatusImports:
+    def test_status_renderer_loads_before_the_run(self, tmp_path):
+        # The status line's renderer is imported when the publisher
+        # opens, before ``run_start``: no status line inside a timed
+        # run pays a module import.  A fresh interpreter, so the test
+        # session's own imports cannot stand in for the publisher's.
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = src
+        done = subprocess.run(
+            [sys.executable, "-c", _STATUS_PROBE], cwd=tmp_path, env=env,
+            capture_output=True, text=True, check=True, timeout=120)
+        assert json.loads(done.stdout.splitlines()[-1]) is True
